@@ -27,7 +27,6 @@ from .errors import (
     ConfigError,
     DelinsError,
     InvalidSteps,
-    Overflow,
     ShapeMismatch,
     UnknownSymbol,
     VersionMismatch,
@@ -64,17 +63,26 @@ def _resolve(args, section: str, spec: dict) -> dict:
     config_path = getattr(args, "config", None)
     if config_path:
         cp = configparser.ConfigParser()
-        if not cp.read(config_path):
-            raise ConfigError(f"cannot read config file {config_path}")
-        if cp.has_section(section):
-            file_vals = dict(cp.items(section))
+        try:
+            if not cp.read(config_path):
+                raise ConfigError(f"cannot read config file {config_path}")
+            if cp.has_section(section):
+                file_vals = dict(cp.items(section))
+        except configparser.Error as exc:
+            detail = "; ".join(str(exc).splitlines())
+            raise ConfigError(f"config file {config_path}: {detail}") from None
     out = {}
     for key, (default, cast) in spec.items():
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             out[key] = flag_val
         elif key in file_vals:
-            out[key] = cast(file_vals[key])
+            try:
+                out[key] = cast(file_vals[key])
+            except ValueError:
+                raise ConfigError(
+                    f"config [{section}] {key} = {file_vals[key]!r} is not {cast.__name__}"
+                ) from None
         else:
             out[key] = default
     return out
@@ -122,18 +130,9 @@ def cmd_count(args) -> int:
     sub = tokenize(args.sub, vocab, cfg["tokenizer"])
     seq = tokenize(args.seq, vocab, cfg["tokenizer"])
     domain = cfg["domain"]
-    if domain == "auto":
-        try:
-            count = int(dp.subsequence_count(sub, seq, "exact"))
-        except Overflow:
-            count = float(np.exp(dp.subsequence_count(sub, seq, "log")))
-    elif domain == "exact":
-        count = int(dp.subsequence_count(sub, seq, "exact"))
-    elif domain == "log":
-        log_n = dp.subsequence_count(sub, seq, "log")
-        count = 0 if dp.is_log_zero(log_n) else float(np.exp(log_n))
-    else:
+    if domain not in ("auto", "exact", "log"):
         raise ConfigError(f"unknown domain {domain!r}")
+    count = dp.linear_count(sub, seq, domain)
     print(f"{count:.6g}" if isinstance(count, float) else str(count))
     if cfg["grid"]:
         grid = dp.insertion_counts(sub, seq, len(vocab), domain="exact" if domain != "log" else "log")
@@ -160,7 +159,6 @@ def cmd_train(args) -> int:
         "batch": (32, int),
         "lr": (0.05, float),
         "optimizer": ("adam", str),
-        "schedule": ("log-linear", str),
         "tokenizer": ("char", str),
         "max_len": (None, int),
         "checkpoint_out": ("model.ckpt", str),
@@ -169,7 +167,6 @@ def cmd_train(args) -> int:
         "metrics": (None, str),
         "timing": (True, _bool),
         "dry_run": (False, _bool),
-        "threads": (1, int),
     })
     if not cfg["corpus"]:
         raise ConfigError("train needs --corpus")
@@ -234,7 +231,6 @@ def cmd_train(args) -> int:
                 "batch": cfg["batch"],
                 "lr": cfg["lr"],
                 "optimizer": cfg["optimizer"],
-                "schedule": cfg["schedule"],
                 "seed": seed,
             },
             on_step=on_step,
@@ -266,7 +262,6 @@ def cmd_sample(args) -> int:
         "seed": (None, int),
         "out": (None, str),
         "trace": (None, str),
-        "threads": (1, int),
     })
     if not cfg["checkpoint"]:
         raise ConfigError("sample needs --checkpoint")
@@ -359,8 +354,8 @@ def cmd_bench(args) -> int:
         "metrics": (None, str),
     })
     lengths = [int(tok) for tok in str(cfg["lengths"]).replace(" ", "").split(",") if tok]
-    if len(lengths) < 2:
-        raise ConfigError("bench needs at least 2 lengths to fit an exponent")
+    if len(set(lengths)) < 2:
+        raise ConfigError("bench needs at least 2 distinct lengths to fit an exponent")
     if cfg["batch"] < 1 or cfg["reps"] < 1:
         raise ConfigError("batch and reps must be >= 1")
     rng = np.random.default_rng(cfg["seed"])
@@ -425,7 +420,6 @@ def build_parser() -> _Parser:
     p.add_argument("--batch", type=int, help="minibatch size (default 32)")
     p.add_argument("--lr", type=float, help="learning rate (default 0.05)")
     p.add_argument("--optimizer", choices=["sgd", "adam"], help="optimizer (default adam)")
-    p.add_argument("--schedule", help="noise schedule name (default log-linear)")
     p.add_argument("--tokenizer", choices=["char", "whitespace"], help="token splitting (default char)")
     p.add_argument("--max-len", type=int, dest="max_len", help="truncate sequences to this many tokens")
     p.add_argument("--checkpoint-out", dest="checkpoint_out", help="checkpoint path (default model.ckpt)")
@@ -435,7 +429,6 @@ def build_parser() -> _Parser:
                    help="include wall_ms per step (default on; disable for byte-stable streams)")
     p.add_argument("--dry-run", action="store_true", default=None, dest="dry_run",
                    help="validate the configuration and corpus, write nothing")
-    p.add_argument("--threads", type=int, help="worker cap, recorded in the run config (engines are single-threaded)")
     common(p)
     p.set_defaults(func=cmd_train)
 
@@ -453,7 +446,6 @@ def build_parser() -> _Parser:
     p.add_argument("--tokenizer", choices=["char", "whitespace"], help="token joining (default char)")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--trace", help="also dump per-sample snapshot traces to this path")
-    p.add_argument("--threads", type=int, help="worker cap, recorded in the run config (engines are single-threaded)")
     common(p)
     p.set_defaults(func=cmd_sample)
 

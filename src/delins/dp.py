@@ -25,6 +25,7 @@ batch, share one such sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,16 +347,32 @@ def batched_insertion_counts(pairs, vocab_size: int, domain: str = "exact") -> l
     return out
 
 
+def _exact_else_log(op, *args):
+    """op(*args, "exact"), or op(*args, "log") if uint64 overflows: the one fallback."""
+    try:
+        return op(*args, "exact")
+    except Overflow:
+        return op(*args, "log")
+
+
+def linear_count(x_t, x_0, domain: str):
+    """N(x_t, x_0) on the linear scale: an int when exact, a float via the log domain.
+
+    "auto" is exact, falling back to the log domain on overflow.
+    """
+    if domain == "auto":
+        return _exact_else_log(linear_count, x_t, x_0)
+    n = subsequence_count(x_t, x_0, domain)
+    if domain == "exact":
+        return n
+    return 0.0 if is_log_zero(n) else math.exp(n)
+
+
 def n_ratios_auto(x_t, x_0, vocab_size: int) -> NRatioMatrix:
     """Exact ratios, falling back to the log domain on overflow."""
-    try:
-        return n_ratios(x_t, x_0, vocab_size, "exact")
-    except Overflow:
-        return n_ratios(x_t, x_0, vocab_size, "log")
+    return _exact_else_log(n_ratios, x_t, x_0, vocab_size)
 
 
 def batched_n_ratios_auto(pairs, vocab_size: int) -> list[NRatioMatrix]:
-    try:
-        return batched_n_ratios(pairs, vocab_size, "exact")
-    except Overflow:
-        return batched_n_ratios(pairs, vocab_size, "log")
+    """Exact batched ratios, falling back to the log domain on overflow."""
+    return _exact_else_log(batched_n_ratios, pairs, vocab_size)

@@ -13,6 +13,8 @@ Two losses share the same weighting and target ratios:
 
 Both return a LossBreakdown whose total is weight * sum(per_position),
 with weight = sigma(t) * survival / (1 - survival) = 1/t under log-linear.
+Both validate their inputs and then call loss_from_ratios, which the
+scorer's training path also uses on precomputed ratios.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dp as _dp
+from . import dp
 from .errors import (
     ConfigError,
     InvalidTimes,
@@ -53,10 +55,6 @@ def loss_weight(t: float, schedule) -> float:
     return schedule.sigma(t) * p / (1.0 - p)
 
 
-def _target_ratios(dp, x_t: Sequence, x_0: Sequence, vocab_size: int) -> np.ndarray:
-    return dp.n_ratios_auto(x_t, x_0, vocab_size).ratios
-
-
 def _check_scores(scores, x_t: Sequence) -> np.ndarray:
     scores = np.asarray(getattr(scores, "values", scores), dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] != len(x_t):
@@ -66,36 +64,43 @@ def _check_scores(scores, x_t: Sequence) -> np.ndarray:
     return scores
 
 
-def dise_loss(scores, x_t: Sequence, x_0: Sequence, t: float, schedule, dp=None) -> LossBreakdown:
+def loss_from_ratios(mode: str, s: np.ndarray, r: np.ndarray, weight: float) -> LossBreakdown:
+    """The mode's loss (module docstring) of scores s against ratios r, unvalidated."""
+    pos = r > 0.0
+    if mode == "dise":
+        terms = s.copy()
+        terms[pos] -= r[pos] * np.log(s[pos]) - r[pos] * (np.log(r[pos]) - 1.0)
+    else:
+        terms = np.zeros_like(s)
+        terms[pos] = r[pos] * (np.log(r[pos]) - np.log(s[pos]))
+    per_position = terms.sum(axis=1)
+    return LossBreakdown(weight * float(per_position.sum()), per_position, weight)
+
+
+def dise_loss(scores, x_t: Sequence, x_0: Sequence, t: float, schedule) -> LossBreakdown:
     """Insertion score entropy of one (x_t, x_0) pair.
 
     Scores must be positive wherever the target ratio is, and never
     negative; zero scores are fine on zero-target cells (the oracle's
     matrices put exact zeros there).
     """
-    dp = dp or _dp
     s = _check_scores(scores, x_t)
     w = loss_weight(t, schedule)
-    r = _target_ratios(dp, x_t, x_0, s.shape[1])
+    r = dp.n_ratios_auto(x_t, x_0, s.shape[1]).ratios
     if np.any(s < 0.0):
         raise NonPositiveScore("negative score")
-    pos = r > 0.0
-    if np.any(s[pos] <= 0.0):
+    if np.any(s[r > 0.0] <= 0.0):
         raise NonPositiveScore("zero score at a cell with a positive target")
-    terms = s.copy()
-    terms[pos] -= r[pos] * np.log(s[pos]) - r[pos] * (np.log(r[pos]) - 1.0)
-    per_position = terms.sum(axis=1)
-    return LossBreakdown(w * float(per_position.sum()), per_position, w)
+    return loss_from_ratios("dise", s, r, w)
 
 
-def dice_loss(scores, x_t: Sequence, x_0: Sequence, t: float, schedule, dp=None) -> LossBreakdown:
+def dice_loss(scores, x_t: Sequence, x_0: Sequence, t: float, schedule) -> LossBreakdown:
     """Cross entropy of one pair under fixed final length.
 
     The score matrix must sum to |x_0| - |x_t| (content tokens): that is
     exactly what the target ratios sum to, and the equality with dise_loss
     rests on it.
     """
-    dp = dp or _dp
     s = _check_scores(scores, x_t)
     w = loss_weight(t, schedule)
     missing = x_0.content_len - x_t.content_len
@@ -103,14 +108,10 @@ def dice_loss(scores, x_t: Sequence, x_0: Sequence, t: float, schedule, dp=None)
         raise NormalizationViolation(
             f"scores sum to {float(s.sum())}, expected {missing}"
         )
-    r = _target_ratios(dp, x_t, x_0, s.shape[1])
-    pos = r > 0.0
-    if np.any(s[pos] <= 0.0):
+    r = dp.n_ratios_auto(x_t, x_0, s.shape[1]).ratios
+    if np.any(s[r > 0.0] <= 0.0):
         raise NonPositiveScore("zero score at a cell with a positive target")
-    terms = np.zeros_like(s)
-    terms[pos] = r[pos] * (np.log(r[pos]) - np.log(s[pos]))
-    per_position = terms.sum(axis=1)
-    return LossBreakdown(w * float(per_position.sum()), per_position, w)
+    return loss_from_ratios("dice", s, r, w)
 
 
 def sample_training_term(x_0: Sequence, schedule, rng, mode: str, scorer) -> LossBreakdown:

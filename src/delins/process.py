@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import dp as _dp
-from .errors import ConfigError, InvalidTimes, NotSingleDeletion, Overflow
+from . import dp
+from .errors import InvalidTimes, NotSingleDeletion
 from .seqcore import Sequence
 
 # sigma_bar(1) diverges for the log-linear schedule; clamping just below 1
@@ -36,15 +36,6 @@ class LogLinearSchedule:
     def sigma_bar(self, t: float) -> float:
         t = min(t, T_MAX)
         return -math.log1p(-t)
-
-
-def make_schedule(name: str, **params) -> LogLinearSchedule:
-    """Schedule registry; config files select one by name."""
-    if name == "log-linear":
-        if params:
-            raise ConfigError(f"log-linear schedule takes no parameters, got {params}")
-        return LogLinearSchedule()
-    raise ConfigError(f"unknown schedule {name!r}")
 
 
 @dataclass(frozen=True)
@@ -79,28 +70,18 @@ def forward_sample(x_0: Sequence, s: float, t: float, schedule, rng) -> ForwardS
     return ForwardSampleResult(Sequence(ids), tuple(kept))
 
 
-def _count_auto(dp, x_t, x_s) -> float:
-    """N(x_t, x_s) as a float, via the log domain when uint64 overflows."""
-    try:
-        return float(dp.subsequence_count(x_t, x_s, "exact"))
-    except Overflow:
-        log_n = dp.subsequence_count(x_t, x_s, "log")
-        return 0.0 if _dp.is_log_zero(log_n) else math.exp(log_n)
-
-
-def transition_prob(x_t: Sequence, x_s: Sequence, s: float, t: float, schedule, dp=None) -> float:
+def transition_prob(x_t: Sequence, x_s: Sequence, s: float, t: float, schedule) -> float:
     """p_{t|s}(x_t | x_s): survival^kept * deletion^lost * N(x_t, x_s).
 
     Token counts exclude bos on both sides.  Returns 0.0 when x_t does not
     embed into x_s at all.
     """
     _check_times(s, t)
-    dp = dp or _dp
     l_s = len(x_s) - 1
     l_t = len(x_t) - 1
     if l_t > l_s:
         return 0.0
-    n = _count_auto(dp, x_t, x_s)
+    n = float(dp.linear_count(x_t, x_s, "auto"))
     if n == 0.0:
         return 0.0
     p = survival_prob(schedule, s, t)
@@ -114,7 +95,7 @@ def transition_prob(x_t: Sequence, x_s: Sequence, s: float, t: float, schedule, 
     return math.exp(log_prob) * n
 
 
-def forward_rate(y: Sequence, x_t: Sequence, t: float, schedule, dp=None) -> float:
+def forward_rate(y: Sequence, x_t: Sequence, t: float, schedule) -> float:
     """Instantaneous rate of the jump y -> x_t (one non-bos token deleted).
 
     Each of the N(x_t, y) embeddings of x_t marks one deletable position of
@@ -122,7 +103,6 @@ def forward_rate(y: Sequence, x_t: Sequence, t: float, schedule, dp=None) -> flo
     """
     if not (0.0 <= t < 1.0):
         raise InvalidTimes(f"need 0 <= t < 1, got t={t}")
-    dp = dp or _dp
     if len(y) != len(x_t) + 1:
         raise NotSingleDeletion(
             f"lengths {len(y)} and {len(x_t)} do not differ by exactly one token"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dp as _dp
+from . import dp
 from .errors import (
     ConfigError,
     ModeMismatch,
@@ -34,9 +34,9 @@ from .errors import (
     ShapeMismatch,
     VersionMismatch,
 )
-from .objective import T_MIN, LossBreakdown, loss_weight
-from .process import forward_sample, make_schedule
-from .seqcore import Corpus, Sequence
+from .objective import T_MIN, LossBreakdown, loss_from_ratios, loss_weight
+from .process import LogLinearSchedule, forward_sample
+from .seqcore import Corpus, Sequence, atomic_open
 
 FORMAT_NAME = "delins-scorer"
 FORMAT_VERSION = 1
@@ -146,18 +146,10 @@ def score(params: ScorerParams, x_t: Sequence, t: float | None = None) -> Insert
     return InsertionScoreMatrix(m * _insertable_softmax(z), "dice")
 
 
-def _bracket_terms(s: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Elementwise s - r log s + r (log r - 1) with the r = 0 convention."""
-    terms = s.copy()
-    pos = r > 0.0
-    terms[pos] -= r[pos] * np.log(s[pos]) - r[pos] * (np.log(r[pos]) - 1.0)
-    return terms
-
-
 def _loss_grad_from_ratios(
     params: ScorerParams, x_t: Sequence, ratios: np.ndarray, t: float, schedule
 ) -> tuple[LossBreakdown, Gradient]:
-    """Shared core: loss breakdown plus d loss / d (theta, time bias).
+    """objective.loss_from_ratios plus d loss / d (theta, time bias).
 
     dise: d/dz of the bracket is simply (s - r) because s = exp(z).
     dice: the normalizer makes this a softmax cross-entropy with total
@@ -168,7 +160,6 @@ def _loss_grad_from_ratios(
     z = _logits(params, x_t, t)
     if params.mode == "dise":
         s = np.exp(z)
-        terms = _bracket_terms(s, ratios)
         g_z = w * (s - ratios)
     else:
         m_model = params.k - x_t.content_len
@@ -178,15 +169,10 @@ def _loss_grad_from_ratios(
                 f"model is normalized for {m_model} missing tokens, targets say {m_target}"
             )
         p = _insertable_softmax(z)
-        terms = np.zeros_like(p)
-        pos = ratios > 0.0
         s = m_model * p
-        terms[pos] = ratios[pos] * (np.log(ratios[pos]) - np.log(s[pos]))
         g_z = w * (m_target * p - ratios)
         g_z[:, 0] = 0.0  # the bos column carries no model mass
-
-    per_position = terms.sum(axis=1)
-    loss = LossBreakdown(w * float(per_position.sum()), per_position, w)
+    loss = loss_from_ratios(params.mode, s, ratios, w)
 
     V = params.vocab_size
     gtheta = np.zeros((V, V, V))
@@ -200,12 +186,11 @@ def _loss_grad_from_ratios(
 
 
 def loss_and_grad(
-    params: ScorerParams, x_t: Sequence, x_0: Sequence, t: float, schedule, mode: str | None = None, dp=None
+    params: ScorerParams, x_t: Sequence, x_0: Sequence, t: float, schedule, mode: str | None = None
 ) -> tuple[LossBreakdown, Gradient]:
     """Loss of (x_t, x_0) at time t and its gradient in the params."""
     if mode is not None and mode != params.mode:
         raise ModeMismatch(f"params are {params.mode!r}, loss requested {mode!r}")
-    dp = dp or _dp
     ratios = dp.n_ratios_auto(x_t, x_0, params.vocab_size).ratios
     return _loss_grad_from_ratios(params, x_t, ratios, t, schedule)
 
@@ -249,12 +234,14 @@ def train(
 ) -> tuple[ScorerParams, list[dict]]:
     """Minibatch training; returns fresh params and a per-step metric list.
 
-    config keys: epochs, batch, lr, optimizer ("sgd" | "adam"), seed, and
-    optionally schedule (name).  Batches are drawn by reshuffling the corpus
-    each epoch; each sequence gets an independent (t, x_t) draw.  Everything
-    runs sequentially in a fixed order, so a fixed seed reproduces the
-    metric stream bit for bit.  on_step, when given, is called with each
-    metric dict as it is produced (for streaming progress elsewhere).
+    config keys: epochs, batch, lr, optimizer ("sgd" | "adam") and seed.
+    The noise schedule is always log-linear, as in the sampler.  Batches are
+    drawn by reshuffling the corpus each epoch; each sequence gets an
+    independent (t, x_t) draw, and the batch's targets come from one
+    dp.batched_n_ratios_auto call.  Everything runs sequentially in a fixed
+    order, so a fixed seed reproduces the metric stream bit for bit.
+    on_step, when given, is called with each metric dict as it is produced
+    (for streaming progress elsewhere).
     """
     if not corpus.sequences:
         raise ConfigError("empty corpus")
@@ -263,7 +250,7 @@ def train(
     lr = float(config.get("lr", 0.1))
     opt_name = str(config.get("optimizer", "adam"))
     seed = config.get("seed")
-    schedule = make_schedule(str(config.get("schedule", "log-linear")))
+    schedule = LogLinearSchedule()
     if epochs < 1 or batch < 1:
         raise ConfigError(f"epochs={epochs} and batch={batch} must be >= 1")
     if lr < 0:
@@ -298,7 +285,7 @@ def train(
                 t = T_MIN + (1.0 - T_MIN) * float(rng.random())
                 x_t = forward_sample(x_0, 0.0, t, schedule, rng).x_t
                 draws.append((x_t, x_0, t))
-            mats = _dp.batched_n_ratios_auto(
+            mats = dp.batched_n_ratios_auto(
                 [(x_t, x_0) for x_t, x_0, _ in draws], out.vocab_size
             )
             loss_sum = 0.0
@@ -335,7 +322,7 @@ def save(params: ScorerParams, path) -> None:
         "k": params.k,
         "buckets": N_BUCKETS if params.mode == "dise" else None,
     }
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
         f.write(np.ascontiguousarray(params.theta, dtype=np.float64).tobytes())
         if params.time_bias is not None:
@@ -350,14 +337,20 @@ def load(path) -> ScorerParams:
         header = json.loads(header_line)
     except (ValueError, UnicodeDecodeError):
         raise VersionMismatch("not a scorer checkpoint: missing JSON header") from None
+    if not isinstance(header, dict):
+        raise VersionMismatch("not a scorer checkpoint: header is not a JSON object")
     if header.get("format") != FORMAT_NAME:
         raise VersionMismatch(f"not a scorer checkpoint: format {header.get('format')!r}")
     if header.get("version") != FORMAT_VERSION:
         raise VersionMismatch(
             f"checkpoint version {header.get('version')} unsupported (want {FORMAT_VERSION})"
         )
-    mode = header["mode"]
-    V = int(header["vocab_size"])
+    mode, V, k = header.get("mode"), header.get("vocab_size"), header.get("k")
+    if mode not in MODES:
+        raise VersionMismatch(f"checkpoint mode {mode!r} is not one of {MODES}")
+    for name, v in (("vocab_size", V), ("k", k)):
+        if not ((name == "k" and v is None) or (type(v) is int and v > 0)):
+            raise ShapeMismatch(f"checkpoint {name} {v!r} is not a positive integer")
     n_theta = V * V * V
     n_bias = N_BUCKETS * V if mode == "dise" else 0
     if header.get("buckets") not in (None, N_BUCKETS):
@@ -370,8 +363,7 @@ def load(path) -> ScorerParams:
     flat = np.frombuffer(payload, dtype=np.float64)
     theta = flat[:n_theta].reshape(V, V, V).copy()
     tb = flat[n_theta:].reshape(N_BUCKETS, V).copy() if mode == "dise" else None
-    k = header["k"]
-    return ScorerParams(mode, theta, tb, None if k is None else int(k))
+    return ScorerParams(mode, theta, tb, k)
 
 
 def gradcheck(

@@ -15,6 +15,8 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import ConfigError, ShapeMismatch, UnknownSymbol
@@ -22,6 +24,19 @@ from .errors import ConfigError, ShapeMismatch, UnknownSymbol
 Token = int  # index into a Vocab
 
 BOS_SYMBOL = "<bos>"
+
+
+@contextmanager
+def atomic_open(path, mode: str, **kwargs):
+    """Write via a temp file moved onto path on success; a failed write leaves path as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 @dataclass(frozen=True)
@@ -61,7 +76,7 @@ class Vocab:
         return Vocab(tuple(ordered))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_open(path, "w", encoding="utf-8") as f:
             for s in self.symbols:
                 f.write(s + "\n")
 

@@ -335,6 +335,19 @@ def test_config_file_resolution_order(tmp_path, capsys):
     assert config["batch"] == 32  # default fills the rest
 
 
+def test_config_file_bad_value_is_usage_error(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, VARIED)
+    ini = tmp_path / "run.ini"
+    for text in ("[train]\nepochs = abc\n", "epochs = 3\n"):  # bad value; no section header
+        ini.write_text(text)
+        code, out, err = run_cli(
+            ["train", "--corpus", corpus, "--config", str(ini), "--dry-run"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: config") and err.count("\n") == 1
+
+
 def test_config_file_missing_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(
         ["count", "a", "ab", "--config", str(tmp_path / "nope.ini")], capsys
@@ -385,6 +398,7 @@ def test_bench_reports_exponent(capsys):
 
 
 def test_bench_single_length_is_usage_error(capsys):
-    code, _, err = run_cli(["bench", "--lengths", "512"], capsys)
-    assert code == 1
-    assert "lengths" in err
+    for lengths in ("512", "4,4"):  # one length, or one length repeated
+        code, _, err = run_cli(["bench", "--lengths", lengths], capsys)
+        assert code == 1
+        assert "lengths" in err

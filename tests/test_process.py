@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from delins.errors import ConfigError, InvalidTimes, NotSingleDeletion
+from delins.errors import InvalidTimes, NotSingleDeletion
 from delins.process import (
     LogLinearSchedule,
     forward_rate,
     forward_sample,
-    make_schedule,
     survival_prob,
     transition_prob,
 )
@@ -46,14 +45,6 @@ def test_schedule_derivative_matches_rate():
         h = 1e-7
         fd = (SCHED.sigma_bar(t + h) - SCHED.sigma_bar(t - h)) / (2 * h)
         assert fd == pytest.approx(SCHED.sigma(t), rel=1e-6)
-
-
-def test_make_schedule():
-    assert make_schedule("log-linear") == SCHED
-    with pytest.raises(ConfigError):
-        make_schedule("cosine")
-    with pytest.raises(ConfigError):
-        make_schedule("log-linear", beta=2.0)
 
 
 def test_survival_examples():

@@ -107,13 +107,13 @@ def test_loss_matches_objective_module():
     mat = score(p, x_t, t)
     via_objective = objective.dise_loss(mat, x_t, x_0, t, SCHED)
     direct, _ = loss_and_grad(p, x_t, x_0, t, SCHED)
-    assert direct.total == pytest.approx(via_objective.total, rel=1e-12, abs=1e-12)
+    assert direct.total == via_objective.total
 
     pd = rand_params(rng, 3, "dice", k=3)
     matd = score(pd, x_t)
     via_objective = objective.dice_loss(matd, x_t, x_0, t, SCHED)
     direct, _ = loss_and_grad(pd, x_t, x_0, t, SCHED)
-    assert direct.total == pytest.approx(via_objective.total, rel=1e-12, abs=1e-12)
+    assert direct.total == via_objective.total
 
 
 def test_mode_mismatch():
@@ -253,3 +253,31 @@ def test_checkpoint_version_and_shape_errors(tmp_path):
     (tmp_path / "j.ckpt").write_bytes(b"\x00\x01binarygarbage")
     with pytest.raises(VersionMismatch):
         load(tmp_path / "j.ckpt")
+    for old, new, err in (
+        (b'"mode": "dise", ', b"", VersionMismatch),
+        (b'"mode": "dise"', b'"mode": "other"', VersionMismatch),
+        (b'"vocab_size": 3', b'"vocab_size": "x"', ShapeMismatch),
+        (b'"vocab_size": 3', b'"vocab_size": -1', ShapeMismatch),
+        (b'"vocab_size": 3', b'"vocab_size": 0', ShapeMismatch),
+        (b'"k": null', b'"k": "x"', ShapeMismatch),
+        (b'"k": null', b'"k": 2.5', ShapeMismatch),
+    ):
+        assert old in head
+        (tmp_path / "h.ckpt").write_bytes(head.replace(old, new) + b"\n" + payload)
+        with pytest.raises(err):
+            load(tmp_path / "h.ckpt")
+    (tmp_path / "h.ckpt").write_bytes(b"[1]\n" + payload)
+    with pytest.raises(VersionMismatch):
+        load(tmp_path / "h.ckpt")
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save(ScorerParams.init(3, "dise"), path)
+    before = path.read_bytes()
+    bad = ScorerParams.init(3, "dise")
+    bad.theta = np.full((3, 3, 3), "x", dtype=object)  # fails after the header is written
+    with pytest.raises(ValueError):
+        save(bad, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
