@@ -135,7 +135,7 @@ def cmd_count(args) -> int:
     count = dp.linear_count(sub, seq, domain)
     print(f"{count:.6g}" if isinstance(count, float) else str(count))
     if cfg["grid"]:
-        grid = dp.insertion_counts(sub, seq, len(vocab), domain="exact" if domain != "log" else "log")
+        grid = dp.linear_insertion_counts(sub, seq, len(vocab), domain)
         for i, row in enumerate(grid.tolist()):
             print(json.dumps({"gap": i, "counts": row}))
     return EXIT_OK
@@ -401,7 +401,8 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--config", help="INI config file; flags override it")
-        p.add_argument("--seed", type=int, help="rng seed (default: drawn from entropy and logged)")
+
+    drawn_seed_help = "rng seed (default: drawn from entropy and logged)"
 
     p = sub.add_parser("count", help="count subsequence embeddings")
     p.add_argument("sub", help="candidate subsequence (may be empty)")
@@ -429,6 +430,7 @@ def build_parser() -> _Parser:
                    help="include wall_ms per step (default on; disable for byte-stable streams)")
     p.add_argument("--dry-run", action="store_true", default=None, dest="dry_run",
                    help="validate the configuration and corpus, write nothing")
+    p.add_argument("--seed", type=int, help=drawn_seed_help)
     common(p)
     p.set_defaults(func=cmd_train)
 
@@ -446,6 +448,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tokenizer", choices=["char", "whitespace"], help="token joining (default char)")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--trace", help="also dump per-sample snapshot traces to this path")
+    p.add_argument("--seed", type=int, help=drawn_seed_help)
     common(p)
     p.set_defaults(func=cmd_sample)
 
@@ -460,6 +463,7 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", type=int, help="timed repetitions per length (default 3)")
     p.add_argument("--vocab-size", type=int, dest="vocab_size", help="bench vocabulary size (default 16)")
     p.add_argument("--metrics", help="JSON-lines output path (default stdout)")
+    p.add_argument("--seed", type=int, help="rng seed for the bench pairs (default 0)")
     common(p)
     p.set_defaults(func=cmd_bench)
 

@@ -19,8 +19,11 @@ in two arithmetic domains:
 
 The recurrence updates a whole row of the table at once (vectorized over the
 x_t axis) while stepping sequentially along x_0, so the table layout keeps
-the x_t axis innermost/contiguous.  Both tables of a pair, and all pairs of a
-batch, share one such sweep.
+the x_t axis innermost/contiguous.  One sweep computes prefix tables for a
+batch of rows.  The suffix table of a pair is the flipped prefix table of the
+reversed pair, so ops that need both tables sweep B pairs followed by their
+B reverses as one batch of 2B rows; counts and prefix tables sweep only the
+pair, suffix tables only its reverse.
 """
 
 from __future__ import annotations
@@ -57,78 +60,96 @@ def is_log_zero(x) -> np.ndarray | bool:
 
 
 # ---------------------------------------------------------------------------
-# engine: one sweep computes forward and reversed prefix tables for a batch
+# engine: one sweep computes the prefix tables of a batch of rows
 
-def _combined_tables(xts: list[np.ndarray], x0s: list[np.ndarray], domain: str):
-    """Stacked DP tables for a batch of (x_t, x_0) pairs.
+def _sweep(xts: list[np.ndarray], x0s: list[np.ndarray], domain: str, n_pairs: int):
+    """Stacked prefix tables for a batch of (x_t, x_0) rows.
 
-    Returns T with shape (m_max+1, B, 2, n_max+1) where
-      T[j, b, 0, i] = N(xt_b[:i], x0_b[:j])          (prefix lane)
-      T[j, b, 1, i] = N(rev(xt_b)[:i], rev(x0_b)[:j]) (reversed lane; the
-                      suffix table is a flip of this one)
-    Padding rows/columns beyond a pair's true lengths hold values that never
+    Returns T with shape (m_max+1, R, n_max+1) where
+      T[j, r, i] = N(xts[r][:i], x0s[r][:j]).
+    Row r belongs to pair r mod n_pairs, the index an overflow is reported
+    under, so a reversed pair stacked at row r + n_pairs names pair r.
+    Padding rows/columns beyond a row's true lengths hold values that never
     influence the cells within range, because pad tokens match nothing.
     """
-    B = len(xts)
+    R = len(xts)
     n_max = max(len(x) for x in xts)
     m_max = max(len(x) for x in x0s)
 
-    XT = np.full((B, 2, n_max), _PAD_XT, dtype=np.int64)
-    X0 = np.full((B, 2, m_max), _PAD_X0, dtype=np.int64)
-    for b, (xt, x0) in enumerate(zip(xts, x0s)):
-        XT[b, 0, : len(xt)] = xt
-        XT[b, 1, : len(xt)] = xt[::-1]
-        X0[b, 0, : len(x0)] = x0
-        X0[b, 1, : len(x0)] = x0[::-1]
+    XT = np.full((R, n_max), _PAD_XT, dtype=np.int64)
+    X0 = np.full((m_max, R), _PAD_X0, dtype=np.int64)
+    for r, (xt, x0) in enumerate(zip(xts, x0s)):
+        XT[r, : len(xt)] = xt
+        X0[: len(x0), r] = x0
 
-    # eq[b, j, l, i] = (x0 token j == xt token i) in lane l
-    eq = (X0[:, :, :, None] == XT[:, :, None, :]).transpose(0, 2, 1, 3)
+    # eq[j, r, i] = (x0 token j == xt token i) in row r
+    eq = X0[:, :, None] == XT[None, :, :]
 
     if domain == "exact":
-        T = np.zeros((m_max + 1, B, 2, n_max + 1), dtype=_U64)
-        T[:, :, :, 0] = 1
+        T = np.zeros((m_max + 1, R, n_max + 1), dtype=_U64)
+        T[:, :, 0] = 1
         for j in range(1, m_max + 1):
             prev = T[j - 1]
-            add = np.where(eq[:, j - 1], prev[..., :-1], _U64(0))
-            cur = prev[..., 1:] + add
+            add = np.where(eq[j - 1], prev[:, :-1], _U64(0))
+            cur = prev[:, 1:] + add
             wrapped = cur < add
             if wrapped.any():
-                b = int(np.argwhere(wrapped.any(axis=(1, 2)))[0, 0])
+                b = int((np.flatnonzero(wrapped.any(axis=1)) % n_pairs).min())
                 raise Overflow(f"pair {b}: subsequence count exceeds uint64; use the log domain")
-            T[j, :, :, 1:] = cur
+            T[j, :, 1:] = cur
         return T
 
     if domain == "log":
-        T = np.full((m_max + 1, B, 2, n_max + 1), LOG_ZERO, dtype=np.float64)
-        T[:, :, :, 0] = 0.0
+        T = np.full((m_max + 1, R, n_max + 1), LOG_ZERO, dtype=np.float64)
+        T[:, :, 0] = 0.0
         for j in range(1, m_max + 1):
             prev = T[j - 1]
-            shifted = np.where(eq[:, j - 1], prev[..., :-1], LOG_ZERO)
-            T[j, :, :, 1:] = np.logaddexp(prev[..., 1:], shifted)
+            shifted = np.where(eq[j - 1], prev[:, :-1], LOG_ZERO)
+            T[j, :, 1:] = np.logaddexp(prev[:, 1:], shifted)
         return T
 
     raise ValueError(f"unknown domain {domain!r}")
 
 
-def _pair_views(T, b: int, n: int, m: int):
-    """(prefix, reversed) j-major views for pair b, trimmed to true lengths."""
-    P_ji = T[: m + 1, b, 0, : n + 1]  # P_ji[j, i] = N(xt[:i], x0[:j])
-    R_ji = T[: m + 1, b, 1, : n + 1]
-    return P_ji, R_ji
+def _per_pair(pairs, vocab_size: int, domain: str, fuse) -> list:
+    """fuse(A, Bsu, x0, n_cell, vocab_size, domain) for each pair, from one sweep.
+
+    The sweep runs over the pairs (rows 0..B-1) followed by their reverses
+    (rows B..2B-1); for pair b with n = |x_t| and m = |x_0|
+      A[j, i]   = N(xt[:i+1], x0[:j])      (prefix terms)
+      Bsu[j, i] = N(xt[i+1:], x0[j+1:])    (suffix terms, from the reverse)
+    for 0 <= j < m, 0 <= i < n, and n_cell = N(xt, x0).  Errors are re-raised
+    with the offending pair index.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return []
+    xts = [_ids(a) for a, _ in pairs]
+    x0s = [_ids(b) for _, b in pairs]
+    _check_vocab(xts + x0s, vocab_size)
+    B = len(pairs)
+    T = _sweep(xts + [x[::-1] for x in xts], x0s + [x[::-1] for x in x0s], domain, B)
+    out = []
+    for b, (xt, x0) in enumerate(zip(xts, x0s)):
+        n, m = len(xt), len(x0)
+        A = T[:m, b, 1 : n + 1]
+        # trimmed before the flip, which must not wrap when n or m is 0
+        Bsu = T[: m + 1, B + b, : n + 1][m - 1 :: -1, n - 1 :: -1]
+        try:
+            out.append(fuse(A, Bsu, x0, T[m, b, n], vocab_size, domain))
+        except (NotASubsequence, Overflow) as e:
+            raise type(e)(f"pair {b}: {e}") from None
+    return out
 
 
-def _fuse_exact(P_ji, R_ji, x0: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Insertion-count grid (n, V) from the two tables, checked uint64."""
-    m = len(x0)
-    n = P_ji.shape[1] - 1
-    A = P_ji[:-1, 1:]                      # A[j, i] = N(xt[:i+1], x0[:j])
-    Bsu = R_ji[m - 1 :: -1, n - 1 :: -1]   # Bsu[j, i] = N(xt[i+1:], x0[j+1:])
+def _fuse_exact(A, Bsu, x0: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Insertion-count grid (n, V) from the prefix and suffix terms, checked uint64."""
     prod = A * Bsu
     nz = A != 0
     if np.any(nz & (prod // np.where(nz, A, _U64(1)) != Bsu)):
         raise Overflow("insertion-count product exceeds uint64; use the log domain")
-    counts_v = np.zeros((vocab_size, n), dtype=_U64)
-    for j in range(m):  # checked accumulation, one x_0 position at a time
+    counts_v = np.zeros((vocab_size, A.shape[1]), dtype=_U64)
+    for j in range(len(x0)):  # checked accumulation, one x_0 position at a time
         row = counts_v[x0[j]]
         new = row + prod[j]
         if (new < prod[j]).any():
@@ -137,12 +158,9 @@ def _fuse_exact(P_ji, R_ji, x0: np.ndarray, vocab_size: int) -> np.ndarray:
     return counts_v.T  # (n, V)
 
 
-def _fuse_log_counts(P_ji, R_ji, x0: np.ndarray, vocab_size: int) -> np.ndarray:
+def _fuse_log_counts(A, Bsu, x0: np.ndarray, vocab_size: int) -> np.ndarray:
     """Log-domain insertion-count grid (n, V), LOG_ZERO for empty cells."""
-    m = len(x0)
-    n = P_ji.shape[1] - 1
-    A = P_ji[:-1, 1:]
-    Bsu = R_ji[m - 1 :: -1, n - 1 :: -1]
+    n = A.shape[1]
     terms = A + Bsu  # log products; dead entries ~ 2*LOG_ZERO
     shift = float(terms.max()) if terms.size else 0.0
     if is_log_zero(shift):
@@ -155,16 +173,31 @@ def _fuse_log_counts(P_ji, R_ji, x0: np.ndarray, vocab_size: int) -> np.ndarray:
     return out.T
 
 
-def _fuse_log_ratios(P_ji, R_ji, x0: np.ndarray, vocab_size: int, log_n: float) -> np.ndarray:
+def _fuse_log_ratios(A, Bsu, x0: np.ndarray, vocab_size: int, log_n: float) -> np.ndarray:
     """Ratio grid (n, V) = exp(prefix + suffix - log N), accumulated densely."""
-    m = len(x0)
-    n = P_ji.shape[1] - 1
-    A = P_ji[:-1, 1:]
-    Bsu = R_ji[m - 1 :: -1, n - 1 :: -1]
     lin = np.exp(A + Bsu - log_n)  # each term <= the ratio sum, never overflows
-    acc = np.zeros((vocab_size, n))
+    acc = np.zeros((vocab_size, A.shape[1]))
     np.add.at(acc, x0, lin)
     return acc.T
+
+
+def _counts(A, Bsu, x0, n_cell, vocab_size: int, domain: str) -> np.ndarray:
+    """One pair's grid for batched_insertion_counts."""
+    if domain == "exact":
+        return _fuse_exact(A, Bsu, x0, vocab_size)
+    return _fuse_log_counts(A, Bsu, x0, vocab_size)
+
+
+def _ratios(A, Bsu, x0, n_cell, vocab_size: int, domain: str) -> NRatioMatrix:
+    """One pair's ratios for batched_n_ratios; needs n_cell = N(x_t, x_0) > 0."""
+    if domain == "exact":
+        if n_cell == 0:
+            raise NotASubsequence("N(x_t, x_0) == 0")
+        counts = _fuse_exact(A, Bsu, x0, vocab_size)
+        return NRatioMatrix(counts.astype(np.float64) / float(n_cell), domain)
+    if is_log_zero(n_cell):
+        raise NotASubsequence("N(x_t, x_0) == 0")
+    return NRatioMatrix(_fuse_log_ratios(A, Bsu, x0, vocab_size, float(n_cell)), domain)
 
 
 def _check_vocab(arrs, vocab_size: int) -> None:
@@ -246,24 +279,21 @@ def brute_count(sub, seq) -> int:
 def prefix_table(x_t, x_0, domain: str = "exact") -> PrefixTable:
     """Full prefix-count table; cell (|x_t|, |x_0|) is N(x_t, x_0)."""
     xt, x0 = _ids(x_t), _ids(x_0)
-    T = _combined_tables([xt], [x0], domain)
-    P_ji, _ = _pair_views(T, 0, len(xt), len(x0))
-    return PrefixTable(P_ji.T.copy(), domain)
+    T = _sweep([xt], [x0], domain, 1)
+    return PrefixTable(T[:, 0, :].T.copy(), domain)
 
 
 def suffix_table(x_t, x_0, domain: str = "exact") -> SuffixTable:
     """Full suffix-count table; cell (0, 0) is N(x_t, x_0)."""
     xt, x0 = _ids(x_t), _ids(x_0)
-    T = _combined_tables([xt], [x0], domain)
-    _, R_ji = _pair_views(T, 0, len(xt), len(x0))
-    return SuffixTable(R_ji[::-1, ::-1].T.copy(), domain)
+    T = _sweep([xt[::-1]], [x0[::-1]], domain, 1)
+    return SuffixTable(T[::-1, 0, ::-1].T.copy(), domain)
 
 
 def subsequence_count(x_t, x_0, domain: str = "exact"):
     """N(x_t, x_0): int in exact mode, log-count float in log mode."""
     xt, x0 = _ids(x_t), _ids(x_0)
-    T = _combined_tables([xt], [x0], domain)
-    cell = T[len(x0), 0, 0, len(xt)]
+    cell = _sweep([xt], [x0], domain, 1)[-1, 0, -1]
     return int(cell) if domain == "exact" else float(cell)
 
 
@@ -273,34 +303,12 @@ def insertion_counts(x_t, x_0, vocab_size: int, domain: str = "exact") -> np.nda
     Exact mode returns uint64 counts; log mode returns log-counts with
     LOG_ZERO marking empty cells.
     """
-    xt, x0 = _ids(x_t), _ids(x_0)
-    _check_vocab([xt, x0], vocab_size)
-    T = _combined_tables([xt], [x0], domain)
-    P_ji, R_ji = _pair_views(T, 0, len(xt), len(x0))
-    if domain == "exact":
-        return _fuse_exact(P_ji, R_ji, x0, vocab_size)
-    return _fuse_log_counts(P_ji, R_ji, x0, vocab_size)
+    return batched_insertion_counts([(x_t, x_0)], vocab_size, domain)[0]
 
 
 def n_ratios(x_t, x_0, vocab_size: int, domain: str = "exact") -> NRatioMatrix:
     """Ratio grid N(Ins(x_t, i, v), x_0) / N(x_t, x_0); needs N > 0."""
-    xt, x0 = _ids(x_t), _ids(x_0)
-    _check_vocab([xt, x0], vocab_size)
-    T = _combined_tables([xt], [x0], domain)
-    return _ratios_from_tables(T, 0, xt, x0, vocab_size, domain)
-
-
-def _ratios_from_tables(T, b: int, xt, x0, vocab_size: int, domain: str) -> NRatioMatrix:
-    P_ji, R_ji = _pair_views(T, b, len(xt), len(x0))
-    n_cell = P_ji[len(x0), len(xt)]
-    if domain == "exact":
-        if n_cell == 0:
-            raise NotASubsequence("N(x_t, x_0) == 0")
-        counts = _fuse_exact(P_ji, R_ji, x0, vocab_size)
-        return NRatioMatrix(counts.astype(np.float64) / float(n_cell), domain)
-    if is_log_zero(n_cell):
-        raise NotASubsequence("N(x_t, x_0) == 0")
-    return NRatioMatrix(_fuse_log_ratios(P_ji, R_ji, x0, vocab_size, float(n_cell)), domain)
+    return batched_n_ratios([(x_t, x_0)], vocab_size, domain)[0]
 
 
 def batched_n_ratios(pairs, vocab_size: int, domain: str = "exact") -> list[NRatioMatrix]:
@@ -309,50 +317,25 @@ def batched_n_ratios(pairs, vocab_size: int, domain: str = "exact") -> list[NRat
     Elementwise identical to the per-pair loop (bitwise so in exact mode);
     per-pair errors are re-raised with the offending pair index.
     """
-    pairs = list(pairs)
-    if not pairs:
-        return []
-    xts = [_ids(a) for a, _ in pairs]
-    x0s = [_ids(b) for _, b in pairs]
-    _check_vocab(xts + x0s, vocab_size)
-    T = _combined_tables(xts, x0s, domain)
-    out = []
-    for b, (xt, x0) in enumerate(zip(xts, x0s)):
-        try:
-            out.append(_ratios_from_tables(T, b, xt, x0, vocab_size, domain))
-        except (NotASubsequence, Overflow) as e:
-            raise type(e)(f"pair {b}: {e}") from None
-    return out
+    return _per_pair(pairs, vocab_size, domain, _ratios)
 
 
 def batched_insertion_counts(pairs, vocab_size: int, domain: str = "exact") -> list[np.ndarray]:
     """insertion_counts over a batch, sharing one table sweep."""
-    pairs = list(pairs)
-    if not pairs:
-        return []
-    xts = [_ids(a) for a, _ in pairs]
-    x0s = [_ids(b) for _, b in pairs]
-    _check_vocab(xts + x0s, vocab_size)
-    T = _combined_tables(xts, x0s, domain)
-    out = []
-    for b, (xt, x0) in enumerate(zip(xts, x0s)):
-        P_ji, R_ji = _pair_views(T, b, len(xt), len(x0))
-        try:
-            if domain == "exact":
-                out.append(_fuse_exact(P_ji, R_ji, x0, vocab_size))
-            else:
-                out.append(_fuse_log_counts(P_ji, R_ji, x0, vocab_size))
-        except Overflow as e:
-            raise Overflow(f"pair {b}: {e}") from None
-    return out
+    return _per_pair(pairs, vocab_size, domain, _counts)
 
 
 def _exact_else_log(op, *args):
-    """op(*args, "exact"), or op(*args, "log") if uint64 overflows: the one fallback."""
+    """op(*args, "exact"), or op(*args, "log") if uint64 overflows: the one fallback.
+
+    The log attempt runs after the handler has exited, so the overflow's
+    traceback no longer holds the failed exact tables alive.
+    """
     try:
         return op(*args, "exact")
     except Overflow:
-        return op(*args, "log")
+        pass
+    return op(*args, "log")
 
 
 def linear_count(x_t, x_0, domain: str):
@@ -366,6 +349,20 @@ def linear_count(x_t, x_0, domain: str):
     if domain == "exact":
         return n
     return 0.0 if is_log_zero(n) else math.exp(n)
+
+
+def linear_insertion_counts(x_t, x_0, vocab_size: int, domain: str) -> np.ndarray:
+    """insertion_counts on the linear scale: uint64 when exact, float64 via the log domain.
+
+    Dead log-domain cells read 0.0.  "auto" is exact, falling back to the
+    log domain on overflow.
+    """
+    if domain == "auto":
+        return _exact_else_log(linear_insertion_counts, x_t, x_0, vocab_size)
+    grid = insertion_counts(x_t, x_0, vocab_size, domain)
+    if domain == "exact":
+        return grid
+    return np.where(is_log_zero(grid), 0.0, np.exp(grid))
 
 
 def n_ratios_auto(x_t, x_0, vocab_size: int) -> NRatioMatrix:

@@ -186,11 +186,9 @@ def _loss_grad_from_ratios(
 
 
 def loss_and_grad(
-    params: ScorerParams, x_t: Sequence, x_0: Sequence, t: float, schedule, mode: str | None = None
+    params: ScorerParams, x_t: Sequence, x_0: Sequence, t: float, schedule
 ) -> tuple[LossBreakdown, Gradient]:
     """Loss of (x_t, x_0) at time t and its gradient in the params."""
-    if mode is not None and mode != params.mode:
-        raise ModeMismatch(f"params are {params.mode!r}, loss requested {mode!r}")
     ratios = dp.n_ratios_auto(x_t, x_0, params.vocab_size).ratios
     return _loss_grad_from_ratios(params, x_t, ratios, t, schedule)
 

@@ -1,6 +1,7 @@
 """End-to-end command tests, driven through cli.main with real files."""
 
 import json
+import math
 
 import pytest
 
@@ -63,6 +64,41 @@ def test_count_grid_has_one_row_per_gap(capsys):
     rows = [json.loads(l) for l in lines[1:]]
     assert [r["gap"] for r in rows] == [0, 1, 2, 3]  # bos gap + one per token
     assert all(r["counts"][0] == 0 for r in rows)  # bos column stays empty
+
+
+def test_count_grid_falls_back_to_log_in_auto(capsys):
+    # C(80, 40) ~ 1.1e23 overflows uint64; the grid follows the count into the log domain
+    code, out, _ = run_cli(["count", "a" * 40, "a" * 80, "--grid"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert float(lines[0]) == pytest.approx(math.comb(80, 40), rel=1e-5)
+    rows = [json.loads(l) for l in lines[1:]]
+    assert [r["gap"] for r in rows] == list(range(41))
+    for r in rows:
+        assert r["counts"][0] == 0
+        assert r["counts"][1] == pytest.approx(math.comb(80, 41), rel=1e-9)
+
+
+def test_count_log_grid_is_on_the_linear_scale(capsys):
+    _, out, _ = run_cli(["count", "bag", "babgbag", "--grid"], capsys)
+    exact = [json.loads(l)["counts"] for l in out.splitlines()[1:]]
+    code, out, _ = run_cli(["count", "bag", "babgbag", "--grid", "--domain", "log"], capsys)
+    assert code == 0
+    logd = [json.loads(l)["counts"] for l in out.splitlines()[1:]]
+    assert len(logd) == len(exact)
+    for row_log, row_exact in zip(logd, exact):
+        assert row_log == pytest.approx(row_exact, rel=1e-9, abs=1e-12)
+
+
+def test_seed_only_where_it_is_used(capsys):
+    for argv in (["count", "bag", "babgbag", "--seed", "5"], ["verify", "--seed", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        cli.main(["bench", "--help"])
+    assert "rng seed for the bench pairs (default 0)" in " ".join(capsys.readouterr().out.split())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Counting DP against brute-force enumeration and closed-form identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from delins.dp import (
     NRatioMatrix,
     batched_insertion_counts,
     batched_n_ratios,
+    batched_n_ratios_auto,
     brute_count,
     insertion_counts,
     is_log_zero,
@@ -205,3 +208,30 @@ def test_monotone_along_x0():
     # extending x_0 can only add embeddings
     vals = prefix_table(BAG, BABGBAG).values
     assert np.all(np.diff(vals.astype(np.int64), axis=1) >= 0)
+
+
+def test_overflow_names_the_pair_not_its_reversed_row():
+    # reversed pairs are extra rows of the batch; an overflow found there
+    # must still be reported under the pair's own index
+    ok = ((BOS, 1), (BOS, 1, 1))
+    overflowing = ((BOS,) + (1,) * 35, (BOS,) + (1,) * 70)
+    for op in (batched_n_ratios, batched_insertion_counts):
+        with pytest.raises(Overflow) as exc:
+            op([ok, overflowing], 2, "exact")
+        assert str(exc.value).startswith("pair 1:")
+
+
+def test_fallback_releases_the_failed_exact_tables():
+    pairs = [((BOS,) + (1,) * 60, (BOS,) + (1,) * 120)] * 4  # exact overflows
+
+    def peak(op):
+        tracemalloc.start()
+        try:
+            op()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    auto = peak(lambda: batched_n_ratios_auto(pairs, 2))
+    log_only = peak(lambda: batched_n_ratios(pairs, 2, "log"))
+    assert auto <= 1.3 * log_only

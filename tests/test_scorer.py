@@ -116,12 +116,6 @@ def test_loss_matches_objective_module():
     assert direct.total == via_objective.total
 
 
-def test_mode_mismatch():
-    p = ScorerParams.init(3, "dise")
-    with pytest.raises(ModeMismatch):
-        loss_and_grad(p, seq(A), seq(A, B), 0.5, SCHED, mode="dice")
-
-
 def test_gradcheck_both_modes():
     rng = np.random.default_rng(42)
     x_0 = seq(A, B, A)
