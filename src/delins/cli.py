@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import time
@@ -115,6 +116,15 @@ class _Metrics:
 # count
 
 
+def _g6_of_exp(log_n: float) -> str:
+    """e**log_n in '.6g' style, for log_n beyond float64: mantissa from log_n."""
+    exp10 = math.floor(log_n / math.log(10))
+    digits = f"{math.exp(log_n - exp10 * math.log(10)):.6g}"
+    if digits == "10":
+        digits, exp10 = "1", exp10 + 1
+    return f"{digits}e+{exp10}"
+
+
 def cmd_count(args) -> int:
     cfg = _resolve(args, "count", {
         "domain": ("auto", str),
@@ -132,8 +142,12 @@ def cmd_count(args) -> int:
     domain = cfg["domain"]
     if domain not in ("auto", "exact", "log"):
         raise ConfigError(f"unknown domain {domain!r}")
-    count = dp.linear_count(sub, seq, domain)
-    print(f"{count:.6g}" if isinstance(count, float) else str(count))
+    try:
+        count = dp.linear_count(sub, seq, domain)
+    except OverflowError:  # math.exp: the count is beyond float64
+        print(_g6_of_exp(dp.subsequence_count(sub, seq, "log")))
+    else:
+        print(f"{count:.6g}" if isinstance(count, float) else str(count))
     if cfg["grid"]:
         grid = dp.linear_insertion_counts(sub, seq, len(vocab), domain)
         for i, row in enumerate(grid.tolist()):

@@ -355,14 +355,18 @@ def linear_insertion_counts(x_t, x_0, vocab_size: int, domain: str) -> np.ndarra
     """insertion_counts on the linear scale: uint64 when exact, float64 via the log domain.
 
     Dead log-domain cells read 0.0.  "auto" is exact, falling back to the
-    log domain on overflow.
+    log domain on overflow; a cell beyond float64 raises Overflow.
     """
     if domain == "auto":
         return _exact_else_log(linear_insertion_counts, x_t, x_0, vocab_size)
     grid = insertion_counts(x_t, x_0, vocab_size, domain)
     if domain == "exact":
         return grid
-    return np.where(is_log_zero(grid), 0.0, np.exp(grid))
+    with np.errstate(over="ignore"):
+        linear = np.where(is_log_zero(grid), 0.0, np.exp(grid))
+    if np.isinf(linear).any():
+        raise Overflow(f"insertion count e^{grid.max():.6g} exceeds float64")
+    return linear
 
 
 def n_ratios_auto(x_t, x_0, vocab_size: int) -> NRatioMatrix:

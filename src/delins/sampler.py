@@ -8,6 +8,11 @@ w(t) = sigma(t) * survival / (1 - survival).  Because all gaps fire
 simultaneously and each inserts at most once, applying the insertions is
 order-free.
 
+A batch of walkers leaps together: their score matrices are stacked into
+one (gaps, V) array, one call computes every gap's probabilities, and each
+walker draws its uniforms from its own stream.  Walker i of a batch is
+therefore the lone walk on the same stream, whatever the batch size.
+
 Guards on top of the raw leap:
 
 * when a gap's total insertion mass w * dt * sum_v s[i, v] exceeds 1, the
@@ -26,6 +31,7 @@ Guards on top of the raw leap:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -97,30 +103,38 @@ def _nucleus_rows(cond: np.ndarray, top_p: float) -> np.ndarray:
 
     Keeps the smallest probability-ordered prefix reaching top_p (at least
     one cell), renormalized; stable sort makes tie handling deterministic.
+    The normaliser is the kept cells' sum in rank order, which numpy adds
+    sequentially below 8 cells (the running sum) and pairwise from 8 on
+    (summed row by row), so each row comes out as if filtered alone.
     """
+    n, V = cond.shape
+    total = cond.sum(axis=1)
+    order = np.argsort(-cond, axis=1, kind="stable")
+    ranked = np.take_along_axis(cond, order, axis=1)
+    cum = np.cumsum(ranked, axis=1)
+    keep = np.minimum((cum < top_p * total[:, None]).sum(axis=1) + 1, V)
+    norm = cum[np.arange(n), keep - 1]
+    for i in np.flatnonzero(keep >= 8):
+        norm[i] = ranked[i, : keep[i]].sum()
+    live = total > 0.0
+    kept = (np.arange(V) < keep[:, None]) & live[:, None]
     out = np.zeros_like(cond)
-    for i in range(cond.shape[0]):
-        row = cond[i]
-        total = row.sum()
-        if total <= 0.0:
-            continue
-        order = np.argsort(-row, kind="stable")
-        cum = np.cumsum(row[order])
-        keep = int(np.searchsorted(cum, top_p * total)) + 1
-        chosen = order[:keep]
-        out[i, chosen] = row[chosen] / row[chosen].sum()
+    scaled = ranked / np.where(live, norm, 1.0)[:, None]
+    np.put_along_axis(out, order, np.where(kept, scaled, 0.0), axis=1)
     return out
 
 
 def gap_insertion_probabilities(
     scores, t: float, dt: float, schedule, top_p: float = 1.0, gap_mask=None
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-gap insertion probability and conditional token distribution.
 
-    Returns (p_insert, conditional, clamp_count): gap i inserts with
+    Returns (p_insert, conditional, clamped): gap i inserts with
     probability p_insert[i], and inserts token v with conditional
-    probability conditional[i, v].  gap_mask, when given, marks the gaps
-    allowed to insert.
+    probability conditional[i, v]; clamped[i] marks a gap whose raw
+    insertion mass exceeded 1 and was capped.  gap_mask, when given, marks
+    the gaps allowed to insert.  Rows are independent, so the gaps of many
+    walkers may be stacked into one call.
     """
     s = np.array(getattr(scores, "values", scores), dtype=np.float64)
     if s.ndim != 2:
@@ -131,43 +145,69 @@ def gap_insertion_probabilities(
     w = loss_weight(t, schedule)
     row = s.sum(axis=1)
     raw = w * dt * row
-    clamp_count = int(np.count_nonzero(raw > 1.0))
+    clamped = raw > 1.0
     p_insert = np.minimum(raw, 1.0)
     cond = np.zeros_like(s)
     live = row > 0.0
     cond[live] = s[live] / row[live, None]
     if top_p < 1.0:
         cond = _nucleus_rows(cond, top_p)
-    return p_insert, cond, clamp_count
+    return p_insert, cond, clamped
 
 
-def _propose(p_insert: np.ndarray, cond: np.ndarray, rng) -> list[tuple[int, int, float]]:
-    """Draw per-gap insertions: (gap, token, sampled-cell mass) triples.
+def _leap(xs, t, dt, scores, schedule, top_p, rngs, gap_mask, capacity, stats) -> list[Sequence]:
+    """One tau-leap for a batch of walkers; every gap inserts at most one token.
 
-    Two uniforms per gap, indexed by gap, are always drawn, so the stream
-    position after a step never depends on the outcomes.
+    scores[w], rngs[w], capacity[w] and stats[w] belong to walker xs[w];
+    gap_mask covers the walkers' gaps stacked in order.  Each walker draws
+    two uniforms per gap from its own stream, gates first, whatever fires,
+    so no walker's leap depends on another's or on earlier outcomes.
     """
-    n = len(p_insert)
-    u_gate = rng.random(n)
-    u_token = rng.random(n)
+    if not (0.0 < dt <= t):
+        raise InvalidTimes(f"need 0 < dt <= t, got dt={dt}, t={t}")
+    mats = []
+    for x, sc in zip(xs, scores):
+        s = np.asarray(getattr(sc, "values", sc), dtype=np.float64)
+        if s.shape[0] != len(x):
+            raise ShapeMismatch(f"{s.shape[0]} score rows for {len(x)} gaps")
+        mats.append(s)
+    p_insert, cond, clamped = gap_insertion_probabilities(
+        np.concatenate(mats), t, dt, schedule, top_p, gap_mask
+    )
+    sizes = [len(x) for x in xs]
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    u_gate = np.empty(len(p_insert))
+    u_token = np.empty(len(p_insert))
+    for rng, a, b in zip(rngs, starts[:-1].tolist(), starts[1:].tolist()):
+        u_gate[a:b] = rng.random(b - a)
+        u_token[a:b] = rng.random(b - a)
+    fired = np.flatnonzero(u_gate < p_insert)
+    cum = np.cumsum(cond[fired], axis=1)
+    # searchsorted(cum, u * total, side="right"), for every fired gap at once
+    tokens = (cum <= (u_token[fired] * cum[:, -1])[:, None]).sum(axis=1)
+    tokens = np.minimum(tokens, cond.shape[1] - 1)
+    bounds = np.searchsorted(fired, starts)  # walker w fired fired[bounds[w]:bounds[w + 1]]
+    added = np.diff(bounds)
+    if capacity is not None:
+        accept = np.ones(len(fired), dtype=bool)
+        for w in np.flatnonzero(added > capacity).tolist():
+            lo, hi = bounds[w], bounds[w + 1]
+            mass = p_insert[fired[lo:hi]] * cond[fired[lo:hi], tokens[lo:hi]]
+            # the largest sampled-token masses stay, ties to the lower gap
+            accept[lo + np.argsort(-mass, kind="stable")[capacity[w]:]] = False
+            stats[w].cancelled += int(hi - lo - capacity[w])
+        fired, tokens = fired[accept], tokens[accept]
+        added = np.minimum(added, capacity)
+    clamps = np.add.reduceat(clamped, starts[:-1], dtype=np.int64)
+    flat = np.fromiter(itertools.chain.from_iterable(xs), dtype=np.int64, count=int(starts[-1]))
+    grown = np.insert(flat, fired + 1, tokens).tolist()
+    ends = np.cumsum(added + sizes).tolist()
     out = []
-    for i in range(n):
-        if u_gate[i] < p_insert[i]:
-            cum = np.cumsum(cond[i])
-            v = int(np.searchsorted(cum, u_token[i] * cum[-1], side="right"))
-            v = min(v, cond.shape[1] - 1)
-            out.append((i, v, float(p_insert[i] * cond[i, v])))
+    for x, st, n, c, end, a in zip(xs, stats, sizes, clamps.tolist(), ends, added.tolist()):
+        st.gap_steps += n
+        st.clamp_events += c
+        out.append(Sequence(tuple(grown[end - n - a : end]), x.bos_id) if a else x)
     return out
-
-
-def _apply_insertions(x: Sequence, proposals) -> Sequence:
-    ins = {i: v for i, v, _ in proposals}
-    ids: list[int] = []
-    for i, tok in enumerate(x.ids):
-        ids.append(tok)
-        if i in ins:
-            ids.append(ins[i])
-    return Sequence(tuple(ids), x.bos_id)
 
 
 def reverse_step(
@@ -184,25 +224,39 @@ def reverse_step(
     stats: StepStats | None = None,
 ) -> Sequence:
     """One tau-leap: all gaps of x_t independently insert at most one token."""
-    if not (0.0 < dt <= t):
-        raise InvalidTimes(f"need 0 < dt <= t, got dt={dt}, t={t}")
-    s = np.asarray(getattr(scores, "values", scores), dtype=np.float64)
-    if s.shape[0] != len(x_t):
-        raise ShapeMismatch(f"{s.shape[0]} score rows for {len(x_t)} gaps")
-    p_insert, cond, clamped = gap_insertion_probabilities(
-        s, t, dt, schedule, top_p, gap_mask
-    )
-    proposals = _propose(p_insert, cond, rng)
-    if capacity is not None and len(proposals) > capacity:
-        proposals.sort(key=lambda p: (-p[2], p[0]))
-        dropped = len(proposals) - capacity
-        proposals = proposals[:capacity]
-        if stats is not None:
-            stats.cancelled += dropped
-    if stats is not None:
-        stats.gap_steps += len(x_t)
-        stats.clamp_events += clamped
-    return _apply_insertions(x_t, proposals)
+    return _leap(
+        [x_t], t, dt, [scores], schedule, top_p, [rng], gap_mask,
+        None if capacity is None else np.array([capacity]),
+        [stats if stats is not None else StepStats()],
+    )[0]
+
+
+def _walk(
+    score_fn, params, config: SamplerConfig, prompt: Sequence | None, rngs
+) -> list[GenerationTrace]:
+    """Walk one walker per rng from t = 1 to 0, scoring and leaping together."""
+    schedule = LogLinearSchedule()
+    x = prompt if prompt is not None else Sequence((0,))
+    inside = len(x) - 1  # gaps strictly inside the prompt
+    times = timestep_grid(config.steps, config.grid)
+    xs = [x] * len(rngs)
+    stats = [StepStats() for _ in rngs]
+    snapshots = [[(1.0, x)] for _ in rngs]
+    for k in range(config.steps):
+        t, t_next = float(times[k]), float(times[k + 1])
+        scores = [score_fn(params, x, t) for x in xs]
+        sizes = np.array([len(x) for x in xs])
+        mask = None
+        if inside:
+            gap = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            mask = gap >= inside
+        capacity = None
+        if config.mode == "fixed":
+            capacity = np.maximum(config.k - (sizes - 1), 0)
+        xs = _leap(xs, t, t - t_next, scores, schedule, config.top_p, rngs, mask, capacity, stats)
+        for snap, x in zip(snapshots, xs):
+            snap.append((t_next, x))
+    return [GenerationTrace(snap, x, st) for snap, x, st in zip(snapshots, xs, stats)]
 
 
 def generate(score_fn, params, config: SamplerConfig, prompt: Sequence | None = None, rng=None):
@@ -211,42 +265,26 @@ def generate(score_fn, params, config: SamplerConfig, prompt: Sequence | None = 
     score_fn(params, x_t, t) must return an insertion-score matrix for the
     current state.  Returns the full GenerationTrace.
     """
-    schedule = LogLinearSchedule()
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    x = prompt if prompt is not None else Sequence((0,))
-    prompt_len = len(x) if prompt is not None else None
-    times = timestep_grid(config.steps, config.grid)
-    stats = StepStats()
-    snapshots = [(1.0, x)]
-    for k in range(config.steps):
-        t, t_next = float(times[k]), float(times[k + 1])
-        scores = score_fn(params, x, t)
-        mask = None
-        if prompt_len is not None and prompt_len > 1:
-            mask = np.arange(len(x)) >= prompt_len - 1
-        capacity = None
-        if config.mode == "fixed":
-            capacity = max(config.k - x.content_len, 0)
-        x = reverse_step(
-            x, t, t - t_next, scores, schedule, config.top_p, rng,
-            gap_mask=mask, capacity=capacity, stats=stats,
-        )
-        snapshots.append((t_next, x))
-    return GenerationTrace(snapshots, x, stats)
+    return _walk(score_fn, params, config, prompt, [rng])[0]
 
 
 def batch_generate(
     score_fn, params, config: SamplerConfig, count: int, prompt: Sequence | None = None
 ):
-    """Independent samples with spawned rng streams, plus a length summary."""
+    """Independent samples with spawned rng streams, plus a summary.
+
+    Sample i walks on child stream i of SeedSequence(config.seed), so it
+    equals generate() on that stream and does not depend on count.  The
+    summary holds the length CDF and the run's StepStats totals; fixed mode
+    adds short, the number of samples with fewer than k tokens.
+    """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
-    seed_seq = np.random.SeedSequence(config.seed)
-    traces = [
-        generate(score_fn, params, config, prompt, rng=np.random.default_rng(child))
-        for child in seed_seq.spawn(count)
-    ]
+    children = np.random.SeedSequence(config.seed).spawn(count)
+    rngs = [np.random.default_rng(child) for child in children]
+    traces = _walk(score_fn, params, config, prompt, rngs)
     lengths = sorted(tr.final.content_len for tr in traces)
     uniq: list[int] = []
     cdf: list[float] = []
@@ -261,4 +299,8 @@ def batch_generate(
         "mean_length": float(np.mean(lengths)),
         "length_cdf": [[int(l), c] for l, c in zip(uniq, cdf)],
     }
+    for name in ("gap_steps", "clamp_events", "cancelled"):
+        summary[name] = sum(getattr(tr.stats, name) for tr in traces)
+    if config.mode == "fixed":
+        summary["short"] = sum(1 for l in lengths if l < config.k)
     return traces, summary

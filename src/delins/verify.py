@@ -189,7 +189,14 @@ def check_sampler_determinism() -> str:
     a = sampler.generate(scorer.score, params, cfg)
     b = sampler.generate(scorer.score, params, cfg)
     assert [x.ids for _, x in a.snapshots] == [x.ids for _, x in b.snapshots]
-    return "grids well formed; repeated runs identical"
+    traces, _ = sampler.batch_generate(scorer.score, params, cfg, 3)
+    for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(3)):
+        lone = sampler.generate(scorer.score, params, cfg, rng=np.random.default_rng(child))
+        assert [x.ids for _, x in traces[i].snapshots] == [x.ids for _, x in lone.snapshots], (
+            f"batched walker {i} differs from generate on its child stream"
+        )
+        assert traces[i].stats == lone.stats, f"batched walker {i} stats differ"
+    return "grids well formed; repeated runs identical; batched walkers equal lone runs"
 
 
 def check_log_fallback() -> str:
@@ -337,7 +344,7 @@ def population_sample(
                 mat, t, dt, SCHEDULE, top_p
             )
             gap_steps += len(x) * c
-            clamp_events += clamped * c
+            clamp_events += int(clamped.sum()) * c
             outcomes = _leap_outcomes(p_ins, cond)
             probs = np.array([p for p, _ in outcomes])
             draws = rng.multinomial(c, probs / probs.sum())

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -88,6 +89,32 @@ def test_count_log_grid_is_on_the_linear_scale(capsys):
     assert len(logd) == len(exact)
     for row_log, row_exact in zip(logd, exact):
         assert row_log == pytest.approx(row_exact, rel=1e-9, abs=1e-12)
+
+
+def test_count_beyond_float64_prints_from_the_log_count(capsys):
+    # C(1100, 550) ~ 3.27e329 is past float64; C(1020, 510) ~ 6e305 is not
+    for k, n in ((550, 1100), (510, 1020)):
+        exact = math.comb(n, k)
+        exp10 = len(str(exact)) - 1
+        for domain in ("auto", "log"):
+            code, out, _ = run_cli(["count", "a" * k, "a" * n, "--domain", domain], capsys)
+            assert code == 0
+            mantissa, exponent = out.strip().split("e+")
+            assert int(exponent) == exp10
+            assert float(mantissa) == pytest.approx(exact / 10**exp10, rel=1e-5)
+    # in float64 range the text is still .6g of the float
+    _, out, _ = run_cli(["count", "a" * 510, "a" * 1020], capsys)
+    log_n = dp.subsequence_count([0] + [1] * 510, [0] + [1] * 1020, "log")
+    assert out.strip() == f"{math.exp(log_n):.6g}"
+
+
+def test_count_grid_beyond_float64_is_runtime_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        code, out, err = run_cli(["count", "a" * 550, "a" * 1100, "--grid"], capsys)
+    assert code == 3
+    assert out.strip() == "3.26693e+329"
+    assert len(err.strip().splitlines()) == 1 and "float64" in err
 
 
 def test_seed_only_where_it_is_used(capsys):
@@ -278,6 +305,30 @@ def test_sample_count_zero_emits_empty_summary(trained, capsys):
     stream = parse_stream(out)
     assert stream[-1]["summary"] == {"count": 0, "mean_length": None, "length_cdf": []}
     assert not any("text" in r for r in stream)
+
+
+def test_sample_summary_reports_what_the_run_did(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, FIXED4)
+    ckpt = str(tmp_path / "d.ckpt")
+    code, _, _ = run_cli(
+        ["train", "--corpus", corpus, "--mode", "dice", "--epochs", "2",
+         "--seed", "5", "--checkpoint-out", ckpt],
+        capsys,
+    )
+    assert code == 0
+    code, out, _ = run_cli(
+        ["sample", "--checkpoint", ckpt, "--steps", "2", "--count", "12", "--seed", "9"],
+        capsys,
+    )
+    assert code == 0
+    stream = parse_stream(out)
+    summary = stream[-1]["summary"]
+    lengths = [r["length"] for r in stream if "text" in r]
+    assert summary["short"] == sum(1 for l in lengths if l < 4)
+    assert summary["short"] > 0  # two leaps cannot fill 4 slots
+    assert summary["gap_steps"] >= 2 * 12
+    assert summary["clamp_events"] >= 0 and summary["cancelled"] >= 0
+    assert "wall_ms" not in summary
 
 
 def test_sample_same_seed_is_byte_identical(trained, tmp_path, capsys):

@@ -74,7 +74,7 @@ def test_single_gap_insertion_probability_is_half():
     )
     assert p_ins[0] == pytest.approx(0.5, abs=1e-12)
     assert cond[0].tolist() == [0.0, 1.0, 0.0]
-    assert clamped == 0
+    assert clamped.tolist() == [False]
 
 
 def test_bos_column_is_ignored():
@@ -104,7 +104,7 @@ def test_clamp_caps_probability_at_one():
         np.array([[0.0, 40.0, 0.0]]), t=0.5, dt=0.5, schedule=SCHEDULE
     )
     assert p_ins[0] == 1.0
-    assert clamped == 1
+    assert clamped.tolist() == [True]
 
 
 def test_nucleus_drops_tail_and_renormalizes():
@@ -117,6 +117,34 @@ def test_nucleus_drops_tail_and_renormalizes():
         s, t=0.5, dt=0.1, schedule=SCHEDULE, top_p=0.8
     )
     assert cond[0] == pytest.approx([0.0, 0.625, 0.375, 0.0], abs=1e-12)
+
+
+def _nucleus_one_row(row, top_p):
+    """Reference filter, one row at a time: the shared one must match it bitwise."""
+    out = np.zeros_like(row)
+    total = row.sum()
+    if total > 0.0:
+        order = np.argsort(-row, kind="stable")
+        keep = int(np.searchsorted(np.cumsum(row[order]), top_p * total)) + 1
+        chosen = order[:keep]
+        out[chosen] = row[chosen] / row[chosen].sum()
+    return out
+
+
+def test_nucleus_matches_the_row_at_a_time_filter_bitwise():
+    # V = 14 with flat rows keeps 8 or more cells, where numpy's row sum
+    # turns pairwise and a running sum differs in the last ulp
+    rng = np.random.default_rng(21)
+    s = rng.exponential(1.0, size=(60, 14)) * rng.choice([0.5, 1.0, 50.0], size=(60, 1))
+    s[rng.random(s.shape) < 0.2] = 0.0
+    s[::7, 1:4] = 1.0   # ties
+    s[5] = 0.0          # a dead row
+    for top_p in (0.3, 0.9, 0.97, 0.999):
+        _, base, _ = gap_insertion_probabilities(s, 0.5, 0.01, SCHEDULE)
+        _, cond, _ = gap_insertion_probabilities(s, 0.5, 0.01, SCHEDULE, top_p=top_p)
+        for i in range(len(s)):
+            assert cond[i].tobytes() == _nucleus_one_row(base[i], top_p).tobytes()
+    assert np.count_nonzero(cond, axis=1).max() >= 8
 
 
 def test_nucleus_preserves_insertion_probability():
@@ -348,6 +376,109 @@ def test_batch_of_one_returns_single_trace():
     assert len(traces) == 1
     assert isinstance(traces[0], GenerationTrace)
     assert summary["mean_length"] == traces[0].final.content_len
+
+
+def test_batch_summary_reports_step_totals_and_shortfall():
+    params = scorer.ScorerParams.init(3, "dice", k=5)
+    cfg = SamplerConfig(steps=3, mode="fixed", k=5, seed=22)
+    traces, summary = batch_generate(scorer.score, params, cfg, 30)
+    for name in ("gap_steps", "clamp_events", "cancelled"):
+        assert summary[name] == sum(getattr(tr.stats, name) for tr in traces)
+    assert summary["short"] == sum(1 for tr in traces if tr.final.content_len < 5)
+    assert 0 < summary["short"] < 30  # three steps cannot always fill five slots
+    _, summary = batch_generate(scorer.score, uniform_dise(3), SamplerConfig(steps=3, seed=22), 4)
+    assert "short" not in summary
+
+
+def _random_params(vocab_size, mode, k=None, seed=0, shift=-2.0):
+    """Seeded scorer whose score mass keeps samples short."""
+    params = scorer.ScorerParams.init(vocab_size, mode, k=k)
+    rng = np.random.default_rng(seed)
+    params.theta[:] = rng.normal(shift, 0.5, size=params.theta.shape)
+    if params.time_bias is not None:
+        params.time_bias[:] = rng.normal(0.0, 0.5, size=params.time_bias.shape)
+    return params
+
+
+def _trace_key(tr):
+    stats = (tr.stats.gap_steps, tr.stats.clamp_events, tr.stats.cancelled)
+    return [(t, x.ids) for t, x in tr.snapshots], tr.final.ids, stats
+
+
+# (params, config, prompt) per sampling mode
+WALKER_CASES = {
+    "variable": (_random_params(6, "dise", seed=1), SamplerConfig(steps=12, seed=31), None),
+    "fixed": (_random_params(5, "dice", k=4, seed=2), SamplerConfig(steps=5, mode="fixed", k=4, seed=32), None),
+    "prompted": (_random_params(6, "dise", seed=4), SamplerConfig(steps=10, seed=33), seq(1, 2)),
+    # V = 12 with flat scores: nucleus rows keep 8 or more cells
+    "top_p": (_random_params(12, "dise", seed=3, shift=-3.0), SamplerConfig(steps=10, top_p=0.95, seed=34), None),
+    "cosine": (_random_params(6, "dise", seed=5), SamplerConfig(steps=10, grid="cosine", seed=35), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALKER_CASES))
+def test_batch_walker_is_generate_on_its_child_stream(case):
+    params, cfg, prompt = WALKER_CASES[case]
+    traces, _ = batch_generate(scorer.score, params, cfg, 5, prompt)
+    children = np.random.SeedSequence(cfg.seed).spawn(5)
+    for tr, child in zip(traces, children):
+        lone = generate(scorer.score, params, cfg, prompt, rng=np.random.default_rng(child))
+        assert _trace_key(tr) == _trace_key(lone)
+
+
+@pytest.mark.parametrize("case", sorted(WALKER_CASES))
+def test_batch_walker_does_not_depend_on_count(case):
+    params, cfg, prompt = WALKER_CASES[case]
+    few, _ = batch_generate(scorer.score, params, cfg, 2, prompt)
+    many, _ = batch_generate(scorer.score, params, cfg, 7, prompt)
+    assert [_trace_key(tr) for tr in few] == [_trace_key(tr) for tr in many[:2]]
+
+
+# Final ids and (gap_steps, clamp_events, cancelled) of batch_generate(count=4),
+# recorded on the per-walker sampler at commit d87b14f: what a seed samples
+# must not change silently.
+GOLDEN = {
+    "var": (_random_params(6, "dise", seed=1), SamplerConfig(steps=16, seed=101), None, [
+        ((0, 5, 1, 1, 3, 4, 5, 1, 1, 4, 2, 1, 2, 1, 2), (43, 0, 0)),
+        ((0, 5, 2, 1, 3, 2, 1, 1, 3, 3), (26, 0, 0)),
+        ((0, 2, 2, 4, 5, 5, 3, 1, 5, 5, 2, 3, 3, 1, 1, 5, 3, 3), (59, 0, 0)),
+        ((0, 5, 3, 5, 2, 4, 5, 1), (35, 0, 0)),
+    ]),
+    "fixed": (_random_params(5, "dice", k=6, seed=2),
+              SamplerConfig(steps=6, mode="fixed", k=6, top_p=0.9, seed=102), None, [
+        ((0, 3, 4, 2, 3, 3, 1), (21, 1, 0)),
+        ((0, 2, 1, 4, 1), (17, 1, 0)),
+        ((0, 3, 1, 3, 1, 1, 1), (15, 1, 0)),
+        ((0, 4, 1, 1, 1, 4, 1), (20, 1, 0)),
+    ]),
+    "fixed_cut": (_random_params(5, "dice", k=3, seed=2),
+                  SamplerConfig(steps=4, mode="fixed", k=3, top_p=0.9, seed=102), None, [
+        ((0, 3, 4, 3), (11, 0, 0)),
+        ((0, 4, 2, 3), (7, 0, 1)),
+        ((0, 4, 1, 1), (7, 1, 0)),
+        ((0, 2, 1, 1), (7, 1, 0)),
+    ]),
+    "top_p": (_random_params(12, "dise", seed=3, shift=-3.0),
+              SamplerConfig(steps=12, top_p=0.9, seed=103), None, [
+        ((0, 11, 5, 6), (13, 0, 0)),
+        ((0, 11, 3, 2, 7, 5, 3, 1, 1, 1, 7, 6, 11, 6, 1, 2, 9, 3, 4, 3, 3, 6), (57, 0, 0)),
+        ((0, 4, 2, 11, 2), (22, 0, 0)),
+        ((0, 2, 1, 7, 4, 8, 10, 4, 9, 4, 2), (30, 0, 0)),
+    ]),
+    "prompt": (_random_params(6, "dise", seed=4), SamplerConfig(steps=12, seed=104), seq(1, 2), [
+        ((0, 1, 2, 5, 3, 1, 3, 3, 1, 2), (54, 0, 0)),
+        ((0, 1, 2, 5, 4, 5, 1, 5, 4, 5, 5, 3, 2), (52, 0, 0)),
+        ((0, 1, 2, 5, 3, 3, 2, 5, 1), (42, 1, 0)),
+        ((0, 1, 2, 5, 5, 2, 1, 2, 2, 2), (45, 0, 0)),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_seeded_samples_are_pinned(case):
+    params, cfg, prompt, expected = GOLDEN[case]
+    traces, _ = batch_generate(scorer.score, params, cfg, 4, prompt)
+    assert [(tr.final.ids, _trace_key(tr)[2]) for tr in traces] == expected
 
 
 # ---------------------------------------------------------------------------
