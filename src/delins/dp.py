@@ -202,10 +202,10 @@ def _ratios(A, Bsu, x0, n_cell, vocab_size: int, domain: str) -> NRatioMatrix:
 
 def _check_vocab(arrs, vocab_size: int) -> None:
     for a in arrs:
-        if len(a) and int(a.max()) >= vocab_size:
-            raise ShapeMismatch(
-                f"token id {int(a.max())} does not fit a vocab of size {vocab_size}"
-            )
+        # viewed as uint64 a negative id reads huge, so one max() checks both ends
+        if len(a) and int(a.view(_U64).max()) >= vocab_size:
+            bad = int(a.min()) if a.min() < 0 else int(a.max())
+            raise ShapeMismatch(f"token id {bad} does not fit a vocab of size {vocab_size}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ Two losses share the same weighting and target ratios:
   domain.
 
 Both return a LossBreakdown whose total is weight * sum(per_position),
-with weight = sigma(t) * survival / (1 - survival) = 1/t under log-linear.
+with weight = sigma(t) * survival / (1 - survival) = 1/t (process's schedule).
 Both validate their inputs and then call loss_from_ratios, which the
 scorer's training path also uses on precomputed ratios.
 """
@@ -32,7 +32,7 @@ from .errors import (
     NormalizationViolation,
     ShapeMismatch,
 )
-from .process import forward_sample
+from .process import forward_sample, sigma, sigma_bar
 from .seqcore import Sequence
 
 T_MIN = 1e-3  # sampled-time floor; the weight diverges like 1/t at t -> 0
@@ -47,12 +47,12 @@ class LossBreakdown:
     weight: float
 
 
-def loss_weight(t: float, schedule) -> float:
-    """sigma(t) * survival(t) / (1 - survival(t)); 1/t under log-linear."""
+def loss_weight(t: float) -> float:
+    """sigma(t) * survival(t) / (1 - survival(t)), which is 1/t."""
     if not (0.0 < t <= 1.0):
         raise InvalidTimes(f"need 0 < t <= 1, got t={t}")
-    p = math.exp(-schedule.sigma_bar(t))
-    return schedule.sigma(t) * p / (1.0 - p)
+    p = math.exp(-sigma_bar(t))
+    return sigma(t) * p / (1.0 - p)
 
 
 def _check_scores(scores, x_t: Sequence) -> np.ndarray:
@@ -77,7 +77,7 @@ def loss_from_ratios(mode: str, s: np.ndarray, r: np.ndarray, weight: float) -> 
     return LossBreakdown(weight * float(per_position.sum()), per_position, weight)
 
 
-def dise_loss(scores, x_t: Sequence, x_0: Sequence, t: float, schedule) -> LossBreakdown:
+def dise_loss(scores, x_t: Sequence, x_0: Sequence, t: float) -> LossBreakdown:
     """Insertion score entropy of one (x_t, x_0) pair.
 
     Scores must be positive wherever the target ratio is, and never
@@ -85,7 +85,7 @@ def dise_loss(scores, x_t: Sequence, x_0: Sequence, t: float, schedule) -> LossB
     matrices put exact zeros there).
     """
     s = _check_scores(scores, x_t)
-    w = loss_weight(t, schedule)
+    w = loss_weight(t)
     r = dp.n_ratios_auto(x_t, x_0, s.shape[1]).ratios
     if np.any(s < 0.0):
         raise NonPositiveScore("negative score")
@@ -94,7 +94,7 @@ def dise_loss(scores, x_t: Sequence, x_0: Sequence, t: float, schedule) -> LossB
     return loss_from_ratios("dise", s, r, w)
 
 
-def dice_loss(scores, x_t: Sequence, x_0: Sequence, t: float, schedule) -> LossBreakdown:
+def dice_loss(scores, x_t: Sequence, x_0: Sequence, t: float) -> LossBreakdown:
     """Cross entropy of one pair under fixed final length.
 
     The score matrix must sum to |x_0| - |x_t| (content tokens): that is
@@ -102,7 +102,7 @@ def dice_loss(scores, x_t: Sequence, x_0: Sequence, t: float, schedule) -> LossB
     rests on it.
     """
     s = _check_scores(scores, x_t)
-    w = loss_weight(t, schedule)
+    w = loss_weight(t)
     missing = x_0.content_len - x_t.content_len
     if abs(float(s.sum()) - missing) > DICE_NORM_TOL:
         raise NormalizationViolation(
@@ -114,7 +114,7 @@ def dice_loss(scores, x_t: Sequence, x_0: Sequence, t: float, schedule) -> LossB
     return loss_from_ratios("dice", s, r, w)
 
 
-def sample_training_term(x_0: Sequence, schedule, rng, mode: str, scorer) -> LossBreakdown:
+def sample_training_term(x_0: Sequence, rng, mode: str, scorer) -> LossBreakdown:
     """One Monte-Carlo draw of the training objective for x_0.
 
     Draws t uniformly on [T_MIN, 1), corrupts x_0 to x_t, and scores the
@@ -123,7 +123,7 @@ def sample_training_term(x_0: Sequence, schedule, rng, mode: str, scorer) -> Los
     if mode not in ("dise", "dice"):
         raise ConfigError(f"unknown objective mode {mode!r}")
     t = T_MIN + (1.0 - T_MIN) * float(rng.random())
-    x_t = forward_sample(x_0, 0.0, t, schedule, rng).x_t
+    x_t = forward_sample(x_0, 0.0, t, rng).x_t
     scores = scorer(x_t, t)
     loss = dise_loss if mode == "dise" else dice_loss
-    return loss(scores, x_t, x_0, t, schedule)
+    return loss(scores, x_t, x_0, t)

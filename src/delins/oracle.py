@@ -6,6 +6,9 @@ scores, concrete scores, and the score-entropy losses.  The other modules
 are tested against these values.  Hard size bounds raise TooLarge rather
 than silently approximating.
 
+Time enters through process's fixed schedule; the loss weights are written
+out here, not borrowed from objective, so the oracle stays independent.
+
 All arithmetic is float64.  The subsequence counts feeding it are exact
 integers, so the only rounding is in the final products and sums.
 """
@@ -28,7 +31,7 @@ from .errors import (
     TooLarge,
     ZeroDenominator,
 )
-from .process import forward_rate, transition_prob
+from .process import forward_rate, sigma, sigma_bar, transition_prob
 from .seqcore import Sequence
 
 MAX_CONTENT_LEN = 4  # per support sequence, excluding bos
@@ -103,22 +106,20 @@ def insertion_targets(x_t: Sequence, vocab_size: int) -> list[Sequence]:
     return out
 
 
-def exact_marginal(dist: TinyDistribution, x: Sequence, t: float, schedule) -> float:
+def exact_marginal(dist: TinyDistribution, x: Sequence, t: float) -> float:
     """p_t(x) = sum over the support of p_0(x_0) * p_{t|0}(x | x_0)."""
     if not (0.0 < t <= 1.0):
         raise InvalidTimes(f"need 0 < t <= 1, got t={t}")
     if t == 1.0:
         # the empty state absorbs everything
         return 1.0 if len(x) == 1 else 0.0
-    return float(
-        sum(p0 * transition_prob(x, x_0, 0.0, t, schedule) for x_0, p0 in dist.support)
-    )
+    return float(sum(p0 * transition_prob(x, x_0, 0.0, t) for x_0, p0 in dist.support))
 
 
 @functools.lru_cache(maxsize=65536)
-def _insertion_matrix_cached(dist: TinyDistribution, x_t: Sequence, t: float, schedule) -> np.ndarray:
+def _insertion_matrix_cached(dist: TinyDistribution, x_t: Sequence, t: float) -> np.ndarray:
     V = dist.vocab_size
-    q = 1.0 - math.exp(-schedule.sigma_bar(t))
+    q = 1.0 - math.exp(-sigma_bar(t))
     num = np.zeros((len(x_t), V))
     den = 0.0
     for x_0, p0 in dist.support:
@@ -133,7 +134,7 @@ def _insertion_matrix_cached(dist: TinyDistribution, x_t: Sequence, t: float, sc
     return mat
 
 
-def exact_insertion_matrix(dist: TinyDistribution, x_t: Sequence, t: float, schedule) -> np.ndarray:
+def exact_insertion_matrix(dist: TinyDistribution, x_t: Sequence, t: float) -> np.ndarray:
     """All insertion scores for x_t at once, shape (|x_t|, vocab size).
 
     Entry (i, v) is the ratio of two support expectations, each weighted by
@@ -142,14 +143,12 @@ def exact_insertion_matrix(dist: TinyDistribution, x_t: Sequence, t: float, sche
     """
     if not (0.0 < t < 1.0):
         raise InvalidTimes(f"need 0 < t < 1, got t={t}")
-    return _insertion_matrix_cached(dist, x_t, t, schedule)
+    return _insertion_matrix_cached(dist, x_t, t)
 
 
-def exact_insertion_score(
-    dist: TinyDistribution, x_t: Sequence, t: float, i: int, v: int, schedule
-) -> float:
+def exact_insertion_score(dist: TinyDistribution, x_t: Sequence, t: float, i: int, v: int) -> float:
     """Single entry of exact_insertion_matrix."""
-    mat = exact_insertion_matrix(dist, x_t, t, schedule)
+    mat = exact_insertion_matrix(dist, x_t, t)
     return float(mat[i, v])
 
 
@@ -170,9 +169,7 @@ def _single_insertion_parts(x_t: Sequence, y: Sequence) -> tuple[int, list[int]]
     return v, gaps
 
 
-def exact_concrete_score(
-    dist: TinyDistribution, x_t: Sequence, y: Sequence, t: float, schedule
-) -> float:
+def exact_concrete_score(dist: TinyDistribution, x_t: Sequence, y: Sequence, t: float) -> float:
     """p_t(y)/p_t(x_t), cross-checked against the insertion-score recast.
 
     The recast multiplies the mean insertion score over the gaps producing y
@@ -181,13 +178,13 @@ def exact_concrete_score(
     if not (0.0 < t < 1.0):
         raise InvalidTimes(f"need 0 < t < 1, got t={t}")
     v, gaps = _single_insertion_parts(x_t, y)
-    m_x = exact_marginal(dist, x_t, t, schedule)
+    m_x = exact_marginal(dist, x_t, t)
     if m_x == 0.0:
         raise ZeroDenominator(f"state {x_t.ids} is unreachable at t={t}")
-    direct = exact_marginal(dist, y, t, schedule) / m_x
+    direct = exact_marginal(dist, y, t) / m_x
 
-    p = math.exp(-schedule.sigma_bar(t))
-    mat = exact_insertion_matrix(dist, x_t, t, schedule)
+    p = math.exp(-sigma_bar(t))
+    mat = exact_insertion_matrix(dist, x_t, t)
     recast = (p / (1.0 - p)) * float(np.mean(mat[gaps, v]))
     assert abs(direct - recast) <= 1e-12 * max(1.0, abs(direct)), (
         f"score recast mismatch: {direct} vs {recast}"
@@ -195,7 +192,7 @@ def exact_concrete_score(
     return direct
 
 
-def concrete_provider_from_matrix(matrix_provider, schedule):
+def concrete_provider_from_matrix(matrix_provider):
     """Adapt a per-state score matrix into per-(x_t, y) concrete scores.
 
     matrix_provider(x_t, t) -> (|x_t|, V) array.  The concrete score for y
@@ -205,7 +202,7 @@ def concrete_provider_from_matrix(matrix_provider, schedule):
 
     def provider(x_t: Sequence, y: Sequence, t: float) -> float:
         v, gaps = _single_insertion_parts(x_t, y)
-        p = math.exp(-schedule.sigma_bar(t))
+        p = math.exp(-sigma_bar(t))
         mat = matrix_provider(x_t, t)
         return (p / (1.0 - p)) * float(np.mean(np.asarray(mat)[gaps, v]))
 
@@ -221,7 +218,7 @@ def _bracket(s: float, r: float) -> float:
     return s - r * math.log(s) + r * (math.log(r) - 1.0)
 
 
-def exact_dse(dist: TinyDistribution, score_provider, t: float, schedule) -> float:
+def exact_dse(dist: TinyDistribution, score_provider, t: float) -> float:
     """Denoising score entropy under exact enumeration.
 
     score_provider(x_t, y, t) plays the model: it returns the concrete score
@@ -231,25 +228,25 @@ def exact_dse(dist: TinyDistribution, score_provider, t: float, schedule) -> flo
     """
     if not (0.0 < t < 1.0):
         raise InvalidTimes(f"need 0 < t < 1, got t={t}")
-    p = math.exp(-schedule.sigma_bar(t))
+    p = math.exp(-sigma_bar(t))
     prefactor = p / (1.0 - p)
     V = dist.vocab_size
     total = 0.0
     for x_0, p0 in dist.support:
         for x_t in reachable_states(dist):
-            w_t = transition_prob(x_t, x_0, 0.0, t, schedule)
+            w_t = transition_prob(x_t, x_0, 0.0, t)
             if w_t == 0.0:
                 continue
             n_t = dp.subsequence_count(x_t, x_0)
             for y in insertion_targets(x_t, V):
-                rate = forward_rate(y, x_t, t, schedule)
+                rate = forward_rate(y, x_t, t)
                 r = prefactor * dp.subsequence_count(y, x_0) / n_t
                 s = score_provider(x_t, y, t)
                 total += p0 * w_t * rate * _bracket(s, r)
     return total
 
 
-def exact_dise(dist: TinyDistribution, matrix_provider, t: float, schedule) -> float:
+def exact_dise(dist: TinyDistribution, matrix_provider, t: float) -> float:
     """Insertion-score entropy under exact enumeration.
 
     matrix_provider(x_t, t) plays the model: a (|x_t|, V) matrix of
@@ -258,13 +255,13 @@ def exact_dise(dist: TinyDistribution, matrix_provider, t: float, schedule) -> f
     """
     if not (0.0 < t < 1.0):
         raise InvalidTimes(f"need 0 < t < 1, got t={t}")
-    p = math.exp(-schedule.sigma_bar(t))
-    weight = schedule.sigma(t) * p / (1.0 - p)
+    p = math.exp(-sigma_bar(t))
+    weight = sigma(t) * p / (1.0 - p)
     V = dist.vocab_size
     total = 0.0
     for x_0, p0 in dist.support:
         for x_t in reachable_states(dist):
-            w_t = transition_prob(x_t, x_0, 0.0, t, schedule)
+            w_t = transition_prob(x_t, x_0, 0.0, t)
             if w_t == 0.0:
                 continue
             ratios = dp.n_ratios(x_t, x_0, V).ratios

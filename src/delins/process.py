@@ -1,12 +1,14 @@
 """Forward deletion process.
 
 A continuous-time Markov chain that deletes non-bos tokens independently at
-rate sigma(t).  Everything here is closed-form: the chance that one token
-survives the window [s, t] is exp(-(sigma_bar(t) - sigma_bar(s))), and the
-chance of landing on a particular shorter sequence is that survival
-probability per kept token, times the deletion probability per lost token,
-times the number of distinct ways the shorter sequence embeds into the longer
-one.  Lengths in those formulas exclude the bos marker, which never deletes.
+rate sigma(t), under one fixed log-linear schedule that training, sampling and
+the oracle all share: a token survives [0, t] with probability 1 - t.
+Everything here is closed-form: the chance that one token survives the
+window [s, t] is exp(-(sigma_bar(t) - sigma_bar(s))), and the chance of
+landing on a particular shorter sequence is that survival probability per
+kept token, times the deletion probability per lost token, times the number
+of distinct ways the shorter sequence embeds into the longer one.  Lengths
+in those formulas exclude the bos marker, which never deletes.
 """
 
 from __future__ import annotations
@@ -23,19 +25,16 @@ from .seqcore import Sequence
 T_MAX = 1.0 - 1e-9
 
 
-@dataclass(frozen=True)
-class LogLinearSchedule:
-    """sigma_bar(t) = -ln(1 - t), so survival over [0, t] is exactly 1 - t."""
+def sigma(t: float) -> float:
+    """Deletion rate of the log-linear schedule: 1 / (1 - t)."""
+    t = min(t, T_MAX)
+    return 1.0 / (1.0 - t)
 
-    kind: str = "log-linear"
 
-    def sigma(self, t: float) -> float:
-        t = min(t, T_MAX)
-        return 1.0 / (1.0 - t)
-
-    def sigma_bar(self, t: float) -> float:
-        t = min(t, T_MAX)
-        return -math.log1p(-t)
+def sigma_bar(t: float) -> float:
+    """Integrated rate -ln(1 - t), so survival over [0, t] is exactly 1 - t."""
+    t = min(t, T_MAX)
+    return -math.log1p(-t)
 
 
 @dataclass(frozen=True)
@@ -49,19 +48,19 @@ def _check_times(s: float, t: float) -> None:
         raise InvalidTimes(f"need 0 <= s < t <= 1, got s={s}, t={t}")
 
 
-def survival_prob(schedule, s: float, t: float) -> float:
+def survival_prob(s: float, t: float) -> float:
     """Probability that one non-bos token present at time s still exists at t."""
     _check_times(s, t)
-    return math.exp(-(schedule.sigma_bar(t) - schedule.sigma_bar(s)))
+    return math.exp(-(sigma_bar(t) - sigma_bar(s)))
 
 
-def forward_sample(x_0: Sequence, s: float, t: float, schedule, rng) -> ForwardSampleResult:
+def forward_sample(x_0: Sequence, s: float, t: float, rng) -> ForwardSampleResult:
     """Corrupt x_0 from time s to time t by independent token deletion."""
     _check_times(s, t)
     if t >= 1.0:
         # survival is (numerically) zero; only the bos marker remains
         return ForwardSampleResult(Sequence((x_0.ids[0],)), (0,))
-    p = survival_prob(schedule, s, t)
+    p = survival_prob(s, t)
     kept = [0]
     for i in range(1, len(x_0)):
         if rng.random() < p:
@@ -70,32 +69,37 @@ def forward_sample(x_0: Sequence, s: float, t: float, schedule, rng) -> ForwardS
     return ForwardSampleResult(Sequence(ids), tuple(kept))
 
 
-def transition_prob(x_t: Sequence, x_s: Sequence, s: float, t: float, schedule) -> float:
+def transition_prob(x_t: Sequence, x_s: Sequence, s: float, t: float) -> float:
     """p_{t|s}(x_t | x_s): survival^kept * deletion^lost * N(x_t, x_s).
 
     Token counts exclude bos on both sides.  Returns 0.0 when x_t does not
-    embed into x_s at all.
+    embed into x_s at all.  A count beyond float64 joins the log terms as log N.
     """
     _check_times(s, t)
     l_s = len(x_s) - 1
     l_t = len(x_t) - 1
     if l_t > l_s:
         return 0.0
-    n = float(dp.linear_count(x_t, x_s, "auto"))
+    try:
+        n = float(dp.linear_count(x_t, x_s, "auto"))
+    except OverflowError:  # math.exp: N is beyond float64
+        n = None
     if n == 0.0:
         return 0.0
-    p = survival_prob(schedule, s, t)
+    p = survival_prob(s, t)
     q = 1.0 - p
     lost = l_s - l_t
     if lost > 0 and q == 0.0:
         return 0.0
-    log_prob = l_t * (-(schedule.sigma_bar(t) - schedule.sigma_bar(s)))
+    log_prob = l_t * (-(sigma_bar(t) - sigma_bar(s)))
     if lost > 0:
         log_prob += lost * math.log(q)
+    if n is None:
+        return math.exp(log_prob + dp.subsequence_count(x_t, x_s, "log"))
     return math.exp(log_prob) * n
 
 
-def forward_rate(y: Sequence, x_t: Sequence, t: float, schedule) -> float:
+def forward_rate(y: Sequence, x_t: Sequence, t: float) -> float:
     """Instantaneous rate of the jump y -> x_t (one non-bos token deleted).
 
     Each of the N(x_t, y) embeddings of x_t marks one deletable position of
@@ -110,4 +114,4 @@ def forward_rate(y: Sequence, x_t: Sequence, t: float, schedule) -> float:
     n = dp.subsequence_count(x_t, y)
     if n == 0:
         raise NotSingleDeletion("x_t does not embed into y")
-    return schedule.sigma(t) * float(n)
+    return sigma(t) * float(n)

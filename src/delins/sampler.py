@@ -4,9 +4,10 @@ Starting from [bos] at t = 1 (or from a prompt), each step walks the time
 grid downward and lets every gap of the current sequence independently
 insert at most one token: gap i fires token v with probability
 w(t) * s[i, v] * dt, where s is the model's insertion-score matrix and
-w(t) = sigma(t) * survival / (1 - survival).  Because all gaps fire
-simultaneously and each inserts at most once, applying the insertions is
-order-free.
+w(t) = sigma(t) * survival / (1 - survival), which is 1/t under the fixed
+log-linear schedule of process (the one training uses).  Because all gaps
+fire simultaneously and each inserts at most once, applying the insertions
+is order-free.
 
 A batch of walkers leaps together: their score matrices are stacked into
 one (gaps, V) array, one call computes every gap's probabilities, and each
@@ -39,7 +40,6 @@ import numpy as np
 
 from .errors import ConfigError, InvalidSteps, InvalidTimes, ShapeMismatch
 from .objective import loss_weight
-from .process import LogLinearSchedule
 from .seqcore import Sequence
 
 GRID_KINDS = ("uniform", "cosine")
@@ -125,7 +125,7 @@ def _nucleus_rows(cond: np.ndarray, top_p: float) -> np.ndarray:
 
 
 def gap_insertion_probabilities(
-    scores, t: float, dt: float, schedule, top_p: float = 1.0, gap_mask=None
+    scores, t: float, dt: float, top_p: float = 1.0, gap_mask=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-gap insertion probability and conditional token distribution.
 
@@ -142,7 +142,7 @@ def gap_insertion_probabilities(
     s[:, 0] = 0.0  # the begin marker is never inserted
     if gap_mask is not None:
         s[~np.asarray(gap_mask, dtype=bool)] = 0.0
-    w = loss_weight(t, schedule)
+    w = loss_weight(t)
     row = s.sum(axis=1)
     raw = w * dt * row
     clamped = raw > 1.0
@@ -155,7 +155,7 @@ def gap_insertion_probabilities(
     return p_insert, cond, clamped
 
 
-def _leap(xs, t, dt, scores, schedule, top_p, rngs, gap_mask, capacity, stats) -> list[Sequence]:
+def _leap(xs, t, dt, scores, top_p, rngs, gap_mask, capacity, stats) -> list[Sequence]:
     """One tau-leap for a batch of walkers; every gap inserts at most one token.
 
     scores[w], rngs[w], capacity[w] and stats[w] belong to walker xs[w];
@@ -172,7 +172,7 @@ def _leap(xs, t, dt, scores, schedule, top_p, rngs, gap_mask, capacity, stats) -
             raise ShapeMismatch(f"{s.shape[0]} score rows for {len(x)} gaps")
         mats.append(s)
     p_insert, cond, clamped = gap_insertion_probabilities(
-        np.concatenate(mats), t, dt, schedule, top_p, gap_mask
+        np.concatenate(mats), t, dt, top_p, gap_mask
     )
     sizes = [len(x) for x in xs]
     starts = np.concatenate(([0], np.cumsum(sizes)))
@@ -215,7 +215,6 @@ def reverse_step(
     t: float,
     dt: float,
     scores,
-    schedule,
     top_p: float,
     rng,
     *,
@@ -225,7 +224,7 @@ def reverse_step(
 ) -> Sequence:
     """One tau-leap: all gaps of x_t independently insert at most one token."""
     return _leap(
-        [x_t], t, dt, [scores], schedule, top_p, [rng], gap_mask,
+        [x_t], t, dt, [scores], top_p, [rng], gap_mask,
         None if capacity is None else np.array([capacity]),
         [stats if stats is not None else StepStats()],
     )[0]
@@ -235,7 +234,6 @@ def _walk(
     score_fn, params, config: SamplerConfig, prompt: Sequence | None, rngs
 ) -> list[GenerationTrace]:
     """Walk one walker per rng from t = 1 to 0, scoring and leaping together."""
-    schedule = LogLinearSchedule()
     x = prompt if prompt is not None else Sequence((0,))
     inside = len(x) - 1  # gaps strictly inside the prompt
     times = timestep_grid(config.steps, config.grid)
@@ -253,7 +251,7 @@ def _walk(
         capacity = None
         if config.mode == "fixed":
             capacity = np.maximum(config.k - (sizes - 1), 0)
-        xs = _leap(xs, t, t - t_next, scores, schedule, config.top_p, rngs, mask, capacity, stats)
+        xs = _leap(xs, t, t - t_next, scores, config.top_p, rngs, mask, capacity, stats)
         for snap, x in zip(snapshots, xs):
             snap.append((t_next, x))
     return [GenerationTrace(snap, x, st) for snap, x, st in zip(snapshots, xs, stats)]

@@ -34,8 +34,8 @@ from .errors import (
     ShapeMismatch,
     VersionMismatch,
 )
-from .objective import T_MIN, LossBreakdown, loss_from_ratios, loss_weight
-from .process import LogLinearSchedule, forward_sample
+from .objective import DICE_NORM_TOL, T_MIN, LossBreakdown, loss_from_ratios, loss_weight
+from .process import forward_sample
 from .seqcore import Corpus, Sequence, atomic_open
 
 FORMAT_NAME = "delins-scorer"
@@ -147,7 +147,7 @@ def score(params: ScorerParams, x_t: Sequence, t: float | None = None) -> Insert
 
 
 def _loss_grad_from_ratios(
-    params: ScorerParams, x_t: Sequence, ratios: np.ndarray, t: float, schedule
+    params: ScorerParams, x_t: Sequence, ratios: np.ndarray, t: float
 ) -> tuple[LossBreakdown, Gradient]:
     """objective.loss_from_ratios plus d loss / d (theta, time bias).
 
@@ -156,7 +156,7 @@ def _loss_grad_from_ratios(
     target mass sum(r); d/dz = sum(r) * softmax - r, independent of the
     constant K - |x_t| factor.
     """
-    w = loss_weight(t, schedule)
+    w = loss_weight(t)
     z = _logits(params, x_t, t)
     if params.mode == "dise":
         s = np.exp(z)
@@ -164,7 +164,7 @@ def _loss_grad_from_ratios(
     else:
         m_model = params.k - x_t.content_len
         m_target = float(ratios.sum())
-        if abs(m_model - m_target) > 1e-6:
+        if abs(m_model - m_target) > DICE_NORM_TOL:
             raise NormalizationViolation(
                 f"model is normalized for {m_model} missing tokens, targets say {m_target}"
             )
@@ -186,11 +186,11 @@ def _loss_grad_from_ratios(
 
 
 def loss_and_grad(
-    params: ScorerParams, x_t: Sequence, x_0: Sequence, t: float, schedule
+    params: ScorerParams, x_t: Sequence, x_0: Sequence, t: float
 ) -> tuple[LossBreakdown, Gradient]:
     """Loss of (x_t, x_0) at time t and its gradient in the params."""
     ratios = dp.n_ratios_auto(x_t, x_0, params.vocab_size).ratios
-    return _loss_grad_from_ratios(params, x_t, ratios, t, schedule)
+    return _loss_grad_from_ratios(params, x_t, ratios, t)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +232,8 @@ def train(
 ) -> tuple[ScorerParams, list[dict]]:
     """Minibatch training; returns fresh params and a per-step metric list.
 
-    config keys: epochs, batch, lr, optimizer ("sgd" | "adam") and seed.
-    The noise schedule is always log-linear, as in the sampler.  Batches are
+    Required config keys: epochs, batch, lr, optimizer ("sgd" | "adam"); seed
+    is optional.  Forward draws use process's fixed schedule.  Batches are
     drawn by reshuffling the corpus each epoch; each sequence gets an
     independent (t, x_t) draw, and the batch's targets come from one
     dp.batched_n_ratios_auto call.  Everything runs sequentially in a fixed
@@ -243,12 +243,14 @@ def train(
     """
     if not corpus.sequences:
         raise ConfigError("empty corpus")
-    epochs = int(config.get("epochs", 1))
-    batch = int(config.get("batch", 32))
-    lr = float(config.get("lr", 0.1))
-    opt_name = str(config.get("optimizer", "adam"))
+    for key in ("epochs", "batch", "lr", "optimizer"):
+        if key not in config:
+            raise ConfigError(f"training config is missing {key!r}")
+    epochs = int(config["epochs"])
+    batch = int(config["batch"])
+    lr = float(config["lr"])
+    opt_name = str(config["optimizer"])
     seed = config.get("seed")
-    schedule = LogLinearSchedule()
     if epochs < 1 or batch < 1:
         raise ConfigError(f"epochs={epochs} and batch={batch} must be >= 1")
     if lr < 0:
@@ -281,7 +283,7 @@ def train(
             for i in idx:
                 x_0 = corpus.sequences[int(i)]
                 t = T_MIN + (1.0 - T_MIN) * float(rng.random())
-                x_t = forward_sample(x_0, 0.0, t, schedule, rng).x_t
+                x_t = forward_sample(x_0, 0.0, t, rng).x_t
                 draws.append((x_t, x_0, t))
             mats = dp.batched_n_ratios_auto(
                 [(x_t, x_0) for x_t, x_0, _ in draws], out.vocab_size
@@ -289,7 +291,7 @@ def train(
             loss_sum = 0.0
             gsum = [np.zeros_like(a) for a in arrays]
             for (x_t, x_0, t), mat in zip(draws, mats):
-                loss, grad = _loss_grad_from_ratios(out, x_t, mat.ratios, t, schedule)
+                loss, grad = _loss_grad_from_ratios(out, x_t, mat.ratios, t)
                 loss_sum += loss.total
                 gsum[0] += grad.theta
                 if grad.time_bias is not None:
@@ -365,18 +367,18 @@ def load(path) -> ScorerParams:
 
 
 def gradcheck(
-    params: ScorerParams, x_t: Sequence, x_0: Sequence, t: float, schedule, h: float = 1e-5
+    params: ScorerParams, x_t: Sequence, x_0: Sequence, t: float, h: float = 1e-5
 ) -> float:
     """Max relative error of analytic vs central finite-difference gradients.
 
     Relative error uses an absolute floor of 1e-8 so near-zero coordinates
     do not blow the ratio up.
     """
-    _, grad = loss_and_grad(params, x_t, x_0, t, schedule)
+    _, grad = loss_and_grad(params, x_t, x_0, t)
     worst = 0.0
 
     def loss_with(p: ScorerParams) -> float:
-        return loss_and_grad(p, x_t, x_0, t, schedule)[0].total
+        return loss_and_grad(p, x_t, x_0, t)[0].total
 
     tables = [("theta", grad.theta)] + (
         [("time_bias", grad.time_bias)] if grad.time_bias is not None else []

@@ -21,10 +21,8 @@ import numpy as np
 
 from . import dp, objective, oracle, sampler, scorer
 from .errors import ConfigError
-from .process import LogLinearSchedule, forward_sample, survival_prob, transition_prob
+from .process import T_MAX, forward_sample, sigma, sigma_bar, survival_prob, transition_prob
 from .seqcore import Sequence
-
-SCHEDULE = LogLinearSchedule()
 
 
 @dataclass(frozen=True)
@@ -87,11 +85,11 @@ def check_count_split_identity() -> str:
 
 
 def check_schedule_algebra() -> str:
-    assert math.isclose(SCHEDULE.sigma(0.5), 2.0, rel_tol=1e-12)
-    assert math.isclose(SCHEDULE.sigma_bar(0.5), math.log(2.0), rel_tol=1e-12)
-    assert math.isclose(survival_prob(SCHEDULE, 0.0, 0.5), 0.5, rel_tol=1e-12)
-    a = survival_prob(SCHEDULE, 0.0, 0.25) * survival_prob(SCHEDULE, 0.25, 0.7)
-    assert math.isclose(a, survival_prob(SCHEDULE, 0.0, 0.7), rel_tol=1e-12)
+    assert math.isclose(sigma(0.5), 2.0, rel_tol=1e-12)
+    assert math.isclose(sigma_bar(0.5), math.log(2.0), rel_tol=1e-12)
+    assert math.isclose(survival_prob(0.0, 0.5), 0.5, rel_tol=1e-12)
+    a = survival_prob(0.0, 0.25) * survival_prob(0.25, 0.7)
+    assert math.isclose(a, survival_prob(0.0, 0.7), rel_tol=1e-12)
     return "closed forms and composition hold"
 
 
@@ -108,7 +106,7 @@ def check_transition_normalization() -> str:
     for x_0 in (_seq(1, 2), _seq(1, 2, 1), _seq(2, 2, 1)):
         for t in (0.3, 0.8):
             total = sum(
-                transition_prob(x_t, x_0, 0.0, t, SCHEDULE)
+                transition_prob(x_t, x_0, 0.0, t)
                 for x_t in _distinct_subsequences(x_0)
             )
             assert abs(total - 1.0) <= 1e-9, (x_0.ids, t, total)
@@ -121,10 +119,10 @@ def check_forward_sample_agreement() -> str:
     counts: dict[tuple, int] = {}
     n = 20_000
     for _ in range(n):
-        ids = forward_sample(x_0, 0.0, t, SCHEDULE, rng).x_t.ids
+        ids = forward_sample(x_0, 0.0, t, rng).x_t.ids
         counts[ids] = counts.get(ids, 0) + 1
     tv = 0.5 * sum(
-        abs(counts.get(x.ids, 0) / n - transition_prob(x, x_0, 0.0, t, SCHEDULE))
+        abs(counts.get(x.ids, 0) / n - transition_prob(x, x_0, 0.0, t))
         for x in _distinct_subsequences(x_0)
     )
     assert tv < 0.02, f"TV {tv}"
@@ -147,8 +145,8 @@ def check_objective_agreement() -> str:
         s[:, 1:] *= missing / s[:, 1:].sum()
         if missing == 0:
             continue
-        a = objective.dise_loss(s, x_t, x_0, t, SCHEDULE).total
-        b = objective.dice_loss(s, x_t, x_0, t, SCHEDULE).total
+        a = objective.dise_loss(s, x_t, x_0, t).total
+        b = objective.dice_loss(s, x_t, x_0, t).total
         worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     assert worst <= 1e-9, f"objectives disagree by {worst}"
     return f"normalized matrices: losses agree, worst rel gap {worst:.2e}"
@@ -156,12 +154,12 @@ def check_objective_agreement() -> str:
 
 def check_oracle_objective_bound() -> str:
     dist = oracle.TinyDistribution.uniform([_seq(1, 2), _seq(2, 1)])
-    provider = lambda x, t: oracle.exact_insertion_matrix(dist, x, t, SCHEDULE)
-    concrete = oracle.concrete_provider_from_matrix(provider, SCHEDULE)
+    provider = lambda x, t: oracle.exact_insertion_matrix(dist, x, t)
+    concrete = oracle.concrete_provider_from_matrix(provider)
     gaps = []
     for t in (0.25, 0.6, 0.9):
-        dise = oracle.exact_dise(dist, provider, t, SCHEDULE)
-        dse = oracle.exact_dse(dist, concrete, t, SCHEDULE)
+        dise = oracle.exact_dise(dist, provider, t)
+        dse = oracle.exact_dse(dist, concrete, t)
         assert dise >= dse - 1e-9, (t, dise, dse)
         gaps.append(dise - dse)
     return f"score-entropy bound holds, gaps {['%.2e' % g for g in gaps]}"
@@ -175,7 +173,7 @@ def check_gradients() -> str:
         params.theta[:] = rng.normal(0, 0.3, size=params.theta.shape)
         if params.time_bias is not None:
             params.time_bias[:] = rng.normal(0, 0.3, size=params.time_bias.shape)
-        err = scorer.gradcheck(params, _seq(1, 2), _seq(1, 2, 1, 2), 0.45, SCHEDULE)
+        err = scorer.gradcheck(params, _seq(1, 2), _seq(1, 2, 1, 2), 0.45)
         worst = max(worst, err)
     assert worst <= 1e-5, f"gradcheck rel err {worst}"
     return f"finite differences agree, worst rel err {worst:.2e}"
@@ -237,12 +235,12 @@ def check_score_bound_family() -> str:
     for support in itertools.combinations(world, 2):
         dist = oracle.TinyDistribution.uniform(list(support))
         provider = (
-            lambda x, t, d=dist: oracle.exact_insertion_matrix(d, x, t, SCHEDULE)
+            lambda x, t, d=dist: oracle.exact_insertion_matrix(d, x, t)
         )
-        concrete = oracle.concrete_provider_from_matrix(provider, SCHEDULE)
+        concrete = oracle.concrete_provider_from_matrix(provider)
         for t in (0.35, 0.75):
-            dise = oracle.exact_dise(dist, provider, t, SCHEDULE)
-            dse = oracle.exact_dse(dist, concrete, t, SCHEDULE)
+            dise = oracle.exact_dise(dist, provider, t)
+            dse = oracle.exact_dse(dist, concrete, t)
             assert dise >= dse - 1e-9, (support, t)
             checked += 1
     return f"{checked} (support, time) combinations satisfy the bound"
@@ -313,8 +311,6 @@ def population_sample(
     states (reachable only by simultaneous-insertion leaps) are absorbing.
     Returns final state counts and {gap_steps, clamp_events} totals.
     """
-    from .process import T_MAX
-
     rng = np.random.default_rng(seed)
     times = sampler.timestep_grid(steps, grid)
     population: dict[tuple, int] = {(0,): count}
@@ -331,18 +327,14 @@ def population_sample(
             key = (ids, round(t, 15))
             if key not in matrix_cache:
                 try:
-                    matrix_cache[key] = oracle.exact_insertion_matrix(
-                        dist, x, min(t, T_MAX), SCHEDULE
-                    )
+                    matrix_cache[key] = oracle.exact_insertion_matrix(dist, x, min(t, T_MAX))
                 except oracle.ZeroDenominator:
                     matrix_cache[key] = None
             mat = matrix_cache[key]
             if mat is None:
                 dead[ids] = dead.get(ids, 0) + c
                 continue
-            p_ins, cond, clamped = sampler.gap_insertion_probabilities(
-                mat, t, dt, SCHEDULE, top_p
-            )
+            p_ins, cond, clamped = sampler.gap_insertion_probabilities(mat, t, dt, top_p)
             gap_steps += len(x) * c
             clamp_events += int(clamped.sum()) * c
             outcomes = _leap_outcomes(p_ins, cond)

@@ -14,10 +14,8 @@ from delins import cli, dp, objective, oracle, verify
 from delins import sampler as sampler_mod
 from delins import scorer as scorer_mod
 from delins.errors import Overflow
-from delins.process import LogLinearSchedule, forward_sample, transition_prob
+from delins.process import forward_sample, transition_prob
 from delins.seqcore import Corpus, Sequence, Vocab
-
-SCHED = LogLinearSchedule()
 
 
 def random_pair(rng, max_len, vocab_size):
@@ -138,21 +136,21 @@ def test_c05_forward_process_correctness():
     for x_0, t, seed in [(instances[0], 0.6, 50), (instances[1], 0.35, 51)]:
         states = list(oracle.subsequence_enumeration(x_0))
         exact = {
-            ids: transition_prob(Sequence(ids), x_0, 0.0, t, SCHED) for ids in states
+            ids: transition_prob(Sequence(ids), x_0, 0.0, t) for ids in states
         }
         assert sum(exact.values()) == pytest.approx(1.0, abs=1e-9)
         rng = np.random.default_rng(seed)
         counts = {ids: 0 for ids in states}
         draws = 100_000
         for _ in range(draws):
-            counts[forward_sample(x_0, 0.0, t, SCHED, rng).x_t.ids] += 1
+            counts[forward_sample(x_0, 0.0, t, rng).x_t.ids] += 1
         tv = 0.5 * sum(abs(counts[ids] / draws - exact[ids]) for ids in states)
         assert tv <= 0.01
 
     # the kernel normalizes at other times too
     for t in (0.1, 0.5, 0.9):
         total = sum(
-            transition_prob(Sequence(ids), instances[0], 0.0, t, SCHED)
+            transition_prob(Sequence(ids), instances[0], 0.0, t)
             for ids in oracle.subsequence_enumeration(instances[0])
         )
         assert total == pytest.approx(1.0, abs=1e-9)
@@ -170,11 +168,11 @@ def test_c06_insertion_bound_over_tiny_family():
     for size in (1, 2):
         for support in itertools.combinations(world, size):
             dist = oracle.TinyDistribution.uniform(list(support))
-            mp = lambda x, t, d=dist: oracle.exact_insertion_matrix(d, x, t, SCHED)
-            sp = oracle.concrete_provider_from_matrix(mp, SCHED)
+            mp = lambda x, t, d=dist: oracle.exact_insertion_matrix(d, x, t)
+            sp = oracle.concrete_provider_from_matrix(mp)
             for t in (0.25, 0.5, 0.8):
-                dise = oracle.exact_dise(dist, mp, t, SCHED)
-                dse = oracle.exact_dse(dist, sp, t, SCHED)
+                dise = oracle.exact_dise(dist, mp, t)
+                dse = oracle.exact_dse(dist, sp, t)
                 assert dise >= dse - 1e-9
                 checked += 1
     assert checked == 45
@@ -182,11 +180,11 @@ def test_c06_insertion_bound_over_tiny_family():
     # equality when no state is reachable by two different insertions
     for support in ([Sequence((0, 1, 2, 3))], [Sequence((0, 1, 2)), Sequence((0, 2, 1))]):
         dist = oracle.TinyDistribution.uniform(support)
-        mp = lambda x, t, d=dist: oracle.exact_insertion_matrix(d, x, t, SCHED)
-        sp = oracle.concrete_provider_from_matrix(mp, SCHED)
+        mp = lambda x, t, d=dist: oracle.exact_insertion_matrix(d, x, t)
+        sp = oracle.concrete_provider_from_matrix(mp)
         for t in (0.3, 0.7):
-            dise = oracle.exact_dise(dist, mp, t, SCHED)
-            dse = oracle.exact_dse(dist, sp, t, SCHED)
+            dise = oracle.exact_dise(dist, mp, t)
+            dse = oracle.exact_dse(dist, sp, t)
             assert dise == pytest.approx(dse, abs=1e-9)
 
 
@@ -200,8 +198,8 @@ def test_c07_cross_entropy_matches_score_entropy_when_normalized():
         scores = rng.uniform(0.1, 2.0, size=(len(x_t), 5))
         scores[:, 0] = 0.0
         scores *= missing / scores.sum()
-        dise = objective.dise_loss(scores, x_t, x_0, 0.5, SCHED).total
-        dice = objective.dice_loss(scores, x_t, x_0, 0.5, SCHED).total
+        dise = objective.dise_loss(scores, x_t, x_0, 0.5).total
+        dice = objective.dice_loss(scores, x_t, x_0, 0.5).total
         assert dice == pytest.approx(dise, rel=1e-9, abs=1e-9)
 
     # the cross entropy bottoms out at zero on the exact targets
@@ -211,7 +209,7 @@ def test_c07_cross_entropy_matches_score_entropy_when_normalized():
         if x_0.content_len == x_t.content_len:
             continue
         ratios = dp.n_ratios(x_t, x_0, 4).ratios
-        assert objective.dice_loss(ratios, x_t, x_0, 0.5, SCHED).total == pytest.approx(
+        assert objective.dice_loss(ratios, x_t, x_0, 0.5).total == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -232,7 +230,7 @@ def test_c08_gradient_correctness_both_modes():
             tb = None if base.time_bias is None else rng.normal(0.0, 0.5, base.time_bias.shape)
             params = scorer_mod.ScorerParams(mode, theta, tb, base.k)
             t = float(rng.uniform(0.15, 0.9))
-            worst = max(worst, scorer_mod.gradcheck(params, x_t, x_0, t, SCHED))
+            worst = max(worst, scorer_mod.gradcheck(params, x_t, x_0, t))
         assert worst <= 1e-5
 
 

@@ -22,7 +22,7 @@ from delins.dp import (
     subsequence_count,
     suffix_table,
 )
-from delins.errors import NotASubsequence, Overflow, TooLarge
+from delins.errors import NotASubsequence, Overflow, ShapeMismatch, TooLarge
 
 BOS = 0
 # ids for the worked pair: b=1, a=2, g=3
@@ -67,6 +67,20 @@ def test_not_a_subsequence_raises():
         n_ratios((BOS, 3, 3, 3), BABGBAG, vocab_size=4)
     with pytest.raises(NotASubsequence):
         n_ratios((BOS, 3, 3, 3), BABGBAG, vocab_size=4, domain="log")
+
+
+def test_token_ids_outside_the_vocab_raise():
+    # a negative id must not wrap onto the last vocab column
+    for bad in (-1, 3):
+        x_0 = (BOS, 1, bad)
+        with pytest.raises(ShapeMismatch, match=f"token id {bad} "):
+            insertion_counts((BOS, 1), x_0, vocab_size=3)
+        with pytest.raises(ShapeMismatch, match=f"token id {bad} "):
+            n_ratios((BOS, bad), x_0, vocab_size=3, domain="log")
+        with pytest.raises(ShapeMismatch, match=f"token id {bad} "):
+            batched_insertion_counts([((BOS, 1), (BOS, 1, 2)), ((BOS, 1), x_0)], 3)
+        with pytest.raises(ShapeMismatch, match=f"token id {bad} "):
+            batched_n_ratios_auto([((BOS, 1), (BOS, 1, 2)), ((BOS, bad), (BOS, 1))], 3)
 
 
 def test_brute_count_bounds():

@@ -23,10 +23,9 @@ from delins.objective import (
     loss_weight,
     sample_training_term,
 )
-from delins.process import LogLinearSchedule, transition_prob
+from delins.process import transition_prob
 from delins.seqcore import Sequence
 
-SCHED = LogLinearSchedule()
 A, B = 1, 2
 
 
@@ -39,18 +38,18 @@ def ratios_of(x_t, x_0, V=3):
 
 
 def test_loss_weight_values():
-    assert loss_weight(0.5, SCHED) == pytest.approx(2.0)
-    assert loss_weight(0.25, SCHED) == pytest.approx(4.0)
-    assert loss_weight(1.0, SCHED) == pytest.approx(1.0, abs=1e-8)
+    assert loss_weight(0.5) == pytest.approx(2.0)
+    assert loss_weight(0.25) == pytest.approx(4.0)
+    assert loss_weight(1.0) == pytest.approx(1.0, abs=1e-8)
     for t in (0.0, -0.5, 1.5):
         with pytest.raises(InvalidTimes):
-            loss_weight(t, SCHED)
+            loss_weight(t)
 
 
 def test_dise_zero_at_exact_ratios():
     x_0, x_t = seq(A, B, A), seq(A)
     r = ratios_of(x_t, x_0)
-    out = dise_loss(r, x_t, x_0, 0.5, SCHED)
+    out = dise_loss(r, x_t, x_0, 0.5)
     assert out.total == pytest.approx(0.0, abs=1e-12)
     assert out.weight == pytest.approx(2.0)
     assert np.allclose(out.per_position, 0.0, atol=1e-12)
@@ -60,8 +59,8 @@ def test_dise_zero_at_exact_ratios():
 def test_dise_scaled_scores_closed_form(c, t):
     x_0, x_t = seq(A, B, A), seq(A)
     r = ratios_of(x_t, x_0)
-    out = dise_loss(c * r, x_t, x_0, t, SCHED)
-    expect = loss_weight(t, SCHED) * r.sum() * (c - 1.0 - math.log(c))
+    out = dise_loss(c * r, x_t, x_0, t)
+    expect = loss_weight(t) * r.sum() * (c - 1.0 - math.log(c))
     assert out.total == pytest.approx(expect, rel=1e-10, abs=1e-12)
     assert out.total >= -1e-12
 
@@ -70,7 +69,7 @@ def test_dise_total_is_weight_times_positions():
     x_0, x_t = seq(A, B, A, B), seq(B, A)
     s = ratios_of(x_t, x_0) + 0.1
     s[:, 0] = 0.07  # arbitrary positive mass on the bos column is charged
-    out = dise_loss(s, x_t, x_0, 0.3, SCHED)
+    out = dise_loss(s, x_t, x_0, 0.3)
     assert out.total == out.weight * out.per_position.sum()  # exact by construction
     assert out.per_position.shape == (len(x_t),)
 
@@ -81,11 +80,11 @@ def test_dise_errors():
     bad = r.copy()
     bad[bad > 0] = 0.0  # zero where the target is positive
     with pytest.raises(NonPositiveScore):
-        dise_loss(bad, x_t, x_0, 0.5, SCHED)
+        dise_loss(bad, x_t, x_0, 0.5)
     with pytest.raises(NonPositiveScore):
-        dise_loss(r - 1.0, x_t, x_0, 0.5, SCHED)
+        dise_loss(r - 1.0, x_t, x_0, 0.5)
     with pytest.raises(NotASubsequence):
-        dise_loss(np.ones((2, 3)), seq(B), seq(A, A), 0.5, SCHED)
+        dise_loss(np.ones((2, 3)), seq(B), seq(A, A), 0.5)
 
 
 @given(st.floats(1e-4, 8.0), st.floats(1e-4, 8.0))
@@ -102,7 +101,7 @@ def test_dise_bracket_pointwise(r, s):
 def test_dice_zero_at_exact_ratios():
     x_0, x_t = seq(A, B, A), seq(A, A)
     r = ratios_of(x_t, x_0)
-    out = dice_loss(r, x_t, x_0, 0.5, SCHED)
+    out = dice_loss(r, x_t, x_0, 0.5)
     assert out.total == pytest.approx(0.0, abs=1e-12)
 
 
@@ -110,12 +109,12 @@ def test_dice_requires_normalization():
     x_0, x_t = seq(A, B, A), seq(A, A)
     r = ratios_of(x_t, x_0)
     with pytest.raises(NormalizationViolation):
-        dice_loss(2.0 * r, x_t, x_0, 0.5, SCHED)
+        dice_loss(2.0 * r, x_t, x_0, 0.5)
 
 
 def test_dice_nothing_deleted_is_free():
     x = seq(A, B)
-    out = dice_loss(np.zeros((3, 3)), x, x, 0.5, SCHED)
+    out = dice_loss(np.zeros((3, 3)), x, x, 0.5)
     assert out.total == 0.0
 
 
@@ -127,8 +126,8 @@ def test_dice_equals_dise_under_normalization(seed, t):
     s = rng.uniform(0.05, 1.0, size=(len(x_t), 3))
     missing = x_0.content_len - x_t.content_len
     s *= missing / s.sum()
-    a = dice_loss(s, x_t, x_0, t, SCHED)
-    b = dise_loss(s, x_t, x_0, t, SCHED)
+    a = dice_loss(s, x_t, x_0, t)
+    b = dise_loss(s, x_t, x_0, t)
     assert a.total == pytest.approx(b.total, rel=1e-9, abs=1e-9)
 
 
@@ -141,16 +140,16 @@ def test_objective_matches_oracle_dise_and_prop1():
         total = 0.0
         for x_0, p0 in dist.support:
             for x_t in oracle.reachable_states(dist):
-                w = transition_prob(x_t, x_0, 0.0, t, SCHED)
+                w = transition_prob(x_t, x_0, 0.0, t)
                 if w == 0.0:
                     continue
-                mat = oracle.exact_insertion_matrix(dist, x_t, t, SCHED)
-                total += p0 * w * dise_loss(mat, x_t, x_0, t, SCHED).total
+                mat = oracle.exact_insertion_matrix(dist, x_t, t)
+                total += p0 * w * dise_loss(mat, x_t, x_0, t).total
         via_oracle = oracle.exact_dise(
-            dist, lambda x_t, tt: oracle.exact_insertion_matrix(dist, x_t, tt, SCHED), t, SCHED
+            dist, lambda x_t, tt: oracle.exact_insertion_matrix(dist, x_t, tt), t
         )
         dse = oracle.exact_dse(
-            dist, lambda x_t, y, tt: oracle.exact_concrete_score(dist, x_t, y, tt, SCHED), t, SCHED
+            dist, lambda x_t, y, tt: oracle.exact_concrete_score(dist, x_t, y, tt), t
         )
         assert total == pytest.approx(via_oracle, rel=1e-10, abs=1e-12)
         assert total >= dse - 1e-9
@@ -166,11 +165,11 @@ def test_sample_training_term_modes_and_floor():
         return np.full((len(x_t), 3), 0.4)
 
     for _ in range(300):
-        out = sample_training_term(x_0, SCHED, rng, "dise", scorer)
+        out = sample_training_term(x_0, rng, "dise", scorer)
         assert out.total >= -1e-12
     assert min(seen_t) >= T_MIN
     with pytest.raises(ConfigError):
-        sample_training_term(x_0, SCHED, rng, "mse", scorer)
+        sample_training_term(x_0, rng, "mse", scorer)
 
 
 def test_sample_training_term_perfect_dice_scorer():
@@ -181,7 +180,7 @@ def test_sample_training_term_perfect_dice_scorer():
         return ratios_of(x_t, x_0)
 
     for _ in range(200):
-        out = sample_training_term(x_0, SCHED, rng, "dice", perfect)
+        out = sample_training_term(x_0, rng, "dice", perfect)
         assert out.total == pytest.approx(0.0, abs=1e-10)
 
 
@@ -198,15 +197,15 @@ def test_sample_training_term_matches_quadrature():
     quad = 0.0
     for t in mids:
         inner = sum(
-            transition_prob(x_t, x_0, 0.0, float(t), SCHED)
-            * dise_loss(scorer(x_t, t), x_t, x_0, float(t), SCHED).total
+            transition_prob(x_t, x_0, 0.0, float(t))
+            * dise_loss(scorer(x_t, t), x_t, x_0, float(t)).total
             for x_t in states
         )
         quad += inner / len(mids)
 
     rng = np.random.default_rng(5)
     draws = np.array(
-        [sample_training_term(x_0, SCHED, rng, "dise", scorer).total for _ in range(10_000)]
+        [sample_training_term(x_0, rng, "dise", scorer).total for _ in range(10_000)]
     )
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean() - quad) <= 2.0 * se

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from delins import objective, oracle, process
 from delins.errors import InvalidTimes, NotSingleDeletion
 from delins.process import (
-    LogLinearSchedule,
     forward_rate,
     forward_sample,
     survival_prob,
@@ -18,7 +18,6 @@ from delins.process import (
 )
 from delins.seqcore import Sequence
 
-SCHED = LogLinearSchedule()
 
 
 def distinct_subsequences(x: Sequence) -> set[tuple[int, ...]]:
@@ -32,31 +31,31 @@ def distinct_subsequences(x: Sequence) -> set[tuple[int, ...]]:
 
 
 def test_schedule_closed_forms():
-    assert SCHED.sigma_bar(0.0) == 0.0
-    assert SCHED.sigma_bar(0.5) == pytest.approx(math.log(2.0))
-    assert SCHED.sigma(0.5) == pytest.approx(2.0)
+    assert process.sigma_bar(0.0) == 0.0
+    assert process.sigma_bar(0.5) == pytest.approx(math.log(2.0))
+    assert process.sigma(0.5) == pytest.approx(2.0)
     # clamped near 1 instead of diverging
-    assert math.isfinite(SCHED.sigma_bar(1.0))
-    assert math.isfinite(SCHED.sigma(1.0))
+    assert math.isfinite(process.sigma_bar(1.0))
+    assert math.isfinite(process.sigma(1.0))
 
 
 def test_schedule_derivative_matches_rate():
     for t in (0.1, 0.3, 0.7, 0.9):
         h = 1e-7
-        fd = (SCHED.sigma_bar(t + h) - SCHED.sigma_bar(t - h)) / (2 * h)
-        assert fd == pytest.approx(SCHED.sigma(t), rel=1e-6)
+        fd = (process.sigma_bar(t + h) - process.sigma_bar(t - h)) / (2 * h)
+        assert fd == pytest.approx(process.sigma(t), rel=1e-6)
 
 
 def test_survival_examples():
-    assert survival_prob(SCHED, 0.0, 0.5) == pytest.approx(0.5)
-    assert survival_prob(SCHED, 0.5, 0.75) == pytest.approx(0.5)
-    assert survival_prob(SCHED, 0.3, 0.3 + 1e-9) == pytest.approx(1.0, abs=1e-8)
+    assert survival_prob(0.0, 0.5) == pytest.approx(0.5)
+    assert survival_prob(0.5, 0.75) == pytest.approx(0.5)
+    assert survival_prob(0.3, 0.3 + 1e-9) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_survival_invalid_times():
     for s, t in ((-0.1, 0.5), (0.5, 0.5), (0.6, 0.5), (0.0, 1.1)):
         with pytest.raises(InvalidTimes):
-            survival_prob(SCHED, s, t)
+            survival_prob(s, t)
 
 
 @given(
@@ -69,17 +68,17 @@ def test_survival_composes(s, d1, d2):
     u = min(t + d2, 0.995)
     if not (s < t < u):
         return
-    lhs = survival_prob(SCHED, s, t) * survival_prob(SCHED, t, u)
-    assert lhs == pytest.approx(survival_prob(SCHED, s, u), abs=1e-12)
+    lhs = survival_prob(s, t) * survival_prob(t, u)
+    assert lhs == pytest.approx(survival_prob(s, u), abs=1e-12)
 
 
 def test_forward_sample_limits():
     x0 = Sequence((0, 1, 2, 3))
     rng = np.random.default_rng(0)
-    near_zero = forward_sample(x0, 0.0, 1e-12, SCHED, rng)
+    near_zero = forward_sample(x0, 0.0, 1e-12, rng)
     assert near_zero.x_t == x0
     assert near_zero.kept_indices == (0, 1, 2, 3)
-    at_one = forward_sample(x0, 0.0, 1.0, SCHED, rng)
+    at_one = forward_sample(x0, 0.0, 1.0, rng)
     assert at_one.x_t.ids == (0,)
     assert at_one.kept_indices == (0,)
 
@@ -91,7 +90,7 @@ def test_forward_sample_limits():
 )
 def test_forward_sample_reconstruction(content, t, seed):
     x0 = Sequence.from_content(content)
-    res = forward_sample(x0, 0.0, t, SCHED, np.random.default_rng(seed))
+    res = forward_sample(x0, 0.0, t, np.random.default_rng(seed))
     assert res.kept_indices[0] == 0
     assert all(a < b for a, b in zip(res.kept_indices, res.kept_indices[1:]))
     assert tuple(x0.ids[i] for i in res.kept_indices) == res.x_t.ids
@@ -100,13 +99,25 @@ def test_forward_sample_reconstruction(content, t, seed):
 def test_transition_prob_examples():
     ab = Sequence((0, 1, 2))
     a = Sequence((0, 1))
-    assert transition_prob(ab, ab, 0.0, 0.5, SCHED) == pytest.approx(0.25)
-    assert transition_prob(a, ab, 0.0, 0.5, SCHED) == pytest.approx(0.25)
+    assert transition_prob(ab, ab, 0.0, 0.5) == pytest.approx(0.25)
+    assert transition_prob(a, ab, 0.0, 0.5) == pytest.approx(0.25)
     # not a subsequence -> probability zero, not an error
-    assert transition_prob(Sequence((0, 3)), ab, 0.0, 0.5, SCHED) == 0.0
-    assert transition_prob(Sequence((0, 1, 2, 3)), ab, 0.0, 0.5, SCHED) == 0.0
+    assert transition_prob(Sequence((0, 3)), ab, 0.0, 0.5) == 0.0
+    assert transition_prob(Sequence((0, 1, 2, 3)), ab, 0.0, 0.5) == 0.0
     with pytest.raises(InvalidTimes):
-        transition_prob(a, ab, 0.5, 0.5, SCHED)
+        transition_prob(a, ab, 0.5, 0.5)
+
+
+def test_transition_prob_beyond_float64_count():
+    # N(a^550, a^1100) = C(1100, 550) ~ 1e329 does not fit a float64, but
+    # the probability does: check it against the lgamma closed form
+    x_t = Sequence.from_content([1] * 550)
+    x_s = Sequence.from_content([1] * 1100)
+    p = survival_prob(0.1, 0.5)
+    log_n = math.lgamma(1101) - 2 * math.lgamma(551)
+    expect = math.exp(log_n + 550 * math.log(p) + 550 * math.log1p(-p))
+    assert expect == pytest.approx(2.5934476e-05, rel=1e-7)
+    assert transition_prob(x_t, x_s, 0.1, 0.5) == pytest.approx(expect, rel=1e-9)
 
 
 @given(
@@ -116,7 +127,7 @@ def test_transition_prob_examples():
 def test_transition_probs_sum_to_one(content, t):
     x_s = Sequence.from_content(content)
     total = sum(
-        transition_prob(Sequence(state), x_s, 0.0, t, SCHED)
+        transition_prob(Sequence(state), x_s, 0.0, t)
         for state in distinct_subsequences(x_s)
     )
     assert total == pytest.approx(1.0, abs=1e-9)
@@ -133,10 +144,10 @@ def test_markov_composition(content, u_lo, t):
     x_s = Sequence.from_content(content)
     for target in distinct_subsequences(x_s):
         x_t = Sequence(target)
-        direct = transition_prob(x_t, x_s, s, t, SCHED)
+        direct = transition_prob(x_t, x_s, s, t)
         via = sum(
-            transition_prob(x_t, Sequence(mid), u, t, SCHED)
-            * transition_prob(Sequence(mid), x_s, s, u, SCHED)
+            transition_prob(x_t, Sequence(mid), u, t)
+            * transition_prob(Sequence(mid), x_s, s, u)
             for mid in distinct_subsequences(x_s)
         )
         assert via == pytest.approx(direct, abs=1e-9)
@@ -146,28 +157,28 @@ def test_forward_rate_examples():
     baag = Sequence((0, 1, 2, 2, 3))
     bag = Sequence((0, 1, 2, 3))
     # two embeddings of bag into baag, each rate sigma(0.5) = 2
-    assert forward_rate(baag, bag, 0.5, SCHED) == pytest.approx(4.0)
+    assert forward_rate(baag, bag, 0.5) == pytest.approx(4.0)
     ab = Sequence((0, 1, 2))
     a = Sequence((0, 1))
-    assert forward_rate(ab, a, 0.5, SCHED) == pytest.approx(2.0)
+    assert forward_rate(ab, a, 0.5) == pytest.approx(2.0)
 
 
 def test_forward_rate_errors():
     ab = Sequence((0, 1, 2))
     with pytest.raises(NotSingleDeletion):
-        forward_rate(ab, ab, 0.5, SCHED)  # same length
+        forward_rate(ab, ab, 0.5)  # same length
     with pytest.raises(NotSingleDeletion):
-        forward_rate(ab, Sequence((0, 3)), 0.5, SCHED)  # not a subsequence
+        forward_rate(ab, Sequence((0, 3)), 0.5)  # not a subsequence
     with pytest.raises(InvalidTimes):
-        forward_rate(ab, Sequence((0, 1)), 1.0, SCHED)
+        forward_rate(ab, Sequence((0, 1)), 1.0)
 
 
 def test_forward_rate_is_transition_prob_derivative():
     y = Sequence((0, 1, 2, 1))
     x_t = Sequence((0, 1, 1))
     t, dt = 0.4, 1e-6
-    fd = transition_prob(x_t, y, t, t + dt, SCHED) / dt
-    assert fd == pytest.approx(forward_rate(y, x_t, t, SCHED), rel=1e-4)
+    fd = transition_prob(x_t, y, t, t + dt) / dt
+    assert fd == pytest.approx(forward_rate(y, x_t, t), rel=1e-4)
 
 
 def test_forward_sample_distribution_tv():
@@ -177,8 +188,65 @@ def test_forward_sample_distribution_tv():
     counts = {}
     n = 40_000
     for _ in range(n):
-        ids = forward_sample(x0, 0.0, 0.5, SCHED, rng).x_t.ids
+        ids = forward_sample(x0, 0.0, 0.5, rng).x_t.ids
         counts[ids] = counts.get(ids, 0) + 1
     tv = 0.5 * sum(abs(counts.get(state, 0) / n - 0.25)
                    for state in [(0, 1, 2), (0, 1), (0, 2), (0,)])
     assert tv < 0.02
+
+
+def test_schedule_numerics_are_pinned():
+    # float.hex values recorded while the schedule was still an object passed
+    # to every function; the module-level schedule must reproduce them bitwise
+    def hx(x):
+        return float(x).hex()
+
+    for t, sig, sig_bar in (
+        (0.0, "0x1.0000000000000p+0", "0x0.0p+0"),
+        (0.001, "0x1.00419a0290042p+0", "0x1.064670d979b6fp-10"),
+        (0.5, "0x1.0000000000000p+1", "0x1.62e42fefa39efp-1"),
+        (1.0, "0x1.dcd650e24165bp+29", "0x1.4b927f3a57808p+4"),
+    ):
+        assert (hx(process.sigma(t)), hx(process.sigma_bar(t))) == (sig, sig_bar)
+    for s, t, want in (
+        (0.0, 0.001, "0x1.ff7ced916872bp-1"),
+        (0.0, 0.5, "0x1.0000000000000p-1"),
+        (0.25, 0.75, "0x1.5555555555556p-2"),
+        (0.5, 1.0, "0x1.12e0bdffffffdp-29"),
+    ):
+        assert hx(survival_prob(s, t)) == want
+    for t, want in (
+        (0.001, "0x1.f3ffffffffff8p+9"),
+        (0.5, "0x1.0000000000000p+1"),
+        (1.0, "0x1.000000044b835p+0"),
+    ):
+        assert hx(objective.loss_weight(t)) == want
+    a, ab, abcba = (Sequence.from_content(c) for c in ([1], [1, 2], [1, 2, 3, 1]))
+    for s, t, want_a, want_ab in (
+        (0.0, 0.001, "0x1.129a601c68b36p-29", "0x1.0be61b43b723dp-20"),
+        (0.0, 0.5, "0x1.0000000000000p-3", "0x1.0000000000000p-4"),
+        (0.0, 1.0, "0x1.12e0bdf22a39fp-29", "0x1.2725dbfb25b7ap-60"),
+        (0.25, 0.75, "0x1.948b0fcd6e9e0p-3", "0x1.948b0fcd6e9e2p-5"),
+    ):
+        got = (hx(transition_prob(a, abcba, s, t)), hx(transition_prob(ab, abcba, s, t)))
+        assert got == (want_a, want_ab)
+    y, x_t = Sequence.from_content([1, 1, 2]), Sequence.from_content([1, 2])
+    assert hx(forward_rate(y, x_t, 0.001)) == "0x1.00419a0290042p+1"
+    assert hx(forward_rate(y, x_t, 0.5)) == "0x1.0000000000000p+2"
+
+    x0 = Sequence.from_content([1, 2, 3, 1, 2, 3, 1, 2])
+    res = forward_sample(x0, 0.0, 0.5, np.random.default_rng(5))
+    assert res.x_t.ids == (0, 1, 2, 3, 1, 2)
+    assert res.kept_indices == (0, 4, 5, 6, 7, 8)
+
+    dist = oracle.TinyDistribution(
+        ((Sequence.from_content([1, 2]), 0.25), (Sequence.from_content([2, 1, 1]), 0.75))
+    )
+    matrices = lambda x, t: oracle.exact_insertion_matrix(dist, x, t)
+    concrete = oracle.concrete_provider_from_matrix(matrices)
+    for t, dise, dse in (
+        (0.5, "0x1.70ad5db52f087p-1", "0x1.70ad5db52f086p-1"),
+        (0.3, "0x1.a3029613f9de4p-1", "0x1.a3029613f9de1p-1"),
+    ):
+        assert hx(oracle.exact_dise(dist, matrices, t)) == dise
+        assert hx(oracle.exact_dse(dist, concrete, t)) == dse

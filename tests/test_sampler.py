@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from delins import oracle, scorer
 from delins.errors import ConfigError, InvalidSteps, InvalidTimes, ShapeMismatch
-from delins.process import T_MAX, LogLinearSchedule
+from delins.process import T_MAX
 from delins.sampler import (
     GenerationTrace,
     SamplerConfig,
@@ -23,7 +23,6 @@ from delins.sampler import (
 from delins.seqcore import Sequence
 
 BOS = 0
-SCHEDULE = LogLinearSchedule()
 
 
 def seq(*ids):
@@ -69,18 +68,14 @@ def test_grid_endpoints_and_monotonicity(n, kind):
 
 def test_single_gap_insertion_probability_is_half():
     # w(0.5) = 2, so p = 2 * 1 * 0.25 = 0.5 for the only scored token.
-    p_ins, cond, clamped = gap_insertion_probabilities(
-        np.array([[0.0, 1.0, 0.0]]), t=0.5, dt=0.25, schedule=SCHEDULE
-    )
+    p_ins, cond, clamped = gap_insertion_probabilities(np.array([[0.0, 1.0, 0.0]]), t=0.5, dt=0.25)
     assert p_ins[0] == pytest.approx(0.5, abs=1e-12)
     assert cond[0].tolist() == [0.0, 1.0, 0.0]
     assert clamped.tolist() == [False]
 
 
 def test_bos_column_is_ignored():
-    p_ins, cond, _ = gap_insertion_probabilities(
-        np.array([[5.0, 1.0, 1.0]]), t=0.5, dt=0.25, schedule=SCHEDULE
-    )
+    p_ins, cond, _ = gap_insertion_probabilities(np.array([[5.0, 1.0, 1.0]]), t=0.5, dt=0.25)
     assert p_ins[0] == pytest.approx(2 * 0.25 * 2.0, abs=1e-12)
     assert cond[0, 0] == 0.0
     assert cond[0, 1] == pytest.approx(0.5)
@@ -88,11 +83,7 @@ def test_bos_column_is_ignored():
 
 def test_gap_mask_zeroes_rows():
     p_ins, cond, _ = gap_insertion_probabilities(
-        np.ones((2, 3)),
-        t=0.5,
-        dt=0.25,
-        schedule=SCHEDULE,
-        gap_mask=np.array([False, True]),
+        np.ones((2, 3)), t=0.5, dt=0.25, gap_mask=np.array([False, True])
     )
     assert p_ins[0] == 0.0
     assert cond[0].sum() == 0.0
@@ -100,22 +91,16 @@ def test_gap_mask_zeroes_rows():
 
 
 def test_clamp_caps_probability_at_one():
-    p_ins, _, clamped = gap_insertion_probabilities(
-        np.array([[0.0, 40.0, 0.0]]), t=0.5, dt=0.5, schedule=SCHEDULE
-    )
+    p_ins, _, clamped = gap_insertion_probabilities(np.array([[0.0, 40.0, 0.0]]), t=0.5, dt=0.5)
     assert p_ins[0] == 1.0
     assert clamped.tolist() == [True]
 
 
 def test_nucleus_drops_tail_and_renormalizes():
     s = np.array([[0.0, 5.0, 3.0, 2.0]])
-    _, cond, _ = gap_insertion_probabilities(
-        s, t=0.5, dt=0.1, schedule=SCHEDULE, top_p=0.5
-    )
+    _, cond, _ = gap_insertion_probabilities(s, t=0.5, dt=0.1, top_p=0.5)
     assert cond[0].tolist() == [0.0, 1.0, 0.0, 0.0]
-    _, cond, _ = gap_insertion_probabilities(
-        s, t=0.5, dt=0.1, schedule=SCHEDULE, top_p=0.8
-    )
+    _, cond, _ = gap_insertion_probabilities(s, t=0.5, dt=0.1, top_p=0.8)
     assert cond[0] == pytest.approx([0.0, 0.625, 0.375, 0.0], abs=1e-12)
 
 
@@ -140,8 +125,8 @@ def test_nucleus_matches_the_row_at_a_time_filter_bitwise():
     s[::7, 1:4] = 1.0   # ties
     s[5] = 0.0          # a dead row
     for top_p in (0.3, 0.9, 0.97, 0.999):
-        _, base, _ = gap_insertion_probabilities(s, 0.5, 0.01, SCHEDULE)
-        _, cond, _ = gap_insertion_probabilities(s, 0.5, 0.01, SCHEDULE, top_p=top_p)
+        _, base, _ = gap_insertion_probabilities(s, 0.5, 0.01)
+        _, cond, _ = gap_insertion_probabilities(s, 0.5, 0.01, top_p=top_p)
         for i in range(len(s)):
             assert cond[i].tobytes() == _nucleus_one_row(base[i], top_p).tobytes()
     assert np.count_nonzero(cond, axis=1).max() >= 8
@@ -149,8 +134,8 @@ def test_nucleus_matches_the_row_at_a_time_filter_bitwise():
 
 def test_nucleus_preserves_insertion_probability():
     s = np.array([[0.0, 5.0, 3.0, 2.0]])
-    base, _, _ = gap_insertion_probabilities(s, 0.5, 0.1, SCHEDULE, top_p=1.0)
-    filt, _, _ = gap_insertion_probabilities(s, 0.5, 0.1, SCHEDULE, top_p=0.5)
+    base, _, _ = gap_insertion_probabilities(s, 0.5, 0.1, top_p=1.0)
+    filt, _, _ = gap_insertion_probabilities(s, 0.5, 0.1, top_p=0.5)
     assert filt[0] == base[0]
 
 
@@ -161,18 +146,18 @@ def test_nucleus_preserves_insertion_probability():
 def test_reverse_step_validates_inputs():
     rng = np.random.default_rng(0)
     with pytest.raises(ShapeMismatch):
-        reverse_step(seq(1), 0.5, 0.25, np.ones((3, 2)), SCHEDULE, 1.0, rng)
+        reverse_step(seq(1), 0.5, 0.25, np.ones((3, 2)), 1.0, rng)
     with pytest.raises(InvalidTimes):
-        reverse_step(seq(), 0.5, 0.6, np.ones((1, 2)), SCHEDULE, 1.0, rng)
+        reverse_step(seq(), 0.5, 0.6, np.ones((1, 2)), 1.0, rng)
     with pytest.raises(InvalidTimes):
-        reverse_step(seq(), 0.5, 0.0, np.ones((1, 2)), SCHEDULE, 1.0, rng)
+        reverse_step(seq(), 0.5, 0.0, np.ones((1, 2)), 1.0, rng)
 
 
 def test_vanishing_dt_is_a_noop():
     rng = np.random.default_rng(1)
     x = seq(1, 2)
     for _ in range(200):
-        assert reverse_step(x, 0.5, 1e-12, np.ones((3, 3)), SCHEDULE, 1.0, rng) == x
+        assert reverse_step(x, 0.5, 1e-12, np.ones((3, 3)), 1.0, rng) == x
 
 
 def test_single_gap_example_inserts_half_the_time():
@@ -181,7 +166,7 @@ def test_single_gap_example_inserts_half_the_time():
     hits = 0
     n = 40_000
     for _ in range(n):
-        out = reverse_step(seq(), 0.5, 0.25, scores, SCHEDULE, 1.0, rng)
+        out = reverse_step(seq(), 0.5, 0.25, scores, 1.0, rng)
         if len(out) == 2:
             hits += 1
             assert out.ids == (BOS, 1)
@@ -194,7 +179,7 @@ def test_clamped_gap_always_inserts_and_is_counted():
     stats = StepStats()
     scores = np.array([[0.0, 40.0, 0.0]])
     for _ in range(300):
-        out = reverse_step(seq(), 0.5, 0.5, scores, SCHEDULE, 1.0, rng, stats=stats)
+        out = reverse_step(seq(), 0.5, 0.5, scores, 1.0, rng, stats=stats)
         assert out.ids == (BOS, 1)
     assert stats.clamp_events == 300
     assert stats.gap_steps == 300
@@ -204,7 +189,7 @@ def test_bos_is_never_inserted():
     rng = np.random.default_rng(4)
     scores = np.array([[1000.0, 1.0, 1.0]])
     for _ in range(300):
-        out = reverse_step(seq(), 0.5, 0.5, scores, SCHEDULE, 1.0, rng)
+        out = reverse_step(seq(), 0.5, 0.5, scores, 1.0, rng)
         assert BOS not in out.ids[1:]
 
 
@@ -215,7 +200,7 @@ def test_unfiltered_token_distribution_chi_square():
     counts = np.zeros(4)
     n = 20_000
     for _ in range(n):
-        out = reverse_step(seq(), 0.9, 0.9, scores, SCHEDULE, 1.0, rng)
+        out = reverse_step(seq(), 0.9, 0.9, scores, 1.0, rng)
         counts[out.ids[1]] += 1
     assert counts[0] == 0
     expected = n * np.array([0.2, 0.3, 0.5])
@@ -226,9 +211,7 @@ def test_unfiltered_token_distribution_chi_square():
 def test_capacity_tie_breaks_to_lower_gap():
     rng = np.random.default_rng(6)
     scores = np.array([[0.0, 1.0, 0.0]] * 3) * 40.0  # clamp: all gaps fire
-    out = reverse_step(
-        seq(2, 2), 0.5, 0.5, scores, SCHEDULE, 1.0, rng, capacity=1
-    )
+    out = reverse_step(seq(2, 2), 0.5, 0.5, scores, 1.0, rng, capacity=1)
     assert out.ids == (BOS, 1, 2, 2)
 
 
@@ -236,8 +219,7 @@ def test_capacity_counts_cancellations():
     rng = np.random.default_rng(7)
     stats = StepStats()
     scores = np.array([[0.0, 40.0, 0.0]] * 3)
-    reverse_step(seq(2, 2), 0.5, 0.5, scores, SCHEDULE, 1.0, rng,
-                 capacity=1, stats=stats)
+    reverse_step(seq(2, 2), 0.5, 0.5, scores, 1.0, rng, capacity=1, stats=stats)
     assert stats.cancelled == 2
 
 
@@ -493,7 +475,7 @@ def test_oracle_scores_recover_tiny_distribution():
         # states are dead ends the oracle refuses to score.  Freezing them
         # leaves their mass to be counted against the TV budget below.
         try:
-            return oracle.exact_insertion_matrix(dist, x, min(t, T_MAX), SCHEDULE)
+            return oracle.exact_insertion_matrix(dist, x, min(t, T_MAX))
         except oracle.ZeroDenominator:
             return np.zeros((len(x), dist.vocab_size))
 

@@ -12,7 +12,6 @@ from delins.errors import (
     ShapeMismatch,
     VersionMismatch,
 )
-from delins.process import LogLinearSchedule
 from delins.scorer import (
     N_BUCKETS,
     Gradient,
@@ -27,7 +26,6 @@ from delins.scorer import (
 )
 from delins.seqcore import Corpus, Sequence, Vocab
 
-SCHED = LogLinearSchedule()
 A, B = 1, 2
 
 
@@ -105,14 +103,14 @@ def test_loss_matches_objective_module():
     x_0, x_t, t = seq(A, B, A), seq(A), 0.37
     p = rand_params(rng, 3, "dise")
     mat = score(p, x_t, t)
-    via_objective = objective.dise_loss(mat, x_t, x_0, t, SCHED)
-    direct, _ = loss_and_grad(p, x_t, x_0, t, SCHED)
+    via_objective = objective.dise_loss(mat, x_t, x_0, t)
+    direct, _ = loss_and_grad(p, x_t, x_0, t)
     assert direct.total == via_objective.total
 
     pd = rand_params(rng, 3, "dice", k=3)
     matd = score(pd, x_t)
-    via_objective = objective.dice_loss(matd, x_t, x_0, t, SCHED)
-    direct, _ = loss_and_grad(pd, x_t, x_0, t, SCHED)
+    via_objective = objective.dice_loss(matd, x_t, x_0, t)
+    direct, _ = loss_and_grad(pd, x_t, x_0, t)
     assert direct.total == via_objective.total
 
 
@@ -123,7 +121,7 @@ def test_gradcheck_both_modes():
         for x_t in (Sequence((0,)), seq(A), seq(A, B)):
             p = rand_params(rng, 3, mode, k)
             t = float(rng.uniform(0.05, 0.95))
-            assert gradcheck(p, x_t, x_0, t, SCHED) <= 1e-5
+            assert gradcheck(p, x_t, x_0, t) <= 1e-5
 
 
 def test_gradient_zero_ratio_reduction():
@@ -133,7 +131,7 @@ def test_gradient_zero_ratio_reduction():
     p = rand_params(rng, 3, "dise")
     x = seq(A, B)
     t = 0.5
-    loss, grad = loss_and_grad(p, x, x, t, SCHED)
+    loss, grad = loss_and_grad(p, x, x, t)
     s = score(p, x, t).values
     assert loss.total == pytest.approx(loss.weight * s.sum(), rel=1e-12)
     assert grad.theta.sum() == pytest.approx(loss.weight * s.sum(), rel=1e-10)
@@ -145,12 +143,12 @@ def test_dice_stationary_at_uniform_optimum():
     p = ScorerParams.init(2, "dice", k=2)
     x_0 = seq(A, A)
     for x_t in (Sequence((0,)), seq(A), seq(A, A)):
-        _, grad = loss_and_grad(p, x_t, x_0, 0.5, SCHED)
+        _, grad = loss_and_grad(p, x_t, x_0, 0.5)
         assert np.linalg.norm(grad.theta) <= 1e-12
 
     vocab = Vocab.build(["a"])
     corpus = Corpus([x_0] * 8, vocab)
-    trained, _ = train(p, corpus, {"epochs": 4, "batch": 4, "lr": 0.5, "seed": 0})
+    trained, _ = train(p, corpus, {"epochs": 4, "batch": 4, "lr": 0.5, "optimizer": "adam", "seed": 0})
     assert np.array_equal(trained.theta, p.theta)
 
 
@@ -169,7 +167,7 @@ def make_corpus(lines, symbols):
 def test_train_lr_zero_keeps_params():
     corpus = make_corpus(["ab", "ba"], "ab")
     p = ScorerParams.init(3, "dise")
-    trained, metrics = train(p, corpus, {"epochs": 2, "batch": 2, "lr": 0.0, "seed": 1})
+    trained, metrics = train(p, corpus, {"epochs": 2, "batch": 2, "lr": 0.0, "optimizer": "adam", "seed": 1})
     assert np.array_equal(trained.theta, p.theta)
     assert len(metrics) == 2
     assert all("loss" in m for m in metrics)
@@ -188,17 +186,28 @@ def test_train_is_deterministic():
 
 def test_train_data_dependence():
     p = ScorerParams.init(3, "dise")
-    cfg = {"epochs": 2, "batch": 2, "lr": 0.1, "seed": 5}
+    cfg = {"epochs": 2, "batch": 2, "lr": 0.1, "optimizer": "adam", "seed": 5}
     a, _ = train(p, make_corpus(["ab", "ab"], "ab"), cfg)
     b, _ = train(p, make_corpus(["ba", "ba"], "ab"), cfg)
     assert not np.array_equal(a.theta, b.theta)
 
 
+def test_train_settings_are_required():
+    corpus = make_corpus(["ab", "ba"], "ab")
+    p = ScorerParams.init(3, "dise")
+    full = {"epochs": 1, "batch": 2, "lr": 0.05, "optimizer": "adam", "seed": 0}
+    for key in ("epochs", "batch", "lr", "optimizer"):
+        cfg = {k: v for k, v in full.items() if k != key}
+        with pytest.raises(ConfigError, match=f"missing '{key}'"):
+            train(p, corpus, cfg)
+
+
 def test_train_dice_requires_equal_lengths():
     corpus = make_corpus(["ab", "a"], "ab")
     p = ScorerParams.init(3, "dice", k=2)
-    with pytest.raises(ConfigError):
-        train(p, corpus, {"epochs": 1, "batch": 2, "seed": 0})
+    cfg = {"epochs": 1, "batch": 2, "lr": 0.1, "optimizer": "adam", "seed": 0}
+    with pytest.raises(ConfigError, match="equal-length"):
+        train(p, corpus, cfg)
 
 
 def test_train_single_sequence_dice_converges():
