@@ -394,6 +394,7 @@ def cmd_bench(args) -> int:
             means.append(mean)
             metrics.emit({
                 "length": n,
+                "cells": sum((len(x_t) + 1) * (len(x_0) + 1) for x_t, x_0 in pairs),
                 "mean_ms": round(mean, 4),
                 "var_ms": round(float(np.var(times_ms)), 6),
                 "reps_ms": [round(v, 4) for v in times_ms],

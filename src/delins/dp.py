@@ -9,10 +9,13 @@ This module computes, for a pair (x_t, x_0) of bos-prefixed sequences:
   token v after position i (gap i, with gap 0 sitting after the bos marker)
 * ratio grids     C[i, v] / N(x_t, x_0), the training targets
 
-in two arithmetic domains:
+in three arithmetic domains, tried in this order by the "auto" ops:
 
 * "exact": unsigned 64-bit integers with checked arithmetic.  Overflow raises
-  a recoverable error so the caller can rerun in the log domain.
+  a recoverable error so the caller can rerun in the next domain.
+* "float": the exact recurrence in float64, each cell within about
+  (|x_0| + |x_t|) * 2**-53 relative of its count.  A count past float64
+  becomes inf, and a non-finite count or grid cell raises the same error.
 * "log": float64 log-counts with the sentinel LOG_ZERO standing in for
   log(0).  Using a large negative constant instead of -inf keeps log-add-exp
   free of NaNs.
@@ -99,6 +102,15 @@ def _sweep(xts: list[np.ndarray], x0s: list[np.ndarray], domain: str, n_pairs: i
             T[j, :, 1:] = cur
         return T
 
+    if domain == "float":  # inf marks an overflowed cell and stays inf downstream
+        T = np.zeros((m_max + 1, R, n_max + 1))
+        T[:, :, 0] = 1.0
+        with np.errstate(over="ignore"):
+            for j in range(1, m_max + 1):
+                prev = T[j - 1]
+                T[j, :, 1:] = prev[:, 1:] + np.where(eq[j - 1], prev[:, :-1], 0.0)
+        return T
+
     if domain == "log":
         T = np.full((m_max + 1, R, n_max + 1), LOG_ZERO, dtype=np.float64)
         T[:, :, 0] = 0.0
@@ -158,6 +170,18 @@ def _fuse_exact(A, Bsu, x0: np.ndarray, vocab_size: int) -> np.ndarray:
     return counts_v.T  # (n, V)
 
 
+def _fuse_float(A, Bsu, x0: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Float64 insertion-count grid (n, V); Overflow on inf, or on NaN from inf * 0."""
+    counts_v = np.zeros((vocab_size, A.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = A * Bsu
+        for v in np.flatnonzero(np.bincount(x0)):  # the tokens of x_0
+            counts_v[v] = prod[x0 == v].sum(axis=0)
+    if not np.isfinite(counts_v).all():
+        raise Overflow("insertion count exceeds float64; use the log domain")
+    return counts_v.T
+
+
 def _fuse_log_counts(A, Bsu, x0: np.ndarray, vocab_size: int) -> np.ndarray:
     """Log-domain insertion-count grid (n, V), LOG_ZERO for empty cells."""
     n = A.shape[1]
@@ -183,21 +207,22 @@ def _fuse_log_ratios(A, Bsu, x0: np.ndarray, vocab_size: int, log_n: float) -> n
 
 def _counts(A, Bsu, x0, n_cell, vocab_size: int, domain: str) -> np.ndarray:
     """One pair's grid for batched_insertion_counts."""
-    if domain == "exact":
-        return _fuse_exact(A, Bsu, x0, vocab_size)
-    return _fuse_log_counts(A, Bsu, x0, vocab_size)
+    fuse = {"exact": _fuse_exact, "float": _fuse_float}.get(domain, _fuse_log_counts)
+    return fuse(A, Bsu, x0, vocab_size)
 
 
 def _ratios(A, Bsu, x0, n_cell, vocab_size: int, domain: str) -> NRatioMatrix:
     """One pair's ratios for batched_n_ratios; needs n_cell = N(x_t, x_0) > 0."""
-    if domain == "exact":
-        if n_cell == 0:
+    if domain == "log":
+        if is_log_zero(n_cell):
             raise NotASubsequence("N(x_t, x_0) == 0")
-        counts = _fuse_exact(A, Bsu, x0, vocab_size)
-        return NRatioMatrix(counts.astype(np.float64) / float(n_cell), domain)
-    if is_log_zero(n_cell):
+        return NRatioMatrix(_fuse_log_ratios(A, Bsu, x0, vocab_size, float(n_cell)), domain)
+    if n_cell == 0:
         raise NotASubsequence("N(x_t, x_0) == 0")
-    return NRatioMatrix(_fuse_log_ratios(A, Bsu, x0, vocab_size, float(n_cell)), domain)
+    if not math.isfinite(n_cell):
+        raise Overflow("subsequence count exceeds float64; use the log domain")
+    counts = _counts(A, Bsu, x0, n_cell, vocab_size, domain)
+    return NRatioMatrix(counts.astype(np.float64, copy=False) / float(n_cell), domain)
 
 
 def _check_vocab(arrs, vocab_size: int) -> None:
@@ -213,7 +238,7 @@ def _check_vocab(arrs, vocab_size: int) -> None:
 
 @dataclass
 class PrefixTable:
-    """values[i, j] = N(x_t[:i], x_0[:j]); uint64 or log-domain float64."""
+    """values[i, j] = N(x_t[:i], x_0[:j]); uint64, float64 or log-domain float64."""
 
     values: np.ndarray
     domain: str
@@ -225,7 +250,7 @@ class PrefixTable:
 
 @dataclass
 class SuffixTable:
-    """values[i, j] = N(x_t[i:], x_0[j:]); uint64 or log-domain float64."""
+    """values[i, j] = N(x_t[i:], x_0[j:]); uint64, float64 or log-domain float64."""
 
     values: np.ndarray
     domain: str
@@ -291,17 +316,19 @@ def suffix_table(x_t, x_0, domain: str = "exact") -> SuffixTable:
 
 
 def subsequence_count(x_t, x_0, domain: str = "exact"):
-    """N(x_t, x_0): int in exact mode, log-count float in log mode."""
+    """N(x_t, x_0): int in exact mode, float in float mode, log-count float in log mode."""
     xt, x0 = _ids(x_t), _ids(x_0)
     cell = _sweep([xt], [x0], domain, 1)[-1, 0, -1]
+    if not math.isfinite(cell):
+        raise Overflow("subsequence count exceeds float64; use the log domain")
     return int(cell) if domain == "exact" else float(cell)
 
 
 def insertion_counts(x_t, x_0, vocab_size: int, domain: str = "exact") -> np.ndarray:
     """Grid (|x_t|, V) of N(Ins(x_t, i, v), x_0).
 
-    Exact mode returns uint64 counts; log mode returns log-counts with
-    LOG_ZERO marking empty cells.
+    Exact mode returns uint64 counts, float mode float64 counts; log mode
+    returns log-counts with LOG_ZERO marking empty cells.
     """
     return batched_insertion_counts([(x_t, x_0)], vocab_size, domain)[0]
 
@@ -325,42 +352,43 @@ def batched_insertion_counts(pairs, vocab_size: int, domain: str = "exact") -> l
     return _per_pair(pairs, vocab_size, domain, _counts)
 
 
-def _exact_else_log(op, *args):
-    """op(*args, "exact"), or op(*args, "log") if uint64 overflows: the one fallback.
+def _ladder(op, *args):
+    """op(*args, domain) in the first domain of exact, float, log that does not overflow.
 
-    The log attempt runs after the handler has exited, so the overflow's
-    traceback no longer holds the failed exact tables alive.
+    Each retry runs after the handler has exited, so the overflow's
+    traceback no longer holds the failed rung's tables alive.
     """
-    try:
-        return op(*args, "exact")
-    except Overflow:
-        pass
+    for domain in ("exact", "float"):
+        try:
+            return op(*args, domain)
+        except Overflow:
+            pass
     return op(*args, "log")
 
 
 def linear_count(x_t, x_0, domain: str):
-    """N(x_t, x_0) on the linear scale: an int when exact, a float via the log domain.
+    """N(x_t, x_0) on the linear scale: an int when exact, else a float.
 
-    "auto" is exact, falling back to the log domain on overflow.
+    "auto" climbs the ladder exact, float, log.
     """
     if domain == "auto":
-        return _exact_else_log(linear_count, x_t, x_0)
+        return _ladder(linear_count, x_t, x_0)
     n = subsequence_count(x_t, x_0, domain)
-    if domain == "exact":
+    if domain != "log":
         return n
     return 0.0 if is_log_zero(n) else math.exp(n)
 
 
 def linear_insertion_counts(x_t, x_0, vocab_size: int, domain: str) -> np.ndarray:
-    """insertion_counts on the linear scale: uint64 when exact, float64 via the log domain.
+    """insertion_counts on the linear scale: uint64 when exact, else float64.
 
-    Dead log-domain cells read 0.0.  "auto" is exact, falling back to the
-    log domain on overflow; a cell beyond float64 raises Overflow.
+    Dead log-domain cells read 0.0.  "auto" climbs the ladder exact, float,
+    log; a cell beyond float64 raises Overflow.
     """
     if domain == "auto":
-        return _exact_else_log(linear_insertion_counts, x_t, x_0, vocab_size)
+        return _ladder(linear_insertion_counts, x_t, x_0, vocab_size)
     grid = insertion_counts(x_t, x_0, vocab_size, domain)
-    if domain == "exact":
+    if domain != "log":
         return grid
     with np.errstate(over="ignore"):
         linear = np.where(is_log_zero(grid), 0.0, np.exp(grid))
@@ -370,10 +398,10 @@ def linear_insertion_counts(x_t, x_0, vocab_size: int, domain: str) -> np.ndarra
 
 
 def n_ratios_auto(x_t, x_0, vocab_size: int) -> NRatioMatrix:
-    """Exact ratios, falling back to the log domain on overflow."""
-    return _exact_else_log(n_ratios, x_t, x_0, vocab_size)
+    """Ratios in the first domain of exact, float, log that fits."""
+    return _ladder(n_ratios, x_t, x_0, vocab_size)
 
 
 def batched_n_ratios_auto(pairs, vocab_size: int) -> list[NRatioMatrix]:
-    """Exact batched ratios, falling back to the log domain on overflow."""
-    return _exact_else_log(batched_n_ratios, pairs, vocab_size)
+    """Batched ratios in the first domain of exact, float, log that fits."""
+    return _ladder(batched_n_ratios, pairs, vocab_size)

@@ -22,9 +22,10 @@ class TooLarge(DelinsError):
 
 
 class Overflow(DelinsError):
-    """Exact integer arithmetic left the 64-bit range.
+    """A count left the range of its arithmetic domain (uint64 or float64).
 
-    Recoverable: the caller may rerun the same computation in the log domain.
+    Recoverable: the caller may rerun the same computation in the next
+    domain of the ladder exact, float, log.
     """
 
 

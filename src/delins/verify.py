@@ -198,15 +198,17 @@ def check_sampler_determinism() -> str:
 
 
 def check_log_fallback() -> str:
-    # both counts overflow unsigned 64-bit; the automatic path must go
-    # through the log engine and still satisfy the grand-sum identity
-    x_0 = _seq(*([1] * 80))
-    x_t = _seq(*([1] * 30))
-    mat = dp.n_ratios_auto(x_t, x_0, 2)
-    assert np.all(np.isfinite(mat.ratios))
-    rel = abs(mat.grand_sum - 50.0) / 50.0
-    assert rel <= 1e-6, f"grand sum rel err {rel}"
-    return f"overflowing pair handled, grand sum rel err {rel:.2e}"
+    # C(80, 30) overflows uint64 and lands on the float rung; C(1100, 550)
+    # overflows float64 too and lands on log.  Both keep the grand-sum identity.
+    details = []
+    for n, m, rung in ((30, 80, "float"), (550, 1100, "log")):
+        mat = dp.n_ratios_auto(_seq(*([1] * n)), _seq(*([1] * m)), 2)
+        assert mat.domain == rung, f"C({m}, {n}) landed on {mat.domain}, not {rung}"
+        assert np.all(np.isfinite(mat.ratios))
+        rel = abs(mat.grand_sum - (m - n)) / (m - n)
+        assert rel <= 1e-6, f"{rung} grand sum rel err {rel}"
+        details.append(f"{rung} grand sum rel err {rel:.2e}")
+    return "overflowing pairs handled: " + ", ".join(details)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def test_count_grid_has_one_row_per_gap(capsys):
 
 
 def test_count_grid_falls_back_to_log_in_auto(capsys):
-    # C(80, 40) ~ 1.1e23 overflows uint64; the grid follows the count into the log domain
+    # C(80, 40) ~ 1.1e23 overflows uint64; the grid follows the count up the ladder
     code, out, _ = run_cli(["count", "a" * 40, "a" * 80, "--grid"], capsys)
     assert code == 0
     lines = out.splitlines()
@@ -480,6 +480,10 @@ def test_bench_reports_exponent(capsys):
     lengths = [r["length"] for r in stream if "length" in r]
     assert lengths == [64, 128, 256]
     assert all("var_ms" in r for r in stream if "length" in r)
+    # cells = batch * (|x_t| + 1)(|x_0| + 1): x_0 is bos + n tokens, x_t keeps half
+    assert [r["cells"] for r in stream if "length" in r] == [
+        2 * (n // 2 + 2) * (n + 2) for n in (64, 128, 256)
+    ]
     exponent = stream[-1]["exponent"]
     assert 0.5 < exponent < 2.5  # loose here; the acceptance run pins it down
 

@@ -1,6 +1,8 @@
 """Counting DP against brute-force enumeration and closed-form identities."""
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from delins.dp import (
     brute_count,
     insertion_counts,
     is_log_zero,
+    linear_count,
+    linear_insertion_counts,
     n_ratios,
     n_ratios_auto,
     prefix_table,
@@ -28,6 +32,11 @@ BOS = 0
 # ids for the worked pair: b=1, a=2, g=3
 BAG = (BOS, 1, 2, 3)
 BABGBAG = (BOS, 1, 2, 1, 3, 1, 2, 3)
+# C(1100, 550) ~ 1e329 exceeds float64 as well as uint64
+PAST_FLOAT64 = ((BOS,) + (1,) * 550, (BOS,) + (1,) * 1100)
+# N = 1, but prefix cells past the c such as C(1600, 500) overflow float64 and
+# meet zero suffix terms there: inf * 0 in the float fuse
+INF_TIMES_ZERO = ((BOS,) + (1,) * 500 + (2,), (BOS,) + (1,) * 500 + (2,) + (1,) * 1100)
 
 
 def ins(ids, i, v):
@@ -96,11 +105,47 @@ def test_exact_overflow_raises_and_auto_falls_back():
     x_0 = (BOS,) + (1,) * 70
     with pytest.raises(Overflow):
         subsequence_count(x_t, x_0)
-    mat = n_ratios_auto(x_t, x_0, vocab_size=2)
-    assert mat.domain == "log"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mat = n_ratios_auto(x_t, x_0, vocab_size=2)
+    assert mat.domain == "float"
     assert mat.ratios.shape == (36, 2)
     # grand sum == length difference, even when counts are astronomically large
     assert mat.grand_sum == pytest.approx(35.0, rel=1e-9)
+
+
+def test_linear_auto_takes_the_float_rung():
+    x_t, x_0 = (BOS,) + (1,) * 35, (BOS,) + (1,) * 70
+    assert linear_count(x_t, x_0, "auto") == subsequence_count(x_t, x_0, "float")
+    grid = linear_insertion_counts(x_t, x_0, 2, "auto")
+    assert np.array_equal(grid, insertion_counts(x_t, x_0, 2, "float"))
+    assert grid[0, 1] == pytest.approx(math.comb(70, 36), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "pair, vocab_size",
+    [(PAST_FLOAT64, 2), (INF_TIMES_ZERO, 3)],
+    ids=["past-float64", "inf-times-zero"],
+)
+def test_auto_past_float64_reaches_log(pair, vocab_size):
+    x_t, x_0 = pair
+    with pytest.raises(Overflow):
+        n_ratios(x_t, x_0, vocab_size, "float")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid-value warning leaks
+        mat = n_ratios_auto(x_t, x_0, vocab_size)
+    assert mat.domain == "log"
+    assert np.all(np.isfinite(mat.ratios))
+    want = len(x_0) - len(x_t)
+    assert mat.grand_sum == pytest.approx(want, rel=1e-9)
+
+
+def test_inf_times_zero_pair_has_a_finite_float_count():
+    # the float rung fails in the fuse, not on N
+    x_t, x_0 = INF_TIMES_ZERO
+    assert subsequence_count(x_t, x_0, "float") == 1.0
+    with pytest.raises(Overflow, match="pair 0: insertion count exceeds float64"):
+        batched_n_ratios([INF_TIMES_ZERO], 3, "float")
 
 
 def test_log_zero_sentinel():
@@ -236,8 +281,6 @@ def test_overflow_names_the_pair_not_its_reversed_row():
 
 
 def test_fallback_releases_the_failed_exact_tables():
-    pairs = [((BOS,) + (1,) * 60, (BOS,) + (1,) * 120)] * 4  # exact overflows
-
     def peak(op):
         tracemalloc.start()
         try:
@@ -246,6 +289,49 @@ def test_fallback_releases_the_failed_exact_tables():
         finally:
             tracemalloc.stop()
 
+    pairs = [((BOS,) + (1,) * 60, (BOS,) + (1,) * 120)] * 4  # exact overflows
     auto = peak(lambda: batched_n_ratios_auto(pairs, 2))
     log_only = peak(lambda: batched_n_ratios(pairs, 2, "log"))
     assert auto <= 1.3 * log_only
+
+    pairs = [INF_TIMES_ZERO] * 2  # exact and float both overflow
+    auto = peak(lambda: batched_n_ratios_auto(pairs, 3))
+    log_only = peak(lambda: batched_n_ratios(pairs, 3, "log"))
+    assert auto <= 1.3 * log_only
+
+
+def _half_kept_pairs(rng, lengths, vocab_size):
+    """x_0 of each length over tokens 1..V-1; x_t keeps a random half of it."""
+    out = []
+    for n in lengths:
+        content = rng.integers(1, vocab_size, size=n)
+        keep = np.sort(rng.choice(n, size=n // 2, replace=False))
+        out.append(((BOS, *content[keep].tolist()), (BOS, *content.tolist())))
+    return out
+
+
+def test_float_ratios_track_exact():
+    rng = np.random.default_rng(4)
+    beyond_2_53 = 0
+    for vocab_size in (2, 3, 5):
+        for x_t, x_0 in _half_kept_pairs(rng, range(1, 81), vocab_size):
+            try:
+                exact = n_ratios(x_t, x_0, vocab_size, "exact").ratios
+            except Overflow:
+                continue
+            beyond_2_53 += subsequence_count(x_t, x_0) > 2**53
+            got = n_ratios(x_t, x_0, vocab_size, "float").ratios
+            live = exact > 0
+            assert np.array_equal(got > 0, live)
+            assert np.max(np.abs(got[live] - exact[live]) / exact[live]) <= 1e-14
+    assert beyond_2_53 > 0  # some counts are not exact in float64
+
+
+def test_float_ratios_track_log_on_long_pairs():
+    pairs = _half_kept_pairs(np.random.default_rng(3), (16, 128, 512, 1024) * 2, 16)
+    floats = batched_n_ratios(pairs, 16, "float")
+    logs = batched_n_ratios(pairs, 16, "log")
+    for (x_t, x_0), got, ref in zip(pairs, floats, logs):
+        big = ref.ratios > 1e-250
+        assert np.max(np.abs(got.ratios[big] - ref.ratios[big]) / ref.ratios[big]) <= 1e-12
+        assert got.grand_sum == pytest.approx(len(x_0) - len(x_t), rel=1e-9)
