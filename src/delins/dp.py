@@ -11,7 +11,10 @@ This module computes, for a pair (x_t, x_0) of bos-prefixed sequences:
 
 in three arithmetic domains, tried in this order by the "auto" ops:
 
-* "exact": unsigned 64-bit integers with checked arithmetic.  Overflow raises
+* "exact": unsigned 64-bit integers.  A cell of table row j is at most
+  C(j, j // 2) < 2**64 for j <= 67, so only later rows check for wrap; no
+  product of a prefix and a suffix term exceeds N(x_t, x_0), and grid sums
+  are checked only when N * (|x_0| - |x_t|) reaches 2**64.  Overflow raises
   a recoverable error so the caller can rerun in the next domain.
 * "float": the exact recurrence in float64, each cell within about
   (|x_0| + |x_t|) * 2**-53 relative of its count.  A count past float64
@@ -43,6 +46,7 @@ LOG_ZERO = -999999.0
 _U64 = np.uint64
 _PAD_XT = -1  # never equal to a token or to _PAD_X0
 _PAD_X0 = -2
+_EXACT_SAFE_ROWS = 67  # C(67, 33) < 2**64 < C(68, 34): rows j <= 67 cannot wrap
 
 BRUTE_MAX_SUB = 12
 BRUTE_MAX_SEQ = 14
@@ -92,14 +96,12 @@ def _sweep(xts: list[np.ndarray], x0s: list[np.ndarray], domain: str, n_pairs: i
         T = np.zeros((m_max + 1, R, n_max + 1), dtype=_U64)
         T[:, :, 0] = 1
         for j in range(1, m_max + 1):
-            prev = T[j - 1]
+            prev, cur = T[j - 1], T[j, :, 1:]
             add = np.where(eq[j - 1], prev[:, :-1], _U64(0))
-            cur = prev[:, 1:] + add
-            wrapped = cur < add
-            if wrapped.any():
+            np.add(prev[:, 1:], add, out=cur)
+            if j > _EXACT_SAFE_ROWS and (wrapped := cur < add).any():
                 b = int((np.flatnonzero(wrapped.any(axis=1)) % n_pairs).min())
                 raise Overflow(f"pair {b}: subsequence count exceeds uint64; use the log domain")
-            T[j, :, 1:] = cur
         return T
 
     if domain == "float":  # inf marks an overflowed cell and stays inf downstream
@@ -123,15 +125,15 @@ def _sweep(xts: list[np.ndarray], x0s: list[np.ndarray], domain: str, n_pairs: i
     raise ValueError(f"unknown domain {domain!r}")
 
 
-def _per_pair(pairs, vocab_size: int, domain: str, fuse) -> list:
-    """fuse(A, Bsu, x0, n_cell, vocab_size, domain) for each pair, from one sweep.
+def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
+    """Each pair's NRatioMatrix (ratios) or insertion-count grid, from one sweep.
 
     The sweep runs over the pairs (rows 0..B-1) followed by their reverses
     (rows B..2B-1); for pair b with n = |x_t| and m = |x_0|
       A[j, i]   = N(xt[:i+1], x0[:j])      (prefix terms)
       Bsu[j, i] = N(xt[i+1:], x0[j+1:])    (suffix terms, from the reverse)
-    for 0 <= j < m, 0 <= i < n, and n_cell = N(xt, x0).  Errors are re-raised
-    with the offending pair index.
+    for 0 <= j < m, 0 <= i < n, and n_cell = N(xt, x0).  Exact fuses the whole
+    batch at once, float and log pair by pair.  Errors name the pair.
     """
     pairs = list(pairs)
     if not pairs:
@@ -141,6 +143,9 @@ def _per_pair(pairs, vocab_size: int, domain: str, fuse) -> list:
     _check_vocab(xts + x0s, vocab_size)
     B = len(pairs)
     T = _sweep(xts + [x[::-1] for x in xts], x0s + [x[::-1] for x in x0s], domain, B)
+    if domain == "exact":
+        return _fuse_exact(T, xts, x0s, vocab_size, ratios)
+    fuse = _fuse_float if domain == "float" else _fuse_log_counts
     out = []
     for b, (xt, x0) in enumerate(zip(xts, x0s)):
         n, m = len(xt), len(x0)
@@ -148,26 +153,58 @@ def _per_pair(pairs, vocab_size: int, domain: str, fuse) -> list:
         # trimmed before the flip, which must not wrap when n or m is 0
         Bsu = T[: m + 1, B + b, : n + 1][m - 1 :: -1, n - 1 :: -1]
         try:
-            out.append(fuse(A, Bsu, x0, T[m, b, n], vocab_size, domain))
+            out.append(_ratios(A, Bsu, x0, T[m, b, n], vocab_size, domain) if ratios
+                       else fuse(A, Bsu, x0, vocab_size))
         except (NotASubsequence, Overflow) as e:
             raise type(e)(f"pair {b}: {e}") from None
     return out
 
 
-def _fuse_exact(A, Bsu, x0: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Insertion-count grid (n, V) from the prefix and suffix terms, checked uint64."""
-    prod = A * Bsu
-    nz = A != 0
-    if np.any(nz & (prod // np.where(nz, A, _U64(1)) != Bsu)):
-        raise Overflow("insertion-count product exceeds uint64; use the log domain")
-    counts_v = np.zeros((vocab_size, A.shape[1]), dtype=_U64)
-    for j in range(len(x0)):  # checked accumulation, one x_0 position at a time
-        row = counts_v[x0[j]]
-        new = row + prod[j]
-        if (new < prod[j]).any():
-            raise Overflow("insertion-count sum exceeds uint64; use the log domain")
-        counts_v[x0[j]] = new
-    return counts_v.T  # (n, V)
+def _fuse_exact(T, xts, x0s, vocab_size: int, ratios: bool) -> list:
+    """The exact _per_pair fuse of a whole batch, from its uint64 sweep T.
+
+    Each x_0 position j of each pair b gives the row A[j] * Bsu[j]; the rows,
+    sorted by (b, x0[j]), are summed by one reduceat.  A product counts pairs
+    of embeddings (xt[:i+1] into x0[:j], xt[i+1:] into x0[j+1:]), each a
+    distinct embedding of xt, so it is at most n_cell.  A grid sums to at most
+    n_cell * (m - n), so its sums are checked, in 32-bit halves, only when
+    that reaches 2**64.
+    """
+    B = len(xts)
+    ns, ms = (np.array([len(x) for x in xs]) for xs in (xts, x0s))
+    n_cells = T[ms, np.arange(B), ns]
+    pair = np.repeat(np.arange(B), ms)
+    j = np.arange(len(pair)) - np.repeat(np.cumsum(ms) - ms, ms)
+    keys = pair * vocab_size + np.concatenate(x0s)
+    order = np.argsort(keys)
+    pair, j, keys = pair[order], j[order], keys[order]
+    # suffix columns i >= n index garbage, even wrap negative; their prefix terms are 0
+    i = np.arange(T.shape[2] - 1)
+    prod = T[j, pair, 1:]
+    prod *= T[(ms[pair] - 1 - j)[:, None], (B + pair)[:, None], ns[pair, None] - 1 - i]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.zeros((B * vocab_size, len(i)), dtype=_U64)
+    counts[keys[starts]] = np.add.reduceat(prod, starts, axis=0)
+
+    bad_sum = np.zeros(B, dtype=bool)
+    if np.any(n_cells > np.iinfo(_U64).max // np.maximum(ms - ns, 1).astype(_U64)):
+        lo = np.add.reduceat(prod & _U64(0xFFFFFFFF), starts, axis=0)
+        hi = np.add.reduceat(prod >> _U64(32), starts, axis=0)
+        wrapped = ((hi + (lo >> _U64(32))) >> _U64(32)).any(axis=1)
+        bad_sum[keys[starts][wrapped] // vocab_size] = True
+    bad = bad_sum | (ratios & (n_cells == 0))
+    if bad.any():
+        b = int(np.argmax(bad))
+        if bad_sum[b]:
+            raise Overflow(f"pair {b}: insertion-count sum exceeds uint64; use the log domain")
+        raise NotASubsequence(f"pair {b}: N(x_t, x_0) == 0")
+
+    counts = counts.reshape(B, vocab_size, len(i))
+    if ratios:
+        counts = counts.astype(np.float64) / n_cells.astype(np.float64)[:, None, None]
+    # each grid (n, V) is the transpose of a contiguous (V, n) block, as the float fuse gives
+    grids = [np.ascontiguousarray(counts[b, :, :n]).T for b, n in enumerate(ns)]
+    return [NRatioMatrix(g, "exact") for g in grids] if ratios else grids
 
 
 def _fuse_float(A, Bsu, x0: np.ndarray, vocab_size: int) -> np.ndarray:
@@ -205,14 +242,8 @@ def _fuse_log_ratios(A, Bsu, x0: np.ndarray, vocab_size: int, log_n: float) -> n
     return acc.T
 
 
-def _counts(A, Bsu, x0, n_cell, vocab_size: int, domain: str) -> np.ndarray:
-    """One pair's grid for batched_insertion_counts."""
-    fuse = {"exact": _fuse_exact, "float": _fuse_float}.get(domain, _fuse_log_counts)
-    return fuse(A, Bsu, x0, vocab_size)
-
-
 def _ratios(A, Bsu, x0, n_cell, vocab_size: int, domain: str) -> NRatioMatrix:
-    """One pair's ratios for batched_n_ratios; needs n_cell = N(x_t, x_0) > 0."""
+    """One pair's float or log ratios for batched_n_ratios; needs n_cell > 0."""
     if domain == "log":
         if is_log_zero(n_cell):
             raise NotASubsequence("N(x_t, x_0) == 0")
@@ -221,8 +252,7 @@ def _ratios(A, Bsu, x0, n_cell, vocab_size: int, domain: str) -> NRatioMatrix:
         raise NotASubsequence("N(x_t, x_0) == 0")
     if not math.isfinite(n_cell):
         raise Overflow("subsequence count exceeds float64; use the log domain")
-    counts = _counts(A, Bsu, x0, n_cell, vocab_size, domain)
-    return NRatioMatrix(counts.astype(np.float64, copy=False) / float(n_cell), domain)
+    return NRatioMatrix(_fuse_float(A, Bsu, x0, vocab_size) / float(n_cell), domain)
 
 
 def _check_vocab(arrs, vocab_size: int) -> None:
@@ -344,12 +374,12 @@ def batched_n_ratios(pairs, vocab_size: int, domain: str = "exact") -> list[NRat
     Elementwise identical to the per-pair loop (bitwise so in exact mode);
     per-pair errors are re-raised with the offending pair index.
     """
-    return _per_pair(pairs, vocab_size, domain, _ratios)
+    return _per_pair(pairs, vocab_size, domain, ratios=True)
 
 
 def batched_insertion_counts(pairs, vocab_size: int, domain: str = "exact") -> list[np.ndarray]:
     """insertion_counts over a batch, sharing one table sweep."""
-    return _per_pair(pairs, vocab_size, domain, _counts)
+    return _per_pair(pairs, vocab_size, domain, ratios=False)
 
 
 def _ladder(op, *args):

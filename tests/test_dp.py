@@ -335,3 +335,84 @@ def test_float_ratios_track_log_on_long_pairs():
         big = ref.ratios > 1e-250
         assert np.max(np.abs(got.ratios[big] - ref.ratios[big]) / ref.ratios[big]) <= 1e-12
         assert got.grand_sum == pytest.approx(len(x_0) - len(x_t), rel=1e-9)
+
+
+# --- where the exact domain can wrap -----------------------------------------
+
+def a(k, bos=True):
+    return (BOS,) * bos + (1,) * k
+
+
+def test_rows_up_to_67_cannot_wrap():
+    # C(67, 33) < 2**64 < C(68, 34): the largest cell of the unchecked rows fits
+    want = math.comb(67, 33)
+    assert want < 2**64 < math.comb(68, 34)
+    x_t, x_0 = a(33), a(67)
+    assert subsequence_count(x_t, x_0) == want
+    assert int(prefix_table(x_t, x_0).final) == want
+    assert int(suffix_table(x_t, x_0).final) == want
+    # inserting one more a gives a^34, and C(67, 34) == C(67, 33)
+    assert np.all(insertion_counts(x_t, x_0, 2)[:, 1] == want)
+    # without bos, row 68 already holds C(68, 34) and must be checked
+    with pytest.raises(Overflow):
+        subsequence_count(a(34, bos=False), a(68, bos=False))
+
+
+def test_row_past_the_bound_overflows_and_names_its_pair():
+    x_t, x_0 = a(34), a(68)
+    with pytest.raises(Overflow):
+        subsequence_count(x_t, x_0)
+    for op in (batched_n_ratios, batched_insertion_counts):
+        with pytest.raises(Overflow, match="^pair 1: subsequence count exceeds uint64"):
+            op([(a(1), a(2)), (x_t, x_0)], 2, "exact")
+    assert n_ratios_auto(x_t, x_0, 2).domain == "float"
+
+
+def test_grid_sum_bound_fails_but_every_cell_fits():
+    x_t, x_0 = a(28), a(63)
+    n = math.comb(63, 28)
+    assert n * (len(x_0) - len(x_t)) >= 2**64  # the sums get checked
+    assert np.all(insertion_counts(x_t, x_0, 2)[:, 1] == math.comb(63, 29))
+    mat = n_ratios_auto(x_t, x_0, 2)
+    assert mat.domain == "exact"
+    assert mat.grand_sum == pytest.approx(35.0, rel=1e-12)
+
+
+def test_grid_cell_past_uint64_overflows_and_names_its_pair():
+    wraps = (a(30), a(68))  # N = C(68, 30) fits, each cell C(68, 31) does not
+    assert subsequence_count(*wraps) == math.comb(68, 30)
+    for b in range(3):
+        batch = [(a(1), a(3))] * 3
+        batch[b] = wraps
+        for op in (batched_n_ratios, batched_insertion_counts):
+            with pytest.raises(Overflow) as exc:
+                op(batch, 2, "exact")
+            assert str(exc.value) == f"pair {b}: insertion-count sum exceeds uint64; use the log domain"
+    assert n_ratios_auto(*wraps, 2).domain == "float"
+
+
+def test_mixed_batch_errors_come_in_pair_order():
+    absent, wraps = ((BOS, 2), a(3)), (a(30), a(68))
+    sum_msg = "insertion-count sum exceeds uint64; use the log domain"
+    with pytest.raises(NotASubsequence, match=r"^pair 0: N\(x_t, x_0\) == 0$"):
+        batched_n_ratios([absent, wraps], 3, "exact")
+    with pytest.raises(Overflow, match=f"^pair 1: {sum_msg}$"):
+        batched_insertion_counts([absent, wraps], 3, "exact")
+    for op in (batched_n_ratios, batched_insertion_counts):
+        with pytest.raises(Overflow, match=f"^pair 0: {sum_msg}$"):
+            op([wraps, absent], 3, "exact")
+
+
+@given(st.one_of(seq_pair(), st.tuples(
+    st.lists(st.integers(1, 2), max_size=8), st.lists(st.integers(1, 2), max_size=24),
+).map(lambda p: ((BOS,) + tuple(p[0]), (BOS,) + tuple(p[1])))))
+def test_prefix_times_suffix_term_never_exceeds_n(pair):
+    # why the exact fuse has no product check: A[j, i] * Bsu[j, i] counts
+    # distinct embeddings of x_t into x_0 (those that skip x_0[j])
+    x_t, x_0 = pair
+    pre = prefix_table(x_t, x_0).values
+    suf = suffix_table(x_t, x_0).values
+    n = int(pre[-1, -1])
+    for j in range(len(x_0)):
+        for i in range(len(x_t)):
+            assert int(pre[i + 1, j]) * int(suf[i + 1, j + 1]) <= n
