@@ -339,7 +339,8 @@ def test_float_ratios_track_log_on_long_pairs():
 
 # --- where the exact domain can wrap -----------------------------------------
 
-def a(k, bos=True):
+def a_pow(k, bos=True):
+    """a^k as token 1 repeated k times, after bos unless bos=False."""
     return (BOS,) * bos + (1,) * k
 
 
@@ -347,7 +348,7 @@ def test_rows_up_to_67_cannot_wrap():
     # C(67, 33) < 2**64 < C(68, 34): the largest cell of the unchecked rows fits
     want = math.comb(67, 33)
     assert want < 2**64 < math.comb(68, 34)
-    x_t, x_0 = a(33), a(67)
+    x_t, x_0 = a_pow(33), a_pow(67)
     assert subsequence_count(x_t, x_0) == want
     assert int(prefix_table(x_t, x_0).final) == want
     assert int(suffix_table(x_t, x_0).final) == want
@@ -355,21 +356,21 @@ def test_rows_up_to_67_cannot_wrap():
     assert np.all(insertion_counts(x_t, x_0, 2)[:, 1] == want)
     # without bos, row 68 already holds C(68, 34) and must be checked
     with pytest.raises(Overflow):
-        subsequence_count(a(34, bos=False), a(68, bos=False))
+        subsequence_count(a_pow(34, bos=False), a_pow(68, bos=False))
 
 
 def test_row_past_the_bound_overflows_and_names_its_pair():
-    x_t, x_0 = a(34), a(68)
+    x_t, x_0 = a_pow(34), a_pow(68)
     with pytest.raises(Overflow):
         subsequence_count(x_t, x_0)
     for op in (batched_n_ratios, batched_insertion_counts):
         with pytest.raises(Overflow, match="^pair 1: subsequence count exceeds uint64"):
-            op([(a(1), a(2)), (x_t, x_0)], 2, "exact")
+            op([(a_pow(1), a_pow(2)), (x_t, x_0)], 2, "exact")
     assert n_ratios_auto(x_t, x_0, 2).domain == "float"
 
 
 def test_grid_sum_bound_fails_but_every_cell_fits():
-    x_t, x_0 = a(28), a(63)
+    x_t, x_0 = a_pow(28), a_pow(63)
     n = math.comb(63, 28)
     assert n * (len(x_0) - len(x_t)) >= 2**64  # the sums get checked
     assert np.all(insertion_counts(x_t, x_0, 2)[:, 1] == math.comb(63, 29))
@@ -379,10 +380,10 @@ def test_grid_sum_bound_fails_but_every_cell_fits():
 
 
 def test_grid_cell_past_uint64_overflows_and_names_its_pair():
-    wraps = (a(30), a(68))  # N = C(68, 30) fits, each cell C(68, 31) does not
+    wraps = (a_pow(30), a_pow(68))  # N = C(68, 30) fits, each cell C(68, 31) does not
     assert subsequence_count(*wraps) == math.comb(68, 30)
     for b in range(3):
-        batch = [(a(1), a(3))] * 3
+        batch = [(a_pow(1), a_pow(3))] * 3
         batch[b] = wraps
         for op in (batched_n_ratios, batched_insertion_counts):
             with pytest.raises(Overflow) as exc:
@@ -392,7 +393,7 @@ def test_grid_cell_past_uint64_overflows_and_names_its_pair():
 
 
 def test_mixed_batch_errors_come_in_pair_order():
-    absent, wraps = ((BOS, 2), a(3)), (a(30), a(68))
+    absent, wraps = ((BOS, 2), a_pow(3)), (a_pow(30), a_pow(68))
     sum_msg = "insertion-count sum exceeds uint64; use the log domain"
     with pytest.raises(NotASubsequence, match=r"^pair 0: N\(x_t, x_0\) == 0$"):
         batched_n_ratios([absent, wraps], 3, "exact")
