@@ -13,8 +13,8 @@ Two losses share the same weighting and target ratios:
 
 Both return a LossBreakdown whose total is weight * sum(per_position),
 with weight = sigma(t) * survival / (1 - survival) = 1/t (process's schedule).
-Both validate their inputs and then call loss_from_ratios, which the
-scorer's training path also uses on precomputed ratios.
+Both validate their inputs and call loss_from_ratios, which totals
+row_loss_sums, the one home of the terms; scorer's training calls it too.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ def _check_scores(scores, x_t: Sequence) -> np.ndarray:
     return scores
 
 
-def loss_from_ratios(mode: str, s: np.ndarray, r: np.ndarray, weight: float) -> LossBreakdown:
-    """The mode's loss (module docstring) of scores s against ratios r, unvalidated."""
+def row_loss_sums(mode: str, s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Unweighted, unvalidated per-row sums of the mode's terms; rows may stack many pairs."""
     pos = r > 0.0
     if mode == "dise":
         terms = s.copy()
@@ -73,7 +73,12 @@ def loss_from_ratios(mode: str, s: np.ndarray, r: np.ndarray, weight: float) -> 
     else:
         terms = np.zeros_like(s)
         terms[pos] = r[pos] * (np.log(r[pos]) - np.log(s[pos]))
-    per_position = terms.sum(axis=1)
+    return terms.sum(axis=1)
+
+
+def loss_from_ratios(mode: str, s: np.ndarray, r: np.ndarray, weight: float) -> LossBreakdown:
+    """The mode's loss of one pair's scores s against its ratios r, unvalidated."""
+    per_position = row_loss_sums(mode, s, r)
     return LossBreakdown(weight * float(per_position.sum()), per_position, weight)
 
 

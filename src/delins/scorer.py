@@ -16,13 +16,14 @@ gap, so the slot is free).  Two output heads:
 
 Gradients are closed-form (the losses are convex in the logits for dice
 and per-cell convex for dise), so training needs no autodiff framework.
+Training takes a batch's loss and gradient from one call on its packed gaps.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .errors import (
     ShapeMismatch,
     VersionMismatch,
 )
-from .objective import DICE_NORM_TOL, T_MIN, LossBreakdown, loss_from_ratios, loss_weight
+from .objective import DICE_NORM_TOL, T_MIN, LossBreakdown, loss_weight, row_loss_sums
 from .process import forward_sample
 from .seqcore import Corpus, Sequence, atomic_open
 
@@ -102,17 +103,17 @@ def time_bucket(t: float) -> int:
     return min(int(t * N_BUCKETS), N_BUCKETS - 1)
 
 
-def _gap_contexts(x_t: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.asarray(x_t.ids, dtype=np.int64)
+def _gap_contexts(ids: np.ndarray) -> np.ndarray:
+    """Right contexts of the gaps of ids, one sequence or several packed; ids are the lefts."""
     rights = np.empty_like(ids)
-    rights[:-1] = ids[1:]
+    rights[:-1] = ids[1:]  # a last gap meets the next sequence's bos, which is END_SLOT
     rights[-1] = END_SLOT
-    return ids, rights
+    return rights
 
 
 def _logits(params: ScorerParams, x_t: Sequence, t: float | None) -> np.ndarray:
-    lefts, rights = _gap_contexts(x_t)
-    z = params.theta[lefts, rights, :]
+    lefts = np.asarray(x_t.ids, dtype=np.int64)
+    z = params.theta[lefts, _gap_contexts(lefts), :]
     if params.mode == "dise":
         if t is None:
             raise ModeMismatch("dise scores are time-dependent; pass t")
@@ -146,43 +147,64 @@ def score(params: ScorerParams, x_t: Sequence, t: float | None = None) -> Insert
     return InsertionScoreMatrix(m * _insertable_softmax(z), "dice")
 
 
+def _segment_sums(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sums of the segments a[starts[b]:starts[b + 1]], each bitwise equal to its .sum().
+
+    reduceat adds a first element to the pairwise sum of the rest; a zero in
+    front of each segment turns that into the pairwise sum .sum() takes.
+    """
+    return np.add.reduceat(np.insert(a, starts, 0.0), starts + np.arange(len(starts)))
+
+
 def _loss_grad_from_ratios(
-    params: ScorerParams, x_t: Sequence, ratios: np.ndarray, t: float
-) -> tuple[LossBreakdown, Gradient]:
-    """objective.loss_from_ratios plus d loss / d (theta, time bias).
+    params: ScorerParams, xts: list[Sequence], ratios: list[np.ndarray], ts: list[float]
+) -> tuple[np.ndarray, np.ndarray, Gradient]:
+    """Per-pair losses, per-gap loss sums and the summed gradient of a packed batch.
+
+    Pair b is (xts[b], ratios[b], ts[b]); all gaps are rows of one unpadded
+    array, and pair b's loss has the bits objective.loss_from_ratios gives it.
 
     dise: d/dz of the bracket is simply (s - r) because s = exp(z).
     dice: the normalizer makes this a softmax cross-entropy with total
     target mass sum(r); d/dz = sum(r) * softmax - r, independent of the
-    constant K - |x_t| factor.
+    constant K - |x_t| factor.  Softmax and masses are per pair, as in score.
     """
-    w = loss_weight(t)
-    z = _logits(params, x_t, t)
-    if params.mode == "dise":
-        s = np.exp(z)
-        g_z = w * (s - ratios)
-    else:
-        m_model = params.k - x_t.content_len
-        m_target = float(ratios.sum())
-        if abs(m_model - m_target) > DICE_NORM_TOL:
-            raise NormalizationViolation(
-                f"model is normalized for {m_model} missing tokens, targets say {m_target}"
-            )
-        p = _insertable_softmax(z)
-        s = m_model * p
-        g_z = w * (m_target * p - ratios)
-        g_z[:, 0] = 0.0  # the bos column carries no model mass
-    loss = loss_from_ratios(params.mode, s, ratios, w)
-
+    lefts = np.fromiter(chain.from_iterable(x.ids for x in xts), np.int64)
+    rights = _gap_contexts(lefts)
+    lens = np.array([len(x.ids) for x in xts])
+    starts = np.cumsum(lens) - lens
+    seg = np.repeat(np.arange(len(lens)), lens)  # the pair each row belongs to
+    w = np.array([loss_weight(t) for t in ts])
+    r = np.concatenate(ratios)
+    z = params.theta[lefts, rights, :]
     V = params.vocab_size
+    if params.mode == "dise":
+        buckets = np.array([time_bucket(t) for t in ts])[seg]
+        s = np.exp(z + params.time_bias[buckets])
+        g_z = w[seg, None] * (s - r)
+    else:
+        m_model = params.k - (lens - 1)
+        m_target = _segment_sums(r.reshape(-1), starts * V)
+        bad = np.flatnonzero(np.abs(m_model - m_target) > DICE_NORM_TOL)
+        if bad.size:
+            raise NormalizationViolation(f"model is normalized for {int(m_model[bad[0]])} "
+                                         f"missing tokens, targets say {float(m_target[bad[0]])}")
+        zz = z[:, 1:]
+        e = np.zeros_like(z)
+        e[:, 1:] = np.exp(zz - np.maximum.reduceat(zz.max(axis=1), starts)[seg, None])
+        p = e / _segment_sums(e.reshape(-1), starts * V)[seg, None]
+        s = m_model[seg, None] * p
+        g_z = w[seg, None] * (m_target[seg, None] * p - r)
+        g_z[:, 0] = 0.0  # the bos column carries no model mass
+    per_position = row_loss_sums(params.mode, s, r)
+
     gtheta = np.zeros((V, V, V))
-    lefts, rights = _gap_contexts(x_t)
     np.add.at(gtheta, (lefts, rights), g_z)
     gtb = None
     if params.mode == "dise":
         gtb = np.zeros((N_BUCKETS, V))
-        gtb[time_bucket(t)] = g_z.sum(axis=0)
-    return loss, Gradient(gtheta, gtb)
+        np.add.at(gtb, buckets, g_z)
+    return w * _segment_sums(per_position, starts), per_position, Gradient(gtheta, gtb)
 
 
 def loss_and_grad(
@@ -190,7 +212,8 @@ def loss_and_grad(
 ) -> tuple[LossBreakdown, Gradient]:
     """Loss of (x_t, x_0) at time t and its gradient in the params."""
     ratios = dp.n_ratios_auto(x_t, x_0, params.vocab_size).ratios
-    return _loss_grad_from_ratios(params, x_t, ratios, t)
+    totals, per_position, grad = _loss_grad_from_ratios(params, [x_t], [ratios], [t])
+    return LossBreakdown(float(totals[0]), per_position, loss_weight(t)), grad
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +258,12 @@ def train(
     Required config keys: epochs, batch, lr, optimizer ("sgd" | "adam"); seed
     is optional.  Forward draws use process's fixed schedule.  Batches are
     drawn by reshuffling the corpus each epoch; each sequence gets an
-    independent (t, x_t) draw, and the batch's targets come from one
-    dp.batched_n_ratios_auto call.  Everything runs sequentially in a fixed
-    order, so a fixed seed reproduces the metric stream bit for bit.
-    on_step, when given, is called with each metric dict as it is produced
-    (for streaming progress elsewhere).
+    independent (t, x_t) draw, the batch's targets come from one
+    dp.batched_n_ratios_auto call and its loss and gradient from one packed
+    _loss_grad_from_ratios call.  Metric dicts hold step, epoch, loss and
+    domain, the DP rung the batch took.  Everything runs sequentially in a
+    fixed order, so a fixed seed reproduces the metric stream bit for bit.
+    on_step, when given, is called with each metric dict as it is produced.
     """
     if not corpus.sequences:
         raise ConfigError("empty corpus")
@@ -288,17 +312,12 @@ def train(
             mats = dp.batched_n_ratios_auto(
                 [(x_t, x_0) for x_t, x_0, _ in draws], out.vocab_size
             )
-            loss_sum = 0.0
-            gsum = [np.zeros_like(a) for a in arrays]
-            for (x_t, x_0, t), mat in zip(draws, mats):
-                loss, grad = _loss_grad_from_ratios(out, x_t, mat.ratios, t)
-                loss_sum += loss.total
-                gsum[0] += grad.theta
-                if grad.time_bias is not None:
-                    gsum[1] += grad.time_bias
+            xts, _, ts = zip(*draws)
+            totals, _, grad = _loss_grad_from_ratios(out, xts, [m.ratios for m in mats], ts)
             n = len(draws)
-            opt.step(arrays, [g / n for g in gsum])
-            metrics.append({"step": step, "epoch": epoch, "loss": loss_sum / n})
+            opt.step(arrays, [g / n for g in (grad.theta, grad.time_bias) if g is not None])
+            loss = float(totals.sum()) / n
+            metrics.append({"step": step, "epoch": epoch, "loss": loss, "domain": mats[0].domain})
             if on_step is not None:
                 on_step(metrics[-1])
             step += 1

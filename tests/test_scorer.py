@@ -1,14 +1,17 @@
 """Scorer: outputs, closed-form gradients, training loop, checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delins import objective
+from delins import dp, objective
 from delins.errors import (
     ConfigError,
     ModeMismatch,
+    NormalizationViolation,
     ShapeMismatch,
     VersionMismatch,
 )
@@ -16,6 +19,7 @@ from delins.scorer import (
     N_BUCKETS,
     Gradient,
     ScorerParams,
+    _loss_grad_from_ratios,
     gradcheck,
     load,
     loss_and_grad,
@@ -124,6 +128,95 @@ def test_gradcheck_both_modes():
             assert gradcheck(p, x_t, x_0, t) <= 1e-5
 
 
+def mixed_batch(rng, V, mode):
+    """Nine pairs: x_0 of 6 tokens in dice mode and random lengths in dise mode,
+    with a bos-only x_t, repeated contexts and, in dice mode, an x_t that is
+    already complete (m = 0)."""
+    n0s = [6] * 9 if mode == "dice" else [int(n) for n in rng.integers(0, 9, 9)]
+    x0s = [seq(*rng.integers(1, V, n).tolist()) for n in n0s]
+    x0s[3] = x0s[4] = seq(*[A] * 6)  # every inner gap has context (A, A)
+    xts = []
+    for x_0 in x0s:
+        n = x_0.content_len
+        keep = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+        xts.append(seq(*[x_0.content[i] for i in keep.tolist()]))
+    xts[0] = Sequence((0,))
+    if mode == "dice":
+        xts[1] = x0s[1]
+    ts = [float(t) for t in rng.uniform(0.02, 0.98, len(x0s))]
+    return xts, x0s, ts
+
+
+@pytest.mark.parametrize("mode", ["dise", "dice"])
+def test_packed_batch_matches_one_pair_calls(mode):
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        p = rand_params(rng, 4, mode, 6 if mode == "dice" else None)
+        xts, x0s, ts = mixed_batch(rng, 4, mode)
+        ratios = [m.ratios for m in dp.batched_n_ratios_auto(list(zip(xts, x0s)), 4)]
+        totals, per_position, grad = _loss_grad_from_ratios(p, xts, ratios, ts)
+        singles = [loss_and_grad(p, x_t, x_0, t) for x_t, x_0, t in zip(xts, x0s, ts)]
+        np.testing.assert_allclose(totals, [loss.total for loss, _ in singles], rtol=1e-12)
+        rows = np.concatenate([loss.per_position for loss, _ in singles])
+        assert np.array_equal(per_position, rows)
+        tables = [(grad.theta, [g.theta for _, g in singles])]
+        if mode == "dise":
+            tables.append((grad.time_bias, [g.time_bias for _, g in singles]))
+        else:
+            assert grad.time_bias is None
+        for packed, parts in tables:
+            want = sum(parts)
+            np.testing.assert_allclose(packed, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("mode", ["dise", "dice"])
+def test_batch_of_one_is_loss_and_grad(mode):
+    rng = np.random.default_rng(11)
+    p = rand_params(rng, 4, mode, 5 if mode == "dice" else None)
+    x_t, x_0, t = seq(A, 3, A), seq(A, B, 3, A, A), 0.61
+    loss, grad = loss_and_grad(p, x_t, x_0, t)
+    totals, per_position, packed = _loss_grad_from_ratios(
+        p, [x_t], [dp.n_ratios_auto(x_t, x_0, 4).ratios], [t]
+    )
+    assert totals.tolist() == [loss.total]
+    assert np.array_equal(per_position, loss.per_position)
+    assert np.array_equal(packed.theta, grad.theta)
+    if mode == "dise":
+        assert np.array_equal(packed.time_bias, grad.time_bias)
+
+
+@pytest.mark.parametrize("mode", ["dise", "dice"])
+def test_one_pair_loss_is_objective_bit_for_bit_on_long_states(mode):
+    # up to 12 gaps: the pairwise sums behind objective's totals and score's
+    # dice normalizer differ from a plain running sum from 3 terms on
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        x_0 = seq(*rng.integers(1, 4, 12).tolist())
+        keep = np.sort(rng.choice(12, size=int(rng.integers(2, 12)), replace=False))
+        x_t = seq(*[x_0.content[i] for i in keep.tolist()])
+        p = rand_params(rng, 4, mode, 12 if mode == "dice" else None)
+        t = float(rng.uniform(0.02, 0.98))
+        loss = objective.dise_loss if mode == "dise" else objective.dice_loss
+        via_objective = loss(score(p, x_t, t if mode == "dise" else None), x_t, x_0, t)
+        direct, _ = loss_and_grad(p, x_t, x_0, t)
+        assert direct.total == via_objective.total
+        assert np.array_equal(direct.per_position, via_objective.per_position)
+
+
+def test_packed_dice_names_the_first_pair_with_wrong_target_mass():
+    rng = np.random.default_rng(4)
+    p = rand_params(rng, 4, "dice", 6)
+    xts, x0s, ts = mixed_batch(rng, 4, "dice")
+    ratios = [m.ratios for m in dp.batched_n_ratios_auto(list(zip(xts, x0s)), 4)]
+    ratios[2] = 2.0 * ratios[2]
+    ratios[3] = 3.0 * ratios[3]
+    m_model = 6 - xts[2].content_len
+    assert m_model > 0
+    msg = f"model is normalized for {m_model} missing tokens, targets say {float(ratios[2].sum())}"
+    with pytest.raises(NormalizationViolation, match=re.escape(msg)):
+        _loss_grad_from_ratios(p, xts, ratios, ts)
+
+
 def test_gradient_zero_ratio_reduction():
     # x_t == x_0 in dise mode: every target is zero, so the loss is
     # weight * sum(s) and d/dz is weight * s itself
@@ -182,6 +275,20 @@ def test_train_is_deterministic():
     assert np.array_equal(t1.theta, t2.theta)
     assert np.array_equal(t1.time_bias, t2.time_bias)
     assert m1 == m2
+
+
+def test_train_records_name_the_dp_domain():
+    corpus = make_corpus(["ab", "ba", "aa", "bb"], "ab")
+    cfg = {"epochs": 2, "batch": 2, "lr": 0.05, "optimizer": "adam", "seed": 9}
+    _, metrics = train(ScorerParams.init(3, "dise"), corpus, cfg)
+    assert [m["domain"] for m in metrics] == ["exact"] * 4
+
+    # C(80, 40) > 2^64: a half-deleted line of 80 a's has more embeddings
+    # than uint64 holds, so its batch climbs to the float rung
+    corpus = make_corpus(["a" * 80] * 4, "a")
+    cfg = {"epochs": 1, "batch": 4, "lr": 0.05, "optimizer": "adam", "seed": 3}
+    _, metrics = train(ScorerParams.init(2, "dise"), corpus, cfg)
+    assert [m["domain"] for m in metrics] == ["float"]
 
 
 def test_train_data_dependence():
