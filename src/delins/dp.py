@@ -30,6 +30,11 @@ batch of rows.  The suffix table of a pair is the flipped prefix table of the
 reversed pair, so ops that need both tables sweep B pairs followed by their
 B reverses as one batch of 2B rows; counts and prefix tables sweep only the
 pair, suffix tables only its reverse.
+
+Grids and ratios fuse the two tables: cell (i, v) sums, over the x_0
+positions j holding token v, the count of x_t[:i+1] in x_0[:j] times the
+count of x_t[i+1:] in x_0[j+1:].  There are two fuses: _fuse_exact takes a
+whole batch in uint64, and _fuse takes one pair in float64 or the log domain.
 """
 
 from __future__ import annotations
@@ -132,8 +137,9 @@ def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
     (rows B..2B-1); for pair b with n = |x_t| and m = |x_0|
       A[j, i]   = N(xt[:i+1], x0[:j])      (prefix terms)
       Bsu[j, i] = N(xt[i+1:], x0[j+1:])    (suffix terms, from the reverse)
-    for 0 <= j < m, 0 <= i < n, and n_cell = N(xt, x0).  Exact fuses the whole
-    batch at once, float and log pair by pair.  Errors name the pair.
+    for 0 <= j < m, 0 <= i < n, and n_cell = N(xt, x0).  Two fuses turn them
+    into grids: _fuse_exact takes the whole batch at once, _fuse (float and
+    log) one pair at a time.  Errors name the pair.
     """
     pairs = list(pairs)
     if not pairs:
@@ -144,20 +150,19 @@ def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
     B = len(pairs)
     T = _sweep(xts + [x[::-1] for x in xts], x0s + [x[::-1] for x in x0s], domain, B)
     if domain == "exact":
-        return _fuse_exact(T, xts, x0s, vocab_size, ratios)
-    fuse = _fuse_float if domain == "float" else _fuse_log_counts
-    out = []
-    for b, (xt, x0) in enumerate(zip(xts, x0s)):
-        n, m = len(xt), len(x0)
-        A = T[:m, b, 1 : n + 1]
-        # trimmed before the flip, which must not wrap when n or m is 0
-        Bsu = T[: m + 1, B + b, : n + 1][m - 1 :: -1, n - 1 :: -1]
-        try:
-            out.append(_ratios(A, Bsu, x0, T[m, b, n], vocab_size, domain) if ratios
-                       else fuse(A, Bsu, x0, vocab_size))
-        except (NotASubsequence, Overflow) as e:
-            raise type(e)(f"pair {b}: {e}") from None
-    return out
+        grids = _fuse_exact(T, xts, x0s, vocab_size, ratios)
+    else:
+        grids = []
+        for b, (xt, x0) in enumerate(zip(xts, x0s)):
+            n, m = len(xt), len(x0)
+            A = T[:m, b, 1 : n + 1]
+            # trimmed before the flip, which must not wrap when n or m is 0
+            Bsu = T[: m + 1, B + b, : n + 1][m - 1 :: -1, n - 1 :: -1]
+            try:
+                grids.append(_fuse(A, Bsu, x0, T[m, b, n], vocab_size, domain, ratios))
+            except (NotASubsequence, Overflow) as e:
+                raise type(e)(f"pair {b}: {e}") from None
+    return [NRatioMatrix(g, domain) for g in grids] if ratios else grids
 
 
 def _fuse_exact(T, xts, x0s, vocab_size: int, ratios: bool) -> list:
@@ -202,57 +207,45 @@ def _fuse_exact(T, xts, x0s, vocab_size: int, ratios: bool) -> list:
     counts = counts.reshape(B, vocab_size, len(i))
     if ratios:
         counts = counts.astype(np.float64) / n_cells.astype(np.float64)[:, None, None]
-    # each grid (n, V) is the transpose of a contiguous (V, n) block, as the float fuse gives
-    grids = [np.ascontiguousarray(counts[b, :, :n]).T for b, n in enumerate(ns)]
-    return [NRatioMatrix(g, "exact") for g in grids] if ratios else grids
+    # each grid (n, V) is the transpose of a contiguous (V, n) block, as _fuse gives
+    return [np.ascontiguousarray(counts[b, :, :n]).T for b, n in enumerate(ns)]
 
 
-def _fuse_float(A, Bsu, x0: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Float64 insertion-count grid (n, V); Overflow on inf, or on NaN from inf * 0."""
-    counts_v = np.zeros((vocab_size, A.shape[1]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        prod = A * Bsu
-        for v in np.flatnonzero(np.bincount(x0)):  # the tokens of x_0
-            counts_v[v] = prod[x0 == v].sum(axis=0)
-    if not np.isfinite(counts_v).all():
-        raise Overflow("insertion count exceeds float64; use the log domain")
-    return counts_v.T
+def _fuse(A, Bsu, x0: np.ndarray, n_cell, vocab_size: int, domain: str, ratios: bool) -> np.ndarray:
+    """One pair's float or log grid (n, V): insertion counts, or ratios to n_cell.
 
-
-def _fuse_log_counts(A, Bsu, x0: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Log-domain insertion-count grid (n, V), LOG_ZERO for empty cells."""
-    n = A.shape[1]
-    terms = A + Bsu  # log products; dead entries ~ 2*LOG_ZERO
-    shift = float(terms.max()) if terms.size else 0.0
-    if is_log_zero(shift):
-        return np.full((n, vocab_size), LOG_ZERO)
-    lin = np.exp(terms - shift)
-    acc = np.zeros((vocab_size, n))
-    np.add.at(acc, x0, lin)
-    with np.errstate(divide="ignore"):
-        out = np.where(acc > 0.0, np.log(acc) + shift, LOG_ZERO)
-    return out.T
-
-
-def _fuse_log_ratios(A, Bsu, x0: np.ndarray, vocab_size: int, log_n: float) -> np.ndarray:
-    """Ratio grid (n, V) = exp(prefix + suffix - log N), accumulated densely."""
-    lin = np.exp(A + Bsu - log_n)  # each term <= the ratio sum, never overflows
-    acc = np.zeros((vocab_size, A.shape[1]))
-    np.add.at(acc, x0, lin)
-    return acc.T
-
-
-def _ratios(A, Bsu, x0, n_cell, vocab_size: int, domain: str) -> NRatioMatrix:
-    """One pair's float or log ratios for batched_n_ratios; needs n_cell > 0."""
-    if domain == "log":
-        if is_log_zero(n_cell):
-            raise NotASubsequence("N(x_t, x_0) == 0")
-        return NRatioMatrix(_fuse_log_ratios(A, Bsu, x0, vocab_size, float(n_cell)), domain)
-    if n_cell == 0:
+    Cell (i, v) sums the terms of the x_0 positions j holding token v: the
+    products A[j, i] * Bsu[j, i] in float, exp(A + Bsu - shift) in log, where
+    shift is log N for ratios and the largest term for counts (all LOG_ZERO
+    when every term is dead).  Each cell adds its terms in increasing j: a
+    masked axis-0 sum does so row by row, but numpy sums a single column
+    pairwise, so n == 1 takes the running sum.  A float cell past float64
+    (inf, or NaN from inf * 0) raises Overflow.
+    """
+    log = domain == "log"
+    if ratios and (is_log_zero(n_cell) if log else n_cell == 0):
         raise NotASubsequence("N(x_t, x_0) == 0")
-    if not math.isfinite(n_cell):
+    if ratios and not math.isfinite(n_cell):
         raise Overflow("subsequence count exceeds float64; use the log domain")
-    return NRatioMatrix(_fuse_float(A, Bsu, x0, vocab_size) / float(n_cell), domain)
+    n = A.shape[1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if log:
+            terms = A + Bsu  # log products; dead entries ~ 2*LOG_ZERO
+            shift = float(n_cell) if ratios else float(terms.max()) if terms.size else 0.0
+            if is_log_zero(shift):
+                return np.full((n, vocab_size), LOG_ZERO)
+            terms = np.exp(terms - shift)
+        else:
+            terms = A * Bsu
+        acc = np.zeros((vocab_size, n))
+        for v in np.flatnonzero(np.bincount(x0)):  # the tokens of x_0
+            rows = terms[x0 == v]
+            acc[v] = rows.sum(axis=0) if n > 1 else rows.cumsum(axis=0)[-1]
+        if log:
+            return acc.T if ratios else np.where(acc > 0.0, np.log(acc) + shift, LOG_ZERO).T
+    if not np.isfinite(acc).all():
+        raise Overflow("insertion count exceeds float64; use the log domain")
+    return acc.T / float(n_cell) if ratios else acc.T
 
 
 def _check_vocab(arrs, vocab_size: int) -> None:
@@ -265,30 +258,6 @@ def _check_vocab(arrs, vocab_size: int) -> None:
 
 # ---------------------------------------------------------------------------
 # public operations
-
-@dataclass
-class PrefixTable:
-    """values[i, j] = N(x_t[:i], x_0[:j]); uint64, float64 or log-domain float64."""
-
-    values: np.ndarray
-    domain: str
-
-    @property
-    def final(self):
-        return self.values[-1, -1]
-
-
-@dataclass
-class SuffixTable:
-    """values[i, j] = N(x_t[i:], x_0[j:]); uint64, float64 or log-domain float64."""
-
-    values: np.ndarray
-    domain: str
-
-    @property
-    def final(self):
-        return self.values[0, 0]
-
 
 @dataclass
 class NRatioMatrix:
@@ -331,18 +300,16 @@ def brute_count(sub, seq) -> int:
     return rec(0, 0)
 
 
-def prefix_table(x_t, x_0, domain: str = "exact") -> PrefixTable:
-    """Full prefix-count table; cell (|x_t|, |x_0|) is N(x_t, x_0)."""
+def prefix_table(x_t, x_0, domain: str = "exact") -> np.ndarray:
+    """P[i, j] = N(x_t[:i], x_0[:j]), shape (|x_t|+1, |x_0|+1); P[-1, -1] is N(x_t, x_0)."""
     xt, x0 = _ids(x_t), _ids(x_0)
-    T = _sweep([xt], [x0], domain, 1)
-    return PrefixTable(T[:, 0, :].T.copy(), domain)
+    return _sweep([xt], [x0], domain, 1)[:, 0, :].T.copy()
 
 
-def suffix_table(x_t, x_0, domain: str = "exact") -> SuffixTable:
-    """Full suffix-count table; cell (0, 0) is N(x_t, x_0)."""
+def suffix_table(x_t, x_0, domain: str = "exact") -> np.ndarray:
+    """S[i, j] = N(x_t[i:], x_0[j:]), shape (|x_t|+1, |x_0|+1); S[0, 0] is N(x_t, x_0)."""
     xt, x0 = _ids(x_t), _ids(x_0)
-    T = _sweep([xt[::-1]], [x0[::-1]], domain, 1)
-    return SuffixTable(T[::-1, 0, ::-1].T.copy(), domain)
+    return _sweep([xt[::-1]], [x0[::-1]], domain, 1)[::-1, 0, ::-1].T.copy()
 
 
 def subsequence_count(x_t, x_0, domain: str = "exact"):

@@ -26,13 +26,12 @@ import numpy as np
 
 from . import dp
 from .errors import (
-    ConfigError,
     InvalidTimes,
     NonPositiveScore,
     NormalizationViolation,
     ShapeMismatch,
 )
-from .process import forward_sample, sigma, sigma_bar
+from .process import sigma, sigma_bar
 from .seqcore import Sequence
 
 T_MIN = 1e-3  # sampled-time floor; the weight diverges like 1/t at t -> 0
@@ -56,7 +55,7 @@ def loss_weight(t: float) -> float:
 
 
 def _check_scores(scores, x_t: Sequence) -> np.ndarray:
-    scores = np.asarray(getattr(scores, "values", scores), dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] != len(x_t):
         raise ShapeMismatch(
             f"score matrix {scores.shape} does not match {len(x_t)} gaps"
@@ -118,17 +117,3 @@ def dice_loss(scores, x_t: Sequence, x_0: Sequence, t: float) -> LossBreakdown:
         raise NonPositiveScore("zero score at a cell with a positive target")
     return loss_from_ratios("dice", s, r, w)
 
-
-def sample_training_term(x_0: Sequence, rng, mode: str, scorer) -> LossBreakdown:
-    """One Monte-Carlo draw of the training objective for x_0.
-
-    Draws t uniformly on [T_MIN, 1), corrupts x_0 to x_t, and scores the
-    result: scorer(x_t, t) must return a (|x_t|, V) matrix.
-    """
-    if mode not in ("dise", "dice"):
-        raise ConfigError(f"unknown objective mode {mode!r}")
-    t = T_MIN + (1.0 - T_MIN) * float(rng.random())
-    x_t = forward_sample(x_0, 0.0, t, rng).x_t
-    scores = scorer(x_t, t)
-    loss = dise_loss if mode == "dise" else dice_loss
-    return loss(scores, x_t, x_0, t)

@@ -146,12 +146,6 @@ def exact_insertion_matrix(dist: TinyDistribution, x_t: Sequence, t: float) -> n
     return _insertion_matrix_cached(dist, x_t, t)
 
 
-def exact_insertion_score(dist: TinyDistribution, x_t: Sequence, t: float, i: int, v: int) -> float:
-    """Single entry of exact_insertion_matrix."""
-    mat = exact_insertion_matrix(dist, x_t, t)
-    return float(mat[i, v])
-
-
 def _single_insertion_parts(x_t: Sequence, y: Sequence) -> tuple[int, list[int]]:
     """(inserted token, gaps i with Ins(x_t, i, v) == y); NotSingleDeletion otherwise."""
     if len(y) != len(x_t) + 1:

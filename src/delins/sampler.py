@@ -136,7 +136,7 @@ def gap_insertion_probabilities(
     the gaps allowed to insert.  Rows are independent, so the gaps of many
     walkers may be stacked into one call.
     """
-    s = np.array(getattr(scores, "values", scores), dtype=np.float64)
+    s = np.array(scores, dtype=np.float64)
     if s.ndim != 2:
         raise ShapeMismatch(f"score matrix must be 2-d, got shape {s.shape}")
     s[:, 0] = 0.0  # the begin marker is never inserted
@@ -167,7 +167,7 @@ def _leap(xs, t, dt, scores, top_p, rngs, gap_mask, capacity, stats) -> list[Seq
         raise InvalidTimes(f"need 0 < dt <= t, got dt={dt}, t={t}")
     mats = []
     for x, sc in zip(xs, scores):
-        s = np.asarray(getattr(sc, "values", sc), dtype=np.float64)
+        s = np.asarray(sc, dtype=np.float64)
         if s.shape[0] != len(x):
             raise ShapeMismatch(f"{s.shape[0]} score rows for {len(x)} gaps")
         mats.append(s)

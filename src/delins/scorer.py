@@ -47,12 +47,6 @@ END_SLOT = 0  # right-context feature for the last gap; see module docstring
 MODES = ("dise", "dice")
 
 
-@dataclass(frozen=True)
-class InsertionScoreMatrix:
-    values: np.ndarray  # (|x_t|, V)
-    mode: str
-
-
 @dataclass
 class ScorerParams:
     mode: str
@@ -134,17 +128,17 @@ def _insertable_softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def score(params: ScorerParams, x_t: Sequence, t: float | None = None) -> InsertionScoreMatrix:
-    """Model scores for every (gap, token) cell of x_t."""
+def score(params: ScorerParams, x_t: Sequence, t: float | None = None) -> np.ndarray:
+    """Model scores (|x_t|, V) for every (gap, token) cell of x_t."""
     z = _logits(params, x_t, t)
     if params.mode == "dise":
-        return InsertionScoreMatrix(np.exp(z), "dise")
+        return np.exp(z)
     m = params.k - x_t.content_len
     if m < 0:
         raise ShapeMismatch(f"x_t has {x_t.content_len} content tokens, more than k={params.k}")
     if m == 0:
-        return InsertionScoreMatrix(np.zeros_like(z), "dice")
-    return InsertionScoreMatrix(m * _insertable_softmax(z), "dice")
+        return np.zeros_like(z)
+    return m * _insertable_softmax(z)
 
 
 def _segment_sums(a: np.ndarray, starts: np.ndarray) -> np.ndarray:

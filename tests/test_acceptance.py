@@ -62,8 +62,8 @@ def test_c01_count_oracle_sweep_small_world():
     rng = np.random.default_rng(81)
     for _ in range(300):
         x_t, x_0 = random_pair(rng, 8, V)
-        pt = dp.prefix_table(x_t, x_0).values
-        st = dp.suffix_table(x_t, x_0).values
+        pt = dp.prefix_table(x_t, x_0)
+        st = dp.suffix_table(x_t, x_0)
         for i in range(len(x_t) + 1):
             for j in range(len(x_0) + 1):
                 assert int(pt[i, j]) == dp.brute_count(x_t.ids[:i], x_0.ids[:j])

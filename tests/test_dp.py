@@ -48,8 +48,8 @@ def ins(ids, i, v):
 def test_worked_example_count_is_5():
     assert brute_count(BAG, BABGBAG) == 5
     assert subsequence_count(BAG, BABGBAG) == 5
-    assert int(prefix_table(BAG, BABGBAG).final) == 5
-    assert int(suffix_table(BAG, BABGBAG).final) == 5
+    assert int(prefix_table(BAG, BABGBAG)[-1, -1]) == 5
+    assert int(suffix_table(BAG, BABGBAG)[0, 0]) == 5
 
 
 def test_repeated_token_count():
@@ -159,14 +159,14 @@ def test_log_zero_sentinel():
 
 def test_table_orientation():
     tab = prefix_table(BAG, BABGBAG)
-    assert tab.values.shape == (len(BAG) + 1, len(BABGBAG) + 1)
+    assert tab.shape == (len(BAG) + 1, len(BABGBAG) + 1)
     # empty x_t embeds exactly once into anything
-    assert np.all(tab.values[0] == 1)
+    assert np.all(tab[0] == 1)
     # N(x_t[:2], x_0[:2]) = N([bos, b], [bos, b]) = 1
-    assert tab.values[2, 2] == 1
+    assert tab[2, 2] == 1
     suf = suffix_table(BAG, BABGBAG)
-    assert suf.values.shape == tab.values.shape
-    assert np.all(suf.values[len(BAG)] == 1)
+    assert suf.shape == tab.shape
+    assert np.all(suf[len(BAG)] == 1)
 
 
 # --- property tests ----------------------------------------------------------
@@ -201,8 +201,8 @@ def test_log_count_matches_brute(pair):
 @given(seq_pair())
 def test_prefix_suffix_cells_match_brute(pair):
     x_t, x_0 = pair
-    pre = prefix_table(x_t, x_0).values
-    suf = suffix_table(x_t, x_0).values
+    pre = prefix_table(x_t, x_0)
+    suf = suffix_table(x_t, x_0)
     for i in range(len(x_t) + 1):
         for j in range(len(x_0) + 1):
             assert pre[i, j] == brute_count(x_t[:i], x_0[:j])
@@ -265,7 +265,7 @@ def test_log_ratios_track_exact(pair):
 
 def test_monotone_along_x0():
     # extending x_0 can only add embeddings
-    vals = prefix_table(BAG, BABGBAG).values
+    vals = prefix_table(BAG, BABGBAG)
     assert np.all(np.diff(vals.astype(np.int64), axis=1) >= 0)
 
 
@@ -337,6 +337,46 @@ def test_float_ratios_track_log_on_long_pairs():
         assert got.grand_sum == pytest.approx(len(x_0) - len(x_t), rel=1e-9)
 
 
+def test_float_and_log_count_grids_track_exact():
+    rng = np.random.default_rng(8)
+    pairs = [(BAG, BABGBAG)]
+    for vocab_size in (2, 3, 4):
+        pairs += _half_kept_pairs(rng, range(1, 51), vocab_size)
+    # bos-only x_t: a one-column grid, which numpy would sum pairwise
+    content = rng.permutation([1] * 12 + [2] * 19 + [3] * 9)
+    pairs.append(((BOS,), (BOS, *content.tolist())))
+    # |x_0| <= 51, so no table cell, product or grid sum exceeds C(51, 25) < 2**53
+    for x_t, x_0 in pairs:
+        exact = insertion_counts(x_t, x_0, 4)
+        assert np.array_equal(insertion_counts(x_t, x_0, 4, "float"), exact.astype(np.float64))
+        logd = insertion_counts(x_t, x_0, 4, "log")
+        live = exact > 0
+        assert np.array_equal(is_log_zero(logd), ~live)
+        want = exact[live].astype(np.float64)
+        assert np.max(np.abs(np.exp(logd[live]) - want) / want) <= 1e-12
+
+
+def test_one_column_log_grid_adds_terms_in_increasing_j():
+    # x_t's one token recurs in x_0, so a column's terms differ and their order shows
+    x_t, x_0 = (1,), (1, 1, 2, 2, 1, 2, 2, 2, 1, 1, 2, 2, 1, 1, 1, 2, 1, 2, 1)
+    terms = prefix_table(x_t, x_0, "log")[1, :-1] + suffix_table(x_t, x_0, "log")[1, 1:]
+    shift = terms.max()
+    lin = np.exp(terms - shift)
+    want = np.full(3, LOG_ZERO)
+    for v in (1, 2):
+        acc = 0.0
+        for term in lin[np.array(x_0) == v]:
+            acc += term
+        want[v] = np.log(acc) + shift
+    assert np.array_equal(insertion_counts(x_t, x_0, 3, "log")[0], want)
+
+
+def test_non_subsequence_count_grids_are_empty():
+    for x_t, x_0 in (((BOS, 3, 3, 3), BABGBAG), ((BOS, 2, 1), (BOS, 1, 2))):
+        assert np.all(insertion_counts(x_t, x_0, 4, "log") == LOG_ZERO)
+        assert np.all(insertion_counts(x_t, x_0, 4, "float") == 0.0)
+
+
 # --- where the exact domain can wrap -----------------------------------------
 
 def a_pow(k, bos=True):
@@ -350,8 +390,8 @@ def test_rows_up_to_67_cannot_wrap():
     assert want < 2**64 < math.comb(68, 34)
     x_t, x_0 = a_pow(33), a_pow(67)
     assert subsequence_count(x_t, x_0) == want
-    assert int(prefix_table(x_t, x_0).final) == want
-    assert int(suffix_table(x_t, x_0).final) == want
+    assert int(prefix_table(x_t, x_0)[-1, -1]) == want
+    assert int(suffix_table(x_t, x_0)[0, 0]) == want
     # inserting one more a gives a^34, and C(67, 34) == C(67, 33)
     assert np.all(insertion_counts(x_t, x_0, 2)[:, 1] == want)
     # without bos, row 68 already holds C(68, 34) and must be checked
@@ -411,8 +451,8 @@ def test_prefix_times_suffix_term_never_exceeds_n(pair):
     # why the exact fuse has no product check: A[j, i] * Bsu[j, i] counts
     # distinct embeddings of x_t into x_0 (those that skip x_0[j])
     x_t, x_0 = pair
-    pre = prefix_table(x_t, x_0).values
-    suf = suffix_table(x_t, x_0).values
+    pre = prefix_table(x_t, x_0)
+    suf = suffix_table(x_t, x_0)
     n = int(pre[-1, -1])
     for j in range(len(x_0)):
         for i in range(len(x_t)):

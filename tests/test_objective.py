@@ -1,4 +1,4 @@
-"""DISE/DICE losses: closed forms, identities, and the Monte-Carlo sampler."""
+"""DISE/DICE losses: closed forms, identities, and a Monte-Carlo check of the training draw."""
 
 import math
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from delins import oracle
 from delins.dp import n_ratios
 from delins.errors import (
-    ConfigError,
     InvalidTimes,
     NonPositiveScore,
     NormalizationViolation,
@@ -21,9 +20,8 @@ from delins.objective import (
     dice_loss,
     dise_loss,
     loss_weight,
-    sample_training_term,
 )
-from delins.process import transition_prob
+from delins.process import forward_sample, transition_prob
 from delins.seqcore import Sequence
 
 A, B = 1, 2
@@ -155,35 +153,6 @@ def test_objective_matches_oracle_dise_and_prop1():
         assert total >= dse - 1e-9
 
 
-def test_sample_training_term_modes_and_floor():
-    x_0 = seq(A, B, A)
-    rng = np.random.default_rng(3)
-    seen_t = []
-
-    def scorer(x_t, t):
-        seen_t.append(t)
-        return np.full((len(x_t), 3), 0.4)
-
-    for _ in range(300):
-        out = sample_training_term(x_0, rng, "dise", scorer)
-        assert out.total >= -1e-12
-    assert min(seen_t) >= T_MIN
-    with pytest.raises(ConfigError):
-        sample_training_term(x_0, rng, "mse", scorer)
-
-
-def test_sample_training_term_perfect_dice_scorer():
-    x_0 = seq(A, B)
-    rng = np.random.default_rng(11)
-
-    def perfect(x_t, t):
-        return ratios_of(x_t, x_0)
-
-    for _ in range(200):
-        out = sample_training_term(x_0, rng, "dice", perfect)
-        assert out.total == pytest.approx(0.0, abs=1e-10)
-
-
 def test_sample_training_term_matches_quadrature():
     x_0 = seq(A, B)
 
@@ -203,9 +172,13 @@ def test_sample_training_term_matches_quadrature():
         )
         quad += inner / len(mids)
 
+    # the training draw: t uniform on [T_MIN, 1), then x_t from the forward process
     rng = np.random.default_rng(5)
-    draws = np.array(
-        [sample_training_term(x_0, rng, "dise", scorer).total for _ in range(10_000)]
-    )
+    draws = []
+    for _ in range(10_000):
+        t = T_MIN + (1.0 - T_MIN) * float(rng.random())
+        x_t = forward_sample(x_0, 0.0, t, rng).x_t
+        draws.append(dise_loss(scorer(x_t, t), x_t, x_0, t).total)
+    draws = np.array(draws)
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean() - quad) <= 2.0 * se

@@ -22,7 +22,6 @@ from delins.oracle import (
     exact_dise,
     exact_dse,
     exact_insertion_matrix,
-    exact_insertion_score,
     exact_marginal,
     insertion_targets,
     reachable_states,

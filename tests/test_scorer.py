@@ -48,8 +48,8 @@ def rand_params(rng, V, mode, k=None):
 def test_zero_params_dise_scores_are_one():
     p = ScorerParams.init(3, "dise")
     mat = score(p, seq(A, B), t=0.4)
-    assert mat.values.shape == (3, 3)
-    assert np.all(mat.values == 1.0)
+    assert mat.shape == (3, 3)
+    assert np.all(mat == 1.0)
 
 
 def test_dise_requires_time():
@@ -60,7 +60,7 @@ def test_dise_requires_time():
 
 def test_zero_params_dice_is_uniform_over_insertable_cells():
     p = ScorerParams.init(3, "dice", k=4)
-    mat = score(p, seq(A, B)).values
+    mat = score(p, seq(A, B))
     assert mat.sum() == pytest.approx(2.0, abs=1e-12)
     assert np.all(mat[:, 0] == 0.0)
     inner = mat[:, 1:]
@@ -74,7 +74,7 @@ def test_dice_normalization_by_construction(seed, extra):
     k = 3 + extra
     p = rand_params(rng, 3, "dice", k=k)
     x_t = seq(A, B, A)
-    mat = score(p, x_t).values
+    mat = score(p, x_t)
     assert mat.sum() == pytest.approx(k - 3, abs=1e-9)
 
 
@@ -89,7 +89,7 @@ def test_dice_rejects_overlong_state():
 def test_dise_scores_strictly_positive(seed):
     rng = np.random.default_rng(seed)
     p = rand_params(rng, 4, "dise")
-    mat = score(p, seq(A, B, 3, A), t=float(rng.uniform(0.01, 0.99))).values
+    mat = score(p, seq(A, B, 3, A), t=float(rng.uniform(0.01, 0.99)))
     assert np.all(mat > 0.0)
 
 
@@ -225,7 +225,7 @@ def test_gradient_zero_ratio_reduction():
     x = seq(A, B)
     t = 0.5
     loss, grad = loss_and_grad(p, x, x, t)
-    s = score(p, x, t).values
+    s = score(p, x, t)
     assert loss.total == pytest.approx(loss.weight * s.sum(), rel=1e-12)
     assert grad.theta.sum() == pytest.approx(loss.weight * s.sum(), rel=1e-10)
 
