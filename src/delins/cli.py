@@ -32,8 +32,8 @@ from .errors import (
     UnknownSymbol,
     VersionMismatch,
 )
-from .sampler import SamplerConfig, batch_generate
-from .seqcore import Sequence, Vocab, detokenize, load_corpus, scan_vocab, tokenize
+from .sampler import GRID_KINDS, MODES as SAMPLER_MODES, SamplerConfig, batch_generate
+from .seqcore import Sequence, Vocab, _split, detokenize, load_corpus, scan_vocab, tokenize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,8 +58,83 @@ def _bool(raw: str) -> bool:
     raise ConfigError(f"not a boolean: {raw!r}")
 
 
-def _resolve(args, section: str, spec: dict) -> dict:
-    """flag > config file > default, with config values cast per spec."""
+_TOKENIZERS = ("char", "whitespace")
+_DRAWN_SEED = "rng seed (default: drawn from entropy and logged)"
+
+# Every setting of each subcommand, declared once: name -> (cast, default, help).
+# A cast is int, float, str, _bool or a tuple of the allowed strings.  The table
+# makes the flags (max_len is --max-len) and casts, checks and defaults config
+# values.  Help shows a literal default; a None default is absent or computed,
+# and its help says which.  A boolean that defaults on gets a --no- form.
+SETTINGS = {
+    "count": {
+        "domain": (("auto", "exact", "log"), "auto", "arithmetic domain"),
+        "tokenizer": (_TOKENIZERS, "char", "token splitting"),
+        "grid": (_bool, False, "also print the insertion-count grid"),
+    },
+    "train": {
+        "corpus": (str, None, "path to the training text, one sequence per line"),
+        "mode": (scorer_mod.MODES, "dise", "loss mode"),
+        "k": (int, None, "fixed content length (dice; default: first line's length)"),
+        "epochs": (int, 1, "passes over the corpus"),
+        "batch": (int, 32, "minibatch size"),
+        "lr": (float, 0.05, "learning rate"),
+        "optimizer": (tuple(scorer_mod.OPTIMIZERS), "adam", "optimizer"),
+        "tokenizer": (_TOKENIZERS, "char", "token splitting"),
+        "max_len": (int, None, "truncate sequences to this many tokens"),
+        "checkpoint_out": (str, "model.ckpt", "checkpoint path"),
+        "resume": (str, None, "checkpoint to continue from (parameters only)"),
+        "metrics": (str, None, "JSON-lines metrics path (default stdout)"),
+        "timing": (_bool, True, "include wall_ms per step, off for byte-stable streams"),
+        "dry_run": (_bool, False, "validate the configuration and corpus, write nothing"),
+        "seed": (int, None, _DRAWN_SEED),
+    },
+    "sample": {
+        "checkpoint": (str, None, "scorer checkpoint path"),
+        "vocab": (str, None, "vocab path (default: <checkpoint>.vocab)"),
+        "steps": (int, 64, "reverse steps"),
+        "grid": (GRID_KINDS, "uniform", "timestep grid"),
+        "top_p": (float, 1.0, "nucleus threshold in (0,1]"),
+        "count": (int, 16, "number of samples"),
+        "prompt": (str, None, "text every sample must start with"),
+        "sampler_mode": (SAMPLER_MODES, None,
+                         "length handling (default: fixed for dice checkpoints, else variable)"),
+        "k": (int, None, "target content length for fixed mode (default: checkpoint k)"),
+        "tokenizer": (_TOKENIZERS, "char", "token joining"),
+        "out": (str, None, "output path (default stdout)"),
+        "trace": (str, None, "also dump per-sample snapshot traces to this path"),
+        "seed": (int, None, _DRAWN_SEED),
+    },
+    "verify": {
+        "level": (("quick", "full"), "quick", "suite size"),
+    },
+    "bench": {
+        "lengths": (str, "256,512,1024,2048", "comma-separated sequence lengths"),
+        "batch": (int, 4, "pairs per invocation"),
+        "reps": (int, 3, "timed repetitions per length"),
+        "vocab_size": (int, 16, "bench vocabulary size"),
+        "metrics": (str, None, "JSON-lines output path (default stdout)"),
+        "seed": (int, 0, "rng seed for the bench pairs"),
+    },
+}
+
+
+def _from_file(section: str, key: str, raw: str, cast):
+    """A config-file value, cast and checked as its flag would be."""
+    if isinstance(cast, tuple):
+        if raw in cast:
+            return raw
+        want = "one of " + ", ".join(cast)
+    else:
+        try:
+            return cast(raw)
+        except ValueError:
+            want = cast.__name__
+    raise ConfigError(f"config [{section}] {key} = {raw!r} is not {want}")
+
+
+def _resolve(args, section: str) -> dict:
+    """flag > config file > default, for every setting of the section."""
     file_vals: dict[str, str] = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -73,17 +148,12 @@ def _resolve(args, section: str, spec: dict) -> dict:
             detail = "; ".join(str(exc).splitlines())
             raise ConfigError(f"config file {config_path}: {detail}") from None
     out = {}
-    for key, (default, cast) in spec.items():
+    for key, (cast, default, _) in SETTINGS[section].items():
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             out[key] = flag_val
         elif key in file_vals:
-            try:
-                out[key] = cast(file_vals[key])
-            except ValueError:
-                raise ConfigError(
-                    f"config [{section}] {key} = {file_vals[key]!r} is not {cast.__name__}"
-                ) from None
+            out[key] = _from_file(section, key, file_vals[key], cast)
         else:
             out[key] = default
     return out
@@ -126,22 +196,11 @@ def _g6_of_exp(log_n: float) -> str:
 
 
 def cmd_count(args) -> int:
-    cfg = _resolve(args, "count", {
-        "domain": ("auto", str),
-        "tokenizer": ("char", str),
-        "grid": (False, _bool),
-    })
-    symbols = []
-    for text in (args.seq, args.sub):
-        for ch in (text if cfg["tokenizer"] == "char" else text.split()):
-            if ch not in symbols:
-                symbols.append(ch)
-    vocab = Vocab.build(symbols)
+    cfg = _resolve(args, "count")
+    vocab = Vocab.build(_split(args.seq, cfg["tokenizer"]) + _split(args.sub, cfg["tokenizer"]))
     sub = tokenize(args.sub, vocab, cfg["tokenizer"])
     seq = tokenize(args.seq, vocab, cfg["tokenizer"])
     domain = cfg["domain"]
-    if domain not in ("auto", "exact", "log"):
-        raise ConfigError(f"unknown domain {domain!r}")
     try:
         count = dp.linear_count(sub, seq, domain)
     except OverflowError:  # math.exp: the count is beyond float64
@@ -165,27 +224,11 @@ def _read_lines(path) -> list[tuple[int, str]]:
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve(args, "train", {
-        "corpus": (None, str),
-        "mode": ("dise", str),
-        "k": (None, int),
-        "epochs": (1, int),
-        "batch": (32, int),
-        "lr": (0.05, float),
-        "optimizer": ("adam", str),
-        "tokenizer": ("char", str),
-        "max_len": (None, int),
-        "checkpoint_out": ("model.ckpt", str),
-        "resume": (None, str),
-        "seed": (None, int),
-        "metrics": (None, str),
-        "timing": (True, _bool),
-        "dry_run": (False, _bool),
-    })
+    cfg = _resolve(args, "train")
     if not cfg["corpus"]:
         raise ConfigError("train needs --corpus")
-    if cfg["mode"] not in ("dise", "dice"):
-        raise ConfigError(f"unknown loss mode {cfg['mode']!r}")
+    train_cfg = {key: cfg[key] for key in ("epochs", "batch", "lr", "optimizer")}
+    scorer_mod.train_settings(train_cfg)
     seed, drawn = _resolve_seed(cfg["seed"])
     cfg["seed"] = seed
 
@@ -238,16 +281,7 @@ def cmd_train(args) -> int:
             metrics.emit(rec)
 
         trained, _ = scorer_mod.train(
-            params,
-            corpus,
-            {
-                "epochs": cfg["epochs"],
-                "batch": cfg["batch"],
-                "lr": cfg["lr"],
-                "optimizer": cfg["optimizer"],
-                "seed": seed,
-            },
-            on_step=on_step,
+            params, corpus, {**train_cfg, "seed": seed}, on_step=on_step
         )
         scorer_mod.save(trained, cfg["checkpoint_out"])
         vocab.save(cfg["checkpoint_out"] + ".vocab")
@@ -262,21 +296,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    cfg = _resolve(args, "sample", {
-        "checkpoint": (None, str),
-        "vocab": (None, str),
-        "steps": (64, int),
-        "grid": ("uniform", str),
-        "top_p": (1.0, float),
-        "count": (16, int),
-        "prompt": (None, str),
-        "sampler_mode": (None, str),
-        "k": (None, int),
-        "tokenizer": ("char", str),
-        "seed": (None, int),
-        "out": (None, str),
-        "trace": (None, str),
-    })
+    cfg = _resolve(args, "sample")
     if not cfg["checkpoint"]:
         raise ConfigError("sample needs --checkpoint")
     params = scorer_mod.load(cfg["checkpoint"])
@@ -343,7 +363,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _resolve(args, "verify", {"level": ("quick", str)})
+    cfg = _resolve(args, "verify")
     results = verify.run(cfg["level"])
     failed = 0
     for r in results:
@@ -359,19 +379,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _resolve(args, "bench", {
-        "lengths": ("256,512,1024,2048", str),
-        "batch": (4, int),
-        "reps": (3, int),
-        "vocab_size": (16, int),
-        "seed": (0, int),
-        "metrics": (None, str),
-    })
-    lengths = [int(tok) for tok in str(cfg["lengths"]).replace(" ", "").split(",") if tok]
+    cfg = _resolve(args, "bench")
+    tokens = [tok for tok in cfg["lengths"].replace(" ", "").split(",") if tok]
+    if not all(tok.isdecimal() and int(tok) > 0 for tok in tokens):
+        raise ConfigError(f"bench lengths must be positive integers, got {cfg['lengths']!r}")
+    lengths = [int(tok) for tok in tokens]
     if len(set(lengths)) < 2:
         raise ConfigError("bench needs at least 2 distinct lengths to fit an exponent")
     if cfg["batch"] < 1 or cfg["reps"] < 1:
         raise ConfigError("batch and reps must be >= 1")
+    if cfg["vocab_size"] < 2:
+        raise ConfigError(f"vocab_size must be >= 2 (bos and one symbol), got {cfg['vocab_size']}")
     rng = np.random.default_rng(cfg["seed"])
     metrics = _Metrics(cfg["metrics"])
     try:
@@ -413,75 +431,30 @@ def cmd_bench(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="delins", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, func, summary in (
+        ("count", cmd_count, "count subsequence embeddings"),
+        ("train", cmd_train, "train an insertion scorer on a text corpus"),
+        ("sample", cmd_sample, "generate sequences from a checkpoint"),
+        ("verify", cmd_verify, "run self-checks against the exact oracles"),
+        ("bench", cmd_bench, "time the ratio engine and fit a scaling exponent"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        if name == "count":
+            p.add_argument("sub", help="candidate subsequence (may be empty)")
+            p.add_argument("seq", help="full sequence")
+        for key, (cast, default, text) in SETTINGS[name].items():
+            flag = "--" + key.replace("_", "-")
+            if default is not None and default is not False:
+                text += f" (default {'on' if default is True else default})"
+            if cast is _bool:
+                action = argparse.BooleanOptionalAction if default else "store_true"
+                p.add_argument(flag, action=action, default=None, help=text)
+            elif isinstance(cast, tuple):
+                p.add_argument(flag, choices=cast, help=text)
+            else:
+                p.add_argument(flag, type=cast, help=text)
         p.add_argument("--config", help="INI config file; flags override it")
-
-    drawn_seed_help = "rng seed (default: drawn from entropy and logged)"
-
-    p = sub.add_parser("count", help="count subsequence embeddings")
-    p.add_argument("sub", help="candidate subsequence (may be empty)")
-    p.add_argument("seq", help="full sequence")
-    p.add_argument("--domain", choices=["auto", "exact", "log"], help="arithmetic domain (default auto)")
-    p.add_argument("--tokenizer", choices=["char", "whitespace"], help="token splitting (default char)")
-    p.add_argument("--grid", action="store_true", default=None, help="also print the insertion-count grid")
-    common(p)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("train", help="train an insertion scorer on a text corpus")
-    p.add_argument("--corpus", help="path to the training text, one sequence per line")
-    p.add_argument("--mode", choices=["dise", "dice"], help="loss mode (default dise)")
-    p.add_argument("--k", type=int, help="fixed content length (dice; default: first line's length)")
-    p.add_argument("--epochs", type=int, help="passes over the corpus (default 1)")
-    p.add_argument("--batch", type=int, help="minibatch size (default 32)")
-    p.add_argument("--lr", type=float, help="learning rate (default 0.05)")
-    p.add_argument("--optimizer", choices=["sgd", "adam"], help="optimizer (default adam)")
-    p.add_argument("--tokenizer", choices=["char", "whitespace"], help="token splitting (default char)")
-    p.add_argument("--max-len", type=int, dest="max_len", help="truncate sequences to this many tokens")
-    p.add_argument("--checkpoint-out", dest="checkpoint_out", help="checkpoint path (default model.ckpt)")
-    p.add_argument("--resume", help="checkpoint to continue from (parameters only)")
-    p.add_argument("--metrics", help="JSON-lines metrics path (default stdout)")
-    p.add_argument("--timing", action=argparse.BooleanOptionalAction, default=None,
-                   help="include wall_ms per step (default on; disable for byte-stable streams)")
-    p.add_argument("--dry-run", action="store_true", default=None, dest="dry_run",
-                   help="validate the configuration and corpus, write nothing")
-    p.add_argument("--seed", type=int, help=drawn_seed_help)
-    common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("sample", help="generate sequences from a checkpoint")
-    p.add_argument("--checkpoint", help="scorer checkpoint path")
-    p.add_argument("--vocab", help="vocab path (default: <checkpoint>.vocab)")
-    p.add_argument("--steps", type=int, help="reverse steps (default 64)")
-    p.add_argument("--grid", choices=["uniform", "cosine"], help="timestep grid (default uniform)")
-    p.add_argument("--top-p", type=float, dest="top_p", help="nucleus threshold in (0,1] (default 1.0)")
-    p.add_argument("--count", type=int, help="number of samples (default 16)")
-    p.add_argument("--prompt", help="text every sample must start with")
-    p.add_argument("--sampler-mode", choices=["variable", "fixed"], dest="sampler_mode",
-                   help="length handling (default: fixed for dice checkpoints, else variable)")
-    p.add_argument("--k", type=int, help="target content length for fixed mode (default: checkpoint k)")
-    p.add_argument("--tokenizer", choices=["char", "whitespace"], help="token joining (default char)")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--trace", help="also dump per-sample snapshot traces to this path")
-    p.add_argument("--seed", type=int, help=drawn_seed_help)
-    common(p)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("verify", help="run self-checks against the exact oracles")
-    p.add_argument("--level", choices=["quick", "full"], help="suite size (default quick)")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="time the ratio engine and fit a scaling exponent")
-    p.add_argument("--lengths", help="comma-separated sequence lengths (default 256,512,1024,2048)")
-    p.add_argument("--batch", type=int, help="pairs per invocation (default 4)")
-    p.add_argument("--reps", type=int, help="timed repetitions per length (default 3)")
-    p.add_argument("--vocab-size", type=int, dest="vocab_size", help="bench vocabulary size (default 16)")
-    p.add_argument("--metrics", help="JSON-lines output path (default stdout)")
-    p.add_argument("--seed", type=int, help="rng seed for the bench pairs (default 0)")
-    common(p)
-    p.set_defaults(func=cmd_bench)
-
+        p.set_defaults(func=func)
     return parser
 
 

@@ -32,7 +32,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .process import forward_rate, sigma, sigma_bar, transition_prob
-from .seqcore import Sequence
+from .seqcore import BOS_ID, Sequence
 
 MAX_CONTENT_LEN = 4  # per support sequence, excluding bos
 MAX_TOKEN_ID = 3     # bos plus at most three content symbols
@@ -80,7 +80,7 @@ def subsequence_enumeration(x_s: Sequence) -> dict[tuple[int, ...], int]:
     out: dict[tuple[int, ...], int] = {}
     for r in range(len(content) + 1):
         for keep in itertools.combinations(range(len(content)), r):
-            ids = (x_s.bos_id,) + tuple(content[i] for i in keep)
+            ids = (BOS_ID,) + tuple(content[i] for i in keep)
             out[ids] = out.get(ids, 0) + 1
     return out
 

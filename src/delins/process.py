@@ -9,16 +9,19 @@ landing on a particular shorter sequence is that survival probability per
 kept token, times the deletion probability per lost token, times the number
 of distinct ways the shorter sequence embeds into the longer one.  Lengths
 in those formulas exclude the bos marker, which never deletes.
+
+forward_sample draws x_t from x_0 over [0, t], the window training uses; the
+closed forms take any window [s, t].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import compress
 
 from . import dp
 from .errors import InvalidTimes, NotSingleDeletion
-from .seqcore import Sequence
+from .seqcore import BOS_ID, Sequence
 
 # sigma_bar(1) diverges for the log-linear schedule; clamping just below 1
 # removes the singularity without visibly changing any probability.
@@ -37,12 +40,6 @@ def sigma_bar(t: float) -> float:
     return -math.log1p(-t)
 
 
-@dataclass(frozen=True)
-class ForwardSampleResult:
-    x_t: Sequence
-    kept_indices: tuple[int, ...]  # positions within x_0, always starting at 0
-
-
 def _check_times(s: float, t: float) -> None:
     if not (0.0 <= s < t <= 1.0):
         raise InvalidTimes(f"need 0 <= s < t <= 1, got s={s}, t={t}")
@@ -54,19 +51,18 @@ def survival_prob(s: float, t: float) -> float:
     return math.exp(-(sigma_bar(t) - sigma_bar(s)))
 
 
-def forward_sample(x_0: Sequence, s: float, t: float, rng) -> ForwardSampleResult:
-    """Corrupt x_0 from time s to time t by independent token deletion."""
-    _check_times(s, t)
+def forward_sample(x_0: Sequence, t: float, rng) -> Sequence:
+    """x_t: x_0 corrupted from time 0 to time t by independent token deletion.
+
+    One rng.random(n) call draws the n content tokens' survival doubles, the
+    same doubles (in order) as n scalar rng.random() calls.
+    """
+    _check_times(0.0, t)
     if t >= 1.0:
         # survival is (numerically) zero; only the bos marker remains
-        return ForwardSampleResult(Sequence((x_0.ids[0],)), (0,))
-    p = survival_prob(s, t)
-    kept = [0]
-    for i in range(1, len(x_0)):
-        if rng.random() < p:
-            kept.append(i)
-    ids = tuple(x_0.ids[i] for i in kept)
-    return ForwardSampleResult(Sequence(ids), tuple(kept))
+        return Sequence((BOS_ID,))
+    kept = (rng.random(x_0.content_len) < survival_prob(0.0, t)).tolist()
+    return Sequence((BOS_ID, *compress(x_0.content, kept)))
 
 
 def transition_prob(x_t: Sequence, x_s: Sequence, s: float, t: float) -> float:

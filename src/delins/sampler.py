@@ -206,7 +206,7 @@ def _leap(xs, t, dt, scores, top_p, rngs, gap_mask, capacity, stats) -> list[Seq
     for x, st, n, c, end, a in zip(xs, stats, sizes, clamps.tolist(), ends, added.tolist()):
         st.gap_steps += n
         st.clamp_events += c
-        out.append(Sequence(tuple(grown[end - n - a : end]), x.bos_id) if a else x)
+        out.append(Sequence(tuple(grown[end - n - a : end])) if a else x)
     return out
 
 

@@ -37,12 +37,11 @@ from .errors import (
 )
 from .objective import DICE_NORM_TOL, T_MIN, LossBreakdown, loss_weight, row_loss_sums
 from .process import forward_sample
-from .seqcore import Corpus, Sequence, atomic_open
+from .seqcore import BOS_ID, Corpus, Sequence, atomic_open
 
 FORMAT_NAME = "delins-scorer"
 FORMAT_VERSION = 1
 N_BUCKETS = 16
-END_SLOT = 0  # right-context feature for the last gap; see module docstring
 
 MODES = ("dise", "dice")
 
@@ -100,8 +99,8 @@ def time_bucket(t: float) -> int:
 def _gap_contexts(ids: np.ndarray) -> np.ndarray:
     """Right contexts of the gaps of ids, one sequence or several packed; ids are the lefts."""
     rights = np.empty_like(ids)
-    rights[:-1] = ids[1:]  # a last gap meets the next sequence's bos, which is END_SLOT
-    rights[-1] = END_SLOT
+    rights[:-1] = ids[1:]  # a last gap meets the next sequence's bos: the END feature
+    rights[-1] = BOS_ID
     return rights
 
 
@@ -223,8 +222,10 @@ class _Sgd:
 
 
 class _Adam:
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr):
+        self.lr = lr
         self.m = None
         self.v = None
         self.t = 0
@@ -244,23 +245,11 @@ class _Adam:
             a -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def train(
-    params: ScorerParams, corpus: Corpus, config: dict, on_step=None
-) -> tuple[ScorerParams, list[dict]]:
-    """Minibatch training; returns fresh params and a per-step metric list.
+OPTIMIZERS = {"sgd": _Sgd, "adam": _Adam}
 
-    Required config keys: epochs, batch, lr, optimizer ("sgd" | "adam"); seed
-    is optional.  Forward draws use process's fixed schedule.  Batches are
-    drawn by reshuffling the corpus each epoch; each sequence gets an
-    independent (t, x_t) draw, the batch's targets come from one
-    dp.batched_n_ratios_auto call and its loss and gradient from one packed
-    _loss_grad_from_ratios call.  Metric dicts hold step, epoch, loss and
-    domain, the DP rung the batch took.  Everything runs sequentially in a
-    fixed order, so a fixed seed reproduces the metric stream bit for bit.
-    on_step, when given, is called with each metric dict as it is produced.
-    """
-    if not corpus.sequences:
-        raise ConfigError("empty corpus")
+
+def train_settings(config: dict) -> tuple[int, int, float, str]:
+    """(epochs, batch, lr, optimizer) of a training config, each checked."""
     for key in ("epochs", "batch", "lr", "optimizer"):
         if key not in config:
             raise ConfigError(f"training config is missing {key!r}")
@@ -268,11 +257,34 @@ def train(
     batch = int(config["batch"])
     lr = float(config["lr"])
     opt_name = str(config["optimizer"])
-    seed = config.get("seed")
     if epochs < 1 or batch < 1:
         raise ConfigError(f"epochs={epochs} and batch={batch} must be >= 1")
     if lr < 0:
         raise ConfigError("negative learning rate")
+    if opt_name not in OPTIMIZERS:
+        raise ConfigError(f"unknown optimizer {opt_name!r}")
+    return epochs, batch, lr, opt_name
+
+
+def train(
+    params: ScorerParams, corpus: Corpus, config: dict, on_step=None
+) -> tuple[ScorerParams, list[dict]]:
+    """Minibatch training; returns fresh params and a per-step metric list.
+
+    Required config keys: epochs, batch, lr, optimizer ("sgd" | "adam"), as
+    train_settings checks them; seed is optional.  Forward draws use
+    process's fixed schedule.  Batches are drawn by reshuffling the corpus
+    each epoch; each sequence gets an independent (t, x_t) draw, the batch's
+    targets come from one dp.batched_n_ratios_auto call and its loss and
+    gradient from one packed _loss_grad_from_ratios call.  Metric dicts hold
+    step, epoch, loss and domain, the DP rung the batch took.  Everything
+    runs sequentially in a fixed order, so a fixed seed reproduces the
+    metric stream bit for bit.  on_step, when given, is called with each
+    metric dict as it is produced.
+    """
+    if not corpus.sequences:
+        raise ConfigError("empty corpus")
+    epochs, batch, lr, opt_name = train_settings(config)
 
     if params.mode == "dice":
         lens = {s.content_len for s in corpus.sequences}
@@ -283,14 +295,9 @@ def train(
 
     out = params.copy()
     arrays = [out.theta] + ([out.time_bias] if out.time_bias is not None else [])
-    if opt_name == "sgd":
-        opt = _Sgd(lr)
-    elif opt_name == "adam":
-        opt = _Adam(lr)
-    else:
-        raise ConfigError(f"unknown optimizer {opt_name!r}")
+    opt = OPTIMIZERS[opt_name](lr)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.get("seed"))
     metrics: list[dict] = []
     step = 0
     for epoch in range(epochs):
@@ -301,8 +308,7 @@ def train(
             for i in idx:
                 x_0 = corpus.sequences[int(i)]
                 t = T_MIN + (1.0 - T_MIN) * float(rng.random())
-                x_t = forward_sample(x_0, 0.0, t, rng).x_t
-                draws.append((x_t, x_0, t))
+                draws.append((forward_sample(x_0, t, rng), x_0, t))
             mats = dp.batched_n_ratios_auto(
                 [(x_t, x_0) for x_t, x_0, _ in draws], out.vocab_size
             )
@@ -379,14 +385,13 @@ def load(path) -> ScorerParams:
     return ScorerParams(mode, theta, tb, k)
 
 
-def gradcheck(
-    params: ScorerParams, x_t: Sequence, x_0: Sequence, t: float, h: float = 1e-5
-) -> float:
+def gradcheck(params: ScorerParams, x_t: Sequence, x_0: Sequence, t: float) -> float:
     """Max relative error of analytic vs central finite-difference gradients.
 
-    Relative error uses an absolute floor of 1e-8 so near-zero coordinates
-    do not blow the ratio up.
+    The differences step by h = 1e-5.  Relative error uses an absolute floor
+    of 1e-8 so near-zero coordinates do not blow the ratio up.
     """
+    h = 1e-5
     _, grad = loss_and_grad(params, x_t, x_0, t)
     worst = 0.0
 

@@ -9,13 +9,14 @@ Conventions used everywhere in this package:
 * ``len(seq)`` counts all tokens including bos.  Operations that need the
   content length use ``seq.content_len`` (= len - 1) and say so.
 * Token ids are dense integers assigned in first-seen order; bos is always
-  id 0 so that a vocab file can simply list symbols one per line with the
-  line number as the id.
+  id 0 (BOS_ID), so a vocab file simply lists symbols one per line, bos
+  first, with the line number as the id.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .errors import ConfigError, ShapeMismatch, UnknownSymbol
 Token = int  # index into a Vocab
 
 BOS_SYMBOL = "<bos>"
+BOS_ID: Token = 0
 
 
 @contextmanager
@@ -41,16 +43,15 @@ def atomic_open(path, mode: str, **kwargs):
 
 @dataclass(frozen=True)
 class Vocab:
-    """Ordered symbol table. ``symbols[0]`` is the begin marker."""
+    """Ordered symbol table. ``symbols[BOS_ID]`` is the begin marker."""
 
     symbols: tuple[str, ...]
-    bos_id: int = 0
 
     def __post_init__(self):
+        if not self.symbols or self.symbols[BOS_ID] != BOS_SYMBOL:
+            raise ConfigError(f"vocab file must list {BOS_SYMBOL} first")
         if len(set(self.symbols)) != len(self.symbols):
             raise ConfigError("vocab symbols must be unique")
-        if not (0 <= self.bos_id < len(self.symbols)):
-            raise ConfigError("bos_id out of range")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
 
     def __len__(self) -> int:
@@ -63,16 +64,13 @@ class Vocab:
             raise UnknownSymbol(symbol) from None
 
     @staticmethod
-    def build(symbols: list[str]) -> "Vocab":
+    def build(symbols: Iterable[str]) -> "Vocab":
         """Vocab with bos first, then the given symbols in first-seen order."""
-        ordered = [BOS_SYMBOL]
-        seen = {BOS_SYMBOL}
+        ordered = {BOS_SYMBOL: None}  # a dict keeps first-insertion order
         for s in symbols:
             if s == BOS_SYMBOL:
                 raise ConfigError(f"{BOS_SYMBOL!r} is reserved")
-            if s not in seen:
-                seen.add(s)
-                ordered.append(s)
+            ordered.setdefault(s)
         return Vocab(tuple(ordered))
 
     def save(self, path) -> None:
@@ -84,8 +82,6 @@ class Vocab:
     def load(path) -> "Vocab":
         with open(path, encoding="utf-8") as f:
             symbols = [line.rstrip("\n") for line in f if line.rstrip("\n")]
-        if not symbols or symbols[0] != BOS_SYMBOL:
-            raise ConfigError(f"vocab file must list {BOS_SYMBOL} first")
         return Vocab(tuple(symbols))
 
 
@@ -94,12 +90,11 @@ class Sequence:
     """Immutable token-id sequence with the begin marker at index 0."""
 
     ids: tuple[Token, ...]
-    bos_id: Token = 0
 
     def __post_init__(self):
-        if not self.ids or self.ids[0] != self.bos_id:
+        if not self.ids or self.ids[0] != BOS_ID:
             raise ConfigError("sequence must start with the begin marker")
-        if self.bos_id in self.ids[1:]:
+        if BOS_ID in self.ids[1:]:
             raise ConfigError("begin marker may appear only at index 0")
 
     def __len__(self) -> int:
@@ -121,24 +116,20 @@ class Sequence:
         """New sequence with token v inserted after position i (0 = bos gap)."""
         if not (0 <= i < len(self.ids)):
             raise ShapeMismatch(f"gap index {i} out of range for length {len(self.ids)}")
-        return Sequence(self.ids[: i + 1] + (v,) + self.ids[i + 1 :], self.bos_id)
+        return Sequence(self.ids[: i + 1] + (v,) + self.ids[i + 1 :])
 
     @staticmethod
-    def from_content(content, bos_id: Token = 0) -> "Sequence":
-        return Sequence((bos_id, *content), bos_id)
+    def from_content(content) -> "Sequence":
+        return Sequence((BOS_ID, *content))
 
 
 @dataclass
 class Corpus:
     sequences: list[Sequence]
     vocab: Vocab
-    max_len: int | None = None
 
     def __len__(self) -> int:
         return len(self.sequences)
-
-    def lengths(self) -> list[int]:
-        return [len(s) for s in self.sequences]
 
 
 def _split(text: str, mode: str) -> list[str]:
@@ -151,10 +142,10 @@ def _split(text: str, mode: str) -> list[str]:
 
 def tokenize(text: str, vocab: Vocab, mode: str = "char") -> Sequence:
     """Text -> Sequence with bos prepended. Raises UnknownSymbol on OOV."""
-    ids = [vocab.bos_id]
+    ids = [BOS_ID]
     for sym in _split(text, mode):
         ids.append(vocab.id_of(sym))
-    return Sequence(tuple(ids), vocab.bos_id)
+    return Sequence(tuple(ids))
 
 
 def detokenize(seq: Sequence, vocab: Vocab, mode: str = "char") -> str:
@@ -165,19 +156,14 @@ def detokenize(seq: Sequence, vocab: Vocab, mode: str = "char") -> str:
 
 def scan_vocab(path, mode: str = "char") -> Vocab:
     """Build a vocab from a corpus file, ids in first-seen order after bos."""
-    symbols: list[str] = []
-    seen: set[str] = set()
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            for sym in _split(line.rstrip("\n"), mode):
-                if sym not in seen:
-                    seen.add(sym)
-                    symbols.append(sym)
-    return Vocab.build(symbols)
+        return Vocab.build(sym for line in f for sym in _split(line.rstrip("\n"), mode))
 
 
 def load_corpus(path, vocab: Vocab, mode: str = "char", max_len: int | None = None) -> Corpus:
     """One sequence per non-empty line; lines truncated to max_len tokens (incl. bos)."""
+    if max_len is not None and max_len < 1:
+        raise ConfigError(f"max_len must be >= 1 (it counts bos), got {max_len}")
     seqs: list[Sequence] = []
     with open(path, encoding="utf-8") as f:
         for line in f:
@@ -186,6 +172,6 @@ def load_corpus(path, vocab: Vocab, mode: str = "char", max_len: int | None = No
                 continue
             seq = tokenize(text, vocab, mode)
             if max_len is not None and len(seq) > max_len:
-                seq = Sequence(seq.ids[:max_len], vocab.bos_id)
+                seq = Sequence(seq.ids[:max_len])
             seqs.append(seq)
-    return Corpus(seqs, vocab, max_len)
+    return Corpus(seqs, vocab)

@@ -119,7 +119,7 @@ def check_forward_sample_agreement() -> str:
     counts: dict[tuple, int] = {}
     n = 20_000
     for _ in range(n):
-        ids = forward_sample(x_0, 0.0, t, rng).x_t.ids
+        ids = forward_sample(x_0, t, rng).ids
         counts[ids] = counts.get(ids, 0) + 1
     tv = 0.5 * sum(
         abs(counts.get(x.ids, 0) / n - transition_prob(x, x_0, 0.0, t))
@@ -301,8 +301,6 @@ def population_sample(
     steps: int,
     count: int,
     seed: int | None,
-    grid: str = "uniform",
-    top_p: float = 1.0,
 ) -> tuple[dict[tuple, int], dict]:
     """Run `count` oracle-guided walkers at once, grouped by state.
 
@@ -314,7 +312,7 @@ def population_sample(
     Returns final state counts and {gap_steps, clamp_events} totals.
     """
     rng = np.random.default_rng(seed)
-    times = sampler.timestep_grid(steps, grid)
+    times = sampler.timestep_grid(steps)
     population: dict[tuple, int] = {(0,): count}
     dead: dict[tuple, int] = {}
     matrix_cache: dict[tuple, np.ndarray | None] = {}
@@ -336,7 +334,7 @@ def population_sample(
             if mat is None:
                 dead[ids] = dead.get(ids, 0) + c
                 continue
-            p_ins, cond, clamped = sampler.gap_insertion_probabilities(mat, t, dt, top_p)
+            p_ins, cond, clamped = sampler.gap_insertion_probabilities(mat, t, dt)
             gap_steps += len(x) * c
             clamp_events += int(clamped.sum()) * c
             outcomes = _leap_outcomes(p_ins, cond)

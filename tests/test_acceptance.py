@@ -143,7 +143,7 @@ def test_c05_forward_process_correctness():
         counts = {ids: 0 for ids in states}
         draws = 100_000
         for _ in range(draws):
-            counts[forward_sample(x_0, 0.0, t, rng).x_t.ids] += 1
+            counts[forward_sample(x_0, t, rng).ids] += 1
         tv = 0.5 * sum(abs(counts[ids] / draws - exact[ids]) for ids in states)
         assert tv <= 0.01
 

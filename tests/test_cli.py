@@ -199,6 +199,28 @@ def test_train_ragged_dice_corpus_names_the_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_train_dry_run_checks_the_training_settings(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, VARIED)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[train]\noptimizer = rmsprop\n")
+    for extra in (["--config", str(ini)], ["--epochs", "0"], ["--batch", "0"], ["--lr", "-1"]):
+        code, out, err = run_cli(["train", "--corpus", corpus, "--dry-run"] + extra, capsys)
+        assert code == 1, extra
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_train_max_len_below_one_is_usage_error(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, ["abc", "abd"])
+    for max_len in ("-1", "0"):  # -1 once sliced off each line's last token
+        code, out, err = run_cli(
+            ["train", "--corpus", corpus, "--max-len", max_len, "--dry-run"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: max_len") and err.count("\n") == 1
+
+
 def test_train_dice_k_defaults_to_first_line(tmp_path, capsys):
     corpus = write_corpus(tmp_path, FIXED4)
     code, out, _ = run_cli(
@@ -435,6 +457,21 @@ def test_config_file_bad_value_is_usage_error(tmp_path, capsys):
         assert err.startswith("error: config") and err.count("\n") == 1
 
 
+def test_config_value_outside_choices_is_usage_error(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    for text, argv, want in (
+        ("[count]\ndomain = float\n", ["count", "a", "ab"], "[count] domain = 'float'"),
+        ("[sample]\ngrid = spiral\n", ["sample"], "[sample] grid = 'spiral'"),
+        ("[verify]\nlevel = huge\n", ["verify"], "[verify] level = 'huge'"),
+    ):
+        ini.write_text(text)
+        code, out, err = run_cli(argv + ["--config", str(ini)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: config {want} is not one of ")
+        assert err.count("\n") == 1
+
+
 def test_config_file_missing_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(
         ["count", "a", "ab", "--config", str(tmp_path / "nope.ini")], capsys
@@ -493,3 +530,12 @@ def test_bench_single_length_is_usage_error(capsys):
         code, _, err = run_cli(["bench", "--lengths", lengths], capsys)
         assert code == 1
         assert "lengths" in err
+
+
+def test_bench_bad_numbers_are_usage_errors(capsys):
+    for argv in (["--lengths", "a,b"], ["--lengths", "0,8"], ["--lengths=-4,8"],
+                 ["--vocab-size", "1"]):
+        code, out, err = run_cli(["bench", "--reps", "1", "--batch", "1"] + argv, capsys)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

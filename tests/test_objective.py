@@ -177,7 +177,7 @@ def test_sample_training_term_matches_quadrature():
     draws = []
     for _ in range(10_000):
         t = T_MIN + (1.0 - T_MIN) * float(rng.random())
-        x_t = forward_sample(x_0, 0.0, t, rng).x_t
+        x_t = forward_sample(x_0, t, rng)
         draws.append(dise_loss(scorer(x_t, t), x_t, x_0, t).total)
     draws = np.array(draws)
     se = draws.std(ddof=1) / math.sqrt(len(draws))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from delins import objective, oracle, process
+from delins import dp, objective, oracle, process
 from delins.errors import InvalidTimes, NotSingleDeletion
 from delins.process import (
     forward_rate,
@@ -16,7 +16,7 @@ from delins.process import (
     survival_prob,
     transition_prob,
 )
-from delins.seqcore import Sequence
+from delins.seqcore import BOS_ID, Sequence
 
 
 
@@ -26,7 +26,7 @@ def distinct_subsequences(x: Sequence) -> set[tuple[int, ...]]:
     content = x.content
     for r in range(len(content) + 1):
         for keep in itertools.combinations(range(len(content)), r):
-            out.add((x.bos_id,) + tuple(content[i] for i in keep))
+            out.add((BOS_ID,) + tuple(content[i] for i in keep))
     return out
 
 
@@ -75,12 +75,8 @@ def test_survival_composes(s, d1, d2):
 def test_forward_sample_limits():
     x0 = Sequence((0, 1, 2, 3))
     rng = np.random.default_rng(0)
-    near_zero = forward_sample(x0, 0.0, 1e-12, rng)
-    assert near_zero.x_t == x0
-    assert near_zero.kept_indices == (0, 1, 2, 3)
-    at_one = forward_sample(x0, 0.0, 1.0, rng)
-    assert at_one.x_t.ids == (0,)
-    assert at_one.kept_indices == (0,)
+    assert forward_sample(x0, 1e-12, rng) == x0
+    assert forward_sample(x0, 1.0, rng).ids == (0,)
 
 
 @given(
@@ -90,10 +86,9 @@ def test_forward_sample_limits():
 )
 def test_forward_sample_reconstruction(content, t, seed):
     x0 = Sequence.from_content(content)
-    res = forward_sample(x0, 0.0, t, np.random.default_rng(seed))
-    assert res.kept_indices[0] == 0
-    assert all(a < b for a, b in zip(res.kept_indices, res.kept_indices[1:]))
-    assert tuple(x0.ids[i] for i in res.kept_indices) == res.x_t.ids
+    x_t = forward_sample(x0, t, np.random.default_rng(seed))
+    assert x_t.ids[0] == BOS_ID
+    assert dp.subsequence_count(x_t, x0) > 0
 
 
 def test_transition_prob_examples():
@@ -188,7 +183,7 @@ def test_forward_sample_distribution_tv():
     counts = {}
     n = 40_000
     for _ in range(n):
-        ids = forward_sample(x0, 0.0, 0.5, rng).x_t.ids
+        ids = forward_sample(x0, 0.5, rng).ids
         counts[ids] = counts.get(ids, 0) + 1
     tv = 0.5 * sum(abs(counts.get(state, 0) / n - 0.25)
                    for state in [(0, 1, 2), (0, 1), (0, 2), (0,)])
@@ -235,9 +230,9 @@ def test_schedule_numerics_are_pinned():
     assert hx(forward_rate(y, x_t, 0.5)) == "0x1.0000000000000p+2"
 
     x0 = Sequence.from_content([1, 2, 3, 1, 2, 3, 1, 2])
-    res = forward_sample(x0, 0.0, 0.5, np.random.default_rng(5))
-    assert res.x_t.ids == (0, 1, 2, 3, 1, 2)
-    assert res.kept_indices == (0, 4, 5, 6, 7, 8)
+    rng = np.random.default_rng(5)
+    assert forward_sample(x0, 0.5, rng).ids == (0, 1, 2, 3, 1, 2)
+    assert rng.random().hex() == "0x1.8f6c54a008510p-5"  # where 8 scalar draws left the stream
 
     dist = oracle.TinyDistribution(
         ((Sequence.from_content([1, 2]), 0.25), (Sequence.from_content([2, 1, 1]), 0.75))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from delins.errors import ConfigError, ShapeMismatch, UnknownSymbol
 from delins.seqcore import (
+    BOS_ID,
     BOS_SYMBOL,
     Sequence,
     Vocab,
@@ -19,7 +20,7 @@ from delins.seqcore import (
 def test_vocab_build_first_seen_order():
     v = Vocab.build(["b", "a", "b", "g"])
     assert v.symbols == (BOS_SYMBOL, "b", "a", "g")
-    assert v.bos_id == 0
+    assert v.id_of(BOS_SYMBOL) == BOS_ID == 0
     assert v.id_of("a") == 2
     with pytest.raises(UnknownSymbol):
         v.id_of("z")
@@ -30,6 +31,8 @@ def test_vocab_rejects_duplicates_and_reserved():
         Vocab((BOS_SYMBOL, "a", "a"))
     with pytest.raises(ConfigError):
         Vocab.build([BOS_SYMBOL])
+    with pytest.raises(ConfigError):
+        Vocab(("a", BOS_SYMBOL))  # bos must be id 0
 
 
 def test_vocab_roundtrip(tmp_path):
@@ -55,6 +58,8 @@ def test_sequence_bos_rules():
         Sequence((1, 2))  # missing marker
     with pytest.raises(ConfigError):
         Sequence((0, 1, 0))  # marker repeated
+    with pytest.raises(ConfigError):
+        Sequence((3, 1))  # only id 0 is the marker
 
 
 def test_insert_after():
@@ -95,7 +100,7 @@ def test_scan_and_load_corpus(tmp_path):
     c = load_corpus(p, v)
     assert len(c) == 3  # the empty line is skipped
     assert c.sequences[0].ids == (0, 1, 2, 3)
-    assert c.lengths() == [4, 8, 3]
+    assert [len(s) for s in c.sequences] == [4, 8, 3]
 
 
 def test_load_corpus_truncates_including_bos(tmp_path):
@@ -104,6 +109,15 @@ def test_load_corpus_truncates_including_bos(tmp_path):
     v = scan_vocab(p)
     c = load_corpus(p, v, max_len=4)
     assert c.sequences[0].ids == (0, 1, 2, 1)  # bos + first 3 symbols
+
+
+def test_load_corpus_rejects_max_len_below_one(tmp_path):
+    p = tmp_path / "corpus.txt"
+    p.write_text("abc\nabd\n")
+    v = scan_vocab(p)
+    for max_len in (0, -1):
+        with pytest.raises(ConfigError, match="max_len"):
+            load_corpus(p, v, max_len=max_len)
 
 
 @given(st.lists(st.sampled_from("abc"), min_size=0, max_size=12))
