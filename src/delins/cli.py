@@ -55,7 +55,7 @@ def _bool(raw: str) -> bool:
         return True
     if val in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {raw!r}")
+    raise ValueError(f"not a boolean: {raw!r}")
 
 
 _TOKENIZERS = ("char", "whitespace")
@@ -129,7 +129,7 @@ def _from_file(section: str, key: str, raw: str, cast):
         try:
             return cast(raw)
         except ValueError:
-            want = cast.__name__
+            want = cast.__name__.lstrip("_")  # _bool reads as bool
     raise ConfigError(f"config [{section}] {key} = {raw!r} is not {want}")
 
 
@@ -306,6 +306,8 @@ def cmd_sample(args) -> int:
         raise ConfigError(
             f"vocab {vocab_path} has {len(vocab)} symbols, checkpoint expects {params.vocab_size}"
         )
+    if params.mode == "dice" and cfg["k"] not in (None, params.k):
+        raise ConfigError(f"checkpoint k={params.k} != requested k={cfg['k']}")
     seed, drawn = _resolve_seed(cfg["seed"])
     cfg["seed"] = seed
     if cfg["sampler_mode"] is None:
@@ -315,23 +317,18 @@ def cmd_sample(args) -> int:
     if cfg["sampler_mode"] != "fixed":
         cfg["k"] = None
 
+    # checked before the config echo, so a bad setting writes nothing
+    if cfg["count"] < 0:
+        raise ConfigError(f"count must be >= 0, got {cfg['count']}")
+    sampler_cfg = SamplerConfig(steps=cfg["steps"], grid=cfg["grid"], top_p=cfg["top_p"],
+                                mode=cfg["sampler_mode"], k=cfg["k"], seed=seed)
+    prompt = None if cfg["prompt"] is None else tokenize(cfg["prompt"], vocab, cfg["tokenizer"])
     out = _Metrics(cfg["out"])
     try:
         out.emit({"config": {**cfg, "command": "sample", "seed_drawn": drawn}})
         if cfg["count"] == 0:
             out.emit({"summary": {"count": 0, "mean_length": None, "length_cdf": []}})
             return EXIT_OK
-        prompt = None
-        if cfg["prompt"] is not None:
-            prompt = tokenize(cfg["prompt"], vocab, cfg["tokenizer"])
-        sampler_cfg = SamplerConfig(
-            steps=cfg["steps"],
-            grid=cfg["grid"],
-            top_p=cfg["top_p"],
-            mode=cfg["sampler_mode"],
-            k=cfg["k"],
-            seed=seed,
-        )
         traces, summary = batch_generate(
             scorer_mod.score, params, sampler_cfg, cfg["count"], prompt
         )

@@ -28,8 +28,9 @@ x_t axis) while stepping sequentially along x_0, so the table layout keeps
 the x_t axis innermost/contiguous.  One sweep computes prefix tables for a
 batch of rows.  The suffix table of a pair is the flipped prefix table of the
 reversed pair, so ops that need both tables sweep B pairs followed by their
-B reverses as one batch of 2B rows; counts and prefix tables sweep only the
-pair, suffix tables only its reverse.
+B reverses as one batch of 2B rows; prefix tables sweep only the pair,
+suffix tables only its reverse.  Single-pair counts in the exact and float
+domains walk only the cells where x_0[j] == x_t[i]; every other op sweeps.
 
 Grids and ratios fuse the two tables: cell (i, v) sums, over the x_0
 positions j holding token v, the count of x_t[:i+1] in x_0[:j] times the
@@ -40,6 +41,7 @@ whole batch in uint64, and _fuse takes one pair in float64 or the log domain.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,9 @@ _U64 = np.uint64
 _PAD_XT = -1  # never equal to a token or to _PAD_X0
 _PAD_X0 = -2
 _EXACT_SAFE_ROWS = 67  # C(67, 33) < 2**64 < C(68, 34): rows j <= 67 cannot wrap
+# A pair averaging more matching cells per x_0 token than this is swept: a walk
+# row (about 22 ns a cell) would cost more than a sweep row (1.7 us or more).
+_WALK_MAX_MATCHES_PER_ROW = 64
 
 BRUTE_MAX_SUB = 12
 BRUTE_MAX_SEQ = 14
@@ -128,6 +133,27 @@ def _sweep(xts: list[np.ndarray], x0s: list[np.ndarray], domain: str, n_pairs: i
         return T
 
     raise ValueError(f"unknown domain {domain!r}")
+
+
+def _walk(xt, x0, exact: bool):
+    """N(xt, x0) from the cells where x0[j] == xt[i] alone, or None to sweep.
+
+    c[i] = N(xt[:i], x0[:j]) gains c[i - 1] where x0[j] == xt[i - 1], in descending
+    i; cells never decrease along x_0, so an int cell reaching 2**64 is the sweep's wrap.
+    """
+    cut = _WALK_MAX_MATCHES_PER_ROW
+    if len(xt) > cut and sum(map(Counter(xt).__getitem__, x0)) > cut * len(x0):
+        return None
+    at: dict = {}
+    for i in range(len(xt) - 1, -1, -1):
+        at.setdefault(xt[i], []).append(i)
+    c = [1] + [0] * len(xt) if exact else [1.0] + [0.0] * len(xt)
+    for j, v in enumerate(x0):
+        for i in at.get(v, ()):
+            c[i + 1] += c[i]
+        if exact and j >= _EXACT_SAFE_ROWS and any(c[i + 1] >> 64 for i in at.get(v, ())):
+            raise Overflow("pair 0: subsequence count exceeds uint64; use the log domain")
+    return c[-1]
 
 
 def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
@@ -314,8 +340,9 @@ def suffix_table(x_t, x_0, domain: str = "exact") -> np.ndarray:
 
 def subsequence_count(x_t, x_0, domain: str = "exact"):
     """N(x_t, x_0): int in exact mode, float in float mode, log-count float in log mode."""
-    xt, x0 = _ids(x_t), _ids(x_0)
-    cell = _sweep([xt], [x0], domain, 1)[-1, 0, -1]
+    xt, x0 = getattr(x_t, "ids", x_t), getattr(x_0, "ids", x_0)
+    if domain not in ("exact", "float") or (cell := _walk(xt, x0, domain == "exact")) is None:
+        cell = _sweep([_ids(xt)], [_ids(x0)], domain, 1)[-1, 0, -1]
     if not math.isfinite(cell):
         raise Overflow("subsequence count exceeds float64; use the log domain")
     return int(cell) if domain == "exact" else float(cell)

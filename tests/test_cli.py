@@ -424,6 +424,40 @@ def test_sample_trace_file(trained, tmp_path, capsys):
         assert times[0] == 1.0 and times[-1] == 0.0
 
 
+def test_sample_bad_settings_write_nothing(trained, tmp_path, capsys):
+    path = tmp_path / "s.jsonl"
+    for flags, want in (
+        (["--steps", "0"], "error: steps must be >= 1, got 0\n"),
+        (["--count", "-1"], "error: count must be >= 0, got -1\n"),
+        (["--top-p", "0"], "error: top_p must be in (0, 1], got 0.0\n"),
+        (["--top-p", "2"], "error: top_p must be in (0, 1], got 2.0\n"),
+    ):
+        for out_flags in ([], ["--out", str(path)]):
+            code, out, err = run_cli(
+                ["sample", "--checkpoint", trained, "--seed", "1", *flags, *out_flags], capsys
+            )
+            assert (code, out, err) == (1, "", want)
+            assert not path.exists()
+
+
+def test_sample_k_must_match_a_dice_checkpoint(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, FIXED4)
+    ckpt = str(tmp_path / "d.ckpt")
+    code, _, _ = run_cli(
+        ["train", "--corpus", corpus, "--mode", "dice", "--epochs", "1",
+         "--seed", "5", "--checkpoint-out", ckpt],
+        capsys,
+    )
+    assert code == 0
+    argv = ["sample", "--checkpoint", ckpt, "--steps", "2", "--count", "1", "--seed", "9"]
+    for k in ("0", "3", "5"):
+        code, out, err = run_cli(argv + ["--k", k], capsys)
+        assert (code, out, err) == (1, "", f"error: checkpoint k=4 != requested k={k}\n")
+    code, out, _ = run_cli(argv + ["--k", "4"], capsys)
+    assert code == 0
+    assert parse_stream(out)[0]["config"]["k"] == 4
+
+
 # ---------------------------------------------------------------------------
 # config file
 
@@ -455,6 +489,9 @@ def test_config_file_bad_value_is_usage_error(tmp_path, capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error: config") and err.count("\n") == 1
+    ini.write_text("[train]\ntiming = maybe\n")  # a bad boolean names its setting too
+    got = run_cli(["train", "--corpus", corpus, "--config", str(ini), "--dry-run"], capsys)
+    assert got == (1, "", "error: config [train] timing = 'maybe' is not bool\n")
 
 
 def test_config_value_outside_choices_is_usage_error(tmp_path, capsys):

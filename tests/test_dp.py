@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from delins.dp import (
     LOG_ZERO,
     NRatioMatrix,
+    _sweep,
     batched_insertion_counts,
     batched_n_ratios,
     batched_n_ratios_auto,
@@ -457,3 +458,66 @@ def test_prefix_times_suffix_term_never_exceeds_n(pair):
     for j in range(len(x_0)):
         for i in range(len(x_t)):
             assert int(pre[i + 1, j]) * int(suf[i + 1, j + 1]) <= n
+
+
+# --- single-pair counts walk the matching cells; the sweep is their reference -
+
+U64_MSG = "^pair 0: subsequence count exceeds uint64; use the log domain$"
+F64_MSG = "^subsequence count exceeds float64; use the log domain$"
+
+
+def swept_count(x_t, x_0, domain):
+    xt, x0 = (np.asarray(x, dtype=np.int64) for x in (x_t, x_0))
+    return _sweep([xt], [x0], domain, 1)[-1, 0, -1]
+
+
+def assert_count_matches_the_sweep(x_t, x_0):
+    try:
+        want = int(swept_count(x_t, x_0, "exact"))
+    except Overflow:
+        with pytest.raises(Overflow, match=U64_MSG):
+            subsequence_count(x_t, x_0)
+    else:
+        got = subsequence_count(x_t, x_0)
+        assert type(got) is int and got == want
+    got = subsequence_count(x_t, x_0, "float")
+    assert type(got) is float
+    assert np.float64(got).tobytes() == swept_count(x_t, x_0, "float").tobytes()
+
+
+def test_short_counts_match_the_sweep():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        vocab_size = int(rng.integers(2, 7))
+        x_t, x_0 = (tuple(rng.integers(0, vocab_size, size=rng.integers(0, 15)).tolist())
+                    for _ in range(2))
+        assert_count_matches_the_sweep(x_t, x_0)
+
+
+def test_long_counts_match_the_sweep_bit_for_bit():
+    pairs = _half_kept_pairs(np.random.default_rng(5), (256, 512, 1024, 2048), 16)
+    for x_t, x_0 in pairs:
+        assert_count_matches_the_sweep(x_t, x_0)
+    # float64 rounds on the way: the count is not C(75, 20) rounded once
+    x_t, x_0 = a_pow(20), a_pow(75)
+    assert subsequence_count(x_t, x_0, "float") != float(math.comb(75, 20))
+    assert_count_matches_the_sweep(x_t, x_0)
+
+
+def test_float_count_past_float64_overflows():
+    # a one-letter pair, alone and padded with non-matching b's until it walks
+    x_t, x_0 = PAST_FLOAT64
+    for pair in (PAST_FLOAT64, (x_t, x_0 + (2,) * 8400)):
+        assert np.isinf(swept_count(*pair, "float"))
+        with pytest.raises(Overflow, match=F64_MSG):
+            subsequence_count(*pair, "float")
+
+
+def test_exact_count_overflows_where_the_sweep_wraps():
+    # a^34 b in a^68 counts 0, but its cell for a^34 reaches C(68, 34) > 2**64
+    for x_t, x_0 in ((a_pow(1024), a_pow(2048)), (a_pow(40), a_pow(80)),
+                     (a_pow(34) + (2,), a_pow(68))):
+        with pytest.raises(Overflow, match=U64_MSG):
+            swept_count(x_t, x_0, "exact")
+        with pytest.raises(Overflow, match=U64_MSG):
+            subsequence_count(x_t, x_0)
