@@ -25,6 +25,7 @@ import numpy as np
 from . import dp, verify
 from . import scorer as scorer_mod
 from .errors import (
+    BeyondFloat64,
     ConfigError,
     DelinsError,
     InvalidSteps,
@@ -203,8 +204,8 @@ def cmd_count(args) -> int:
     domain = cfg["domain"]
     try:
         count = dp.linear_count(sub, seq, domain)
-    except OverflowError:  # math.exp: the count is beyond float64
-        print(_g6_of_exp(dp.subsequence_count(sub, seq, "log")))
+    except BeyondFloat64 as exc:
+        print(_g6_of_exp(exc.log_count))
     else:
         print(f"{count:.6g}" if isinstance(count, float) else str(count))
     if cfg["grid"]:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotASubsequence, Overflow, ShapeMismatch, TooLarge
+from .errors import BeyondFloat64, NotASubsequence, Overflow, ShapeMismatch, TooLarge
 
 LOG_ZERO = -999999.0
 
@@ -54,6 +54,13 @@ _U64 = np.uint64
 _PAD_XT = -1  # never equal to a token or to _PAD_X0
 _PAD_X0 = -2
 _EXACT_SAFE_ROWS = 67  # C(67, 33) < 2**64 < C(68, 34): rows j <= 67 cannot wrap
+# _sweep's arithmetic per domain: (dtype, zero, one, add); a cell adds its
+# left neighbour of the previous row where the tokens match
+_SWEEP_ARITH = {
+    "exact": (_U64, _U64(0), _U64(1), np.add),
+    "float": (np.float64, 0.0, 1.0, np.add),
+    "log": (np.float64, LOG_ZERO, 0.0, np.logaddexp),
+}
 # A pair averaging more matching cells per x_0 token than this is swept: a walk
 # row (about 22 ns a cell) would cost more than a sweep row (1.7 us or more).
 _WALK_MAX_MATCHES_PER_ROW = 64
@@ -102,37 +109,22 @@ def _sweep(xts: list[np.ndarray], x0s: list[np.ndarray], domain: str, n_pairs: i
     # eq[j, r, i] = (x0 token j == xt token i) in row r
     eq = X0[:, :, None] == XT[None, :, :]
 
-    if domain == "exact":
-        T = np.zeros((m_max + 1, R, n_max + 1), dtype=_U64)
-        T[:, :, 0] = 1
+    if domain not in _SWEEP_ARITH:
+        raise ValueError(f"unknown domain {domain!r}")
+    dtype, zero, one, add = _SWEEP_ARITH[domain]
+    shape = (m_max + 1, R, n_max + 1)
+    # np.zeros leaves pages a failed exact attempt never reaches uncommitted
+    T = np.zeros(shape, dtype) if zero == 0 else np.full(shape, zero, dtype)
+    T[:, :, 0] = one
+    with np.errstate(over="ignore"):  # inf marks an overflowed float cell and stays inf
         for j in range(1, m_max + 1):
             prev, cur = T[j - 1], T[j, :, 1:]
-            add = np.where(eq[j - 1], prev[:, :-1], _U64(0))
-            np.add(prev[:, 1:], add, out=cur)
-            if j > _EXACT_SAFE_ROWS and (wrapped := cur < add).any():
+            shifted = np.where(eq[j - 1], prev[:, :-1], zero)
+            add(prev[:, 1:], shifted, out=cur)
+            if domain == "exact" and j > _EXACT_SAFE_ROWS and (wrapped := cur < shifted).any():
                 b = int((np.flatnonzero(wrapped.any(axis=1)) % n_pairs).min())
                 raise Overflow(f"pair {b}: subsequence count exceeds uint64; use the log domain")
-        return T
-
-    if domain == "float":  # inf marks an overflowed cell and stays inf downstream
-        T = np.zeros((m_max + 1, R, n_max + 1))
-        T[:, :, 0] = 1.0
-        with np.errstate(over="ignore"):
-            for j in range(1, m_max + 1):
-                prev = T[j - 1]
-                T[j, :, 1:] = prev[:, 1:] + np.where(eq[j - 1], prev[:, :-1], 0.0)
-        return T
-
-    if domain == "log":
-        T = np.full((m_max + 1, R, n_max + 1), LOG_ZERO, dtype=np.float64)
-        T[:, :, 0] = 0.0
-        for j in range(1, m_max + 1):
-            prev = T[j - 1]
-            shifted = np.where(eq[j - 1], prev[:, :-1], LOG_ZERO)
-            T[j, :, 1:] = np.logaddexp(prev[:, 1:], shifted)
-        return T
-
-    raise ValueError(f"unknown domain {domain!r}")
+    return T
 
 
 def _walk(xt, x0, exact: bool):
@@ -393,14 +385,18 @@ def _ladder(op, *args):
 def linear_count(x_t, x_0, domain: str):
     """N(x_t, x_0) on the linear scale: an int when exact, else a float.
 
-    "auto" climbs the ladder exact, float, log.
+    "auto" climbs the ladder exact, float, log.  A log count past float64
+    raises BeyondFloat64 carrying log N, so no caller sweeps it again.
     """
     if domain == "auto":
         return _ladder(linear_count, x_t, x_0)
     n = subsequence_count(x_t, x_0, domain)
     if domain != "log":
         return n
-    return 0.0 if is_log_zero(n) else math.exp(n)
+    try:
+        return 0.0 if is_log_zero(n) else math.exp(n)
+    except OverflowError:
+        raise BeyondFloat64(n) from None
 
 
 def linear_insertion_counts(x_t, x_0, vocab_size: int, domain: str) -> np.ndarray:

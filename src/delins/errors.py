@@ -29,6 +29,14 @@ class Overflow(DelinsError):
     """
 
 
+class BeyondFloat64(Overflow):
+    """A count that only the log domain holds; log_count is its natural log."""
+
+    def __init__(self, log_count: float):
+        super().__init__(f"count e^{log_count:.6g} exceeds float64")
+        self.log_count = log_count
+
+
 class NotASubsequence(DelinsError):
     """x_t cannot be embedded in x_0 (subsequence count is zero)."""
 

@@ -180,9 +180,8 @@ def exact_concrete_score(dist: TinyDistribution, x_t: Sequence, y: Sequence, t: 
     p = math.exp(-sigma_bar(t))
     mat = exact_insertion_matrix(dist, x_t, t)
     recast = (p / (1.0 - p)) * float(np.mean(mat[gaps, v]))
-    assert abs(direct - recast) <= 1e-12 * max(1.0, abs(direct)), (
-        f"score recast mismatch: {direct} vs {recast}"
-    )
+    if not abs(direct - recast) <= 1e-12 * max(1.0, abs(direct)):  # NaN fails too
+        raise AssertionError(f"score recast mismatch: {direct} vs {recast}")
     return direct
 
 

@@ -20,7 +20,7 @@ import math
 from itertools import compress
 
 from . import dp
-from .errors import InvalidTimes, NotSingleDeletion
+from .errors import BeyondFloat64, InvalidTimes, NotSingleDeletion
 from .seqcore import BOS_ID, Sequence
 
 # sigma_bar(1) diverges for the log-linear schedule; clamping just below 1
@@ -78,8 +78,8 @@ def transition_prob(x_t: Sequence, x_s: Sequence, s: float, t: float) -> float:
         return 0.0
     try:
         n = float(dp.linear_count(x_t, x_s, "auto"))
-    except OverflowError:  # math.exp: N is beyond float64
-        n = None
+    except BeyondFloat64 as exc:
+        n, log_n = None, exc.log_count
     if n == 0.0:
         return 0.0
     p = survival_prob(s, t)
@@ -91,7 +91,7 @@ def transition_prob(x_t: Sequence, x_s: Sequence, s: float, t: float) -> float:
     if lost > 0:
         log_prob += lost * math.log(q)
     if n is None:
-        return math.exp(log_prob + dp.subsequence_count(x_t, x_s, "log"))
+        return math.exp(log_prob + log_n)
     return math.exp(log_prob) * n
 
 

@@ -2,12 +2,15 @@
 
 The quick level re-derives the load-bearing identities on the spot (counts
 against brute force, ratio normalization, schedule algebra, objective
-agreement, gradients, sampler determinism) and finishes well under a
-minute.  The full level adds the exhaustive small-world sweeps and a
-population-level sampling test against the exact tiny-instance posterior.
+agreement, gradients, sampler determinism) in under a second.  The full
+level adds the checks acceptance criteria c01, c04, c06 and c09 call, at
+their sizes: the exhaustive count sweep, long log-domain pairs, the
+score-entropy bound over tiny supports and population-level sampling.  It
+takes about 12 s on 2 cores.
 
 Every check calls into the library through the module objects, so a broken
 build of any engine shows up as a FAIL here rather than as silent drift.
+Checks raise AssertionError themselves, so `python -O` keeps them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from time import perf_counter
 import numpy as np
 
 from . import dp, objective, oracle, sampler, scorer
-from .errors import ConfigError
+from .errors import ConfigError, Overflow
 from .process import T_MAX, forward_sample, sigma, sigma_bar, survival_prob, transition_prob
 from .seqcore import Sequence
 
@@ -37,6 +40,12 @@ def _seq(*ids):
     return Sequence((0,) + tuple(ids))
 
 
+def _require(ok, fmt: str, *args) -> None:
+    """Fail the check unless ok; the message fmt.format(*args) is built only on failure."""
+    if not ok:
+        raise AssertionError(fmt.format(*args))
+
+
 def _random_pair(rng, max_len: int, vocab_size: int) -> tuple[Sequence, Sequence]:
     n = int(rng.integers(1, max_len + 1))
     content = tuple(int(v) for v in rng.integers(1, vocab_size, size=n))
@@ -51,12 +60,24 @@ def _random_pair(rng, max_len: int, vocab_size: int) -> tuple[Sequence, Sequence
 
 
 def check_worked_example_counts() -> str:
-    bag, babgbag = _seq(2, 1, 3), _seq(2, 1, 2, 3, 2, 1, 3)
-    n = dp.subsequence_count(bag, babgbag)
-    assert n == 5, f"expected 5 embeddings, got {n}"
+    """c02: bag in babgbag under either labelling of b and a, and bag in baag."""
+    g = 3
+    for b, a in ((1, 2), (2, 1)):
+        n = dp.subsequence_count(_seq(b, a, g), _seq(b, a, b, g, b, a, g))
+        _require(n == 5, "expected 5 embeddings, got {}", n)
+    b, a = 1, 2
+    bag, baag = _seq(b, a, g), _seq(b, a, a, g)
+    n = dp.subsequence_count(bag, baag)
+    _require(n == 2, "expected 2 embeddings of bag in baag, got {}", n)
+    # inserting a after position 1 or 2 of (bos b a g) both give (bos b a a g)
+    grid = dp.insertion_counts(bag, baag, 4)
+    expected = np.zeros((4, 4), dtype=np.uint64)
+    expected[1, a] = expected[2, a] = 1
+    _require(np.array_equal(grid, expected) and int(grid.sum()) == 2, "bag -> baag grid {}", grid)
     grid = dp.insertion_counts(_seq(2), _seq(2, 2, 2), 3)
-    assert int(grid.sum()) == int(2 * dp.subsequence_count(_seq(2), _seq(2, 2, 2)))
-    return "count 5 and the multiplicity grid both reproduced"
+    n = dp.subsequence_count(_seq(2), _seq(2, 2, 2))
+    _require(int(grid.sum()) == int(2 * n), "grid of a in aaa sums to {}, N {}", grid.sum(), n)
+    return "counts 5 and 2 and both multiplicity grids reproduced"
 
 
 def check_ratio_grand_sum_identity() -> str:
@@ -69,7 +90,7 @@ def check_ratio_grand_sum_identity() -> str:
             mat = dp.n_ratios(x_t, x_0, 6, domain=domain)
             rel = abs(mat.grand_sum - diff) / max(1, diff)
             worst = max(worst, rel)
-            assert rel <= 1e-9, (domain, x_t.ids, x_0.ids, rel)
+            _require(rel <= 1e-9, "{} {} in {}: rel err {}", domain, x_t.ids, x_0.ids, rel)
     return f"300 pairs, both domains, worst rel err {worst:.2e}"
 
 
@@ -80,36 +101,26 @@ def check_count_split_identity() -> str:
         total = int(dp.insertion_counts(x_t, x_0, 5).sum())
         n = int(dp.subsequence_count(x_t, x_0))
         gap = x_0.content_len - x_t.content_len
-        assert total == n * gap, (x_t.ids, x_0.ids, total, n)
+        _require(total == n * gap, "{} in {}: grid total {}, N {}", x_t.ids, x_0.ids, total, n)
     return "200 pairs, insertion grids total N * (length gap)"
 
 
 def check_schedule_algebra() -> str:
-    assert math.isclose(sigma(0.5), 2.0, rel_tol=1e-12)
-    assert math.isclose(sigma_bar(0.5), math.log(2.0), rel_tol=1e-12)
-    assert math.isclose(survival_prob(0.0, 0.5), 0.5, rel_tol=1e-12)
-    a = survival_prob(0.0, 0.25) * survival_prob(0.25, 0.7)
-    assert math.isclose(a, survival_prob(0.0, 0.7), rel_tol=1e-12)
+    composed = survival_prob(0.0, 0.25) * survival_prob(0.25, 0.7)
+    for got, want in ((sigma(0.5), 2.0), (sigma_bar(0.5), math.log(2.0)),
+                      (survival_prob(0.0, 0.5), 0.5), (composed, survival_prob(0.0, 0.7))):
+        _require(math.isclose(got, want, rel_tol=1e-12), "{} is not {}", got, want)
     return "closed forms and composition hold"
-
-
-def _distinct_subsequences(x_0: Sequence) -> list[Sequence]:
-    content = x_0.content
-    seen = set()
-    for r in range(len(content) + 1):
-        for combo in itertools.combinations(content, r):
-            seen.add(combo)
-    return [_seq(*c) for c in sorted(seen, key=lambda c: (len(c), c))]
 
 
 def check_transition_normalization() -> str:
     for x_0 in (_seq(1, 2), _seq(1, 2, 1), _seq(2, 2, 1)):
         for t in (0.3, 0.8):
             total = sum(
-                transition_prob(x_t, x_0, 0.0, t)
-                for x_t in _distinct_subsequences(x_0)
+                transition_prob(Sequence(ids), x_0, 0.0, t)
+                for ids in oracle.subsequence_enumeration(x_0)
             )
-            assert abs(total - 1.0) <= 1e-9, (x_0.ids, t, total)
+            _require(abs(total - 1.0) <= 1e-9, "{} at t={}: total {}", x_0.ids, t, total)
     return "forward kernels sum to one over the subsequence lattice"
 
 
@@ -122,10 +133,10 @@ def check_forward_sample_agreement() -> str:
         ids = forward_sample(x_0, t, rng).ids
         counts[ids] = counts.get(ids, 0) + 1
     tv = 0.5 * sum(
-        abs(counts.get(x.ids, 0) / n - transition_prob(x, x_0, 0.0, t))
-        for x in _distinct_subsequences(x_0)
+        abs(counts.get(ids, 0) / n - transition_prob(Sequence(ids), x_0, 0.0, t))
+        for ids in oracle.subsequence_enumeration(x_0)
     )
-    assert tv < 0.02, f"TV {tv}"
+    _require(tv < 0.02, "TV {}", tv)
     return f"20k draws, TV {tv:.4f} against the exact kernel"
 
 
@@ -148,20 +159,27 @@ def check_objective_agreement() -> str:
         a = objective.dise_loss(s, x_t, x_0, t).total
         b = objective.dice_loss(s, x_t, x_0, t).total
         worst = max(worst, abs(a - b) / max(1.0, abs(a)))
-    assert worst <= 1e-9, f"objectives disagree by {worst}"
+    _require(worst <= 1e-9, "objectives disagree by {}", worst)
     return f"normalized matrices: losses agree, worst rel gap {worst:.2e}"
 
 
-def check_oracle_objective_bound() -> str:
-    dist = oracle.TinyDistribution.uniform([_seq(1, 2), _seq(2, 1)])
+def _score_bound_gaps(support, times, exact: bool = False) -> list[float]:
+    """DISE - DSE at each time of the uniform distribution over support, scored by
+    its exact insertion matrix; the concrete scores are recast from that matrix,
+    or come from exact_concrete_score, which cross-checks the recast, when exact."""
+    dist = oracle.TinyDistribution.uniform(list(support))
     provider = lambda x, t: oracle.exact_insertion_matrix(dist, x, t)
-    concrete = oracle.concrete_provider_from_matrix(provider)
-    gaps = []
-    for t in (0.25, 0.6, 0.9):
-        dise = oracle.exact_dise(dist, provider, t)
-        dse = oracle.exact_dse(dist, concrete, t)
-        assert dise >= dse - 1e-9, (t, dise, dse)
-        gaps.append(dise - dse)
+    concrete = (
+        (lambda x, y, t: oracle.exact_concrete_score(dist, x, y, t))
+        if exact else oracle.concrete_provider_from_matrix(provider)
+    )
+    return [oracle.exact_dise(dist, provider, t) - oracle.exact_dse(dist, concrete, t)
+            for t in times]
+
+
+def check_oracle_objective_bound() -> str:
+    gaps = _score_bound_gaps([_seq(1, 2), _seq(2, 1)], (0.25, 0.6, 0.9))
+    _require(all(g >= -1e-9 for g in gaps), "DISE - DSE at t = 0.25, 0.6, 0.9: {}", gaps)
     return f"score-entropy bound holds, gaps {['%.2e' % g for g in gaps]}"
 
 
@@ -175,25 +193,26 @@ def check_gradients() -> str:
             params.time_bias[:] = rng.normal(0, 0.3, size=params.time_bias.shape)
         err = scorer.gradcheck(params, _seq(1, 2), _seq(1, 2, 1, 2), 0.45)
         worst = max(worst, err)
-    assert worst <= 1e-5, f"gradcheck rel err {worst}"
+    _require(worst <= 1e-5, "gradcheck rel err {}", worst)
     return f"finite differences agree, worst rel err {worst:.2e}"
 
 
 def check_sampler_determinism() -> str:
     grid = sampler.timestep_grid(7, "cosine")
-    assert grid[0] == 1.0 and grid[-1] == 0.0 and np.all(np.diff(grid) < 0)
+    _require(grid[0] == 1.0 and grid[-1] == 0.0 and np.all(np.diff(grid) < 0), "bad grid {}", grid)
     params = scorer.ScorerParams.init(3, "dise")
     cfg = sampler.SamplerConfig(steps=10, seed=7)
     a = sampler.generate(scorer.score, params, cfg)
     b = sampler.generate(scorer.score, params, cfg)
-    assert [x.ids for _, x in a.snapshots] == [x.ids for _, x in b.snapshots]
+    _require([x.ids for _, x in a.snapshots] == [x.ids for _, x in b.snapshots], "reruns differ")
     traces, _ = sampler.batch_generate(scorer.score, params, cfg, 3)
     for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(3)):
         lone = sampler.generate(scorer.score, params, cfg, rng=np.random.default_rng(child))
-        assert [x.ids for _, x in traces[i].snapshots] == [x.ids for _, x in lone.snapshots], (
-            f"batched walker {i} differs from generate on its child stream"
+        _require(
+            [x.ids for _, x in traces[i].snapshots] == [x.ids for _, x in lone.snapshots],
+            "batched walker {} differs from generate on its child stream", i,
         )
-        assert traces[i].stats == lone.stats, f"batched walker {i} stats differ"
+        _require(traces[i].stats == lone.stats, "batched walker {} stats differ", i)
     return "grids well formed; repeated runs identical; batched walkers equal lone runs"
 
 
@@ -203,72 +222,107 @@ def check_log_fallback() -> str:
     details = []
     for n, m, rung in ((30, 80, "float"), (550, 1100, "log")):
         mat = dp.n_ratios_auto(_seq(*([1] * n)), _seq(*([1] * m)), 2)
-        assert mat.domain == rung, f"C({m}, {n}) landed on {mat.domain}, not {rung}"
-        assert np.all(np.isfinite(mat.ratios))
+        _require(mat.domain == rung, "C({}, {}) landed on {}, not {}", m, n, mat.domain, rung)
         rel = abs(mat.grand_sum - (m - n)) / (m - n)
-        assert rel <= 1e-6, f"{rung} grand sum rel err {rel}"
+        _require(np.all(np.isfinite(mat.ratios)) and rel <= 1e-6, "{} grand sum: {}", rung, rel)
         details.append(f"{rung} grand sum rel err {rel:.2e}")
     return "overflowing pairs handled: " + ", ".join(details)
 
 
 # ---------------------------------------------------------------------------
-# full-level checks
+# full-level checks, one per acceptance criterion they serve
 
 
 def check_exhaustive_small_world() -> str:
+    """c01: every x_0 over tokens {1, 2, 3} with 0-8 tokens, against the
+    enumeration of its subsequences: each count, each grid cell by cell, and
+    each grid's sum, which also covers the bos column."""
     pairs = 0
-    for vocab_size, max_len in ((3, 4), (2, 5)):
-        for n in range(max_len + 1):
-            for content in itertools.product(range(1, vocab_size + 1), repeat=n):
-                x_0 = _seq(*content)
-                for sub_ids, expected in oracle.subsequence_enumeration(x_0).items():
-                    x_t = Sequence(sub_ids)
-                    assert int(dp.subsequence_count(x_t, x_0)) == expected
-                    grid = dp.insertion_counts(x_t, x_0, vocab_size + 1)
-                    gap = x_0.content_len - x_t.content_len
-                    assert int(grid.sum()) == expected * gap
-                    pairs += 1
-    return f"{pairs} (state, sequence) pairs match enumeration"
-
-
-def check_score_bound_family() -> str:
-    world = [_seq(1), _seq(2), _seq(1, 2), _seq(2, 1), _seq(1, 1)]
-    checked = 0
-    for support in itertools.combinations(world, 2):
-        dist = oracle.TinyDistribution.uniform(list(support))
-        provider = (
-            lambda x, t, d=dist: oracle.exact_insertion_matrix(d, x, t)
-        )
-        concrete = oracle.concrete_provider_from_matrix(provider)
-        for t in (0.35, 0.75):
-            dise = oracle.exact_dise(dist, provider, t)
-            dse = oracle.exact_dse(dist, concrete, t)
-            assert dise >= dse - 1e-9, (support, t)
-            checked += 1
-    return f"{checked} (support, time) combinations satisfy the bound"
-
-
-def check_population_sampling() -> str:
-    dist = oracle.TinyDistribution.uniform([_seq(1, 2), _seq(2, 1)])
-    finals, stats = population_sample(dist, steps=256, count=20_000, seed=11)
-    tv = population_tv(dist, finals)
-    assert tv <= 0.05, f"TV {tv}"
-    clamp_rate = stats["clamp_events"] / max(1, stats["gap_steps"])
-    assert clamp_rate < 0.01, f"clamp rate {clamp_rate}"
-    return f"20k walkers at 256 steps: TV {tv:.4f}, clamp rate {clamp_rate:.2e}"
+    for m in range(9):
+        for content in itertools.product((1, 2, 3), repeat=m):
+            x_0 = _seq(*content)
+            enum = oracle.subsequence_enumeration(x_0)
+            grids = dp.batched_insertion_counts([(ids, x_0) for ids in enum], 4)
+            for (ids, n), grid in zip(enum.items(), grids):
+                count, rows = dp.subsequence_count(ids, x_0), grid.tolist()
+                want = [[enum.get(ids[: i + 1] + (v,) + ids[i + 1 :], 0) for v in (1, 2, 3)]
+                        for i in range(len(ids))]
+                total = n * (m + 1 - len(ids))  # N times the length gap
+                if count != n or [r[1:] for r in rows] != want or sum(map(sum, rows)) != total:
+                    raise AssertionError(f"{ids} in {x_0.ids}: count {count}, grid {rows}; "
+                                         f"enumeration {n}, {want}")
+                pairs += 1
+    _require(pairs > 500_000, "only {} pairs", pairs)
+    return f"{pairs} (state, sequence) pairs match enumeration, grids cell by cell"
 
 
 def check_long_pair_log_accuracy() -> str:
-    rng = np.random.default_rng(106)
-    content = tuple(int(v) for v in rng.integers(1, 4, size=256))
-    keep = sorted(rng.choice(256, size=128, replace=False).tolist())
-    x_0 = _seq(*content)
-    x_t = _seq(*(content[i] for i in keep))
-    mat = dp.n_ratios(x_t, x_0, 4, domain="log")
-    assert np.all(np.isfinite(mat.ratios))
-    rel = abs(mat.grand_sum - 128.0) / 128.0
-    assert rel <= 1e-6, f"grand sum rel err {rel}"
-    return f"length-256 pair: finite ratios, grand sum rel err {rel:.2e}"
+    """c04: length-256 pairs keeping half their tokens overflow uint64, while
+    the log domain stays finite and keeps the grand-sum identity to 1e-6."""
+    worst = 0.0
+    for seed in (106, 2000, 2001, 2002, 2003, 2004):
+        rng = np.random.default_rng(seed)
+        content = tuple(int(v) for v in rng.integers(1, 4, size=256))
+        keep = sorted(rng.choice(256, size=128, replace=False).tolist())
+        x_0, x_t = _seq(*content), _seq(*(content[i] for i in keep))
+        try:
+            dp.n_ratios(x_t, x_0, 4, domain="exact")
+        except Overflow:
+            pass
+        else:
+            raise AssertionError(f"seed {seed}: the exact domain did not overflow")
+        mat = dp.n_ratios(x_t, x_0, 4, domain="log")
+        rel = abs(mat.grand_sum - 128.0) / 128.0
+        _require(np.all(np.isfinite(mat.ratios)) and rel <= 1e-6, "seed {}: sum err {}", seed, rel)
+        worst = max(worst, rel)
+    return f"6 length-256 pairs: exact overflows, log finite, worst grand sum rel err {worst:.2e}"
+
+
+def check_score_bound_family() -> str:
+    """c06: DISE >= DSE for every uniform support of each family at each time,
+    with equality where no state is reachable by two different insertions."""
+    def supports(world, sizes):
+        return [s for k in sizes for s in itertools.combinations(world, k)]
+
+    families = [  # (supports, times, exact concrete scores, equality)
+        (supports([_seq(1), _seq(2), _seq(1, 2), _seq(2, 1), _seq(1, 1)], (2,)),
+         (0.35, 0.75), False, False),
+        (supports([_seq(1, 2), _seq(2, 1), _seq(1, 1), _seq(1, 2, 1), _seq(2)], (1, 2)),
+         (0.25, 0.5, 0.8), False, False),
+        ([[_seq(1, 2, 3)], [_seq(1, 2), _seq(2, 1)]], (0.3, 0.7), False, True),
+        (supports([_seq(), _seq(1), _seq(2), _seq(1, 1), _seq(1, 2), _seq(2, 1), _seq(2, 2)],
+                  (1, 2)), (0.25, 0.5, 0.75), True, False),
+    ]
+    counts = []
+    for family, times, exact, equal in families:
+        gaps = [g for support in family for g in _score_bound_gaps(support, times, exact)]
+        _require(all(g >= -1e-9 and (not equal or abs(g) <= 1e-9) for g in gaps),
+                 "DISE - DSE {} over {} at t = {}", gaps, [[x.ids for x in s] for s in family],
+                 times)
+        counts.append(len(gaps))
+    _require(counts == [20, 45, 4, 84], "{} (support, time) combinations", counts)
+    return " + ".join(map(str, counts)) + " (support, time) combinations satisfy the bound"
+
+
+def check_population_sampling() -> str:
+    """c09: oracle-guided walkers reach the exact target, 20k at 256 steps and
+    100k per grid of 32-512 steps, whose TV shrinks as the grid doubles."""
+    dist = oracle.TinyDistribution.uniform([_seq(1, 2), _seq(2, 1)])
+    finals, stats = population_sample(dist, steps=256, count=20_000, seed=11)
+    tv = population_tv(dist, finals)
+    clamp_rate = stats["clamp_events"] / max(1, stats["gap_steps"])
+    _require(tv <= 0.05 and clamp_rate < 0.01, "20k walkers: TV {}, clamp rate {}", tv, clamp_rate)
+    tvs = []
+    for steps in (32, 64, 128, 256, 512):
+        finals, stats = population_sample(dist, steps, 100_000, seed=100 + steps)
+        tvs.append(population_tv(dist, finals))
+        _require(stats["clamp_events"] <= 0.01 * max(stats["gap_steps"], 1),
+                 "{} steps: {} clamp events", steps, stats)
+    # shrinks as the grid doubles, within noise
+    _require(tvs[-1] <= 0.05 and all(fine <= coarse + 0.01 for coarse, fine in zip(tvs, tvs[1:])),
+             "TV at 32-512 steps {}", tvs)
+    return (f"20k walkers at 256 steps: TV {tv:.4f}, clamp rate {clamp_rate:.2e}; "
+            f"100k at 32-512 steps: TV {tvs[0]:.4f} -> {tvs[-1]:.4f}")
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +447,10 @@ FULL_CHECKS = [
 
 def run(level: str = "quick") -> list[CheckResult]:
     """Run the named suite; a check fails by raising, never by exiting."""
-    if level == "quick":
-        checks = list(QUICK_CHECKS)
-    elif level == "full":
-        checks = QUICK_CHECKS + FULL_CHECKS
-    else:
+    if level not in ("quick", "full"):
         raise ConfigError(f"unknown verify level {level!r}")
     results = []
-    for name, fn in checks:
+    for name, fn in QUICK_CHECKS + (FULL_CHECKS if level == "full" else []):
         start = perf_counter()
         try:
             detail = fn() or ""

@@ -4,7 +4,6 @@ These are the slow, end-to-end checks; the per-module test files carry the
 fast unit coverage.  Everything here is seeded, so failures reproduce.
 """
 
-import itertools
 import json
 
 import numpy as np
@@ -37,31 +36,13 @@ def length_cdf_distance(a, b):
 
 
 def test_c01_count_oracle_sweep_small_world():
-    # every sequence up to 8 content tokens over a 3-letter vocabulary,
-    # against full enumeration of its subsequences (budget: well under 5 min)
-    V = 4
-    pairs = 0
-    for n in range(0, 9):
-        for content in itertools.product((1, 2, 3), repeat=n):
-            x_0 = Sequence((0,) + content)
-            enum = oracle.subsequence_enumeration(x_0)
-            subs = [Sequence(ids) for ids in enum]
-            grids = dp.batched_insertion_counts([(s, x_0) for s in subs], V)
-            for x_t, grid in zip(subs, grids):
-                pairs += 1
-                assert int(dp.subsequence_count(x_t, x_0)) == enum[x_t.ids]
-                ids = x_t.ids
-                for i in range(len(ids)):
-                    head, tail = ids[: i + 1], ids[i + 1 :]
-                    for v in (1, 2, 3):
-                        assert int(grid[i, v]) == enum.get(head + (v,) + tail, 0)
-    assert pairs > 500_000
+    verify.check_exhaustive_small_world()
 
     # spot-check the full prefix/suffix tables cell by cell against the
     # recursive enumerator on a seeded sample of the same family
     rng = np.random.default_rng(81)
     for _ in range(300):
-        x_t, x_0 = random_pair(rng, 8, V)
+        x_t, x_0 = random_pair(rng, 8, 4)
         pt = dp.prefix_table(x_t, x_0)
         st = dp.suffix_table(x_t, x_0)
         for i in range(len(x_t) + 1):
@@ -71,20 +52,7 @@ def test_c01_count_oracle_sweep_small_world():
 
 
 def test_c02_worked_examples():
-    b, a, g = 1, 2, 3
-    bag = Sequence((0, b, a, g))
-    babgbag = Sequence((0, b, a, b, g, b, a, g))
-    assert dp.subsequence_count(bag, babgbag) == 5
-
-    # inserting a after position 1 or 2 of (bos b a g) both give (bos b a a g)
-    baag = Sequence((0, b, a, a, g))
-    assert dp.subsequence_count(bag, baag) == 2
-    grid = dp.insertion_counts(bag, baag, 4)
-    expected = np.zeros((4, 4), dtype=np.uint64)
-    expected[1, a] = 1
-    expected[2, a] = 1
-    assert np.array_equal(grid, expected)
-    assert int(grid.sum()) == 2
+    verify.check_worked_example_counts()
 
 
 def test_c03_normalization_identities_bulk():
@@ -116,19 +84,7 @@ def test_c04_log_domain_accuracy():
         compared += 1
     assert compared >= 250
 
-    # at length 256 the exact engine overflows; the log path must stay
-    # finite and keep the grand-sum identity to 1e-6
-    for seed in range(5):
-        r = np.random.default_rng(2000 + seed)
-        content = tuple(int(v) for v in r.integers(1, 4, size=256))
-        keep = sorted(r.choice(256, size=128, replace=False).tolist())
-        x_0 = Sequence((0,) + content)
-        x_t = Sequence((0,) + tuple(content[i] for i in keep))
-        with pytest.raises(Overflow):
-            dp.n_ratios(x_t, x_0, 4, domain="exact")
-        mat = dp.n_ratios(x_t, x_0, 4, domain="log")
-        assert np.all(np.isfinite(mat.ratios))
-        assert mat.grand_sum == pytest.approx(128, rel=1e-6)
+    verify.check_long_pair_log_accuracy()
 
 
 def test_c05_forward_process_correctness():
@@ -157,35 +113,7 @@ def test_c05_forward_process_correctness():
 
 
 def test_c06_insertion_bound_over_tiny_family():
-    world = [
-        Sequence((0, 1, 2)),
-        Sequence((0, 2, 1)),
-        Sequence((0, 1, 1)),
-        Sequence((0, 1, 2, 1)),
-        Sequence((0, 2)),
-    ]
-    checked = 0
-    for size in (1, 2):
-        for support in itertools.combinations(world, size):
-            dist = oracle.TinyDistribution.uniform(list(support))
-            mp = lambda x, t, d=dist: oracle.exact_insertion_matrix(d, x, t)
-            sp = oracle.concrete_provider_from_matrix(mp)
-            for t in (0.25, 0.5, 0.8):
-                dise = oracle.exact_dise(dist, mp, t)
-                dse = oracle.exact_dse(dist, sp, t)
-                assert dise >= dse - 1e-9
-                checked += 1
-    assert checked == 45
-
-    # equality when no state is reachable by two different insertions
-    for support in ([Sequence((0, 1, 2, 3))], [Sequence((0, 1, 2)), Sequence((0, 2, 1))]):
-        dist = oracle.TinyDistribution.uniform(support)
-        mp = lambda x, t, d=dist: oracle.exact_insertion_matrix(d, x, t)
-        sp = oracle.concrete_provider_from_matrix(mp)
-        for t in (0.3, 0.7):
-            dise = oracle.exact_dise(dist, mp, t)
-            dse = oracle.exact_dse(dist, sp, t)
-            assert dise == pytest.approx(dse, abs=1e-9)
+    verify.check_score_bound_family()
 
 
 def test_c07_cross_entropy_matches_score_entropy_when_normalized():
@@ -235,15 +163,7 @@ def test_c08_gradient_correctness_both_modes():
 
 
 def test_c09_oracle_generation_converges():
-    dist = oracle.TinyDistribution.uniform([Sequence((0, 1, 2)), Sequence((0, 2, 1))])
-    tvs = []
-    for steps in (32, 64, 128, 256, 512):
-        finals, stats = verify.population_sample(dist, steps, 100_000, seed=100 + steps)
-        tvs.append(verify.population_tv(dist, finals))
-        assert stats["clamp_events"] <= 0.01 * max(stats["gap_steps"], 1)
-    assert tvs[-1] <= 0.05
-    for coarse, fine in zip(tvs, tvs[1:]):
-        assert fine <= coarse + 0.01  # shrinks as the grid doubles, within noise
+    verify.check_population_sampling()
 
 
 def test_c10_toy_training_learns_lengths():

@@ -1,12 +1,19 @@
 """End-to-end command tests, driven through cli.main with real files."""
 
+import ast
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from delins import cli, dp
+from delins.process import transition_prob
+from delins.seqcore import Sequence
 
 
 def run_cli(argv, capsys):
@@ -106,6 +113,15 @@ def test_count_beyond_float64_prints_from_the_log_count(capsys):
     _, out, _ = run_cli(["count", "a" * 510, "a" * 1020], capsys)
     log_n = dp.subsequence_count([0] + [1] * 510, [0] + [1] * 1020, "log")
     assert out.strip() == f"{math.exp(log_n):.6g}"
+
+
+def test_count_past_float64_sweeps_each_rung_once(monkeypatch, capsys):
+    # the log rung's count reaches count and transition_prob; neither sweeps again
+    domains, real = [], dp._sweep
+    monkeypatch.setattr(dp, "_sweep", lambda *args: domains.append(args[2]) or real(*args))
+    assert run_cli(["count", "a" * 550, "a" * 1100], capsys)[0] == 0
+    transition_prob(Sequence.from_content([1] * 550), Sequence.from_content([1] * 1100), 0.1, 0.5)
+    assert domains == ["exact", "float", "log"] * 2
 
 
 def test_count_grid_beyond_float64_is_runtime_error(capsys):
@@ -539,6 +555,27 @@ def test_verify_catches_corrupted_ratio_engine(monkeypatch, capsys):
     code, out, _ = run_cli(["verify", "--level", "quick"], capsys)
     assert code == 2
     assert "FAIL ratio-grand-sum-identity" in out
+
+
+def test_verify_fails_under_python_O():
+    # python -O strips assert statements; the corrupted engine must still FAIL
+    code = ("import sys; from delins import dp, verify; real = dp.n_ratios; dp.n_ratios = "
+            "lambda *a, **k: dp.NRatioMatrix((m := real(*a, **k)).ratios * 1.01, m.domain); "
+            "print(sys.flags.optimize, *[r.name for r in verify.run('quick') if not r.ok])")
+    env = {**os.environ, "PYTHONPATH": str(Path(dp.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    optimize, *failed = proc.stdout.split()
+    assert optimize == "1" and "ratio-grand-sum-identity" in failed
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert, so a check written with it would pass vacuously
+    src = Path(dp.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
