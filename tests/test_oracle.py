@@ -1,5 +1,6 @@
 """Exact oracle: marginals, insertion scores, concrete scores, entropies."""
 
+import itertools
 import math
 
 import numpy as np
@@ -192,3 +193,16 @@ def test_dise_dominates_dse_for_perturbed_model():
     dise = exact_dise(AA, perturbed, t)
     dse = exact_dse(AA, concrete_provider_from_matrix(perturbed), t)
     assert dise > dse + 1e-6
+
+
+def test_dise_dse_inequality_family():
+    # uniform distributions over every nonempty subset of the two-token,
+    # length <= 2 world, at three times
+    world = [seq(), seq(A), seq(B), seq(A, A), seq(A, B), seq(B, A), seq(B, B)]
+    for k in (1, 2):
+        for combo in itertools.combinations(world, k):
+            dist = TinyDistribution.uniform(list(combo))
+            for t in (0.25, 0.5, 0.75):
+                dise = exact_dise(dist, exact_matrix_provider(dist), t)
+                dse = exact_dse(dist, exact_score_provider(dist), t)
+                assert dise >= dse - 1e-9
