@@ -32,10 +32,10 @@ B reverses as one batch of 2B rows; prefix tables sweep only the pair,
 suffix tables only its reverse.  Single-pair counts in the exact and float
 domains walk only the cells where x_0[j] == x_t[i]; every other op sweeps.
 
-Grids and ratios fuse the two tables: cell (i, v) sums, over the x_0
-positions j holding token v, the count of x_t[:i+1] in x_0[:j] times the
-count of x_t[i+1:] in x_0[j+1:].  There are two fuses: _fuse_exact takes a
-whole batch in uint64, and _fuse takes one pair in float64 or the log domain.
+Grids and ratios fuse the two tables: cell (i, v) sums, over the x_0 positions
+j holding token v, N(x_t[:i+1], x_0[:j]) * N(x_t[i+1:], x_0[j+1:]).  With the
+reverses right-aligned, the suffix terms at each j are one view of the table,
+so one walk over j fuses a whole batch in any domain.
 """
 
 from __future__ import annotations
@@ -89,33 +89,29 @@ def is_log_zero(x) -> np.ndarray | bool:
 def _sweep(xts: list[np.ndarray], x0s: list[np.ndarray], domain: str, n_pairs: int):
     """Stacked prefix tables for a batch of (x_t, x_0) rows.
 
-    Returns T with shape (m_max+1, R, n_max+1) where
-      T[j, r, i] = N(xts[r][:i], x0s[r][:j]).
-    Row r belongs to pair r mod n_pairs, the index an overflow is reported
-    under, so a reversed pair stacked at row r + n_pairs names pair r.
-    Padding rows/columns beyond a row's true lengths hold values that never
-    influence the cells within range, because pad tokens match nothing.
+    Returns T with shape (m_max+1, R, n_max+1) where T[c+j, r, a+i] = N(xts[r][:i],
+    x0s[r][:j]); c = a = 0 for rows r < n_pairs, and the later rows (the reversed
+    pairs) are right-aligned, their leading pad columns holding the empty prefix's
+    count.  Row r belongs to pair r mod n_pairs, the index an overflow is reported
+    under.  Pad cells never reach the cells in range, as pad tokens match nothing.
     """
-    R = len(xts)
-    n_max = max(len(x) for x in xts)
-    m_max = max(len(x) for x in x0s)
-
-    XT = np.full((R, n_max), _PAD_XT, dtype=np.int64)
-    X0 = np.full((m_max, R), _PAD_X0, dtype=np.int64)
-    for r, (xt, x0) in enumerate(zip(xts, x0s)):
-        XT[r, : len(xt)] = xt
-        X0[: len(x0), r] = x0
-
-    # eq[j, r, i] = (x0 token j == xt token i) in row r
-    eq = X0[:, :, None] == XT[None, :, :]
-
+    ns, ms = (np.array([len(x) for x in xs]) for xs in (xts, x0s))
+    n_max, m_max = int(ns.max()), int(ms.max())
     if domain not in _SWEEP_ARITH:
         raise ValueError(f"unknown domain {domain!r}")
     dtype, zero, one, add = _SWEEP_ARITH[domain]
-    shape = (m_max + 1, R, n_max + 1)
+    shape = (m_max + 1, len(xts), n_max + 1)
     # np.zeros leaves pages a failed exact attempt never reaches uncommitted
     T = np.zeros(shape, dtype) if zero == 0 else np.full(shape, zero, dtype)
     T[:, :, 0] = one
+
+    right = np.arange(len(xts)) >= n_pairs
+    XT = _padded(xts, ns, n_max, _PAD_XT, right)
+    X0 = _padded(x0s, ms, m_max, _PAD_X0, right).T
+    T[0, n_pairs:, 1:][XT[n_pairs:] == _PAD_XT] = one  # the reverses' leading pad columns
+    # eq[j, r, i] = (x0 token j == xt token i) in row r
+    eq = X0[:, :, None] == XT[None, :, :]
+
     with np.errstate(over="ignore"):  # inf marks an overflowed float cell and stays inf
         for j in range(1, m_max + 1):
             prev, cur = T[j - 1], T[j, :, 1:]
@@ -125,6 +121,14 @@ def _sweep(xts: list[np.ndarray], x0s: list[np.ndarray], domain: str, n_pairs: i
                 b = int((np.flatnonzero(wrapped.any(axis=1)) % n_pairs).min())
                 raise Overflow(f"pair {b}: subsequence count exceeds uint64; use the log domain")
     return T
+
+
+def _padded(seqs, lens: np.ndarray, width: int, pad: int, right) -> np.ndarray:
+    """(len(seqs), width) int64 array of pad holding each seqs[r], at its end where right[r]."""
+    at = np.arange(width) - np.where(right, width - lens, 0)[:, None]
+    out = np.full(at.shape, pad, dtype=np.int64)
+    out[(at >= 0) & (at < lens[:, None])] = np.concatenate(seqs)
+    return out
 
 
 def _walk(xt, x0, exact: bool):
@@ -151,13 +155,15 @@ def _walk(xt, x0, exact: bool):
 def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
     """Each pair's NRatioMatrix (ratios) or insertion-count grid, from one sweep.
 
-    The sweep runs over the pairs (rows 0..B-1) followed by their reverses
-    (rows B..2B-1); for pair b with n = |x_t| and m = |x_0|
-      A[j, i]   = N(xt[:i+1], x0[:j])      (prefix terms)
-      Bsu[j, i] = N(xt[i+1:], x0[j+1:])    (suffix terms, from the reverse)
-    for 0 <= j < m, 0 <= i < n, and n_cell = N(xt, x0).  Two fuses turn them
-    into grids: _fuse_exact takes the whole batch at once, _fuse (float and
-    log) one pair at a time.  Errors name the pair.
+    The sweep runs over the pairs (rows 0..B-1) and then their right-aligned
+    reverses; for pair b with n = |x_t|, m = |x_0|, 0 <= j < m and 0 <= i < n
+      A[j, b, i] = N(xt[:i+1], x0[:j]),  S[j, b, i] = N(xt[i+1:], x0[j+1:]).
+    Cell (i, v) sums, over the j with x0[j] == v, the terms A * S, or in log
+    exp(A + S - shift) with shift log N for ratios and the pair's largest term
+    for counts.  One walk over j serves the batch, so a cell adds its terms in
+    increasing j; a pair past its x_0 adds into a dropped row V.  A term is at
+    most N, and an exact grid sums to at most N * (m - n), so additions check
+    for wrap only when that reaches 2**64.  Errors name the first failing pair.
     """
     pairs = list(pairs)
     if not pairs:
@@ -165,105 +171,59 @@ def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
     xts = [_ids(a) for a, _ in pairs]
     x0s = [_ids(b) for _, b in pairs]
     _check_vocab(xts + x0s, vocab_size)
-    B = len(pairs)
+    B, V, log = len(pairs), vocab_size, domain == "log"
     T = _sweep(xts + [x[::-1] for x in xts], x0s + [x[::-1] for x in x0s], domain, B)
-    if domain == "exact":
-        grids = _fuse_exact(T, xts, x0s, vocab_size, ratios)
-    else:
-        grids = []
-        for b, (xt, x0) in enumerate(zip(xts, x0s)):
-            n, m = len(xt), len(x0)
-            A = T[:m, b, 1 : n + 1]
-            # trimmed before the flip, which must not wrap when n or m is 0
-            Bsu = T[: m + 1, B + b, : n + 1][m - 1 :: -1, n - 1 :: -1]
-            try:
-                grids.append(_fuse(A, Bsu, x0, T[m, b, n], vocab_size, domain, ratios))
-            except (NotASubsequence, Overflow) as e:
-                raise type(e)(f"pair {b}: {e}") from None
-    return [NRatioMatrix(g, domain) for g in grids] if ratios else grids
-
-
-def _fuse_exact(T, xts, x0s, vocab_size: int, ratios: bool) -> list:
-    """The exact _per_pair fuse of a whole batch, from its uint64 sweep T.
-
-    Each x_0 position j of each pair b gives the row A[j] * Bsu[j]; the rows,
-    sorted by (b, x0[j]), are summed by one reduceat.  A product counts pairs
-    of embeddings (xt[:i+1] into x0[:j], xt[i+1:] into x0[j+1:]), each a
-    distinct embedding of xt, so it is at most n_cell.  A grid sums to at most
-    n_cell * (m - n), so its sums are checked, in 32-bit halves, only when
-    that reaches 2**64.
-    """
-    B = len(xts)
+    m_max, n_max = T.shape[0] - 1, T.shape[2] - 1
     ns, ms = (np.array([len(x) for x in xs]) for xs in (xts, x0s))
     n_cells = T[ms, np.arange(B), ns]
-    pair = np.repeat(np.arange(B), ms)
-    j = np.arange(len(pair)) - np.repeat(np.cumsum(ms) - ms, ms)
-    keys = pair * vocab_size + np.concatenate(x0s)
-    order = np.argsort(keys)
-    pair, j, keys = pair[order], j[order], keys[order]
-    # suffix columns i >= n index garbage, even wrap negative; their prefix terms are 0
-    i = np.arange(T.shape[2] - 1)
-    prod = T[j, pair, 1:]
-    prod *= T[(ms[pair] - 1 - j)[:, None], (B + pair)[:, None], ns[pair, None] - 1 - i]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    counts = np.zeros((B * vocab_size, len(i)), dtype=_U64)
-    counts[keys[starts]] = np.add.reduceat(prod, starts, axis=0)
+    A = T[:m_max, :B, 1:]
+    S = T[:m_max, B:, :n_max][::-1, :, ::-1]  # one view, as the reverses are right-aligned
+    live = np.arange(m_max)[:, None] < ms  # live[j, b]: j is a position of pair b's x_0
+    rows = np.full((m_max, B), V)  # the accumulator row of pair b at x_0 position j
+    rows.T[live.T] = np.concatenate(x0s)
+    rows += (V + 1) * np.arange(B)  # pair b's rows are b*(V+1) .. b*(V+1)+V, V dropped
 
-    bad_sum = np.zeros(B, dtype=bool)
-    if np.any(n_cells > np.iinfo(_U64).max // np.maximum(ms - ns, 1).astype(_U64)):
-        lo = np.add.reduceat(prod & _U64(0xFFFFFFFF), starts, axis=0)
-        hi = np.add.reduceat(prod >> _U64(32), starts, axis=0)
-        wrapped = ((hi + (lo >> _U64(32))) >> _U64(32)).any(axis=1)
-        bad_sum[keys[starts][wrapped] // vocab_size] = True
-    bad = bad_sum | (ratios & (n_cells == 0))
-    if bad.any():
-        b = int(np.argmax(bad))
-        if bad_sum[b]:
-            raise Overflow(f"pair {b}: insertion-count sum exceeds uint64; use the log domain")
-        raise NotASubsequence(f"pair {b}: N(x_t, x_0) == 0")
-
-    counts = counts.reshape(B, vocab_size, len(i))
-    if ratios:
-        counts = counts.astype(np.float64) / n_cells.astype(np.float64)[:, None, None]
-    # each grid (n, V) is the transpose of a contiguous (V, n) block, as _fuse gives
-    return [np.ascontiguousarray(counts[b, :, :n]).T for b, n in enumerate(ns)]
-
-
-def _fuse(A, Bsu, x0: np.ndarray, n_cell, vocab_size: int, domain: str, ratios: bool) -> np.ndarray:
-    """One pair's float or log grid (n, V): insertion counts, or ratios to n_cell.
-
-    Cell (i, v) sums the terms of the x_0 positions j holding token v: the
-    products A[j, i] * Bsu[j, i] in float, exp(A + Bsu - shift) in log, where
-    shift is log N for ratios and the largest term for counts (all LOG_ZERO
-    when every term is dead).  Each cell adds its terms in increasing j: a
-    masked axis-0 sum does so row by row, but numpy sums a single column
-    pairwise, so n == 1 takes the running sum.  A float cell past float64
-    (inf, or NaN from inf * 0) raises Overflow.
-    """
-    log = domain == "log"
-    if ratios and (is_log_zero(n_cell) if log else n_cell == 0):
-        raise NotASubsequence("N(x_t, x_0) == 0")
-    if ratios and not math.isfinite(n_cell):
-        raise Overflow("subsequence count exceeds float64; use the log domain")
-    n = A.shape[1]
+    check = domain == "exact" and (n_cells > ~_U64(0) // np.maximum(ms - ns, 1).astype(_U64)).any()
+    past = np.zeros(B, dtype=bool)  # a grid cell past the domain: a wrapped sum, or not finite
+    acc = np.zeros((B * (V + 1), n_max), T.dtype)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if log:
-            terms = A + Bsu  # log products; dead entries ~ 2*LOG_ZERO
-            shift = float(n_cell) if ratios else float(terms.max()) if terms.size else 0.0
-            if is_log_zero(shift):
-                return np.full((n, vocab_size), LOG_ZERO)
-            terms = np.exp(terms - shift)
-        else:
-            terms = A * Bsu
-        acc = np.zeros((vocab_size, n))
-        for v in np.flatnonzero(np.bincount(x0)):  # the tokens of x_0
-            rows = terms[x0 == v]
-            acc[v] = rows.sum(axis=0) if n > 1 else rows.cumsum(axis=0)[-1]
-        if log:
-            return acc.T if ratios else np.where(acc > 0.0, np.log(acc) + shift, LOG_ZERO).T
-    if not np.isfinite(acc).all():
-        raise Overflow("insertion count exceeds float64; use the log domain")
-    return acc.T / float(n_cell) if ratios else acc.T
+        shift = n_cells  # of log ratios; log counts shift by their largest term
+        if log and not ratios:
+            top = np.full((B, n_max), -np.inf)
+            for a, s, alive in zip(A, S, live):
+                np.maximum(top, a + s, out=top, where=alive[:, None])
+            shift = np.where(ms * ns > 0, top.max(axis=1, initial=-np.inf), 0.0)
+        for a, s, r, alive in zip(A, S, rows, live):
+            term = np.exp(a + s - shift[:, None]) if log else a * s
+            total = acc.take(r, axis=0)
+            total += term
+            if check:
+                past |= alive & (total < term).any(axis=1)
+            acc[r] = total
+        acc = acc.reshape(B, V + 1, n_max)[:, :V]
+        if domain == "float":
+            past = ~np.isfinite(acc).all(axis=(1, 2))
+        checks = (  # in the order a pair reports them
+            (ratios & (is_log_zero(n_cells) if log else n_cells == 0), NotASubsequence,
+             "N(x_t, x_0) == 0"),
+            (ratios & ~np.isfinite(n_cells), Overflow,
+             "subsequence count exceeds float64; use the log domain"),
+            (past, Overflow, "insertion-count sum exceeds uint64; use the log domain"
+             if domain == "exact" else "insertion count exceeds float64; use the log domain"),
+        )
+        if (bad := np.logical_or.reduce([c[0] for c in checks])).any():
+            b = int(np.argmax(bad))
+            _, err, msg = next(c for c in checks if c[0][b])
+            raise err(f"pair {b}: {msg}")
+        if log and not ratios:
+            acc = np.where(acc > 0.0, np.log(acc) + shift[:, None, None], LOG_ZERO)
+        elif ratios and not log:
+            acc = acc / n_cells[:, None, None]
+    # each grid (n, V) is the transpose of a contiguous (V, n) block, or all LOG_ZERO
+    no_term = is_log_zero(shift) if log and not ratios else np.zeros(B, dtype=bool)
+    grids = [np.full((n, V), LOG_ZERO) if dead else np.ascontiguousarray(g[:, :n]).T
+             for g, n, dead in zip(acc, ns, no_term)]
+    return [NRatioMatrix(g, domain) for g in grids] if ratios else grids
 
 
 def _check_vocab(arrs, vocab_size: int) -> None:

@@ -392,11 +392,12 @@ def gradcheck(params: ScorerParams, x_t: Sequence, x_0: Sequence, t: float) -> f
     of 1e-8 so near-zero coordinates do not blow the ratio up.
     """
     h = 1e-5
-    _, grad = loss_and_grad(params, x_t, x_0, t)
+    ratios = [dp.n_ratios_auto(x_t, x_0, params.vocab_size).ratios]  # the params do not move them
+    _, _, grad = _loss_grad_from_ratios(params, [x_t], ratios, [t])
     worst = 0.0
 
     def loss_with(p: ScorerParams) -> float:
-        return loss_and_grad(p, x_t, x_0, t)[0].total
+        return float(_loss_grad_from_ratios(p, [x_t], ratios, [t])[0][0])
 
     tables = [("theta", grad.theta)] + (
         [("time_bias", grad.time_bias)] if grad.time_bias is not None else []

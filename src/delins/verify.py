@@ -361,7 +361,6 @@ def population_sample(
     times = sampler.timestep_grid(steps)
     population: dict[tuple, int] = {(0,): count}
     dead: dict[tuple, int] = {}
-    matrix_cache: dict[tuple, np.ndarray | None] = {}
     gap_steps = 0
     clamp_events = 0
     for k in range(steps):
@@ -370,14 +369,9 @@ def population_sample(
         nxt: dict[tuple, int] = {}
         for ids, c in sorted(population.items()):
             x = Sequence(ids)
-            key = (ids, round(t, 15))
-            if key not in matrix_cache:
-                try:
-                    matrix_cache[key] = oracle.exact_insertion_matrix(dist, x, min(t, T_MAX))
-                except oracle.ZeroDenominator:
-                    matrix_cache[key] = None
-            mat = matrix_cache[key]
-            if mat is None:
+            try:
+                mat = oracle.exact_insertion_matrix(dist, x, min(t, T_MAX))
+            except oracle.ZeroDenominator:
                 dead[ids] = dead.get(ids, 0) + c
                 continue
             p_ins, cond, clamped = sampler.gap_insertion_probabilities(mat, t, dt)

@@ -246,12 +246,13 @@ def test_ratio_grand_sum(pair):
 @settings(max_examples=50)
 def test_batched_matches_single(pairs):
     usable = [p for p in pairs if brute_count(*p) > 0]
-    mats = batched_n_ratios(usable, vocab_size=4)
-    grids = batched_insertion_counts(usable, vocab_size=4)
-    for (x_t, x_0), mat, grid in zip(usable, mats, grids):
-        solo = n_ratios(x_t, x_0, vocab_size=4)
-        assert np.array_equal(mat.ratios, solo.ratios)  # bit-for-bit
-        assert np.array_equal(grid, insertion_counts(x_t, x_0, vocab_size=4))
+    for domain in ("exact", "float", "log"):
+        mats = batched_n_ratios(usable, 4, domain)
+        grids = batched_insertion_counts(usable, 4, domain)
+        for (x_t, x_0), mat, grid in zip(usable, mats, grids):
+            solo = n_ratios(x_t, x_0, 4, domain)
+            assert np.array_equal(mat.ratios, solo.ratios)  # bit-for-bit
+            assert np.array_equal(grid, insertion_counts(x_t, x_0, 4, domain))
 
 
 @given(seq_pair())
@@ -443,6 +444,14 @@ def test_mixed_batch_errors_come_in_pair_order():
     for op in (batched_n_ratios, batched_insertion_counts):
         with pytest.raises(Overflow, match=f"^pair 0: {sum_msg}$"):
             op([wraps, absent], 3, "exact")
+    inf_msg = "insertion count exceeds float64; use the log domain"
+    with pytest.raises(NotASubsequence, match=r"^pair 0: N\(x_t, x_0\) == 0$"):
+        batched_n_ratios([absent, INF_TIMES_ZERO], 3, "float")
+    with pytest.raises(Overflow, match=f"^pair 1: {inf_msg}$"):
+        batched_insertion_counts([absent, INF_TIMES_ZERO], 3, "float")
+    for op in (batched_n_ratios, batched_insertion_counts):
+        with pytest.raises(Overflow, match=f"^pair 0: {inf_msg}$"):
+            op([INF_TIMES_ZERO, absent], 3, "float")
 
 
 @given(st.one_of(seq_pair(), st.tuples(

@@ -277,6 +277,19 @@ def test_train_is_deterministic():
     assert m1 == m2
 
 
+def test_train_with_sgd_learns_and_is_deterministic():
+    corpus = make_corpus(["ab", "ba", "aab", "abb"], "ab")
+    cfg = {"epochs": 40, "batch": 4, "lr": 0.1, "optimizer": "sgd", "seed": 4}
+    t1, m1 = train(ScorerParams.init(3, "dise"), corpus, cfg)
+    t2, m2 = train(ScorerParams.init(3, "dise"), corpus, cfg)
+    losses = [m["loss"] for m in m1]
+    assert np.isfinite(losses).all()
+    assert np.mean(losses[-10:]) < 0.5 * np.mean(losses[:10])
+    assert t1.theta.tobytes() == t2.theta.tobytes()
+    assert t1.time_bias.tobytes() == t2.time_bias.tobytes()
+    assert m1 == m2
+
+
 def test_train_records_name_the_dp_domain():
     corpus = make_corpus(["ab", "ba", "aa", "bb"], "ab")
     cfg = {"epochs": 2, "batch": 2, "lr": 0.05, "optimizer": "adam", "seed": 9}
