@@ -25,21 +25,21 @@ in three arithmetic domains, tried in this order by the "auto" ops:
 
 The recurrence updates a whole row of the table at once (vectorized over the
 x_t axis) while stepping sequentially along x_0, so the table layout keeps
-the x_t axis innermost/contiguous.  One sweep computes prefix tables for a
-batch of rows.  The suffix table of a pair is the flipped prefix table of the
-reversed pair, so ops that need both tables sweep B pairs followed by their
-B reverses as one batch of 2B rows; prefix tables sweep only the pair,
-suffix tables only its reverse.  Single-pair counts in the exact and float
-domains walk only the cells where x_0[j] == x_t[i]; every other op sweeps.
+the x_t axis innermost/contiguous; one row step serves a batch of rows.  The
+suffix table of a pair is the flipped prefix table of the reversed pair.
+Single-pair counts in the exact and float domains walk only the cells where
+x_0[j] == x_t[i]; every other op sweeps.
 
 Grids and ratios fuse the two tables: cell (i, v) sums, over the x_0 positions
-j holding token v, N(x_t[:i+1], x_0[:j]) * N(x_t[i+1:], x_0[j+1:]).  With the
-reverses right-aligned, the suffix terms at each j are one view of the table,
-so one walk over j fuses a whole batch in any domain.
+j holding token v, N(x_t[:i+1], x_0[:j]) * N(x_t[i+1:], x_0[j+1:]).  A batch
+keeps its suffix tables whole, the reverses right-aligned so that the suffix
+terms at each j are one view, and sweeps its prefix tables two rows at a time,
+fusing each row as soon as it exists: one table's memory, not two.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -54,7 +54,8 @@ _U64 = np.uint64
 _PAD_XT = -1  # never equal to a token or to _PAD_X0
 _PAD_X0 = -2
 _EXACT_SAFE_ROWS = 67  # C(67, 33) < 2**64 < C(68, 34): rows j <= 67 cannot wrap
-# _sweep's arithmetic per domain: (dtype, zero, one, add); a cell adds its
+_U64_WRAP = "pair {}: subsequence count exceeds uint64; use the log domain"
+# _step's arithmetic per domain: (dtype, zero, one, add); a cell adds its
 # left neighbour of the previous row where the tokens match
 _SWEEP_ARITH = {
     "exact": (_U64, _U64(0), _U64(1), np.add),
@@ -84,51 +85,64 @@ def is_log_zero(x) -> np.ndarray | bool:
 
 
 # ---------------------------------------------------------------------------
-# engine: one sweep computes the prefix tables of a batch of rows
+# engine: one row step makes the prefix tables of a batch of rows
 
-def _sweep(xts: list[np.ndarray], x0s: list[np.ndarray], domain: str, n_pairs: int):
-    """Stacked prefix tables for a batch of (x_t, x_0) rows.
-
-    Returns T with shape (m_max+1, R, n_max+1) where T[c+j, r, a+i] = N(xts[r][:i],
-    x0s[r][:j]); c = a = 0 for rows r < n_pairs, and the later rows (the reversed
-    pairs) are right-aligned, their leading pad columns holding the empty prefix's
-    count.  Row r belongs to pair r mod n_pairs, the index an overflow is reported
-    under.  Pad cells never reach the cells in range, as pad tokens match nothing.
-    """
-    ns, ms = (np.array([len(x) for x in xs]) for xs in (xts, x0s))
-    n_max, m_max = int(ns.max()), int(ms.max())
+def _start(shape, domain: str) -> np.ndarray:
+    """Prefix-table rows before the sweep: the empty x_t prefix (column 0) counts 1."""
     if domain not in _SWEEP_ARITH:
         raise ValueError(f"unknown domain {domain!r}")
-    dtype, zero, one, add = _SWEEP_ARITH[domain]
-    shape = (m_max + 1, len(xts), n_max + 1)
+    dtype, zero, one, _ = _SWEEP_ARITH[domain]
     # np.zeros leaves pages a failed exact attempt never reaches uncommitted
     T = np.zeros(shape, dtype) if zero == 0 else np.full(shape, zero, dtype)
     T[:, :, 0] = one
-
-    right = np.arange(len(xts)) >= n_pairs
-    XT = _padded(xts, ns, n_max, _PAD_XT, right)
-    X0 = _padded(x0s, ms, m_max, _PAD_X0, right).T
-    T[0, n_pairs:, 1:][XT[n_pairs:] == _PAD_XT] = one  # the reverses' leading pad columns
-    # eq[j, r, i] = (x0 token j == xt token i) in row r
-    eq = X0[:, :, None] == XT[None, :, :]
-
-    with np.errstate(over="ignore"):  # inf marks an overflowed float cell and stays inf
-        for j in range(1, m_max + 1):
-            prev, cur = T[j - 1], T[j, :, 1:]
-            shifted = np.where(eq[j - 1], prev[:, :-1], zero)
-            add(prev[:, 1:], shifted, out=cur)
-            if domain == "exact" and j > _EXACT_SAFE_ROWS and (wrapped := cur < shifted).any():
-                b = int((np.flatnonzero(wrapped.any(axis=1)) % n_pairs).min())
-                raise Overflow(f"pair {b}: subsequence count exceeds uint64; use the log domain")
     return T
 
 
-def _padded(seqs, lens: np.ndarray, width: int, pad: int, right) -> np.ndarray:
-    """(len(seqs), width) int64 array of pad holding each seqs[r], at its end where right[r]."""
-    at = np.arange(width) - np.where(right, width - lens, 0)[:, None]
-    out = np.full(at.shape, pad, dtype=np.int64)
-    out[(at >= 0) & (at < lens[:, None])] = np.concatenate(seqs)
-    return out
+def _step(T, j: int, eq: np.ndarray, domain: str) -> int | None:
+    """Make row j of the prefix tables T[j, r, i] = N(xt_r[:i], x0_r[:j]) from row j - 1.
+
+    T holds every row, or two in turn (row j at T[j % 2]); eq[j, r, i] says whether
+    x0_r[j] == xt_r[i].  A cell adds its left neighbour of the previous row where the
+    tokens match, so pad tokens, which match nothing, never reach the cells in range.
+    In exact, if row j > 67 wraps, returns the lowest r that wraps there, else None.
+    """
+    _, zero, _, add = _SWEEP_ARITH[domain]
+    prev, cur = T[(j - 1) % len(T)], T[j % len(T), :, 1:]
+    shifted = np.where(eq[j - 1], prev[:, :-1], zero)
+    add(prev[:, 1:], shifted, out=cur)
+    if domain == "exact" and j > _EXACT_SAFE_ROWS and (wrapped := cur < shifted).any():
+        return int(np.argmax(wrapped.any(axis=1)))
+    return None
+
+
+def _sweep(xt: np.ndarray, x0: np.ndarray, domain: str) -> np.ndarray:
+    """The prefix table of one pair, T[j, i] = N(xt[:i], x0[:j]), shape (|x0|+1, |xt|+1)."""
+    T = _start((len(x0) + 1, 1, len(xt) + 1), domain)
+    eq = (x0[:, None] == xt)[:, None, :]
+    with np.errstate(over="ignore"):  # inf marks an overflowed float cell and stays inf
+        for j in range(1, len(x0) + 1):
+            if _step(T, j, eq, domain) is not None:
+                raise Overflow(_U64_WRAP.format(0))
+    return T[:, 0]
+
+
+def _packed(seqs, pad: int, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, max length) int64 rows of pad holding each sequence at its start, and the lengths.
+
+    The ids are read as one flat array.  An id outside the vocab raises, naming the
+    smallest id of the first sequence holding one if it is negative, else its largest.
+    """
+    seqs = [getattr(s, "ids", s) for s in seqs]
+    lens = np.fromiter(map(len, seqs), np.int64, len(seqs))
+    flat = np.fromiter(itertools.chain.from_iterable(seqs), np.int64, int(lens.sum()))
+    # viewed as uint64 a negative id reads huge, so one max() checks both ends
+    if int(flat.view(_U64).max(initial=0)) >= vocab_size:
+        a = next(a for a in map(_ids, seqs) if len(a) and int(a.view(_U64).max()) >= vocab_size)
+        bad = int(a.min()) if a.min() < 0 else int(a.max())
+        raise ShapeMismatch(f"token id {bad} does not fit a vocab of size {vocab_size}")
+    out = np.full((len(seqs), int(lens.max())), pad, dtype=np.int64)
+    out[np.arange(out.shape[1]) < lens[:, None]] = flat
+    return out, lens
 
 
 def _walk(xt, x0, exact: bool):
@@ -148,58 +162,74 @@ def _walk(xt, x0, exact: bool):
         for i in at.get(v, ()):
             c[i + 1] += c[i]
         if exact and j >= _EXACT_SAFE_ROWS and any(c[i + 1] >> 64 for i in at.get(v, ())):
-            raise Overflow("pair 0: subsequence count exceeds uint64; use the log domain")
+            raise Overflow(_U64_WRAP.format(0))
     return c[-1]
 
 
 def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
-    """Each pair's NRatioMatrix (ratios) or insertion-count grid, from one sweep.
+    """Each pair's NRatioMatrix (ratios) or insertion-count grid.
 
-    The sweep runs over the pairs (rows 0..B-1) and then their right-aligned
-    reverses; for pair b with n = |x_t|, m = |x_0|, 0 <= j < m and 0 <= i < n
+    For pair b with n = |x_t|, m = |x_0|, 0 <= j < m and 0 <= i < n
       A[j, b, i] = N(xt[:i+1], x0[:j]),  S[j, b, i] = N(xt[i+1:], x0[j+1:]).
-    Cell (i, v) sums, over the j with x0[j] == v, the terms A * S, or in log
-    exp(A + S - shift) with shift log N for ratios and the pair's largest term
-    for counts.  One walk over j serves the batch, so a cell adds its terms in
-    increasing j; a pair past its x_0 adds into a dropped row V.  A term is at
-    most N, and an exact grid sums to at most N * (m - n), so additions check
-    for wrap only when that reaches 2**64.  Errors name the first failing pair.
+    S is one view of the reverses' tables, kept whole; A is swept two rows at a time
+    and row j fused as it is made.  Cell (i, v) sums, over the j with x0[j] == v, the
+    terms A * S, or in log exp(A + S - shift) with shift log N for ratios and the
+    pair's largest term for counts, in increasing j; a pair past its x_0 adds into a
+    dropped row V.  N is read off A's final row, so the log cases sweep A once more
+    first, to know their shift.  A term is at most N, and an exact grid sums to at
+    most N * (m - n), so additions check for wrap only when that reaches 2**64.
+    Errors name the first failing pair; a wrapping sweep names the lowest pair of
+    the earliest wrapping row of either table.
     """
     pairs = list(pairs)
     if not pairs:
         return []
-    xts = [_ids(a) for a, _ in pairs]
-    x0s = [_ids(b) for _, b in pairs]
-    _check_vocab(xts + x0s, vocab_size)
+    XT, ns = _packed([a for a, _ in pairs], _PAD_XT, vocab_size)
+    X0, ms = _packed([b for _, b in pairs], _PAD_X0, vocab_size)
     B, V, log = len(pairs), vocab_size, domain == "log"
-    T = _sweep(xts + [x[::-1] for x in xts], x0s + [x[::-1] for x in x0s], domain, B)
-    m_max, n_max = T.shape[0] - 1, T.shape[2] - 1
-    ns, ms = (np.array([len(x) for x in xs]) for xs in (xts, x0s))
-    n_cells = T[ms, np.arange(B), ns]
-    A = T[:m_max, :B, 1:]
-    S = T[:m_max, B:, :n_max][::-1, :, ::-1]  # one view, as the reverses are right-aligned
-    live = np.arange(m_max)[:, None] < ms  # live[j, b]: j is a position of pair b's x_0
-    rows = np.full((m_max, B), V)  # the accumulator row of pair b at x_0 position j
-    rows.T[live.T] = np.concatenate(x0s)
-    rows += (V + 1) * np.arange(B)  # pair b's rows are b*(V+1) .. b*(V+1)+V, V dropped
+    n_max, m_max = XT.shape[1], X0.shape[1]
+    eq = X0.T[:, :, None] == XT  # eq[j, b, i]: x0[j] == xt[i] in pair b
+    rev = eq[::-1, :, ::-1]  # the same for the reverses, right-aligned
+    R = _start((m_max + 1, B, n_max + 1), domain)  # the reverses' tables
+    P = _start((2, B, n_max + 1), domain)  # two rows of the prefix tables
+    zero, one = _SWEEP_ARITH[domain][1:3]
+    R[0, :, 1:][XT[:, ::-1] == _PAD_XT] = one  # their leading pad columns
 
-    check = domain == "exact" and (n_cells > ~_U64(0) // np.maximum(ms - ns, 1).astype(_U64)).any()
-    past = np.zeros(B, dtype=bool)  # a grid cell past the domain: a wrapped sum, or not finite
-    acc = np.zeros((B * (V + 1), n_max), T.dtype)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        shift = n_cells  # of log ratios; log counts shift by their largest term
-        if log and not ratios:
-            top = np.full((B, n_max), -np.inf)
-            for a, s, alive in zip(A, S, live):
-                np.maximum(top, a + s, out=top, where=alive[:, None])
-            shift = np.where(ms * ns > 0, top.max(axis=1, initial=-np.inf), 0.0)
-        for a, s, r, alive in zip(A, S, rows, live):
-            term = np.exp(a + s - shift[:, None]) if log else a * s
-            total = acc.take(r, axis=0)
-            total += term
-            if check:
-                past |= alive & (total < term).any(axis=1)
-            acc[r] = total
+        for j in range(1, m_max + 1):
+            if (w := _step(R, j, rev, domain)) is not None:
+                # name the lowest pair of the earliest row that wraps in either table
+                p = next(((k, q) for k in range(1, j + 1)
+                          if (q := _step(P, k, eq, domain)) is not None), (j, w))
+                raise Overflow(_U64_WRAP.format(min(p, (j, w))[1]))
+        S = R[:m_max, :, :n_max][::-1, :, ::-1]
+        live = np.arange(m_max)[:, None] < ms  # live[j, b]: j is a position of pair b's x_0
+        rows = np.where(live, X0.T, V) + (V + 1) * np.arange(B)  # pair b's rows b*(V+1) ..
+        # an exact table's corner is N itself, whichever end it is swept from
+        check = domain == "exact" and (
+            R[-1, :, -1] > ~_U64(0) // (ms - ns).clip(1).astype(_U64)).any()
+        past = np.zeros(B, dtype=bool)  # a grid cell past the domain: a wrapped sum, or not finite
+        acc = np.zeros((B * (V + 1), n_max), R.dtype)
+        top = np.full((B, n_max), -np.inf)
+        for fuse in (False, True) if log else (True,):
+            P[0, :, 1:] = zero  # row 0 again: the empty x_0 prefix
+            for j, (s, r, alive) in enumerate(zip(S, rows, live)):
+                a = P[j % 2, :, 1:]
+                if fuse:
+                    term = np.exp(a + s - shift[:, None]) if log else a * s
+                    total = acc.take(r, axis=0)
+                    total += term
+                    if check:
+                        past |= alive & (total < term).any(axis=1)
+                    acc[r] = total
+                elif not ratios:
+                    np.maximum(top, a + s, out=top, where=alive[:, None])
+                if (w := _step(P, j + 1, eq, domain)) is not None:
+                    raise Overflow(_U64_WRAP.format(w))
+            n_cells = P[m_max % 2, np.arange(B), ns]
+            if not fuse:  # of log ratios; log counts shift by their largest term
+                top = np.where(ms * ns > 0, top.max(axis=1, initial=-np.inf), 0.0)
+                shift = n_cells if ratios else top
         acc = acc.reshape(B, V + 1, n_max)[:, :V]
         if domain == "float":
             past = ~np.isfinite(acc).all(axis=(1, 2))
@@ -224,14 +254,6 @@ def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
     grids = [np.full((n, V), LOG_ZERO) if dead else np.ascontiguousarray(g[:, :n]).T
              for g, n, dead in zip(acc, ns, no_term)]
     return [NRatioMatrix(g, domain) for g in grids] if ratios else grids
-
-
-def _check_vocab(arrs, vocab_size: int) -> None:
-    for a in arrs:
-        # viewed as uint64 a negative id reads huge, so one max() checks both ends
-        if len(a) and int(a.view(_U64).max()) >= vocab_size:
-            bad = int(a.min()) if a.min() < 0 else int(a.max())
-            raise ShapeMismatch(f"token id {bad} does not fit a vocab of size {vocab_size}")
 
 
 # ---------------------------------------------------------------------------
@@ -280,21 +302,19 @@ def brute_count(sub, seq) -> int:
 
 def prefix_table(x_t, x_0, domain: str = "exact") -> np.ndarray:
     """P[i, j] = N(x_t[:i], x_0[:j]), shape (|x_t|+1, |x_0|+1); P[-1, -1] is N(x_t, x_0)."""
-    xt, x0 = _ids(x_t), _ids(x_0)
-    return _sweep([xt], [x0], domain, 1)[:, 0, :].T.copy()
+    return _sweep(_ids(x_t), _ids(x_0), domain).T.copy()
 
 
 def suffix_table(x_t, x_0, domain: str = "exact") -> np.ndarray:
     """S[i, j] = N(x_t[i:], x_0[j:]), shape (|x_t|+1, |x_0|+1); S[0, 0] is N(x_t, x_0)."""
-    xt, x0 = _ids(x_t), _ids(x_0)
-    return _sweep([xt[::-1]], [x0[::-1]], domain, 1)[::-1, 0, ::-1].T.copy()
+    return _sweep(_ids(x_t)[::-1], _ids(x_0)[::-1], domain)[::-1, ::-1].T.copy()
 
 
 def subsequence_count(x_t, x_0, domain: str = "exact"):
     """N(x_t, x_0): int in exact mode, float in float mode, log-count float in log mode."""
     xt, x0 = getattr(x_t, "ids", x_t), getattr(x_0, "ids", x_0)
     if domain not in ("exact", "float") or (cell := _walk(xt, x0, domain == "exact")) is None:
-        cell = _sweep([_ids(xt)], [_ids(x0)], domain, 1)[-1, 0, -1]
+        cell = _sweep(_ids(xt), _ids(x0), domain)[-1, -1]
     if not math.isfinite(cell):
         raise Overflow("subsequence count exceeds float64; use the log domain")
     return int(cell) if domain == "exact" else float(cell)

@@ -117,18 +117,19 @@ def exact_marginal(dist: TinyDistribution, x: Sequence, t: float) -> float:
 
 
 @functools.lru_cache(maxsize=65536)
-def _insertion_matrix_cached(dist: TinyDistribution, x_t: Sequence, t: float) -> np.ndarray:
+def _insertion_matrix_cached(dist: TinyDistribution, x_t: Sequence, t: float):
+    """The insertion matrix, or None where x_t is unreachable at t, so that is cached too."""
     V = dist.vocab_size
     q = 1.0 - math.exp(-sigma_bar(t))
     num = np.zeros((len(x_t), V))
     den = 0.0
-    for x_0, p0 in dist.support:
+    grids = dp.batched_insertion_counts([(x_t, x_0) for x_0, _ in dist.support], V)
+    for (x_0, p0), counts in zip(dist.support, grids):
         w = p0 * q ** x_0.content_len
-        counts = dp.insertion_counts(x_t, x_0, V).astype(np.float64)
-        num += w * counts
+        num += w * counts.astype(np.float64)
         den += w * float(dp.subsequence_count(x_t, x_0))
     if den == 0.0:
-        raise ZeroDenominator(f"state {x_t.ids} is unreachable at t={t}")
+        return None
     mat = num / den
     mat.setflags(write=False)
     return mat
@@ -143,7 +144,9 @@ def exact_insertion_matrix(dist: TinyDistribution, x_t: Sequence, t: float) -> n
     """
     if not (0.0 < t < 1.0):
         raise InvalidTimes(f"need 0 < t < 1, got t={t}")
-    return _insertion_matrix_cached(dist, x_t, t)
+    if (mat := _insertion_matrix_cached(dist, x_t, t)) is None:
+        raise ZeroDenominator(f"state {x_t.ids} is unreachable at t={t}")
+    return mat
 
 
 def _single_insertion_parts(x_t: Sequence, y: Sequence) -> tuple[int, list[int]]:

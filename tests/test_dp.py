@@ -92,6 +92,10 @@ def test_token_ids_outside_the_vocab_raise():
         with pytest.raises(ShapeMismatch, match=f"token id {bad} "):
             batched_n_ratios_auto([((BOS, 1), (BOS, 1, 2)), ((BOS, bad), (BOS, 1))], 3)
 
+    # several bad sequences: the first one names its own extreme id
+    with pytest.raises(ShapeMismatch, match="^token id 5 does not fit a vocab of size 3$"):
+        batched_n_ratios([((BOS, 5), (BOS, 1)), ((BOS, -1), (BOS, 1))], 3)
+
 
 def test_brute_count_bounds():
     with pytest.raises(TooLarge):
@@ -280,6 +284,35 @@ def test_overflow_names_the_pair_not_its_reversed_row():
         with pytest.raises(Overflow) as exc:
             op([ok, overflowing], 2, "exact")
         assert str(exc.value).startswith("pair 1:")
+
+
+def test_overflow_names_the_earliest_wrapping_row_of_either_table():
+    # pair 1's prefix table wraps at row 69 (C(68, 34) in a^68), before pair 0's
+    # reversed table does at row 70; a sweep that found the reversed wrap first must
+    # still name pair 1
+    pairs = [(a_pow(34), (BOS, 2) + (1,) * 68 + (2, 2)), (a_pow(34), a_pow(68) + (2, 2, 2))]
+    for op in (batched_n_ratios, batched_insertion_counts):
+        with pytest.raises(Overflow) as exc:
+            op(pairs, 3, "exact")
+        assert str(exc.value) == "pair 1: subsequence count exceeds uint64; use the log domain"
+
+
+def test_ratio_memory_stays_below_one_stacked_table():
+    # the prefix tables are streamed, so a batch holds about one table, not two
+    rng = np.random.default_rng(31)
+    for n in (512, 1024):
+        pairs = [_half_kept_pairs(rng, (n,), 16)[0] for _ in range(4)]
+        m_max = max(len(x_0) for _, x_0 in pairs)
+        n_max = max(len(x_t) for x_t, _ in pairs)
+        stacked = (m_max + 1) * 2 * len(pairs) * (n_max + 1) * 8
+        for domain in ("float", "log"):
+            tracemalloc.start()
+            try:
+                batched_n_ratios(pairs, 16, domain)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.7 * stacked, (n, domain, peak / stacked)
 
 
 def test_fallback_releases_the_failed_exact_tables():
@@ -477,7 +510,7 @@ F64_MSG = "^subsequence count exceeds float64; use the log domain$"
 
 def swept_count(x_t, x_0, domain):
     xt, x0 = (np.asarray(x, dtype=np.int64) for x in (x_t, x_0))
-    return _sweep([xt], [x0], domain, 1)[-1, 0, -1]
+    return _sweep(xt, x0, domain)[-1, -1]
 
 
 def assert_count_matches_the_sweep(x_t, x_0):

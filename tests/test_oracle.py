@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from delins import oracle
 from delins.dp import brute_count, n_ratios
 from delins.errors import (
     ConfigError,
@@ -112,6 +113,16 @@ def test_insertion_score_unreachable_state():
     # ba is within the vocab of {ab} but never a subsequence of it
     with pytest.raises(ZeroDenominator):
         exact_insertion_matrix(AB, seq(B, A), 0.5)
+
+
+def test_unreachable_states_are_cached_too():
+    x_t = seq(B, B)
+    with pytest.raises(ZeroDenominator, match=r"^state \(0, 2, 2\) is unreachable at t=0.45$"):
+        exact_insertion_matrix(AB, x_t, 0.45)
+    hits = oracle._insertion_matrix_cached.cache_info().hits
+    with pytest.raises(ZeroDenominator, match=r"^state \(0, 2, 2\) is unreachable at t=0.45$"):
+        exact_insertion_matrix(AB, x_t, 0.45)
+    assert oracle._insertion_matrix_cached.cache_info().hits == hits + 1
 
 
 def test_concrete_score_hand_value():
