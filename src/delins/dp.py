@@ -28,7 +28,7 @@ x_t axis) while stepping sequentially along x_0, so the table layout keeps
 the x_t axis innermost/contiguous; one row step serves a batch of rows.  The
 suffix table of a pair is the flipped prefix table of the reversed pair.
 Single-pair counts in the exact and float domains walk only the cells where
-x_0[j] == x_t[i]; every other op sweeps.
+x_0[j] == x_t[i]; every other op sweeps, a count through two rows.
 
 Grids and ratios fuse the two tables: cell (i, v) sums, over the x_0 positions
 j holding token v, N(x_t[:i+1], x_0[:j]) * N(x_t[i+1:], x_0[j+1:]).  A batch
@@ -115,15 +115,18 @@ def _step(T, j: int, eq: np.ndarray, domain: str) -> int | None:
     return None
 
 
-def _sweep(xt: np.ndarray, x0: np.ndarray, domain: str) -> np.ndarray:
-    """The prefix table of one pair, T[j, i] = N(xt[:i], x0[:j]), shape (|x0|+1, |xt|+1)."""
-    T = _start((len(x0) + 1, 1, len(xt) + 1), domain)
+def _sweep(xt: np.ndarray, x0: np.ndarray, domain: str, last_only: bool = False) -> np.ndarray:
+    """The prefix table of one pair, T[j, i] = N(xt[:i], x0[:j]), shape (|x0|+1, |xt|+1).
+
+    last_only: the sweep keeps two rows and returns the last, T[|x0|], alone.
+    """
+    T = _start((2 if last_only else len(x0) + 1, 1, len(xt) + 1), domain)
     eq = (x0[:, None] == xt)[:, None, :]
     with np.errstate(over="ignore"):  # inf marks an overflowed float cell and stays inf
         for j in range(1, len(x0) + 1):
             if _step(T, j, eq, domain) is not None:
                 raise Overflow(_U64_WRAP.format(0))
-    return T[:, 0]
+    return T[len(x0) % 2, 0] if last_only else T[:, 0]
 
 
 def _packed(seqs, pad: int, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +317,7 @@ def subsequence_count(x_t, x_0, domain: str = "exact"):
     """N(x_t, x_0): int in exact mode, float in float mode, log-count float in log mode."""
     xt, x0 = getattr(x_t, "ids", x_t), getattr(x_0, "ids", x_0)
     if domain not in ("exact", "float") or (cell := _walk(xt, x0, domain == "exact")) is None:
-        cell = _sweep(_ids(xt), _ids(x0), domain)[-1, -1]
+        cell = _sweep(_ids(xt), _ids(x0), domain, True)[-1]  # the last row alone
     if not math.isfinite(cell):
         raise Overflow("subsequence count exceeds float64; use the log domain")
     return int(cell) if domain == "exact" else float(cell)

@@ -9,10 +9,11 @@ log-linear schedule of process (the one training uses).  Because all gaps
 fire simultaneously and each inserts at most once, applying the insertions
 is order-free.
 
-A batch of walkers leaps together: their score matrices are stacked into
-one (gaps, V) array, one call computes every gap's probabilities, and each
-walker draws its uniforms from its own stream.  Walker i of a batch is
-therefore the lone walk on the same stream, whatever the batch size.
+A batch of walkers leaps together: one score call returns every walker's
+gaps as one stacked (gaps, V) array, one call computes every gap's
+probabilities, and each walker draws its uniforms from its own stream.
+Walker i of a batch is therefore the lone walk on the same stream, whatever
+the batch size.
 
 Guards on top of the raw leap:
 
@@ -158,24 +159,18 @@ def gap_insertion_probabilities(
 def _leap(xs, t, dt, scores, top_p, rngs, gap_mask, capacity, stats) -> list[Sequence]:
     """One tau-leap for a batch of walkers; every gap inserts at most one token.
 
-    scores[w], rngs[w], capacity[w] and stats[w] belong to walker xs[w];
-    gap_mask covers the walkers' gaps stacked in order.  Each walker draws
+    rngs[w], capacity[w] and stats[w] belong to walker xs[w]; scores and
+    gap_mask cover the walkers' gaps stacked in order.  Each walker draws
     two uniforms per gap from its own stream, gates first, whatever fires,
     so no walker's leap depends on another's or on earlier outcomes.
     """
     if not (0.0 < dt <= t):
         raise InvalidTimes(f"need 0 < dt <= t, got dt={dt}, t={t}")
-    mats = []
-    for x, sc in zip(xs, scores):
-        s = np.asarray(sc, dtype=np.float64)
-        if s.shape[0] != len(x):
-            raise ShapeMismatch(f"{s.shape[0]} score rows for {len(x)} gaps")
-        mats.append(s)
-    p_insert, cond, clamped = gap_insertion_probabilities(
-        np.concatenate(mats), t, dt, top_p, gap_mask
-    )
     sizes = [len(x) for x in xs]
     starts = np.concatenate(([0], np.cumsum(sizes)))
+    if len(scores) != starts[-1]:
+        raise ShapeMismatch(f"{len(scores)} score rows for {starts[-1]} gaps")
+    p_insert, cond, clamped = gap_insertion_probabilities(scores, t, dt, top_p, gap_mask)
     u_gate = np.empty(len(p_insert))
     u_token = np.empty(len(p_insert))
     for rng, a, b in zip(rngs, starts[:-1].tolist(), starts[1:].tolist()):
@@ -224,7 +219,7 @@ def reverse_step(
 ) -> Sequence:
     """One tau-leap: all gaps of x_t independently insert at most one token."""
     return _leap(
-        [x_t], t, dt, [scores], top_p, [rng], gap_mask,
+        [x_t], t, dt, scores, top_p, [rng], gap_mask,
         None if capacity is None else np.array([capacity]),
         [stats if stats is not None else StepStats()],
     )[0]
@@ -242,7 +237,7 @@ def _walk(
     snapshots = [[(1.0, x)] for _ in rngs]
     for k in range(config.steps):
         t, t_next = float(times[k]), float(times[k + 1])
-        scores = [score_fn(params, x, t) for x in xs]
+        scores = score_fn(params, xs, t)
         sizes = np.array([len(x) for x in xs])
         mask = None
         if inside:
@@ -260,8 +255,9 @@ def _walk(
 def generate(score_fn, params, config: SamplerConfig, prompt: Sequence | None = None, rng=None):
     """Walk the grid from t = 1 to 0, scoring and leaping at each step.
 
-    score_fn(params, x_t, t) must return an insertion-score matrix for the
-    current state.  Returns the full GenerationTrace.
+    score_fn(params, xs, t) must return the insertion-score matrices of the
+    states xs stacked in order, shape (sum of |x|, V), as scorer.score does;
+    each leap makes one call.  Returns the full GenerationTrace.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -276,26 +272,21 @@ def batch_generate(
     Sample i walks on child stream i of SeedSequence(config.seed), so it
     equals generate() on that stream and does not depend on count.  The
     summary holds the length CDF and the run's StepStats totals; fixed mode
-    adds short, the number of samples with fewer than k tokens.
+    adds short, the number of samples with fewer than k tokens.  score_fn
+    is called as in generate, once per leap with every walker's state.
     """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
     children = np.random.SeedSequence(config.seed).spawn(count)
     rngs = [np.random.default_rng(child) for child in children]
     traces = _walk(score_fn, params, config, prompt, rngs)
-    lengths = sorted(tr.final.content_len for tr in traces)
-    uniq: list[int] = []
-    cdf: list[float] = []
-    for i, length in enumerate(lengths):
-        if uniq and uniq[-1] == length:
-            cdf[-1] = (i + 1) / count
-        else:
-            uniq.append(length)
-            cdf.append((i + 1) / count)
+    lengths = [tr.final.content_len for tr in traces]
+    uniq, counts = np.unique(lengths, return_counts=True)
+    cdf = zip(uniq.tolist(), np.cumsum(counts).tolist())
     summary = {
         "count": count,
         "mean_length": float(np.mean(lengths)),
-        "length_cdf": [[int(l), c] for l, c in zip(uniq, cdf)],
+        "length_cdf": [[l, c / count] for l, c in cdf],
     }
     for name in ("gap_steps", "clamp_events", "cancelled"):
         summary[name] = sum(getattr(tr.stats, name) for tr in traces)

@@ -16,7 +16,9 @@ gap, so the slot is free).  Two output heads:
 
 Gradients are closed-form (the losses are convex in the logits for dice
 and per-cell convex for dise), so training needs no autodiff framework.
-Training takes a batch's loss and gradient from one call on its packed gaps.
+Scores have one implementation, on the gaps of states packed with no padding.
+score takes a list of states and stacks their rows, so the sampler scores a
+leap in one call; training takes a batch's loss and gradient from one call.
 """
 
 from __future__ import annotations
@@ -104,42 +106,6 @@ def _gap_contexts(ids: np.ndarray) -> np.ndarray:
     return rights
 
 
-def _logits(params: ScorerParams, x_t: Sequence, t: float | None) -> np.ndarray:
-    lefts = np.asarray(x_t.ids, dtype=np.int64)
-    z = params.theta[lefts, _gap_contexts(lefts), :]
-    if params.mode == "dise":
-        if t is None:
-            raise ModeMismatch("dise scores are time-dependent; pass t")
-        z = z + params.time_bias[time_bucket(t)]
-    return z
-
-
-def _insertable_softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax over all (gap, token) cells except the bos column.
-
-    The bos marker can never be inserted, so the model holds that column at
-    an exact zero rather than wasting probability mass it could never shed
-    with finite logits.
-    """
-    e = np.zeros_like(z)
-    zz = z[:, 1:]
-    e[:, 1:] = np.exp(zz - zz.max())
-    return e / e.sum()
-
-
-def score(params: ScorerParams, x_t: Sequence, t: float | None = None) -> np.ndarray:
-    """Model scores (|x_t|, V) for every (gap, token) cell of x_t."""
-    z = _logits(params, x_t, t)
-    if params.mode == "dise":
-        return np.exp(z)
-    m = params.k - x_t.content_len
-    if m < 0:
-        raise ShapeMismatch(f"x_t has {x_t.content_len} content tokens, more than k={params.k}")
-    if m == 0:
-        return np.zeros_like(z)
-    return m * _insertable_softmax(z)
-
-
 def _segment_sums(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Sums of the segments a[starts[b]:starts[b + 1]], each bitwise equal to its .sum().
 
@@ -147,6 +113,44 @@ def _segment_sums(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
     front of each segment turns that into the pairwise sum .sum() takes.
     """
     return np.add.reduceat(np.insert(a, starts, 0.0), starts + np.arange(len(starts)))
+
+
+def _scores(params: ScorerParams, lefts: np.ndarray, lens: np.ndarray, ts) -> tuple:
+    """Scores of states packed as one id array, with the dice softmax or dise buckets.
+
+    State b holds lens[b] of the ids lefts, at time ts[b].  Returns (s, p,
+    buckets): p is None in dise and buckets, each row's time bucket, None in
+    dice.  A state's maximum and normalizer are its own, so its rows have the
+    bits it gets scored alone.
+    """
+    seg = np.repeat(np.arange(len(lens)), lens)  # the state each row belongs to
+    z = params.theta[lefts, _gap_contexts(lefts), :]
+    if params.mode == "dise":
+        buckets = np.array([time_bucket(t) for t in ts])[seg]
+        return np.exp(z + params.time_bias[buckets]), None, buckets
+    # The bos marker can never be inserted, so the model holds that column at
+    # an exact zero rather than wasting probability mass it could never shed
+    # with finite logits.
+    starts = np.cumsum(lens) - lens
+    zz = z[:, 1:]
+    e = np.zeros_like(z)
+    e[:, 1:] = np.exp(zz - np.maximum.reduceat(zz.max(axis=1), starts)[seg, None])
+    p = e / _segment_sums(e.reshape(-1), starts * params.vocab_size)[seg, None]
+    return (params.k - (lens - 1))[seg, None] * p, p, None
+
+
+def score(params: ScorerParams, xs: list[Sequence], t: float | None = None) -> np.ndarray:
+    """Model scores of every (gap, token) cell of the states xs at time t.
+
+    The states' (|x|, V) matrices come stacked in order, shape (sum of |x|, V).
+    """
+    if params.mode == "dise" and t is None:
+        raise ModeMismatch("dise scores are time-dependent; pass t")
+    lens = np.fromiter(map(len, xs), np.int64, len(xs))
+    if params.mode == "dice" and (over := lens[lens - 1 > params.k]).size:
+        raise ShapeMismatch(f"x_t has {over[0] - 1} content tokens, more than k={params.k}")
+    lefts = np.fromiter(chain.from_iterable(xs), np.int64, int(lens.sum()))
+    return _scores(params, lefts, lens, [t] * len(xs))[0]
 
 
 def _loss_grad_from_ratios(
@@ -160,39 +164,32 @@ def _loss_grad_from_ratios(
     dise: d/dz of the bracket is simply (s - r) because s = exp(z).
     dice: the normalizer makes this a softmax cross-entropy with total
     target mass sum(r); d/dz = sum(r) * softmax - r, independent of the
-    constant K - |x_t| factor.  Softmax and masses are per pair, as in score.
+    constant K - |x_t| factor.  s and p come from _scores, as score's do.
     """
-    lefts = np.fromiter(chain.from_iterable(x.ids for x in xts), np.int64)
-    rights = _gap_contexts(lefts)
-    lens = np.array([len(x.ids) for x in xts])
+    lens = np.fromiter(map(len, xts), np.int64, len(xts))
+    lefts = np.fromiter(chain.from_iterable(xts), np.int64, int(lens.sum()))
     starts = np.cumsum(lens) - lens
     seg = np.repeat(np.arange(len(lens)), lens)  # the pair each row belongs to
     w = np.array([loss_weight(t) for t in ts])
     r = np.concatenate(ratios)
-    z = params.theta[lefts, rights, :]
     V = params.vocab_size
-    if params.mode == "dise":
-        buckets = np.array([time_bucket(t) for t in ts])[seg]
-        s = np.exp(z + params.time_bias[buckets])
-        g_z = w[seg, None] * (s - r)
-    else:
+    if params.mode == "dice":
         m_model = params.k - (lens - 1)
         m_target = _segment_sums(r.reshape(-1), starts * V)
         bad = np.flatnonzero(np.abs(m_model - m_target) > DICE_NORM_TOL)
         if bad.size:
             raise NormalizationViolation(f"model is normalized for {int(m_model[bad[0]])} "
                                          f"missing tokens, targets say {float(m_target[bad[0]])}")
-        zz = z[:, 1:]
-        e = np.zeros_like(z)
-        e[:, 1:] = np.exp(zz - np.maximum.reduceat(zz.max(axis=1), starts)[seg, None])
-        p = e / _segment_sums(e.reshape(-1), starts * V)[seg, None]
-        s = m_model[seg, None] * p
+    s, p, buckets = _scores(params, lefts, lens, ts)
+    if params.mode == "dise":
+        g_z = w[seg, None] * (s - r)
+    else:
         g_z = w[seg, None] * (m_target[seg, None] * p - r)
         g_z[:, 0] = 0.0  # the bos column carries no model mass
     per_position = row_loss_sums(params.mode, s, r)
 
     gtheta = np.zeros((V, V, V))
-    np.add.at(gtheta, (lefts, rights), g_z)
+    np.add.at(gtheta, (lefts, _gap_contexts(lefts)), g_z)
     gtb = None
     if params.mode == "dise":
         gtb = np.zeros((N_BUCKETS, V))

@@ -1,5 +1,6 @@
 """Counting DP against brute-force enumeration and closed-form identities."""
 
+import contextlib
 import math
 import tracemalloc
 import warnings
@@ -13,6 +14,7 @@ from delins.dp import (
     LOG_ZERO,
     NRatioMatrix,
     _sweep,
+    _walk,
     batched_insertion_counts,
     batched_n_ratios,
     batched_n_ratios_auto,
@@ -313,6 +315,22 @@ def test_ratio_memory_stays_below_one_stacked_table():
             finally:
                 tracemalloc.stop()
             assert peak <= 0.7 * stacked, (n, domain, peak / stacked)
+
+
+def test_swept_count_keeps_two_rows_not_the_table():
+    # 1024 in 2048 over 15 tokens matches too often to walk, so every domain sweeps
+    x_t, x_0 = _half_kept_pairs(np.random.default_rng(7), (2048,), 16)[0]
+    assert _walk(x_t, x_0, exact=False) is None
+    table = (len(x_0) + 1) * (len(x_t) + 1) * 8
+    for domain in ("exact", "float", "log"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(Overflow) if domain == "exact" else contextlib.nullcontext():
+                subsequence_count(x_t, x_0, domain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * table, (domain, peak / table)
 
 
 def test_fallback_releases_the_failed_exact_tables():

@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SPANS = {
     "train": ["train.dp.ratios_ms_per_step", "train.process.forward_sample_ms_per_step"],
     "sample": ["sample.var.scorer.score_ms_per_walker_step",
+               "sample.fixed.scorer.score_ms_per_walker_step",
                "sample.var.sampler.gap_probs_ms_per_walker_step"],
     "count-sweep": ["count-sweep.dp.count_us_per_pair", "count-sweep.dp.grid_us_per_pair"],
     "ratios-long": ["ratios-long.dp.exact_attempt_ms.L256", "ratios-long.dp.log_ms.L2048"],

@@ -329,6 +329,13 @@ def test_batch_rejects_empty_batches():
         batch_generate(scorer.score, params, SamplerConfig(steps=2, seed=0), 0)
 
 
+def test_batch_rejects_a_score_row_count_other_than_the_gaps():
+    params = uniform_dise(3)
+    short = lambda p, xs, t: scorer.score(p, xs, t)[:-1]
+    with pytest.raises(ShapeMismatch, match="^3 score rows for 4 gaps$"):
+        batch_generate(short, params, SamplerConfig(steps=2, seed=0), 4)
+
+
 def test_batch_summary_matches_traces():
     params = uniform_dise(3)
     cfg = SamplerConfig(steps=8, seed=17)
@@ -470,14 +477,17 @@ def test_seeded_samples_are_pinned(case):
 def test_oracle_scores_recover_tiny_distribution():
     dist = oracle.TinyDistribution.uniform([seq(1, 2), seq(2, 1)])
 
-    def score_fn(_params, x, t):
+    def score_fn(_params, xs, t):
         # Simultaneous insertions can leap off the support lattice; such
         # states are dead ends the oracle refuses to score.  Freezing them
         # leaves their mass to be counted against the TV budget below.
-        try:
-            return oracle.exact_insertion_matrix(dist, x, min(t, T_MAX))
-        except oracle.ZeroDenominator:
-            return np.zeros((len(x), dist.vocab_size))
+        rows = []
+        for x in xs:
+            try:
+                rows.append(oracle.exact_insertion_matrix(dist, x, min(t, T_MAX)))
+            except oracle.ZeroDenominator:
+                rows.append(np.zeros((len(x), dist.vocab_size)))
+        return np.concatenate(rows)
 
     cfg = SamplerConfig(steps=64, seed=20)
     traces, _ = batch_generate(score_fn, None, cfg, 1500)

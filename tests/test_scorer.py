@@ -47,7 +47,7 @@ def rand_params(rng, V, mode, k=None):
 
 def test_zero_params_dise_scores_are_one():
     p = ScorerParams.init(3, "dise")
-    mat = score(p, seq(A, B), t=0.4)
+    mat = score(p, [seq(A, B)], t=0.4)
     assert mat.shape == (3, 3)
     assert np.all(mat == 1.0)
 
@@ -55,12 +55,12 @@ def test_zero_params_dise_scores_are_one():
 def test_dise_requires_time():
     p = ScorerParams.init(3, "dise")
     with pytest.raises(ModeMismatch):
-        score(p, seq(A))
+        score(p, [seq(A)])
 
 
 def test_zero_params_dice_is_uniform_over_insertable_cells():
     p = ScorerParams.init(3, "dice", k=4)
-    mat = score(p, seq(A, B))
+    mat = score(p, [seq(A, B)])
     assert mat.sum() == pytest.approx(2.0, abs=1e-12)
     assert np.all(mat[:, 0] == 0.0)
     inner = mat[:, 1:]
@@ -74,14 +74,14 @@ def test_dice_normalization_by_construction(seed, extra):
     k = 3 + extra
     p = rand_params(rng, 3, "dice", k=k)
     x_t = seq(A, B, A)
-    mat = score(p, x_t)
+    mat = score(p, [x_t])
     assert mat.sum() == pytest.approx(k - 3, abs=1e-9)
 
 
 def test_dice_rejects_overlong_state():
     p = ScorerParams.init(3, "dice", k=1)
     with pytest.raises(ShapeMismatch):
-        score(p, seq(A, B))
+        score(p, [seq(A, B)])
 
 
 @settings(max_examples=30)
@@ -89,7 +89,7 @@ def test_dice_rejects_overlong_state():
 def test_dise_scores_strictly_positive(seed):
     rng = np.random.default_rng(seed)
     p = rand_params(rng, 4, "dise")
-    mat = score(p, seq(A, B, 3, A), t=float(rng.uniform(0.01, 0.99)))
+    mat = score(p, [seq(A, B, 3, A)], t=float(rng.uniform(0.01, 0.99)))
     assert np.all(mat > 0.0)
 
 
@@ -106,13 +106,13 @@ def test_loss_matches_objective_module():
     rng = np.random.default_rng(0)
     x_0, x_t, t = seq(A, B, A), seq(A), 0.37
     p = rand_params(rng, 3, "dise")
-    mat = score(p, x_t, t)
+    mat = score(p, [x_t], t)
     via_objective = objective.dise_loss(mat, x_t, x_0, t)
     direct, _ = loss_and_grad(p, x_t, x_0, t)
     assert direct.total == via_objective.total
 
     pd = rand_params(rng, 3, "dice", k=3)
-    matd = score(pd, x_t)
+    matd = score(pd, [x_t])
     via_objective = objective.dice_loss(matd, x_t, x_0, t)
     direct, _ = loss_and_grad(pd, x_t, x_0, t)
     assert direct.total == via_objective.total
@@ -170,6 +170,28 @@ def test_packed_batch_matches_one_pair_calls(mode):
 
 
 @pytest.mark.parametrize("mode", ["dise", "dice"])
+def test_score_of_a_batch_stacks_the_one_state_scores_bitwise(mode):
+    # mixed_batch holds a bos-only state, repeated contexts and, in dice, a state at k
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        p = rand_params(rng, 4, mode, 6 if mode == "dice" else None)
+        xts, _, ts = mixed_batch(rng, 4, mode)
+        t = ts[0] if mode == "dise" else None
+        packed = score(p, xts, t)
+        assert packed.shape == (sum(map(len, xts)), 4)
+        assert packed.tobytes() == np.concatenate([score(p, [x], t) for x in xts]).tobytes()
+
+
+def test_dice_batch_names_its_first_overlong_state():
+    rng = np.random.default_rng(5)
+    p = rand_params(rng, 4, "dice", 6)
+    xts, _, _ = mixed_batch(rng, 4, "dice")
+    xts[4], xts[6] = seq(*[A] * 7), seq(*[B] * 8)
+    with pytest.raises(ShapeMismatch, match=re.escape("x_t has 7 content tokens, more than k=6")):
+        score(p, xts)
+
+
+@pytest.mark.parametrize("mode", ["dise", "dice"])
 def test_batch_of_one_is_loss_and_grad(mode):
     rng = np.random.default_rng(11)
     p = rand_params(rng, 4, mode, 5 if mode == "dice" else None)
@@ -197,7 +219,7 @@ def test_one_pair_loss_is_objective_bit_for_bit_on_long_states(mode):
         p = rand_params(rng, 4, mode, 12 if mode == "dice" else None)
         t = float(rng.uniform(0.02, 0.98))
         loss = objective.dise_loss if mode == "dise" else objective.dice_loss
-        via_objective = loss(score(p, x_t, t if mode == "dise" else None), x_t, x_0, t)
+        via_objective = loss(score(p, [x_t], t if mode == "dise" else None), x_t, x_0, t)
         direct, _ = loss_and_grad(p, x_t, x_0, t)
         assert direct.total == via_objective.total
         assert np.array_equal(direct.per_position, via_objective.per_position)
@@ -225,7 +247,7 @@ def test_gradient_zero_ratio_reduction():
     x = seq(A, B)
     t = 0.5
     loss, grad = loss_and_grad(p, x, x, t)
-    s = score(p, x, t)
+    s = score(p, [x], t)
     assert loss.total == pytest.approx(loss.weight * s.sum(), rel=1e-12)
     assert grad.theta.sum() == pytest.approx(loss.weight * s.sum(), rel=1e-10)
 
