@@ -59,14 +59,20 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _nonnegative(raw: str) -> int:
+    if (val := int(raw)) < 0:
+        raise ValueError(f"negative: {raw!r}")
+    return val
+
+
 _TOKENIZERS = ("char", "whitespace")
 _DRAWN_SEED = "rng seed (default: drawn from entropy and logged)"
 
 # Every setting of each subcommand, declared once: name -> (cast, default, help).
-# A cast is int, float, str, _bool or a tuple of the allowed strings.  The table
-# makes the flags (max_len is --max-len) and casts, checks and defaults config
-# values.  Help shows a literal default; a None default is absent or computed,
-# and its help says which.  A boolean that defaults on gets a --no- form.
+# A cast is int, _nonnegative, float, str, _bool or a tuple of allowed strings.
+# The table makes the flags (max_len is --max-len) and casts, checks and defaults
+# config values.  Help shows a literal default; a None default is absent or
+# computed, and its help says which.  A boolean that defaults on gets a --no- form.
 SETTINGS = {
     "count": {
         "domain": (("auto", "exact", "log"), "auto", "arithmetic domain"),
@@ -88,7 +94,7 @@ SETTINGS = {
         "metrics": (str, None, "JSON-lines metrics path (default stdout)"),
         "timing": (_bool, True, "include wall_ms per step, off for byte-stable streams"),
         "dry_run": (_bool, False, "validate the configuration and corpus, write nothing"),
-        "seed": (int, None, _DRAWN_SEED),
+        "seed": (_nonnegative, None, _DRAWN_SEED),
     },
     "sample": {
         "checkpoint": (str, None, "scorer checkpoint path"),
@@ -104,7 +110,7 @@ SETTINGS = {
         "tokenizer": (_TOKENIZERS, "char", "token joining"),
         "out": (str, None, "output path (default stdout)"),
         "trace": (str, None, "also dump per-sample snapshot traces to this path"),
-        "seed": (int, None, _DRAWN_SEED),
+        "seed": (_nonnegative, None, _DRAWN_SEED),
     },
     "verify": {
         "level": (("quick", "full"), "quick", "suite size"),
@@ -115,7 +121,7 @@ SETTINGS = {
         "reps": (int, 3, "timed repetitions per length"),
         "vocab_size": (int, 16, "bench vocabulary size"),
         "metrics": (str, None, "JSON-lines output path (default stdout)"),
-        "seed": (int, 0, "rng seed for the bench pairs"),
+        "seed": (_nonnegative, 0, "rng seed for the bench pairs"),
     },
 }
 

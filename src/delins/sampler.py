@@ -9,11 +9,13 @@ log-linear schedule of process (the one training uses).  Because all gaps
 fire simultaneously and each inserts at most once, applying the insertions
 is order-free.
 
-A batch of walkers leaps together: one score call returns every walker's
-gaps as one stacked (gaps, V) array, one call computes every gap's
-probabilities, and each walker draws its uniforms from its own stream.
-Walker i of a batch is therefore the lone walk on the same stream, whatever
-the batch size.
+A batch of walkers leaps together and stays packed between leaps as one id
+array plus each walker's size.  One score call returns every walker's gaps
+as one stacked (gaps, V) array, one call computes every gap's
+probabilities, and each walker draws a leap's gates, then its tokens, in one
+call to its own stream, so walker i of a batch is the lone walk on the same
+stream, whatever the batch size.  Only a walker that inserted gets a new
+Sequence.
 
 Guards on top of the raw leap:
 
@@ -33,7 +35,6 @@ Guards on top of the raw leap:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -156,73 +157,60 @@ def gap_insertion_probabilities(
     return p_insert, cond, clamped
 
 
-def _leap(xs, t, dt, scores, top_p, rngs, gap_mask, capacity, stats) -> list[Sequence]:
-    """One tau-leap for a batch of walkers; every gap inserts at most one token.
+def _leap(ids, sizes, t, dt, scores, top_p, rngs, gap_mask, capacity, stats):
+    """One tau-leap for walkers packed as one id array; every gap inserts at most one token.
 
-    rngs[w], capacity[w] and stats[w] belong to walker xs[w]; scores and
-    gap_mask cover the walkers' gaps stacked in order.  Each walker draws
-    two uniforms per gap from its own stream, gates first, whatever fires,
-    so no walker's leap depends on another's or on earlier outcomes.
+    Walker w holds the sizes[w] ids after the earlier walkers'.  rngs[w],
+    capacity[w] and stats[:, w] (gap steps, clamps, cancellations, added in
+    place) are its own; scores and gap_mask cover the gaps in the same order.
+    Each walker draws its gates and then its tokens in one call to its own
+    stream, whatever fires, so no walker's leap depends on another's or on
+    earlier outcomes.  Returns the grown ids and sizes in the same layout.
     """
     if not (0.0 < dt <= t):
         raise InvalidTimes(f"need 0 < dt <= t, got dt={dt}, t={t}")
-    sizes = [len(x) for x in xs]
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    if len(scores) != starts[-1]:
-        raise ShapeMismatch(f"{len(scores)} score rows for {starts[-1]} gaps")
+    if len(scores) != len(ids):
+        raise ShapeMismatch(f"{len(scores)} score rows for {len(ids)} gaps")
     p_insert, cond, clamped = gap_insertion_probabilities(scores, t, dt, top_p, gap_mask)
-    u_gate = np.empty(len(p_insert))
-    u_token = np.empty(len(p_insert))
-    for rng, a, b in zip(rngs, starts[:-1].tolist(), starts[1:].tolist()):
-        u_gate[a:b] = rng.random(b - a)
-        u_token[a:b] = rng.random(b - a)
-    fired = np.flatnonzero(u_gate < p_insert)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    u = np.concatenate([rng.random(2 * n) for rng, n in zip(rngs, sizes.tolist())])
+    # gap g of walker w draws u[g + starts[w]] for its gate and u[g + ends[w]] for its token
+    fired = np.flatnonzero(u[np.arange(len(ids)) + np.repeat(starts, sizes)] < p_insert)
+    walker = np.searchsorted(ends, fired, side="right")  # the walker each fired gap belongs to
+    u_token = u[fired + ends[walker]]
     cum = np.cumsum(cond[fired], axis=1)
     # searchsorted(cum, u * total, side="right"), for every fired gap at once
-    tokens = (cum <= (u_token[fired] * cum[:, -1])[:, None]).sum(axis=1)
-    tokens = np.minimum(tokens, cond.shape[1] - 1)
-    bounds = np.searchsorted(fired, starts)  # walker w fired fired[bounds[w]:bounds[w + 1]]
-    added = np.diff(bounds)
-    if capacity is not None:
+    tokens = np.minimum((cum <= (u_token * cum[:, -1])[:, None]).sum(axis=1), cond.shape[1] - 1)
+    added = np.bincount(walker, minlength=len(sizes))
+    if capacity is not None and (over := np.flatnonzero(added > capacity)).size:
+        bounds = np.cumsum(added) - added  # walker w fired fired[bounds[w]:bounds[w] + added[w]]
         accept = np.ones(len(fired), dtype=bool)
-        for w in np.flatnonzero(added > capacity).tolist():
-            lo, hi = bounds[w], bounds[w + 1]
+        for w in over.tolist():
+            lo, hi = bounds[w], bounds[w] + added[w]
             mass = p_insert[fired[lo:hi]] * cond[fired[lo:hi], tokens[lo:hi]]
             # the largest sampled-token masses stay, ties to the lower gap
             accept[lo + np.argsort(-mass, kind="stable")[capacity[w]:]] = False
-            stats[w].cancelled += int(hi - lo - capacity[w])
         fired, tokens = fired[accept], tokens[accept]
+        stats[2, over] += added[over] - capacity[over]
         added = np.minimum(added, capacity)
-    clamps = np.add.reduceat(clamped, starts[:-1], dtype=np.int64)
-    flat = np.fromiter(itertools.chain.from_iterable(xs), dtype=np.int64, count=int(starts[-1]))
-    grown = np.insert(flat, fired + 1, tokens).tolist()
-    ends = np.cumsum(added + sizes).tolist()
-    out = []
-    for x, st, n, c, end, a in zip(xs, stats, sizes, clamps.tolist(), ends, added.tolist()):
-        st.gap_steps += n
-        st.clamp_events += c
-        out.append(Sequence(tuple(grown[end - n - a : end])) if a else x)
-    return out
+    stats[0] += sizes
+    stats[1] += np.add.reduceat(clamped, starts, dtype=np.int64)
+    # a fired gap's left token goes in twice, then the new token replaces the second copy
+    grown = np.repeat(ids, np.bincount(fired, minlength=len(ids)) + 1)
+    grown[fired + np.arange(1, len(fired) + 1)] = tokens
+    return grown, sizes + added
 
 
-def reverse_step(
-    x_t: Sequence,
-    t: float,
-    dt: float,
-    scores,
-    top_p: float,
-    rng,
-    *,
-    gap_mask=None,
-    capacity: int | None = None,
-    stats: StepStats | None = None,
-) -> Sequence:
+def reverse_step(x_t: Sequence, t: float, dt: float, scores, top_p: float, rng, *, gap_mask=None,
+                 capacity: int | None = None, stats: StepStats | None = None) -> Sequence:
     """One tau-leap: all gaps of x_t independently insert at most one token."""
-    return _leap(
-        [x_t], t, dt, scores, top_p, [rng], gap_mask,
-        None if capacity is None else np.array([capacity]),
-        [stats if stats is not None else StepStats()],
-    )[0]
+    st = stats if stats is not None else StepStats()
+    counts = np.array([[st.gap_steps], [st.clamp_events], [st.cancelled]])
+    ids, sizes = _leap(np.array(x_t.ids, dtype=np.int64), np.array([len(x_t)]), t, dt, scores, top_p,
+                       [rng], gap_mask, None if capacity is None else np.array([capacity]), counts)
+    st.gap_steps, st.clamp_events, st.cancelled = counts[:, 0].tolist()
+    return x_t if sizes[0] == len(x_t) else Sequence(tuple(ids.tolist()))
 
 
 def _walk(
@@ -231,25 +219,27 @@ def _walk(
     """Walk one walker per rng from t = 1 to 0, scoring and leaping together."""
     x = prompt if prompt is not None else Sequence((0,))
     inside = len(x) - 1  # gaps strictly inside the prompt
-    times = timestep_grid(config.steps, config.grid)
+    times = timestep_grid(config.steps, config.grid).tolist()
     xs = [x] * len(rngs)
-    stats = [StepStats() for _ in rngs]
-    snapshots = [[(1.0, x)] for _ in rngs]
-    for k in range(config.steps):
-        t, t_next = float(times[k]), float(times[k + 1])
+    history = [xs]  # every walker's state at each time
+    ids = np.tile(np.array(x.ids, dtype=np.int64), len(rngs))
+    sizes = np.full(len(rngs), len(x))
+    stats = np.zeros((3, len(rngs)), dtype=np.int64)
+    for t, t_next in zip(times, times[1:]):
         scores = score_fn(params, xs, t)
-        sizes = np.array([len(x) for x in xs])
-        mask = None
-        if inside:
-            gap = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-            mask = gap >= inside
-        capacity = None
-        if config.mode == "fixed":
-            capacity = np.maximum(config.k - (sizes - 1), 0)
-        xs = _leap(xs, t, t - t_next, scores, config.top_p, rngs, mask, capacity, stats)
-        for snap, x in zip(snapshots, xs):
-            snap.append((t_next, x))
-    return [GenerationTrace(snap, x, st) for snap, x, st in zip(snapshots, xs, stats)]
+        mask = np.arange(len(ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes) >= inside if inside else None
+        capacity = np.maximum(config.k - (sizes - 1), 0) if config.mode == "fixed" else None
+        ids, grown = _leap(ids, sizes, t, t - t_next, scores, config.top_p, rngs, mask, capacity, stats)
+        changed = np.flatnonzero(grown != sizes).tolist()
+        if changed:
+            xs = list(xs)  # history keeps the previous list
+            flat, ends, n = ids.tolist(), np.cumsum(grown).tolist(), grown.tolist()
+            for w in changed:
+                xs[w] = Sequence(tuple(flat[ends[w] - n[w] : ends[w]]))
+        history.append(xs)
+        sizes = grown
+    return [GenerationTrace(list(zip(times, snaps)), snaps[-1], StepStats(*st))
+            for snaps, st in zip(zip(*history), stats.T.tolist())]
 
 
 def generate(score_fn, params, config: SamplerConfig, prompt: Sequence | None = None, rng=None):

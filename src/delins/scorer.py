@@ -94,8 +94,12 @@ class Gradient:
     time_bias: np.ndarray | None
 
 
-def time_bucket(t: float) -> int:
-    return min(int(t * N_BUCKETS), N_BUCKETS - 1)
+def time_bucket(ts) -> np.ndarray:
+    """min(int(t * N_BUCKETS), N_BUCKETS - 1) of one time, or of every time in an array at once."""
+    scaled = np.asarray(ts, dtype=np.float64) * N_BUCKETS
+    if not np.isfinite(scaled).all():
+        raise ValueError("time buckets need finite times")
+    return np.minimum(scaled.astype(np.int64), N_BUCKETS - 1)  # the cast truncates like int()
 
 
 def _gap_contexts(ids: np.ndarray) -> np.ndarray:
@@ -126,7 +130,7 @@ def _scores(params: ScorerParams, lefts: np.ndarray, lens: np.ndarray, ts) -> tu
     seg = np.repeat(np.arange(len(lens)), lens)  # the state each row belongs to
     z = params.theta[lefts, _gap_contexts(lefts), :]
     if params.mode == "dise":
-        buckets = np.array([time_bucket(t) for t in ts])[seg]
+        buckets = time_bucket(ts)[seg]
         return np.exp(z + params.time_bias[buckets]), None, buckets
     # The bos marker can never be inserted, so the model holds that column at
     # an exact zero rather than wasting probability mass it could never shed

@@ -510,6 +510,19 @@ def test_config_file_bad_value_is_usage_error(tmp_path, capsys):
     assert got == (1, "", "error: config [train] timing = 'maybe' is not bool\n")
 
 
+@pytest.mark.parametrize("command", ["train", "sample", "bench"])
+def test_negative_seed_is_one_usage_error_line(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--seed", "-5"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"delins {command}: error: argument --seed: invalid _nonnegative value: '-5'"
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{command}]\nseed = -5\n")
+    got = run_cli([command, "--config", str(ini)], capsys)
+    assert got == (1, "", f"error: config [{command}] seed = '-5' is not nonnegative\n")
+
+
 def test_config_value_outside_choices_is_usage_error(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     for text, argv, want in (

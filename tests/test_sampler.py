@@ -223,6 +223,30 @@ def test_capacity_counts_cancellations():
     assert stats.cancelled == 2
 
 
+@pytest.mark.parametrize("capacity", [None, 1])
+def test_reverse_step_returns_the_same_sequence_with_or_without_stats(capacity):
+    scores = np.random.default_rng(8).random((4, 5)) * 0.3
+    x = seq(3, 1, 4)
+    kept = 0
+    for seed in range(50):
+        plain = reverse_step(x, 0.5, 0.4, scores, 0.9, np.random.default_rng(seed), capacity=capacity)
+        counted = reverse_step(x, 0.5, 0.4, scores, 0.9, np.random.default_rng(seed),
+                               capacity=capacity, stats=StepStats())
+        assert plain == counted
+        assert (plain is x) == (counted is x) == (plain.ids == x.ids)
+        kept += plain is x
+    assert 0 < kept < 50
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 1001])
+def test_one_draw_of_2n_is_two_draws_of_n(n):
+    # each walker draws its gates and tokens in one call; the stream relies on this
+    one = np.random.default_rng(n).random(2 * n)
+    rng = np.random.default_rng(n)
+    two = np.concatenate([rng.random(n), rng.random(n)])
+    assert one.tobytes() == two.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # generate
 
@@ -413,6 +437,18 @@ def test_batch_walker_is_generate_on_its_child_stream(case):
     for tr, child in zip(traces, children):
         lone = generate(scorer.score, params, cfg, prompt, rng=np.random.default_rng(child))
         assert _trace_key(tr) == _trace_key(lone)
+
+
+@pytest.mark.parametrize("case", sorted(WALKER_CASES))
+def test_a_walker_that_did_not_insert_keeps_its_sequence_object(case):
+    params, cfg, prompt = WALKER_CASES[case]
+    kept = grew = 0
+    for tr in batch_generate(scorer.score, params, cfg, 5, prompt)[0]:
+        for (_, before), (_, after) in zip(tr.snapshots, tr.snapshots[1:]):
+            assert (after is before) == (after.ids == before.ids)
+            kept += after is before
+            grew += after is not before
+    assert kept and grew
 
 
 @pytest.mark.parametrize("case", sorted(WALKER_CASES))

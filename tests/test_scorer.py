@@ -15,6 +15,7 @@ from delins.errors import (
     ShapeMismatch,
     VersionMismatch,
 )
+from delins.sampler import GRID_KINDS, timestep_grid
 from delins.scorer import (
     N_BUCKETS,
     Gradient,
@@ -271,6 +272,24 @@ def test_time_bucket_edges():
     assert time_bucket(0.0) == 0
     assert time_bucket(0.999) == N_BUCKETS - 1
     assert time_bucket(1.0) == N_BUCKETS - 1
+
+
+def test_time_buckets_of_an_array_equal_the_int_cast_of_each_time():
+    edges = np.arange(N_BUCKETS + 1) / N_BUCKETS
+    ts = np.concatenate(
+        [timestep_grid(n, kind) for n in range(1, 129) for kind in GRID_KINDS]
+        + [[objective.T_MIN], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)]
+    )
+    ts = ts[(ts >= 0.0) & (ts <= 1.0)]
+    assert time_bucket(ts).tolist() == [min(int(t * N_BUCKETS), N_BUCKETS - 1) for t in ts.tolist()]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_time_bucket_of_a_non_finite_time_raises(bad):
+    with pytest.raises(ValueError):
+        time_bucket(bad)
+    with pytest.raises(ValueError):
+        time_bucket([0.5, bad])
 
 
 def make_corpus(lines, symbols):
