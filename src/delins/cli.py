@@ -34,7 +34,7 @@ from .errors import (
     VersionMismatch,
 )
 from .sampler import GRID_KINDS, MODES as SAMPLER_MODES, SamplerConfig, batch_generate
-from .seqcore import Sequence, Vocab, _split, detokenize, load_corpus, scan_vocab, tokenize
+from .seqcore import Sequence, Vocab, _split, detokenize, load_corpus, scan_vocab, text_lines, tokenize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -225,11 +225,6 @@ def cmd_count(args) -> int:
 # train
 
 
-def _read_lines(path) -> list[tuple[int, str]]:
-    with open(path, encoding="utf-8") as fh:
-        return [(i, text) for i, line in enumerate(fh, 1) if (text := line.rstrip("\n"))]
-
-
 def cmd_train(args) -> int:
     cfg = _resolve(args, "train")
     if not cfg["corpus"]:
@@ -247,7 +242,8 @@ def cmd_train(args) -> int:
     if cfg["mode"] == "dice":
         if cfg["k"] is None:
             cfg["k"] = corpus.sequences[0].content_len
-        for (lineno, _), x in zip(_read_lines(cfg["corpus"]), corpus.sequences):
+        linenos = [i for i, line in enumerate(text_lines(cfg["corpus"]), 1) if line.rstrip("\n")]
+        for lineno, x in zip(linenos, corpus.sequences):
             if x.content_len != cfg["k"]:
                 raise ConfigError(
                     f"line {lineno}: length {x.content_len} != k={cfg['k']}"

@@ -39,7 +39,6 @@ fusing each row as soon as it exists: one table's memory, not two.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -47,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BeyondFloat64, NotASubsequence, Overflow, ShapeMismatch, TooLarge
+from .seqcore import Batch
 
 LOG_ZERO = -999999.0
 
@@ -135,15 +135,15 @@ def _packed(seqs, pad: int, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
     The ids are read as one flat array.  An id outside the vocab raises, naming the
     smallest id of the first sequence holding one if it is negative, else its largest.
     """
-    seqs = [getattr(s, "ids", s) for s in seqs]
-    lens = np.fromiter(map(len, seqs), np.int64, len(seqs))
-    flat = np.fromiter(itertools.chain.from_iterable(seqs), np.int64, int(lens.sum()))
+    batch = Batch.of(seqs)
+    flat, lens = batch.ids, batch.sizes
     # viewed as uint64 a negative id reads huge, so one max() checks both ends
     if int(flat.view(_U64).max(initial=0)) >= vocab_size:
-        a = next(a for a in map(_ids, seqs) if len(a) and int(a.view(_U64).max()) >= vocab_size)
+        b = np.searchsorted(np.cumsum(lens), np.argmax(flat.view(_U64) >= vocab_size), side="right")
+        a = flat[lens[:b].sum() : lens[: b + 1].sum()]
         bad = int(a.min()) if a.min() < 0 else int(a.max())
         raise ShapeMismatch(f"token id {bad} does not fit a vocab of size {vocab_size}")
-    out = np.full((len(seqs), int(lens.max())), pad, dtype=np.int64)
+    out = np.full((len(lens), int(lens.max())), pad, dtype=np.int64)
     out[np.arange(out.shape[1]) < lens[:, None]] = flat
     return out, lens
 

@@ -9,13 +9,13 @@ log-linear schedule of process (the one training uses).  Because all gaps
 fire simultaneously and each inserts at most once, applying the insertions
 is order-free.
 
-A batch of walkers leaps together and stays packed between leaps as one id
-array plus each walker's size.  One score call returns every walker's gaps
-as one stacked (gaps, V) array, one call computes every gap's
+A batch of walkers leaps together and stays packed between leaps, as the
+score call gets them: one seqcore.Batch.  That call returns every walker's
+gaps as one stacked (gaps, V) array, one call computes every gap's
 probabilities, and each walker draws a leap's gates, then its tokens, in one
 call to its own stream, so walker i of a batch is the lone walk on the same
-stream, whatever the batch size.  Only a walker that inserted gets a new
-Sequence.
+stream, whatever the batch size.  Only fired gaps pick a token, and only a
+walker that inserted gets a new Sequence.
 
 Guards on top of the raw leap:
 
@@ -23,7 +23,7 @@ Guards on top of the raw leap:
   over-vocabulary part is renormalized to a proper categorical with no
   no-op mass (counted and reported as a clamp event);
 * nucleus filtering (top_p) reshapes only the conditional token choice at
-  a gap, never the odds of inserting at all;
+  a gap that fires, never the odds of inserting at all;
 * the bos column of any score matrix is ignored: the begin marker is not
   insertable, and the exact scores are genuinely zero there anyway;
 * prompted generation masks every gap strictly inside the prompt, so the
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidSteps, InvalidTimes, ShapeMismatch
 from .objective import loss_weight
-from .seqcore import Sequence
+from .seqcore import Batch, Sequence
 
 GRID_KINDS = ("uniform", "cosine")
 MODES = ("variable", "fixed")
@@ -109,26 +109,24 @@ def _nucleus_rows(cond: np.ndarray, top_p: float) -> np.ndarray:
     sequentially below 8 cells (the running sum) and pairwise from 8 on
     (summed row by row), so each row comes out as if filtered alone.
     """
-    n, V = cond.shape
+    rows, V = np.arange(len(cond)), cond.shape[1]
     total = cond.sum(axis=1)
     order = np.argsort(-cond, axis=1, kind="stable")
-    ranked = np.take_along_axis(cond, order, axis=1)
+    ranked = cond[rows[:, None], order]
     cum = np.cumsum(ranked, axis=1)
     keep = np.minimum((cum < top_p * total[:, None]).sum(axis=1) + 1, V)
-    norm = cum[np.arange(n), keep - 1]
+    norm = cum[rows, keep - 1]
     for i in np.flatnonzero(keep >= 8):
         norm[i] = ranked[i, : keep[i]].sum()
     live = total > 0.0
     kept = (np.arange(V) < keep[:, None]) & live[:, None]
     out = np.zeros_like(cond)
-    scaled = ranked / np.where(live, norm, 1.0)[:, None]
-    np.put_along_axis(out, order, np.where(kept, scaled, 0.0), axis=1)
+    out[rows[:, None], order] = np.where(kept, ranked / np.where(live, norm, 1.0)[:, None], 0.0)
     return out
 
 
-def gap_insertion_probabilities(
-    scores, t: float, dt: float, top_p: float = 1.0, gap_mask=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def gap_insertion_probabilities(scores, t: float, dt: float,
+                                gap_mask=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-gap insertion probability and conditional token distribution.
 
     Returns (p_insert, conditional, clamped): gap i inserts with
@@ -152,8 +150,6 @@ def gap_insertion_probabilities(
     cond = np.zeros_like(s)
     live = row > 0.0
     cond[live] = s[live] / row[live, None]
-    if top_p < 1.0:
-        cond = _nucleus_rows(cond, top_p)
     return p_insert, cond, clamped
 
 
@@ -171,15 +167,18 @@ def _leap(ids, sizes, t, dt, scores, top_p, rngs, gap_mask, capacity, stats):
         raise InvalidTimes(f"need 0 < dt <= t, got dt={dt}, t={t}")
     if len(scores) != len(ids):
         raise ShapeMismatch(f"{len(scores)} score rows for {len(ids)} gaps")
-    p_insert, cond, clamped = gap_insertion_probabilities(scores, t, dt, top_p, gap_mask)
+    p_insert, cond, clamped = gap_insertion_probabilities(scores, t, dt, gap_mask)
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    u = np.concatenate([rng.random(2 * n) for rng, n in zip(rngs, sizes.tolist())])
+    u = np.empty(2 * len(ids))  # walker w's 2 * sizes[w] draws, the same doubles as rng.random(2 * n)
+    for rng, lo, hi in zip(rngs, (2 * starts).tolist(), (2 * ends).tolist()):
+        rng.random(out=u[lo:hi])
     # gap g of walker w draws u[g + starts[w]] for its gate and u[g + ends[w]] for its token
     fired = np.flatnonzero(u[np.arange(len(ids)) + np.repeat(starts, sizes)] < p_insert)
     walker = np.searchsorted(ends, fired, side="right")  # the walker each fired gap belongs to
     u_token = u[fired + ends[walker]]
-    cum = np.cumsum(cond[fired], axis=1)
+    picked = _nucleus_rows(cond[fired], top_p) if top_p < 1.0 else cond[fired]
+    cum = np.cumsum(picked, axis=1)
     # searchsorted(cum, u * total, side="right"), for every fired gap at once
     tokens = np.minimum((cum <= (u_token * cum[:, -1])[:, None]).sum(axis=1), cond.shape[1] - 1)
     added = np.bincount(walker, minlength=len(sizes))
@@ -188,7 +187,7 @@ def _leap(ids, sizes, t, dt, scores, top_p, rngs, gap_mask, capacity, stats):
         accept = np.ones(len(fired), dtype=bool)
         for w in over.tolist():
             lo, hi = bounds[w], bounds[w] + added[w]
-            mass = p_insert[fired[lo:hi]] * cond[fired[lo:hi], tokens[lo:hi]]
+            mass = p_insert[fired[lo:hi]] * picked[np.arange(lo, hi), tokens[lo:hi]]
             # the largest sampled-token masses stay, ties to the lower gap
             accept[lo + np.argsort(-mass, kind="stable")[capacity[w]:]] = False
         fired, tokens = fired[accept], tokens[accept]
@@ -226,7 +225,7 @@ def _walk(
     sizes = np.full(len(rngs), len(x))
     stats = np.zeros((3, len(rngs)), dtype=np.int64)
     for t, t_next in zip(times, times[1:]):
-        scores = score_fn(params, xs, t)
+        scores = score_fn(params, Batch(ids, sizes), t)
         mask = np.arange(len(ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes) >= inside if inside else None
         capacity = np.maximum(config.k - (sizes - 1), 0) if config.mode == "fixed" else None
         ids, grown = _leap(ids, sizes, t, t - t_next, scores, config.top_p, rngs, mask, capacity, stats)
@@ -245,9 +244,9 @@ def _walk(
 def generate(score_fn, params, config: SamplerConfig, prompt: Sequence | None = None, rng=None):
     """Walk the grid from t = 1 to 0, scoring and leaping at each step.
 
-    score_fn(params, xs, t) must return the insertion-score matrices of the
-    states xs stacked in order, shape (sum of |x|, V), as scorer.score does;
-    each leap makes one call.  Returns the full GenerationTrace.
+    score_fn(params, xs, t) gets the states xs as one seqcore.Batch and
+    returns their (|x|, V) insertion-score matrices stacked in order, as
+    scorer.score does, once per leap.  Returns the full GenerationTrace.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)

@@ -17,15 +17,15 @@ gap, so the slot is free).  Two output heads:
 Gradients are closed-form (the losses are convex in the logits for dice
 and per-cell convex for dise), so training needs no autodiff framework.
 Scores have one implementation, on the gaps of states packed with no padding.
-score takes a list of states and stacks their rows, so the sampler scores a
-leap in one call; training takes a batch's loss and gradient from one call.
+score reads a seqcore.Batch as it is, or packs a list of states once, and
+stacks their rows: one call per sampler leap, and one per training batch.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .objective import DICE_NORM_TOL, T_MIN, LossBreakdown, loss_weight, row_loss_sums
 from .process import forward_sample
-from .seqcore import BOS_ID, Corpus, Sequence, atomic_open
+from .seqcore import BOS_ID, Batch, Corpus, Sequence, atomic_open
 
 FORMAT_NAME = "delins-scorer"
 FORMAT_VERSION = 1
@@ -116,7 +116,11 @@ def _segment_sums(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
     reduceat adds a first element to the pairwise sum of the rest; a zero in
     front of each segment turns that into the pairwise sum .sum() takes.
     """
-    return np.add.reduceat(np.insert(a, starts, 0.0), starts + np.arange(len(starts)))
+    at = starts + np.arange(len(starts))  # where each segment's zero goes
+    padded, rest = np.zeros(len(a) + len(at)), np.ones(len(a) + len(at), dtype=bool)
+    rest[at] = False
+    padded[rest] = a
+    return np.add.reduceat(padded, at)
 
 
 def _scores(params: ScorerParams, lefts: np.ndarray, lens: np.ndarray, ts) -> tuple:
@@ -143,18 +147,17 @@ def _scores(params: ScorerParams, lefts: np.ndarray, lens: np.ndarray, ts) -> tu
     return (params.k - (lens - 1))[seg, None] * p, p, None
 
 
-def score(params: ScorerParams, xs: list[Sequence], t: float | None = None) -> np.ndarray:
+def score(params: ScorerParams, xs: Batch | list[Sequence], t: float | None = None) -> np.ndarray:
     """Model scores of every (gap, token) cell of the states xs at time t.
 
-    The states' (|x|, V) matrices come stacked in order, shape (sum of |x|, V).
+    The matrices of xs, a Batch or a list of states, come stacked: shape (sum of |x|, V).
     """
     if params.mode == "dise" and t is None:
         raise ModeMismatch("dise scores are time-dependent; pass t")
-    lens = np.fromiter(map(len, xs), np.int64, len(xs))
-    if params.mode == "dice" and (over := lens[lens - 1 > params.k]).size:
+    batch = Batch.of(xs)
+    if params.mode == "dice" and (over := batch.sizes[batch.sizes - 1 > params.k]).size:
         raise ShapeMismatch(f"x_t has {over[0] - 1} content tokens, more than k={params.k}")
-    lefts = np.fromiter(chain.from_iterable(xs), np.int64, int(lens.sum()))
-    return _scores(params, lefts, lens, [t] * len(xs))[0]
+    return _scores(params, batch.ids, batch.sizes, [t] * len(batch))[0]
 
 
 def _loss_grad_from_ratios(
@@ -170,8 +173,8 @@ def _loss_grad_from_ratios(
     target mass sum(r); d/dz = sum(r) * softmax - r, independent of the
     constant K - |x_t| factor.  s and p come from _scores, as score's do.
     """
-    lens = np.fromiter(map(len, xts), np.int64, len(xts))
-    lefts = np.fromiter(chain.from_iterable(xts), np.int64, int(lens.sum()))
+    batch = Batch.of(xts)
+    lefts, lens = batch.ids, batch.sizes
     starts = np.cumsum(lens) - lens
     seg = np.repeat(np.arange(len(lens)), lens)  # the pair each row belongs to
     w = np.array([loss_weight(t) for t in ts])
@@ -192,12 +195,13 @@ def _loss_grad_from_ratios(
         g_z[:, 0] = 0.0  # the bos column carries no model mass
     per_position = row_loss_sums(params.mode, s, r)
 
-    gtheta = np.zeros((V, V, V))
-    np.add.at(gtheta, (lefts, _gap_contexts(lefts)), g_z)
+    # bincount adds each cell's rows in input order, as np.add.at does, to the same bits
+    cells = (lefts * V + _gap_contexts(lefts))[:, None] * V + np.arange(V)
+    gtheta = np.bincount(cells.reshape(-1), g_z.reshape(-1), V**3).reshape(V, V, V)
     gtb = None
     if params.mode == "dise":
-        gtb = np.zeros((N_BUCKETS, V))
-        np.add.at(gtb, buckets, g_z)
+        cells = buckets[:, None] * V + np.arange(V)
+        gtb = np.bincount(cells.reshape(-1), g_z.reshape(-1), N_BUCKETS * V).reshape(N_BUCKETS, V)
     return w * _segment_sums(per_position, starts), per_position, Gradient(gtheta, gtb)
 
 
@@ -260,8 +264,8 @@ def train_settings(config: dict) -> tuple[int, int, float, str]:
     opt_name = str(config["optimizer"])
     if epochs < 1 or batch < 1:
         raise ConfigError(f"epochs={epochs} and batch={batch} must be >= 1")
-    if lr < 0:
-        raise ConfigError("negative learning rate")
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ConfigError(f"learning rate must be finite and >= 0, got {lr}")
     if opt_name not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer {opt_name!r}")
     return epochs, batch, lr, opt_name
@@ -381,6 +385,8 @@ def load(path) -> ScorerParams:
             f"payload is {len(payload)} bytes, header implies {expect}"
         )
     flat = np.frombuffer(payload, dtype=np.float64)
+    if not np.isfinite(flat).all():
+        raise ShapeMismatch(f"payload holds {int((~np.isfinite(flat)).sum())} non-finite values")
     theta = flat[:n_theta].reshape(V, V, V).copy()
     tb = flat[n_theta:].reshape(N_BUCKETS, V).copy() if mode == "dise" else None
     return ScorerParams(mode, theta, tb, k)

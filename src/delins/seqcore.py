@@ -15,10 +15,14 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import io
 import os
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import ConfigError, ShapeMismatch, UnknownSymbol
 
@@ -39,6 +43,17 @@ def atomic_open(path, mode: str, **kwargs):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, as open() reads them; other bytes raise one ConfigError."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}: line {line} is not UTF-8 text") from None
 
 
 @dataclass(frozen=True)
@@ -80,9 +95,7 @@ class Vocab:
 
     @staticmethod
     def load(path) -> "Vocab":
-        with open(path, encoding="utf-8") as f:
-            symbols = [line.rstrip("\n") for line in f if line.rstrip("\n")]
-        return Vocab(tuple(symbols))
+        return Vocab(tuple(line.rstrip("\n") for line in text_lines(path) if line.rstrip("\n")))
 
 
 @dataclass(frozen=True)
@@ -123,6 +136,33 @@ class Sequence:
         return Sequence((BOS_ID, *content))
 
 
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """States packed as one int64 id array: state b holds the sizes[b] ids after the earlier states'.
+
+    len counts the states and iterating yields each as a Sequence.
+    """
+
+    ids: np.ndarray
+    sizes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __iter__(self):
+        flat, ends = self.ids.tolist(), np.cumsum(self.sizes).tolist()
+        return (Sequence(tuple(flat[end - n : end])) for end, n in zip(ends, self.sizes.tolist()))
+
+    @staticmethod
+    def of(states) -> "Batch":
+        """states packed once: a Batch is returned as it is, Sequences or id tuples are read."""
+        if isinstance(states, Batch):
+            return states
+        states = [getattr(s, "ids", s) for s in states]
+        sizes = np.fromiter(map(len, states), np.int64, len(states))
+        return Batch(np.fromiter(chain.from_iterable(states), np.int64, int(sizes.sum())), sizes)
+
+
 @dataclass
 class Corpus:
     sequences: list[Sequence]
@@ -156,8 +196,7 @@ def detokenize(seq: Sequence, vocab: Vocab, mode: str = "char") -> str:
 
 def scan_vocab(path, mode: str = "char") -> Vocab:
     """Build a vocab from a corpus file, ids in first-seen order after bos."""
-    with open(path, encoding="utf-8") as f:
-        return Vocab.build(sym for line in f for sym in _split(line.rstrip("\n"), mode))
+    return Vocab.build(sym for line in text_lines(path) for sym in _split(line.rstrip("\n"), mode))
 
 
 def load_corpus(path, vocab: Vocab, mode: str = "char", max_len: int | None = None) -> Corpus:
@@ -165,13 +204,12 @@ def load_corpus(path, vocab: Vocab, mode: str = "char", max_len: int | None = No
     if max_len is not None and max_len < 1:
         raise ConfigError(f"max_len must be >= 1 (it counts bos), got {max_len}")
     seqs: list[Sequence] = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            text = line.rstrip("\n")
-            if not text:
-                continue
-            seq = tokenize(text, vocab, mode)
-            if max_len is not None and len(seq) > max_len:
-                seq = Sequence(seq.ids[:max_len])
-            seqs.append(seq)
+    for line in text_lines(path):
+        text = line.rstrip("\n")
+        if not text:
+            continue
+        seq = tokenize(text, vocab, mode)
+        if max_len is not None and len(seq) > max_len:
+            seq = Sequence(seq.ids[:max_len])
+        seqs.append(seq)
     return Corpus(seqs, vocab)

@@ -226,6 +226,40 @@ def test_train_dry_run_checks_the_training_settings(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_train_refuses_a_learning_rate_that_is_not_finite(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, VARIED)
+    for lr in ("nan", "inf", "-inf"):
+        ckpt = tmp_path / f"lr-{lr}.ckpt"
+        code, out, err = run_cli(
+            ["train", "--corpus", corpus, f"--lr={lr}", "--seed", "0", "--checkpoint-out", str(ckpt)], capsys
+        )
+        assert code == 1, lr
+        assert out == "" and not ckpt.exists()
+        assert err.startswith("error: learning rate must be finite") and err.count("\n") == 1
+
+
+def test_corpus_that_is_not_utf8_exits_one_naming_file_and_line(tmp_path, capsys):
+    corpus = tmp_path / "utf16.txt"
+    corpus.write_bytes("abc\nbca\n".encode("utf-16"))  # starts with the bytes ff fe
+    code, out, err = run_cli(["train", "--corpus", str(corpus), "--dry-run"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {corpus}: line 1 is not UTF-8 text\n"
+
+
+def test_sample_refuses_a_checkpoint_holding_nan(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, VARIED)
+    ckpt = tmp_path / "m.ckpt"
+    code, _, _ = run_cli(["train", "--corpus", corpus, "--seed", "0", "--checkpoint-out", str(ckpt)], capsys)
+    assert code == 0
+    head, _, payload = ckpt.read_bytes().partition(b"\n")
+    ckpt.write_bytes(head + b"\n" + b"\x00\x00\x00\x00\x00\x00\xf8\x7f" + payload[8:])  # theta[0, 0, 0] = nan
+    code, out, err = run_cli(["sample", "--checkpoint", str(ckpt), "--seed", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: payload holds 1 non-finite values\n"
+
+
 def test_train_max_len_below_one_is_usage_error(tmp_path, capsys):
     corpus = write_corpus(tmp_path, ["abc", "abd"])
     for max_len in ("-1", "0"):  # -1 once sliced off each line's last token

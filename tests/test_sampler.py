@@ -14,6 +14,8 @@ from delins.sampler import (
     GenerationTrace,
     SamplerConfig,
     StepStats,
+    _leap,
+    _nucleus_rows,
     batch_generate,
     gap_insertion_probabilities,
     generate,
@@ -97,10 +99,10 @@ def test_clamp_caps_probability_at_one():
 
 
 def test_nucleus_drops_tail_and_renormalizes():
-    s = np.array([[0.0, 5.0, 3.0, 2.0]])
-    _, cond, _ = gap_insertion_probabilities(s, t=0.5, dt=0.1, top_p=0.5)
+    _, base, _ = gap_insertion_probabilities(np.array([[0.0, 5.0, 3.0, 2.0]]), t=0.5, dt=0.1)
+    cond = _nucleus_rows(base, 0.5)
     assert cond[0].tolist() == [0.0, 1.0, 0.0, 0.0]
-    _, cond, _ = gap_insertion_probabilities(s, t=0.5, dt=0.1, top_p=0.8)
+    cond = _nucleus_rows(base, 0.8)
     assert cond[0] == pytest.approx([0.0, 0.625, 0.375, 0.0], abs=1e-12)
 
 
@@ -124,19 +126,41 @@ def test_nucleus_matches_the_row_at_a_time_filter_bitwise():
     s[rng.random(s.shape) < 0.2] = 0.0
     s[::7, 1:4] = 1.0   # ties
     s[5] = 0.0          # a dead row
+    _, base, _ = gap_insertion_probabilities(s, 0.5, 0.01)
     for top_p in (0.3, 0.9, 0.97, 0.999):
-        _, base, _ = gap_insertion_probabilities(s, 0.5, 0.01)
-        _, cond, _ = gap_insertion_probabilities(s, 0.5, 0.01, top_p=top_p)
+        cond = _nucleus_rows(base, top_p)
         for i in range(len(s)):
             assert cond[i].tobytes() == _nucleus_one_row(base[i], top_p).tobytes()
     assert np.count_nonzero(cond, axis=1).max() >= 8
 
 
 def test_nucleus_preserves_insertion_probability():
-    s = np.array([[0.0, 5.0, 3.0, 2.0]])
-    base, _, _ = gap_insertion_probabilities(s, 0.5, 0.1, top_p=1.0)
-    filt, _, _ = gap_insertion_probabilities(s, 0.5, 0.1, top_p=0.5)
-    assert filt[0] == base[0]
+    # a leap with top_p 0.5 fires exactly the gaps it fires at 1.0; only tokens may differ
+    rng = np.random.default_rng(8)
+    sizes = np.array([3, 1, 5, 2])
+    ids = np.full(sizes.sum(), -1)  # no token, so -1 marks every old position after the leap
+    fired = tokens_differ = 0
+    for seed in range(40):
+        scores = rng.exponential(0.5, size=(len(ids), 6))  # about half the gaps fire
+        out = {}
+        for top_p in (1.0, 0.5):
+            rngs = [np.random.default_rng([seed, w]) for w in range(len(sizes))]
+            out[top_p] = _leap(ids, sizes, 0.5, 0.1, scores, top_p, rngs, None, None,
+                               np.zeros((3, len(sizes)), dtype=np.int64))
+        (full, full_sizes), (half, half_sizes) = out[1.0], out[0.5]
+        assert np.array_equal(full == -1, half == -1) and np.array_equal(full_sizes, half_sizes)
+        fired += int((full != -1).sum())
+        tokens_differ += int((full != half).sum())
+    assert fired > 0 and tokens_differ > 0
+
+
+def test_walker_draws_fill_in_place_with_the_doubles_of_a_fresh_array():
+    # _leap fills one array with rng.random(out=...) per walker, in place of concatenating rng.random(2n)
+    for n in (1, 7, 64):
+        u = np.full(2 * n + 3, -1.0)
+        np.random.default_rng(n).random(out=u[2 : 2 * n + 2])
+        assert u[2 : 2 * n + 2].tobytes() == np.random.default_rng(n).random(2 * n).tobytes()
+        assert u[:2].tolist() == [-1.0, -1.0] and u[-1] == -1.0
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from delins.scorer import (
     time_bucket,
     train,
 )
-from delins.seqcore import Corpus, Sequence, Vocab
+from delins.seqcore import Batch, Corpus, Sequence, Vocab
 
 A, B = 1, 2
 
@@ -181,6 +181,40 @@ def test_score_of_a_batch_stacks_the_one_state_scores_bitwise(mode):
         packed = score(p, xts, t)
         assert packed.shape == (sum(map(len, xts)), 4)
         assert packed.tobytes() == np.concatenate([score(p, [x], t) for x in xts]).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["dise", "dice"])
+def test_score_of_a_batch_equals_score_of_its_list_bitwise(mode):
+    # the sampler passes its walkers as one Batch; a list of the same states scores alike
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        p = rand_params(rng, 4, mode, 6 if mode == "dice" else None)
+        xts, _, ts = mixed_batch(rng, 4, mode)
+        t = ts[0] if mode == "dise" else None
+        batch = Batch.of(xts)
+        assert score(p, batch, t).tobytes() == score(p, xts, t).tobytes()
+
+
+def test_gradient_scatter_matches_add_at_bitwise():
+    # the scatter adds each cell's rows in order, as np.add.at does; in dise the rows
+    # w * (s - r) rebuild bit for bit from each state's own scores
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        p = rand_params(rng, 4, "dise")
+        xts, x0s, ts = mixed_batch(rng, 4, "dise")
+        xts[5], x0s[5] = xts[4], x0s[4]  # two pairs share every context
+        ratios = [m.ratios for m in dp.batched_n_ratios_auto(list(zip(xts, x0s)), 4)]
+        _, _, grad = _loss_grad_from_ratios(p, xts, ratios, ts)
+        lefts = np.concatenate([x.ids for x in xts])
+        rights = np.concatenate([x.ids[1:] + (0,) for x in xts])
+        buckets = np.concatenate([[time_bucket(t)] * len(x) for x, t in zip(xts, ts)])
+        g_z = np.concatenate([objective.loss_weight(t) * (score(p, [x], t) - r)
+                              for x, r, t in zip(xts, ratios, ts)])
+        theta, time_bias = np.zeros_like(p.theta), np.zeros_like(p.time_bias)
+        np.add.at(theta, (lefts, rights), g_z)
+        np.add.at(time_bias, buckets, g_z)
+        assert grad.theta.tobytes() == theta.tobytes()
+        assert grad.time_bias.tobytes() == time_bias.tobytes()
 
 
 def test_dice_batch_names_its_first_overlong_state():
@@ -363,6 +397,13 @@ def test_train_settings_are_required():
             train(p, corpus, cfg)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_train_settings_reject_a_learning_rate_that_is_not_finite_and_nonnegative(lr):
+    cfg = {"epochs": 1, "batch": 2, "lr": lr, "optimizer": "adam", "seed": 0}
+    with pytest.raises(ConfigError, match="^learning rate must be finite and >= 0, got "):
+        train(ScorerParams.init(3, "dise"), make_corpus(["ab", "ba"], "ab"), cfg)
+
+
 def test_train_dice_requires_equal_lengths():
     corpus = make_corpus(["ab", "a"], "ab")
     p = ScorerParams.init(3, "dice", k=2)
@@ -433,6 +474,16 @@ def test_checkpoint_version_and_shape_errors(tmp_path):
     (tmp_path / "h.ckpt").write_bytes(b"[1]\n" + payload)
     with pytest.raises(VersionMismatch):
         load(tmp_path / "h.ckpt")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_checkpoint_with_a_non_finite_value_is_refused(tmp_path, bad):
+    p = ScorerParams.init(3, "dise")
+    p.theta[1, 2, 0] = bad
+    p.time_bias[4, 1] = bad
+    save(p, tmp_path / "bad.ckpt")
+    with pytest.raises(ShapeMismatch, match="^payload holds 2 non-finite values$"):
+        load(tmp_path / "bad.ckpt")
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path):

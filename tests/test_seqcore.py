@@ -1,5 +1,8 @@
 """Vocab, Sequence, tokenization, and corpus loading."""
 
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from delins.errors import ConfigError, ShapeMismatch, UnknownSymbol
 from delins.seqcore import (
     BOS_ID,
     BOS_SYMBOL,
+    Batch,
     Sequence,
     Vocab,
     detokenize,
@@ -118,6 +122,30 @@ def test_load_corpus_rejects_max_len_below_one(tmp_path):
     for max_len in (0, -1):
         with pytest.raises(ConfigError, match="max_len"):
             load_corpus(p, v, max_len=max_len)
+
+
+def test_corpus_that_is_not_utf8_names_the_file_and_line(tmp_path):
+    p = tmp_path / "corpus.txt"
+    p.write_bytes(b"ab\nba\r\nc\xe9d\nab\n")  # latin-1 e-acute on the third line
+    for read in (lambda: scan_vocab(p), lambda: load_corpus(p, Vocab.build("abcd"))):
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: line 3 is not UTF-8 text$"):
+            read()
+    p.write_bytes(b"\xff\xfea\x00b\x00\n\x00")  # UTF-16 with its byte order mark
+    with pytest.raises(ConfigError, match="line 1 is not UTF-8"):
+        scan_vocab(p)
+
+
+def test_batch_of_states_round_trips():
+    states = [Sequence((0,)), Sequence((0, 2, 1, 2)), Sequence((0, 3))]
+    batch = Batch.of(states)
+    assert batch.ids.dtype == np.int64 and batch.sizes.dtype == np.int64
+    assert batch.ids.tolist() == [0, 0, 2, 1, 2, 0, 3] and batch.sizes.tolist() == [1, 4, 2]
+    assert len(batch) == 3 and list(batch) == states == list(batch)
+    assert Batch.of(batch) is batch
+    again = Batch.of([s.ids for s in states])  # bare id tuples pack alike
+    assert again.ids.tobytes() == batch.ids.tobytes() and again.sizes.tobytes() == batch.sizes.tobytes()
+    empty = Batch.of([])
+    assert len(empty) == 0 and list(empty) == [] and empty.ids.size == 0
 
 
 @given(st.lists(st.sampled_from("abc"), min_size=0, max_size=12))
