@@ -252,10 +252,11 @@ def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
             acc = np.where(acc > 0.0, np.log(acc) + shift[:, None, None], LOG_ZERO)
         elif ratios and not log:
             acc = acc / n_cells[:, None, None]
-    # each grid (n, V) is the transpose of a contiguous (V, n) block, or all LOG_ZERO
-    no_term = is_log_zero(shift) if log and not ratios else np.zeros(B, dtype=bool)
-    grids = [np.full((n, V), LOG_ZERO) if dead else np.ascontiguousarray(g[:, :n]).T
-             for g, n, dead in zip(acc, ns, no_term)]
+    # each grid (n, V) is a row block of one array, made by one transposing copy
+    packed = acc.transpose(0, 2, 1)[np.arange(n_max) < ns[:, None]]
+    if log and not ratios:
+        packed[np.repeat(is_log_zero(shift), ns)] = LOG_ZERO  # a pair with no term
+    grids = [packed[e - n : e] for e, n in zip(np.cumsum(ns).tolist(), ns.tolist())]
     return [NRatioMatrix(g, domain) for g in grids] if ratios else grids
 
 

@@ -10,18 +10,19 @@ kept token, times the deletion probability per lost token, times the number
 of distinct ways the shorter sequence embeds into the longer one.  Lengths
 in those formulas exclude the bos marker, which never deletes.
 
-forward_sample draws x_t from x_0 over [0, t], the window training uses; the
-closed forms take any window [s, t].
+forward_sample draws x_t from x_0 over [0, t], the window training uses, one
+state at a time or packed; the closed forms take any window [s, t].
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress
+
+import numpy as np
 
 from . import dp
 from .errors import BeyondFloat64, InvalidTimes, NotSingleDeletion
-from .seqcore import BOS_ID, Sequence
+from .seqcore import BOS_ID, Batch, Sequence
 
 # sigma_bar(1) diverges for the log-linear schedule; clamping just below 1
 # removes the singularity without visibly changing any probability.
@@ -51,18 +52,43 @@ def survival_prob(s: float, t: float) -> float:
     return math.exp(-(sigma_bar(t) - sigma_bar(s)))
 
 
-def forward_sample(x_0: Sequence, t: float, rng) -> Sequence:
+def time_terms(ts) -> tuple[np.ndarray, np.ndarray]:
+    """survival_prob(0, t) and objective.loss_weight(t) of every t in ts, as two arrays.
+
+    Each value has the scalar function's bits: the clamp and the arithmetic are
+    numpy's, rounded as Python's are, and log1p and exp run as math's, in one
+    scalar pass, because numpy's differ from math's in the last bit on some times.
+    """
+    ts = np.asarray(ts, dtype=np.float64)
+    if not (ok := (0.0 < ts) & (ts <= 1.0)).all():
+        raise InvalidTimes(f"need 0 < t <= 1, got t={ts[~ok][0]}")
+    t = np.minimum(ts, T_MAX)  # sigma's and sigma_bar's clamp
+    p = np.array(list(map(math.exp, map(math.log1p, (-t).tolist()))))
+    return p, 1.0 / (1.0 - t) * p / (1.0 - p)
+
+
+def forward_sample(x_0: Sequence | Batch, t, rng) -> Sequence | Batch:
     """x_t: x_0 corrupted from time 0 to time t by independent token deletion.
 
-    One rng.random(n) call draws the n content tokens' survival doubles, the
-    same doubles (in order) as n scalar rng.random() calls.
+    A Sequence x_0 draws its n content tokens' survival doubles with one
+    rng.random(n) call, the doubles (in order) of n scalar rng.random() calls;
+    at t = 1 only bos is left and nothing is drawn.  A seqcore.Batch x_0 takes
+    a time below 1 per state in t and the doubles already drawn in rng, one per
+    id, bos slots unread, and returns a Batch: each state the one its one-state
+    draw on the same doubles gives, a token kept below survival_prob(0, t).
     """
-    _check_times(0.0, t)
-    if t >= 1.0:
-        # survival is (numerically) zero; only the bos marker remains
-        return Sequence((BOS_ID,))
-    kept = (rng.random(x_0.content_len) < survival_prob(0.0, t)).tolist()
-    return Sequence((BOS_ID, *compress(x_0.content, kept)))
+    if not isinstance(x_0, Batch):
+        _check_times(0.0, t)
+        if t >= 1.0:
+            return Sequence((BOS_ID,))
+        doubles = np.append(0.0, rng.random(len(x_0) - 1))  # bos's slot, then its tokens'
+        return next(iter(forward_sample(Batch.of([x_0]), [t], doubles)))
+    if not np.max(t, initial=0.0) < 1.0:
+        raise InvalidTimes(f"need 0 < t < 1 in a packed draw, got t={np.max(t)}")
+    heads = np.cumsum(x_0.sizes) - x_0.sizes
+    keep = rng < np.repeat(time_terms(t)[0], x_0.sizes)
+    keep[heads] = True  # bos never deletes
+    return Batch(x_0.ids[keep], np.add.reduceat(keep, heads, dtype=np.int64))
 
 
 def transition_prob(x_t: Sequence, x_s: Sequence, s: float, t: float) -> float:

@@ -38,7 +38,7 @@ from .errors import (
     VersionMismatch,
 )
 from .objective import DICE_NORM_TOL, T_MIN, LossBreakdown, loss_weight, row_loss_sums
-from .process import forward_sample
+from .process import forward_sample, time_terms
 from .seqcore import BOS_ID, Batch, Corpus, Sequence, atomic_open
 
 FORMAT_NAME = "delins-scorer"
@@ -161,7 +161,7 @@ def score(params: ScorerParams, xs: Batch | list[Sequence], t: float | None = No
 
 
 def _loss_grad_from_ratios(
-    params: ScorerParams, xts: list[Sequence], ratios: list[np.ndarray], ts: list[float]
+    params: ScorerParams, xts: Batch | list[Sequence], ratios: list[np.ndarray], ts
 ) -> tuple[np.ndarray, np.ndarray, Gradient]:
     """Per-pair losses, per-gap loss sums and the summed gradient of a packed batch.
 
@@ -177,7 +177,7 @@ def _loss_grad_from_ratios(
     lefts, lens = batch.ids, batch.sizes
     starts = np.cumsum(lens) - lens
     seg = np.repeat(np.arange(len(lens)), lens)  # the pair each row belongs to
-    w = np.array([loss_weight(t) for t in ts])
+    w = time_terms(ts)[1]
     r = np.concatenate(ratios)
     V = params.vocab_size
     if params.mode == "dice":
@@ -279,9 +279,11 @@ def train(
     Required config keys: epochs, batch, lr, optimizer ("sgd" | "adam"), as
     train_settings checks them; seed is optional.  Forward draws use
     process's fixed schedule.  Batches are drawn by reshuffling the corpus
-    each epoch; each sequence gets an independent (t, x_t) draw, the batch's
-    targets come from one dp.batched_n_ratios_auto call and its loss and
-    gradient from one packed _loss_grad_from_ratios call.  Metric dicts hold
+    each epoch.  A step draws its doubles in one rng.random call, for each
+    pair its t and then its tokens' survival doubles, as one forward_sample
+    call per pair would, and makes its x_t with one packed forward_sample
+    call, its targets with one dp.batched_n_ratios_auto call and its loss and
+    gradient with one packed _loss_grad_from_ratios call.  Metric dicts hold
     step, epoch, loss and domain, the DP rung the batch took.  Everything
     runs sequentially in a fixed order, so a fixed seed reproduces the
     metric stream bit for bit.  on_step, when given, is called with each
@@ -308,20 +310,16 @@ def train(
     for epoch in range(epochs):
         order = rng.permutation(len(corpus.sequences))
         for start in range(0, len(order), batch):
-            idx = order[start : start + batch]
-            draws = []
-            for i in idx:
-                x_0 = corpus.sequences[int(i)]
-                t = T_MIN + (1.0 - T_MIN) * float(rng.random())
-                draws.append((forward_sample(x_0, t, rng), x_0, t))
-            mats = dp.batched_n_ratios_auto(
-                [(x_t, x_0) for x_t, x_0, _ in draws], out.vocab_size
-            )
-            xts, _, ts = zip(*draws)
+            x0s = [corpus.sequences[i] for i in order[start : start + batch].tolist()]
+            packed = Batch.of(x0s)
+            u = rng.random(len(packed.ids))  # in each pair's slots: its t, then its tokens' doubles
+            ts = T_MIN + (1.0 - T_MIN) * u[np.cumsum(packed.sizes) - packed.sizes]
+            xts = forward_sample(packed, ts, u)
+            mats = dp.batched_n_ratios_auto(list(zip(xts, x0s)), out.vocab_size)
             totals, _, grad = _loss_grad_from_ratios(out, xts, [m.ratios for m in mats], ts)
-            n = len(draws)
-            opt.step(arrays, [g / n for g in (grad.theta, grad.time_bias) if g is not None])
+            n = len(x0s)
             loss = float(totals.sum()) / n
+            opt.step(arrays, [g / n for g in (grad.theta, grad.time_bias) if g is not None])
             metrics.append({"step": step, "epoch": epoch, "loss": loss, "domain": mats[0].domain})
             if on_step is not None:
                 on_step(metrics[-1])

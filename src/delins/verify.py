@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -25,7 +26,7 @@ import numpy as np
 from . import dp, objective, oracle, sampler, scorer
 from .errors import ConfigError, Overflow
 from .process import T_MAX, forward_sample, sigma, sigma_bar, survival_prob, transition_prob
-from .seqcore import Sequence
+from .seqcore import Batch, Sequence
 
 
 @dataclass(frozen=True)
@@ -127,11 +128,9 @@ def check_transition_normalization() -> str:
 def check_forward_sample_agreement() -> str:
     rng = np.random.default_rng(103)
     x_0, t = _seq(1, 2), 0.5
-    counts: dict[tuple, int] = {}
     n = 20_000
-    for _ in range(n):
-        ids = forward_sample(x_0, t, rng).ids
-        counts[ids] = counts.get(ids, 0) + 1
+    draws = Batch(np.tile(x_0.ids, n), np.full(n, len(x_0)))  # one packed draw, as training makes
+    counts = Counter(x_t.ids for x_t in forward_sample(draws, np.full(n, t), rng.random(n * len(x_0))))
     tv = 0.5 * sum(
         abs(counts.get(ids, 0) / n - transition_prob(Sequence(ids), x_0, 0.0, t))
         for ids in oracle.subsequence_enumeration(x_0)

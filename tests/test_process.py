@@ -5,18 +5,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from delins import dp, objective, oracle, process
 from delins.errors import InvalidTimes, NotSingleDeletion
+from delins.objective import T_MIN, loss_weight
 from delins.process import (
     forward_rate,
     forward_sample,
     survival_prob,
+    time_terms,
     transition_prob,
 )
-from delins.seqcore import BOS_ID, Sequence
+from delins.seqcore import BOS_ID, Batch, Sequence, Vocab, load_corpus
 
 
 
@@ -89,6 +91,50 @@ def test_forward_sample_reconstruction(content, t, seed):
     x_t = forward_sample(x0, t, np.random.default_rng(seed))
     assert x_t.ids[0] == BOS_ID
     assert dp.subsequence_count(x_t, x0) > 0
+
+
+LATEST = 1.0 - 2.0**-53  # the largest time training draws: T_MIN + (1 - T_MIN) * (1 - 2**-53)
+
+
+@pytest.fixture(scope="module")
+def bos_only(tmp_path_factory):
+    path = tmp_path_factory.mktemp("corpus") / "one.txt"
+    path.write_text("abc\n")
+    return load_corpus(path, Vocab.build("abc"), max_len=1).sequences[0]
+
+
+@given(
+    st.lists(st.tuples(st.one_of(st.none(), st.lists(st.integers(1, 3), max_size=6)),
+                       st.one_of(st.sampled_from([T_MIN, LATEST]), st.floats(T_MIN, LATEST))),
+             min_size=1, max_size=8),
+    st.integers(0, 2**32),
+)
+@example([([1, 2, 3], LATEST)], 0)  # a batch of one
+@example([(None, T_MIN), ([2], LATEST), (None, 0.5)], 1)
+def test_packed_draw_is_the_per_pair_draw(bos_only, states, seed):
+    x0s = [bos_only if content is None else Sequence.from_content(content) for content, _ in states]
+    ts = [t for _, t in states]
+    rng = np.random.default_rng(seed)
+    per_pair = [forward_sample(x_0, t, rng).ids for x_0, t in zip(x0s, ts)]
+
+    # the same stream in the content slots of one packed array; the bos slots are never read
+    packed = Batch.of(x0s)
+    content = np.ones(len(packed.ids), dtype=bool)
+    content[np.cumsum(packed.sizes) - packed.sizes] = False
+    doubles = np.full(len(packed.ids), np.nan)
+    doubles[content] = np.random.default_rng(seed).random(int(content.sum()))
+    assert [x.ids for x in forward_sample(packed, np.array(ts), doubles)] == per_pair
+
+    survival, weight = time_terms(ts)
+    assert survival.tolist() == [survival_prob(0.0, t) for t in ts]
+    assert weight.tolist() == [loss_weight(t) for t in ts]
+
+
+def test_packed_draws_stay_below_one():
+    assert T_MIN + (1.0 - T_MIN) * LATEST == LATEST < 1.0  # so forward_sample's t >= 1 branch never runs
+    x_0 = Batch.of([Sequence((0, 1))])
+    with pytest.raises(InvalidTimes):
+        forward_sample(x_0, np.array([1.0]), np.zeros(2))
 
 
 def test_transition_prob_examples():

@@ -15,9 +15,11 @@ from delins.errors import (
     ShapeMismatch,
     VersionMismatch,
 )
+from delins.process import survival_prob
 from delins.sampler import GRID_KINDS, timestep_grid
 from delins.scorer import (
     N_BUCKETS,
+    OPTIMIZERS,
     Gradient,
     ScorerParams,
     _loss_grad_from_ratios,
@@ -28,6 +30,7 @@ from delins.scorer import (
     score,
     time_bucket,
     train,
+    train_settings,
 )
 from delins.seqcore import Batch, Corpus, Sequence, Vocab
 
@@ -424,6 +427,51 @@ def test_train_single_sequence_dice_converges():
     tail = np.mean([m["loss"] for m in metrics[-100:]])
     assert len(metrics) == 2000
     assert tail < 0.1 * first
+
+
+def per_pair_train(params, corpus, config):
+    """scorer.train's loop as it was before the step was packed: one draw per pair."""
+    epochs, batch, lr, opt_name = train_settings(config)
+    out = params.copy()
+    arrays = [out.theta] + ([out.time_bias] if out.time_bias is not None else [])
+    opt = OPTIMIZERS[opt_name](lr)
+    rng = np.random.default_rng(config.get("seed"))
+    metrics = []
+    for epoch in range(epochs):
+        order = rng.permutation(len(corpus.sequences))
+        for start in range(0, len(order), batch):
+            draws = []
+            for i in order[start : start + batch]:
+                x_0 = corpus.sequences[int(i)]
+                t = objective.T_MIN + (1.0 - objective.T_MIN) * float(rng.random())
+                kept = rng.random(x_0.content_len) < survival_prob(0.0, t)
+                x_t = Sequence((0, *(v for v, k in zip(x_0.content, kept) if k)))
+                draws.append((x_t, x_0, t))
+            mats = dp.batched_n_ratios_auto([(x_t, x_0) for x_t, x_0, _ in draws], out.vocab_size)
+            xts, _, ts = zip(*draws)
+            totals, _, grad = _loss_grad_from_ratios(out, list(xts), [m.ratios for m in mats], list(ts))
+            n = len(draws)
+            opt.step(arrays, [g / n for g in (grad.theta, grad.time_bias) if g is not None])
+            metrics.append({"step": len(metrics), "epoch": epoch, "loss": float(totals.sum()) / n,
+                            "domain": mats[0].domain})
+    return out, metrics
+
+
+@pytest.mark.parametrize("mode", ["dise", "dice"])
+def test_packed_train_step_is_the_per_pair_step(mode):
+    if mode == "dise":  # ragged lines, a bos-only one among them
+        corpus = make_corpus(["abcab", "", "ba", "aabbc", "c", "cabab", "bbaacab"], "abc")
+    else:
+        corpus = make_corpus(["abca", "bcab", "aabb", "caba", "bbac"], "abc")
+    p = ScorerParams.init(4, mode, k=4 if mode == "dice" else None)
+    cfg = {"epochs": 6, "batch": 3, "lr": 0.2, "optimizer": "adam", "seed": 11}  # 3 divides neither
+    got, got_metrics = train(p, corpus, cfg)
+    want, want_metrics = per_pair_train(p, corpus, cfg)
+    assert got.theta.tobytes() == want.theta.tobytes()
+    if mode == "dise":
+        assert got.time_bias.tobytes() == want.time_bias.tobytes()
+    assert got_metrics == want_metrics
+    assert len({m["loss"] for m in got_metrics}) > 1
 
 
 def test_checkpoint_roundtrip(tmp_path):
