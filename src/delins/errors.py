@@ -49,6 +49,10 @@ class InvalidTimes(DelinsError):
     """Times outside the required range or ordering."""
 
 
+class NonFinite(DelinsError):
+    """Training diverged: a loss or a parameter table holds a non-finite value."""
+
+
 class NonPositiveScore(DelinsError):
     """A score entry is <= 0 where the training target requires log(score)."""
 

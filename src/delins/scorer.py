@@ -33,6 +33,7 @@ from . import dp
 from .errors import (
     ConfigError,
     ModeMismatch,
+    NonFinite,
     NormalizationViolation,
     ShapeMismatch,
     VersionMismatch,
@@ -271,6 +272,7 @@ def train_settings(config: dict) -> tuple[int, int, float, str]:
     return epochs, batch, lr, opt_name
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a diverging step shows as its loss
 def train(
     params: ScorerParams, corpus: Corpus, config: dict, on_step=None
 ) -> tuple[ScorerParams, list[dict]]:
@@ -287,7 +289,8 @@ def train(
     step, epoch, loss and domain, the DP rung the batch took.  Everything
     runs sequentially in a fixed order, so a fixed seed reproduces the
     metric stream bit for bit.  on_step, when given, is called with each
-    metric dict as it is produced.
+    metric dict as it is produced.  A step whose loss is not finite raises
+    NonFinite, with no metric dict made.
     """
     if not corpus.sequences:
         raise ConfigError("empty corpus")
@@ -319,6 +322,8 @@ def train(
             totals, _, grad = _loss_grad_from_ratios(out, xts, [m.ratios for m in mats], ts)
             n = len(x0s)
             loss = float(totals.sum()) / n
+            if not math.isfinite(loss):
+                raise NonFinite(f"step {step}: loss is {loss}; training diverged")
             opt.step(arrays, [g / n for g in (grad.theta, grad.time_bias) if g is not None])
             metrics.append({"step": step, "epoch": epoch, "loss": loss, "domain": mats[0].domain})
             if on_step is not None:
@@ -335,6 +340,7 @@ def save(params: ScorerParams, path) -> None:
 
     Deliberately not an archive format: byte-identical params produce a
     byte-identical file, which zip containers (timestamps) would break.
+    Params holding a non-finite value raise NonFinite, and path is left as it was.
     """
     header = {
         "format": FORMAT_NAME,
@@ -346,9 +352,12 @@ def save(params: ScorerParams, path) -> None:
     }
     with atomic_open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        f.write(np.ascontiguousarray(params.theta, dtype=np.float64).tobytes())
-        if params.time_bias is not None:
-            f.write(np.ascontiguousarray(params.time_bias, dtype=np.float64).tobytes())
+        tables = [np.ascontiguousarray(a, dtype=np.float64)
+                  for a in (params.theta, params.time_bias) if a is not None]
+        if bad := sum(int((~np.isfinite(a)).sum()) for a in tables):
+            raise NonFinite(f"params hold {bad} non-finite values; no checkpoint written")
+        for a in tables:
+            f.write(a.tobytes())
 
 
 def load(path) -> ScorerParams:

@@ -238,6 +238,29 @@ def test_train_refuses_a_learning_rate_that_is_not_finite(tmp_path, capsys):
         assert err.startswith("error: learning rate must be finite") and err.count("\n") == 1
 
 
+def test_train_that_diverges_stops_before_any_checkpoint(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, VARIED[:3])
+    ckpt, stream = tmp_path / "m.ckpt", tmp_path / "train.jsonl"
+    ckpt.write_bytes(b"an older checkpoint")
+
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would end the run with a traceback
+        code, out, err = run_cli(["train", "--corpus", corpus, "--lr", "1e300", "--optimizer", "sgd",
+                                  "--epochs", "4", "--seed", "1", "--checkpoint-out", str(ckpt),
+                                  "--metrics", str(stream)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: step 1: loss is ") and err.count("\n") == 1
+    assert ckpt.read_bytes() == b"an older checkpoint"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "m.ckpt", "train.jsonl"]
+    records = [json.loads(line, parse_constant=no_constant) for line in stream.read_text().splitlines()]
+    assert [r["step"] for r in records if "step" in r] == [0]
+    assert "done" not in records[-1]
+
+
 def test_corpus_that_is_not_utf8_exits_one_naming_file_and_line(tmp_path, capsys):
     corpus = tmp_path / "utf16.txt"
     corpus.write_bytes("abc\nbca\n".encode("utf-16"))  # starts with the bytes ff fe

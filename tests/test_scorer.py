@@ -11,6 +11,7 @@ from delins import dp, objective
 from delins.errors import (
     ConfigError,
     ModeMismatch,
+    NonFinite,
     NormalizationViolation,
     ShapeMismatch,
     VersionMismatch,
@@ -527,9 +528,13 @@ def test_checkpoint_version_and_shape_errors(tmp_path):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_checkpoint_with_a_non_finite_value_is_refused(tmp_path, bad):
     p = ScorerParams.init(3, "dise")
+    save(p, tmp_path / "bad.ckpt")
     p.theta[1, 2, 0] = bad
     p.time_bias[4, 1] = bad
-    save(p, tmp_path / "bad.ckpt")
+    with pytest.raises(NonFinite, match="^params hold 2 non-finite values; no checkpoint written$"):
+        save(p, tmp_path / "bad.ckpt")
+    header = (tmp_path / "bad.ckpt").read_bytes().split(b"\n")[0] + b"\n"
+    (tmp_path / "bad.ckpt").write_bytes(header + p.theta.tobytes() + p.time_bias.tobytes())
     with pytest.raises(ShapeMismatch, match="^payload holds 2 non-finite values$"):
         load(tmp_path / "bad.ckpt")
 
