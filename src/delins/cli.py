@@ -390,6 +390,12 @@ def cmd_bench(args) -> int:
         raise ConfigError("batch and reps must be >= 1")
     if cfg["vocab_size"] < 2:
         raise ConfigError(f"vocab_size must be >= 2 (bos and one symbol), got {cfg['vocab_size']}")
+    # the DP keeps the reversed pairs' table, (|x_0| + 1) * batch * (|x_t| + 1) float64 cells
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for n in lengths:
+        if (table := (n + 2) * cfg["batch"] * (n // 2 + 2) * 8) > memory:
+            raise ConfigError(f"bench length {n} at batch {cfg['batch']} needs a {table / 2**30:.4g} GiB "
+                              f"table; this machine has {memory / 2**30:.4g} GiB")
     rng = np.random.default_rng(cfg["seed"])
     metrics = _Metrics(cfg["metrics"])
     try:

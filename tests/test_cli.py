@@ -669,6 +669,17 @@ def test_bench_reports_exponent(capsys):
     assert 0.5 < exponent < 2.5  # loose here; the acceptance run pins it down
 
 
+def test_bench_refuses_a_table_larger_than_the_machine_before_drawing_pairs(capsys, monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("bench drew its pairs")
+
+    monkeypatch.setattr(cli.np.random, "default_rng", no_draws)  # the pairs alone would take GBs
+    code, out, err = run_cli(["bench", "--lengths", "99999999,2", "--batch", "1", "--reps", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bench length 99999999 at batch 1 needs a ") and err.count("\n") == 1
+
+
 def test_bench_single_length_is_usage_error(capsys):
     for lengths in ("512", "4,4"):  # one length, or one length repeated
         code, _, err = run_cli(["bench", "--lengths", lengths], capsys)
