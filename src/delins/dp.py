@@ -25,16 +25,15 @@ in three arithmetic domains, tried in this order by the "auto" ops:
 
 The recurrence updates a whole row of the table at once (vectorized over the
 x_t axis) while stepping sequentially along x_0, so the table layout keeps
-the x_t axis innermost/contiguous; one row step serves a batch of rows.  The
-suffix table of a pair is the flipped prefix table of the reversed pair.
+the x_t axis innermost/contiguous; one flat row step serves a batch of tables.
+The suffix table of a pair is the flipped prefix table of the reversed pair.
 Single-pair counts in the exact and float domains walk only the cells where
 x_0[j] == x_t[i]; every other op sweeps, a count through two rows.
 
 Grids and ratios fuse the two tables: cell (i, v) sums, over the x_0 positions
 j holding token v, N(x_t[:i+1], x_0[:j]) * N(x_t[i+1:], x_0[j+1:]).  A batch
-keeps its suffix tables whole, the reverses right-aligned so that the suffix
-terms at each j are one view, and sweeps its prefix tables two rows at a time,
-fusing each row as soon as it exists: one table's memory, not two.
+sweeps its pairs and their reverses in lockstep and meets them in the middle, as
+Hirschberg's LCS does (CACM 18(6), 1975), so its terms take one table's memory.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BeyondFloat64, NotASubsequence, Overflow, ShapeMismatch, TooLarge
-from .seqcore import Batch
+from .seqcore import Batch, PairBatch
 
 LOG_ZERO = -999999.0
 
@@ -94,24 +93,23 @@ def _start(shape, domain: str) -> np.ndarray:
     dtype, zero, one, _ = _SWEEP_ARITH[domain]
     # np.zeros leaves pages a failed exact attempt never reaches uncommitted
     T = np.zeros(shape, dtype) if zero == 0 else np.full(shape, zero, dtype)
-    T[:, :, 0] = one
+    T[..., 0] = one
     return T
 
 
-def _step(T, j: int, eq: np.ndarray, domain: str) -> int | None:
-    """Make row j of the prefix tables T[j, r, i] = N(xt_r[:i], x0_r[:j]) from row j - 1.
+def _step(prev, cur, eq: np.ndarray, domain: str, j: int) -> np.ndarray | None:
+    """Make row j of prefix tables, cur[r, i] = N(xt_r[:i], x0_r[:j]), from row j - 1 in prev.
 
-    T holds every row, or two in turn (row j at T[j % 2]); eq[j, r, i] says whether
-    x0_r[j] == xt_r[i].  A cell adds its left neighbour of the previous row where the
-    tokens match, so pad tokens, which match nothing, never reach the cells in range.
-    In exact, if row j > 67 wraps, returns the lowest r that wraps there, else None.
+    Rows are flat, table r's cells after table r - 1's, and cur may be prev.  A cell adds
+    its left neighbour of the previous row where eq says x0_r[j - 1] == xt_r[i - 1]; eq
+    is False at i = 0 and at pads, so no table reads its neighbour's or a pad's cells.
+    In exact, if row j > 67 wraps, returns the flat indices of the cells that wrap.
     """
     _, zero, _, add = _SWEEP_ARITH[domain]
-    prev, cur = T[(j - 1) % len(T)], T[j % len(T), :, 1:]
-    shifted = np.where(eq[j - 1], prev[:, :-1], zero)
-    add(prev[:, 1:], shifted, out=cur)
-    if domain == "exact" and j > _EXACT_SAFE_ROWS and (wrapped := cur < shifted).any():
-        return int(np.argmax(wrapped.any(axis=1)))
+    shifted = np.where(eq[1:], prev[:-1], zero)
+    add(prev[1:], shifted, out=cur[1:])
+    if domain == "exact" and j > _EXACT_SAFE_ROWS and (wrapped := cur[1:] < shifted).any():
+        return np.flatnonzero(wrapped) + 1
     return None
 
 
@@ -120,22 +118,22 @@ def _sweep(xt: np.ndarray, x0: np.ndarray, domain: str, last_only: bool = False)
 
     last_only: the sweep keeps two rows and returns the last, T[|x0|], alone.
     """
-    T = _start((2 if last_only else len(x0) + 1, 1, len(xt) + 1), domain)
-    eq = (x0[:, None] == xt)[:, None, :]
+    T = _start((2 if last_only else len(x0) + 1, len(xt) + 1), domain)
+    eq = np.zeros((len(x0), len(xt) + 1), dtype=bool)
+    np.equal(x0[:, None], xt, out=eq[:, 1:])
     with np.errstate(over="ignore"):  # inf marks an overflowed float cell and stays inf
         for j in range(1, len(x0) + 1):
-            if _step(T, j, eq, domain) is not None:
+            if _step(T[(j - 1) % len(T)], T[j % len(T)], eq[j - 1], domain, j) is not None:
                 raise Overflow(_U64_WRAP.format(0))
-    return T[len(x0) % 2, 0] if last_only else T[:, 0]
+    return T[len(x0) % 2] if last_only else T
 
 
-def _packed(seqs, pad: int, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B, max length) int64 rows of pad holding each sequence at its start, and the lengths.
+def _packed(batch: Batch, pad: int, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, max length) int64 rows of pad holding each state at its start, and the lengths.
 
-    The ids are read as one flat array.  An id outside the vocab raises, naming the
-    smallest id of the first sequence holding one if it is negative, else its largest.
+    An id outside the vocab raises, naming the smallest id of the first state
+    holding one if it is negative, else its largest.
     """
-    batch = Batch.of(seqs)
     flat, lens = batch.ids, batch.sizes
     # viewed as uint64 a negative id reads huge, so one max() checks both ends
     if int(flat.view(_U64).max(initial=0)) >= vocab_size:
@@ -172,68 +170,70 @@ def _walk(xt, x0, exact: bool):
 def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
     """Each pair's NRatioMatrix (ratios) or insertion-count grid.
 
-    For pair b with n = |x_t|, m = |x_0|, 0 <= j < m and 0 <= i < n
-      A[j, b, i] = N(xt[:i+1], x0[:j]),  S[j, b, i] = N(xt[i+1:], x0[j+1:]).
-    S is one view of the reverses' tables, kept whole; A is swept two rows at a time
-    and row j fused as it is made.  Cell (i, v) sums, over the j with x0[j] == v, the
-    terms A * S, or in log exp(A + S - shift) with shift log N for ratios and the
-    pair's largest term for counts, in increasing j; a pair past its x_0 adds into a
-    dropped row V.  N is read off A's final row, so the log cases sweep A once more
-    first, to know their shift.  A term is at most N, and an exact grid sums to at
-    most N * (m - n), so additions check for wrap only when that reaches 2**64.
-    Errors name the first failing pair; a wrapping sweep names the lowest pair of
-    the earliest wrapping row of either table.
+    For pair b with n = |x_t|, m = |x_0| and 0 <= j < m, 0 <= i < n, the term
+    N(xt[:i+1], x0[:j]) * N(xt[i+1:], x0[j+1:]) goes to cell (i, x0[j]).  One sweep
+    of max m row steps makes pair b in lane b and its reverse in lane 2B-1-b, so
+    prefix row j meets reversed row m - 1 - j; from the middle on, each new row meets
+    the kept row of the other lane and their two terms (in log, A + S) take its slot.
+    The terms then add into their cells in increasing j, in log as exp(term - shift),
+    shift log N for ratios and the pair's largest term for counts; a pair past its
+    x_0 adds into a dropped row V.  A term is at most N, and an exact grid sums to at
+    most N * (m - n), so additions check for wrap only when that reaches 2**64.  Errors
+    name the first failing pair; a wrapping sweep, the lowest pair of its first wrap.
     """
-    pairs = list(pairs)
-    if not pairs:
+    pairs = PairBatch.of(pairs)
+    if not len(pairs):
         return []
-    XT, ns = _packed([a for a, _ in pairs], _PAD_XT, vocab_size)
-    X0, ms = _packed([b for _, b in pairs], _PAD_X0, vocab_size)
-    B, V, log = len(pairs), vocab_size, domain == "log"
+    XT, ns = _packed(pairs.xts, _PAD_XT, vocab_size)
+    X0, ms = _packed(pairs.x0s, _PAD_X0, vocab_size)
+    B, V, log = len(ns), vocab_size, domain == "log"
     n_max, m_max = XT.shape[1], X0.shape[1]
-    eq = X0.T[:, :, None] == XT  # eq[j, b, i]: x0[j] == xt[i] in pair b
-    rev = eq[::-1, :, ::-1]  # the same for the reverses, right-aligned
-    R = _start((m_max + 1, B, n_max + 1), domain)  # the reverses' tables
-    P = _start((2, B, n_max + 1), domain)  # two rows of the prefix tables
-    zero, one = _SWEEP_ARITH[domain][1:3]
-    R[0, :, 1:][XT[:, ::-1] == _PAD_XT] = one  # their leading pad columns
+    # lane b sweeps pair b and lane 2B-1-b its reverse, right-aligned; a column 0 of pad
+    xt = np.full((2 * B, n_max + 1), _PAD_XT)
+    xt[:B, 1:], xt[B:, 1:] = XT, XT[::-1, ::-1]
+    x0 = np.concatenate([X0, X0[::-1, ::-1]]).T.copy()  # x0[j]: each lane's token j
+    mid = (m_max + 1) // 2  # rows 0..mid are kept; later rows step in slot mid
+    T = _start((mid + 1, 2 * B, n_max + 1), domain)
+    T[0, B:][xt[B:] == _PAD_XT] = _SWEEP_ARITH[domain][2]  # the reverses' pad columns
+    flat, half = T.reshape(mid + 1, -1), B * (n_max + 1)
+    meet = np.add if log else np.multiply
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j in range(1, m_max + 1):
-            if (w := _step(R, j, rev, domain)) is not None:
-                # name the lowest pair of the earliest row that wraps in either table
-                p = next(((k, q) for k in range(1, j + 1)
-                          if (q := _step(P, k, eq, domain)) is not None), (j, w))
-                raise Overflow(_U64_WRAP.format(min(p, (j, w))[1]))
-        S = R[:m_max, :, :n_max][::-1, :, ::-1]
+        for k in range(1, m_max + 1):
+            row = min(k, mid)
+            eq = (x0[k - 1][:, None] == xt).reshape(-1)
+            if (w := _step(flat[min(k - 1, mid)], flat[row], eq, domain, k)) is not None:
+                lanes = w // (n_max + 1)
+                raise Overflow(_U64_WRAP.format(int(np.minimum(lanes, 2 * B - 1 - lanes).min())))
+            if 2 * k == m_max + 1:  # the middle row k - 1 meets itself, now row k is made
+                meet(flat[k - 1, :half], flat[k - 1, half:][::-1], out=flat[k - 1, :half])
+            if 0 <= (p := m_max - 1 - k) < k:  # rows k and p meet; slot p takes terms p and k
+                meet(flat[p], flat[row, ::-1], out=flat[p])
+        # term j at [b, i + 1], column 0 no gap; a slot read backwards puts each reversed
+        # cell where its pair's prefix cell meets it, so the terms past the middle read so
+        terms = [T[j, :B] if 2 * j < m_max else T[m_max - 1 - j, ::-1, ::-1][:B]
+                 for j in range(m_max)]
+        n_cells = T[mid, np.arange(B), ns]
         live = np.arange(m_max)[:, None] < ms  # live[j, b]: j is a position of pair b's x_0
         rows = np.where(live, X0.T, V) + (V + 1) * np.arange(B)  # pair b's rows b*(V+1) ..
-        # an exact table's corner is N itself, whichever end it is swept from
-        check = domain == "exact" and (
-            R[-1, :, -1] > ~_U64(0) // (ms - ns).clip(1).astype(_U64)).any()
+        check = domain == "exact" and (n_cells > ~_U64(0) // (ms - ns).clip(1).astype(_U64)).any()
+        shift = n_cells  # of log ratios; log counts shift by their largest term
+        if log and not ratios:
+            top = np.full((B, n_max + 1), -np.inf)
+            for term, alive in zip(terms, live):
+                np.maximum(top, term, out=top, where=alive[:, None])
+            shift = np.where(ms * ns > 0, top[:, 1:].max(axis=1, initial=-np.inf), 0.0)
         past = np.zeros(B, dtype=bool)  # a grid cell past the domain: a wrapped sum, or not finite
-        acc = np.zeros((B * (V + 1), n_max), R.dtype)
-        top = np.full((B, n_max), -np.inf)
-        for fuse in (False, True) if log else (True,):
-            P[0, :, 1:] = zero  # row 0 again: the empty x_0 prefix
-            for j, (s, r, alive) in enumerate(zip(S, rows, live)):
-                a = P[j % 2, :, 1:]
-                if fuse:
-                    term = np.exp(a + s - shift[:, None]) if log else a * s
-                    total = acc.take(r, axis=0)
-                    total += term
-                    if check:
-                        past |= alive & (total < term).any(axis=1)
-                    acc[r] = total
-                elif not ratios:
-                    np.maximum(top, a + s, out=top, where=alive[:, None])
-                if (w := _step(P, j + 1, eq, domain)) is not None:
-                    raise Overflow(_U64_WRAP.format(w))
-            n_cells = P[m_max % 2, np.arange(B), ns]
-            if not fuse:  # of log ratios; log counts shift by their largest term
-                top = np.where(ms * ns > 0, top.max(axis=1, initial=-np.inf), 0.0)
-                shift = n_cells if ratios else top
-        acc = acc.reshape(B, V + 1, n_max)[:, :V]
+        acc = np.zeros((B * (V + 1), n_max + 1), T.dtype)
+        for term, r, alive in zip(terms, rows, live):
+            if log:
+                term = np.exp(term - shift[:, None])
+            total = acc.take(r, axis=0)
+            total += term
+            if check:
+                past |= alive & (total < term)[:, 1:].any(axis=1)
+            acc[r] = total
+        acc = acc.reshape(B, V + 1, n_max + 1)[:, :V, 1:]
         if domain == "float":
             past = ~np.isfinite(acc).all(axis=(1, 2))
         checks = (  # in the order a pair reports them

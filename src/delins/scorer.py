@@ -40,7 +40,7 @@ from .errors import (
 )
 from .objective import DICE_NORM_TOL, T_MIN, LossBreakdown, loss_weight, row_loss_sums
 from .process import forward_sample, time_terms
-from .seqcore import BOS_ID, Batch, Corpus, Sequence, atomic_open
+from .seqcore import BOS_ID, Batch, Corpus, PairBatch, Sequence, atomic_open
 
 FORMAT_NAME = "delins-scorer"
 FORMAT_VERSION = 1
@@ -284,9 +284,10 @@ def train(
     each epoch.  A step draws its doubles in one rng.random call, for each
     pair its t and then its tokens' survival doubles, as one forward_sample
     call per pair would, and makes its x_t with one packed forward_sample
-    call, its targets with one dp.batched_n_ratios_auto call and its loss and
-    gradient with one packed _loss_grad_from_ratios call.  Metric dicts hold
-    step, epoch, loss and domain, the DP rung the batch took.  Everything
+    call, its targets with one dp.batched_n_ratios_auto call on both packed
+    sides as a seqcore.PairBatch and its loss and gradient with one packed
+    _loss_grad_from_ratios call.  Metric dicts hold step, epoch, loss and
+    domain, the DP rung the batch took.  Everything
     runs sequentially in a fixed order, so a fixed seed reproduces the
     metric stream bit for bit.  on_step, when given, is called with each
     metric dict as it is produced.  A step whose loss is not finite raises
@@ -318,7 +319,7 @@ def train(
             u = rng.random(len(packed.ids))  # in each pair's slots: its t, then its tokens' doubles
             ts = T_MIN + (1.0 - T_MIN) * u[np.cumsum(packed.sizes) - packed.sizes]
             xts = forward_sample(packed, ts, u)
-            mats = dp.batched_n_ratios_auto(list(zip(xts, x0s)), out.vocab_size)
+            mats = dp.batched_n_ratios_auto(PairBatch(xts, packed), out.vocab_size)
             totals, _, grad = _loss_grad_from_ratios(out, xts, [m.ratios for m in mats], ts)
             n = len(x0s)
             loss = float(totals.sum()) / n

@@ -163,6 +163,38 @@ class Batch:
         return Batch(np.fromiter(chain.from_iterable(states), np.int64, int(sizes.sum())), sizes)
 
 
+@dataclass(frozen=True, eq=False)
+class PairBatch:
+    """(x_t, x_0) pairs packed as two Batches; pair b is state b of each.
+
+    len counts the pairs; iterating or indexing yields each as a (Sequence, Sequence) pair.
+    """
+
+    xts: Batch
+    x0s: Batch
+
+    def __len__(self) -> int:
+        return len(self.xts)
+
+    def __iter__(self):
+        return zip(self.xts, self.x0s)
+
+    def __getitem__(self, b: int) -> tuple[Sequence, Sequence]:
+        b = range(len(self))[b]
+        return tuple(
+            Sequence(tuple(side.ids[side.sizes[:b].sum():][: side.sizes[b]].tolist()))
+            for side in (self.xts, self.x0s)
+        )
+
+    @staticmethod
+    def of(pairs) -> "PairBatch":
+        """pairs packed once: a PairBatch is returned as it is, (x_t, x_0) pairs are read."""
+        if isinstance(pairs, PairBatch):
+            return pairs
+        pairs = list(pairs)
+        return PairBatch(Batch.of([a for a, _ in pairs]), Batch.of([b for _, b in pairs]))
+
+
 @dataclass
 class Corpus:
     sequences: list[Sequence]
