@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delins.dp import (
@@ -30,6 +30,7 @@ from delins.dp import (
     suffix_table,
 )
 from delins.errors import NotASubsequence, Overflow, ShapeMismatch, TooLarge
+from delins.seqcore import PairBatch, Sequence
 
 BOS = 0
 # ids for the worked pair: b=1, a=2, g=3
@@ -581,3 +582,99 @@ def test_exact_count_overflows_where_the_sweep_wraps():
             swept_count(x_t, x_0, "exact")
         with pytest.raises(Overflow, match=U64_MSG):
             subsequence_count(x_t, x_0)
+
+
+# --- the lockstep sweep --------------------------------------------------------
+
+@st.composite
+def lockstep_batch(draw):
+    """1-4 pairs over tokens 1..3: bos-only x_t, one-token x_0, odd and even lengths,
+    x_t a subsequence of x_0 or not (N = 0)."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        x_0 = (BOS,) + tuple(draw(st.lists(st.integers(1, 3), max_size=9)))
+        if draw(st.booleans()):
+            keep = draw(st.lists(st.booleans(), min_size=len(x_0) - 1, max_size=len(x_0) - 1))
+            x_t = (BOS,) + tuple(v for v, k in zip(x_0[1:], keep) if k)
+        else:
+            x_t = (BOS,) + tuple(draw(st.lists(st.integers(1, 3), max_size=4)))
+        pairs.append((x_t, x_0))
+    return pairs
+
+
+def fused_reference(x_t, x_0, domain, ratios):
+    """The grid or ratios of one pair from prefix_table and suffix_table, terms in increasing j."""
+    pre, suf = prefix_table(x_t, x_0, domain), suffix_table(x_t, x_0, domain)
+    terms = [(j, i, pre[i + 1, j], suf[i + 1, j + 1]) for j in range(len(x_0)) for i in range(len(x_t))]
+    if domain != "log":
+        acc = np.zeros((len(x_t), 4), pre.dtype)
+        for j, i, a, s in terms:
+            acc[i, x_0[j]] += a * s
+        return acc / pre[-1, -1] if ratios else acc
+    shift = pre[-1, -1] if ratios else max((a + s for _, _, a, s in terms), default=0.0)
+    acc = np.zeros((len(x_t), 4))
+    for j, i, a, s in terms:
+        acc[i, x_0[j]] += np.exp(a + s - shift)
+    if ratios:
+        return acc
+    if is_log_zero(shift):  # every term is dead: no cell has an embedding
+        return np.full(acc.shape, LOG_ZERO)
+    with np.errstate(divide="ignore"):
+        return np.where(acc > 0.0, np.log(acc) + shift, LOG_ZERO)
+
+
+@given(lockstep_batch())
+@example([(a_pow(25), a_pow(60)), ((BOS, 2), (BOS, 1, 2, 3))])  # float terms past 2**53 round
+@settings(max_examples=150, deadline=None)
+def test_lockstep_grids_equal_the_fused_tables(pairs):
+    absent = [b for b, p in enumerate(pairs) if subsequence_count(*p) == 0]
+    for domain in ("exact", "float", "log"):
+        grids = batched_insertion_counts(pairs, 4, domain)
+        if absent:
+            with pytest.raises(NotASubsequence, match=rf"^pair {absent[0]}: "):
+                batched_n_ratios(pairs, 4, domain)
+        mats = [None] * len(pairs) if absent else batched_n_ratios(pairs, 4, domain)
+        for (x_t, x_0), grid, mat in zip(pairs, grids, mats):
+            wants = [(grid, fused_reference(x_t, x_0, domain, False))]
+            if mat is not None:
+                wants.append((mat.ratios, fused_reference(x_t, x_0, domain, True)))
+            for got, want in wants:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                if domain != "log":
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert np.array_equal(is_log_zero(got), is_log_zero(want))
+                    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_grids_and_ratios_make_one_row_step_per_x0_token(monkeypatch):
+    import delins.dp as dp_module
+
+    calls = []
+    step = dp_module._step
+    monkeypatch.setattr(dp_module, "_step", lambda *a: calls.append(a[-1]) or step(*a))
+    pairs = [((BOS, 1), (BOS, 2, 1, 1)), (BAG, BABGBAG), ((BOS,), (BOS, 3))]
+    m_max = max(len(x_0) for _, x_0 in pairs)
+    for domain in ("exact", "float", "log"):
+        for op in (batched_insertion_counts, batched_n_ratios):
+            calls.clear()
+            op(pairs, 4, domain)
+            assert calls == list(range(1, m_max + 1)), (op.__name__, domain)
+        calls.clear()
+        insertion_counts(BAG, BABGBAG, 4, domain)
+        assert len(calls) == len(BABGBAG)
+
+
+def test_a_pair_batch_gives_the_bits_of_its_list():
+    rng = np.random.default_rng(19)
+    pairs = [tuple(map(Sequence, p)) for p in _half_kept_pairs(rng, (0, 3, 8, 1, 12), 6)]
+    packed = PairBatch.of(pairs)
+    assert PairBatch.of(packed) is packed
+    assert len(packed) == len(pairs) and list(packed) == pairs
+    assert [packed[b] for b in range(len(pairs))] == pairs and packed[-1] == pairs[-1]
+    for a, b in zip(batched_n_ratios_auto(packed, 6), batched_n_ratios_auto(pairs, 6)):
+        assert a.domain == b.domain and a.ratios.tobytes() == b.ratios.tobytes()
+    for domain in ("exact", "float", "log"):
+        for a, b in zip(batched_insertion_counts(packed, 6, domain),
+                        batched_insertion_counts(pairs, 6, domain)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
