@@ -43,10 +43,12 @@ EXIT_RUNTIME = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage; this project reserves 2 for verify."""
+    """argparse exits 2 on bad usage; this project reserves 2 for verify.
+
+    A usage error is one stderr line, as every other error is; --help shows the usage.
+    """
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
@@ -147,11 +149,11 @@ def _resolve(args, section: str) -> dict:
     if config_path:
         cp = configparser.ConfigParser()
         try:
-            if not cp.read(config_path):
+            if not cp.read(config_path, encoding="utf-8"):
                 raise ConfigError(f"cannot read config file {config_path}")
             if cp.has_section(section):
                 file_vals = dict(cp.items(section))
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             detail = "; ".join(str(exc).splitlines())
             raise ConfigError(f"config file {config_path}: {detail}") from None
     out = {}
@@ -234,15 +236,16 @@ def cmd_train(args) -> int:
     seed, drawn = _resolve_seed(cfg["seed"])
     cfg["seed"] = seed
 
-    vocab = scan_vocab(cfg["corpus"], cfg["tokenizer"])
-    corpus = load_corpus(cfg["corpus"], vocab, cfg["tokenizer"], cfg["max_len"])
+    lines = text_lines(cfg["corpus"])  # read once: the vocab, the corpus and dice's line numbers
+    vocab = scan_vocab(lines, cfg["tokenizer"])
+    corpus = load_corpus(lines, vocab, cfg["tokenizer"], cfg["max_len"])
     if not corpus.sequences:
         raise ConfigError(f"corpus {cfg['corpus']} has no usable lines")
 
     if cfg["mode"] == "dice":
         if cfg["k"] is None:
             cfg["k"] = corpus.sequences[0].content_len
-        linenos = [i for i, line in enumerate(text_lines(cfg["corpus"]), 1) if line.rstrip("\n")]
+        linenos = [i for i, line in enumerate(lines, 1) if line.rstrip("\n")]
         for lineno, x in zip(linenos, corpus.sequences):
             if x.content_len != cfg["k"]:
                 raise ConfigError(
@@ -390,10 +393,10 @@ def cmd_bench(args) -> int:
         raise ConfigError("batch and reps must be >= 1")
     if cfg["vocab_size"] < 2:
         raise ConfigError(f"vocab_size must be >= 2 (bos and one symbol), got {cfg['vocab_size']}")
-    # the DP keeps the reversed pairs' table, (|x_0| + 1) * batch * (|x_t| + 1) float64 cells
+    # the DP keeps rows 0..ceil(|x_0| / 2) of 2 * batch lanes of |x_t| + 1 float64 cells
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     for n in lengths:
-        if (table := (n + 2) * cfg["batch"] * (n // 2 + 2) * 8) > memory:
+        if (table := ((n + 2) // 2 + 1) * 2 * cfg["batch"] * (n // 2 + 2) * 8) > memory:
             raise ConfigError(f"bench length {n} at batch {cfg['batch']} needs a {table / 2**30:.4g} GiB "
                               f"table; this machine has {memory / 2**30:.4g} GiB")
     rng = np.random.default_rng(cfg["seed"])

@@ -226,17 +226,23 @@ def detokenize(seq: Sequence, vocab: Vocab, mode: str = "char") -> str:
     return joiner.join(vocab.symbols[t] for t in seq.content)
 
 
-def scan_vocab(path, mode: str = "char") -> Vocab:
-    """Build a vocab from a corpus file, ids in first-seen order after bos."""
-    return Vocab.build(sym for line in text_lines(path) for sym in _split(line.rstrip("\n"), mode))
+def _lines(corpus) -> list[str]:
+    """A corpus file's lines: given as text_lines read them, or read from its path."""
+    return corpus if isinstance(corpus, list) else text_lines(corpus)
 
 
-def load_corpus(path, vocab: Vocab, mode: str = "char", max_len: int | None = None) -> Corpus:
-    """One sequence per non-empty line; lines truncated to max_len tokens (incl. bos)."""
+def scan_vocab(corpus, mode: str = "char") -> Vocab:
+    """Build a vocab from a corpus file, its path or its lines; ids in first-seen order after bos."""
+    return Vocab.build(sym for line in _lines(corpus) for sym in _split(line.rstrip("\n"), mode))
+
+
+def load_corpus(corpus, vocab: Vocab, mode: str = "char", max_len: int | None = None) -> Corpus:
+    """One sequence per non-empty line of a corpus file, its path or its lines; lines
+    truncated to max_len tokens (incl. bos)."""
     if max_len is not None and max_len < 1:
         raise ConfigError(f"max_len must be >= 1 (it counts bos), got {max_len}")
     seqs: list[Sequence] = []
-    for line in text_lines(path):
+    for line in _lines(corpus):
         text = line.rstrip("\n")
         if not text:
             continue

@@ -215,6 +215,25 @@ def test_train_ragged_dice_corpus_names_the_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_dice_training_reads_its_corpus_once(tmp_path, capsys, monkeypatch):
+    from delins import seqcore
+
+    reads = []
+    for module in (cli, seqcore):
+        read = module.text_lines
+        monkeypatch.setattr(module, "text_lines", lambda path, read=read: reads.append(path) or read(path))
+    ragged = write_corpus(tmp_path, ["abcd", "", "abc", "abcd"], "ragged.txt")
+    code, _, err = run_cli(["train", "--corpus", ragged, "--mode", "dice", "--dry-run"], capsys)
+    assert (code, err) == (1, "error: line 3: length 3 != k=4 (fixed-length mode needs a uniform corpus)\n")
+    assert reads == [ragged]
+    reads.clear()
+    corpus = write_corpus(tmp_path, FIXED4)
+    argv = ["train", "--corpus", corpus, "--mode", "dice", "--epochs", "1", "--seed", "0",
+            "--checkpoint-out", str(tmp_path / "m.ckpt"), "--metrics", str(tmp_path / "m.jsonl")]
+    assert run_cli(argv, capsys)[0] == 0
+    assert reads == [corpus]
+
+
 def test_train_dry_run_checks_the_training_settings(tmp_path, capsys):
     corpus = write_corpus(tmp_path, VARIED)
     ini = tmp_path / "run.ini"
