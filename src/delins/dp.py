@@ -170,8 +170,8 @@ def _walk(xt, x0, exact: bool):
 def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
     """Each pair's NRatioMatrix (ratios) or insertion-count grid.
 
-    For pair b with n = |x_t|, m = |x_0| and 0 <= j < m, 0 <= i < n, the term
-    N(xt[:i+1], x0[:j]) * N(xt[i+1:], x0[j+1:]) goes to cell (i, x0[j]).  One sweep
+    For pair b with n = |x_t|, m = |x_0|, 0 <= j < m and 0 <= i < n, the term A * S,
+    A = N(xt[:i+1], x0[:j]) and S = N(xt[i+1:], x0[j+1:]), goes to cell (i, x0[j]).  One sweep
     of max m row steps makes pair b in lane b and its reverse in lane 2B-1-b, so
     prefix row j meets reversed row m - 1 - j; from the middle on, each new row meets
     the kept row of the other lane and their two terms (in log, A + S) take its slot.
@@ -188,7 +188,7 @@ def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
     X0, ms = _packed(pairs.x0s, _PAD_X0, vocab_size)
     B, V, log = len(ns), vocab_size, domain == "log"
     n_max, m_max = XT.shape[1], X0.shape[1]
-    # lane b sweeps pair b and lane 2B-1-b its reverse, right-aligned; a column 0 of pad
+    # lane b sweeps pair b and lane 2B-1-b its reverse, right-aligned, behind a pad column
     xt = np.full((2 * B, n_max + 1), _PAD_XT)
     xt[:B, 1:], xt[B:, 1:] = XT, XT[::-1, ::-1]
     x0 = np.concatenate([X0, X0[::-1, ::-1]]).T.copy()  # x0[j]: each lane's token j
@@ -209,8 +209,8 @@ def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
                 meet(flat[k - 1, :half], flat[k - 1, half:][::-1], out=flat[k - 1, :half])
             if 0 <= (p := m_max - 1 - k) < k:  # rows k and p meet; slot p takes terms p and k
                 meet(flat[p], flat[row, ::-1], out=flat[p])
-        # term j at [b, i + 1], column 0 no gap; a slot read backwards puts each reversed
-        # cell where its pair's prefix cell meets it, so the terms past the middle read so
+        # term j sits at [b, i + 1] of its slot (column 0 is no gap); past the middle, of the
+        # slot read backwards, which puts each reversed cell where its pair's prefix cell is
         terms = [T[j, :B] if 2 * j < m_max else T[m_max - 1 - j, ::-1, ::-1][:B]
                  for j in range(m_max)]
         n_cells = T[mid, np.arange(B), ns]

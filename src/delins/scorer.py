@@ -287,11 +287,11 @@ def train(
     call, its targets with one dp.batched_n_ratios_auto call on both packed
     sides as a seqcore.PairBatch and its loss and gradient with one packed
     _loss_grad_from_ratios call.  Metric dicts hold step, epoch, loss and
-    domain, the DP rung the batch took.  Everything
-    runs sequentially in a fixed order, so a fixed seed reproduces the
-    metric stream bit for bit.  on_step, when given, is called with each
-    metric dict as it is produced.  A step whose loss is not finite raises
-    NonFinite, with no metric dict made.
+    domain, the DP rung the batch took.  Everything runs sequentially in a
+    fixed order, so a fixed seed reproduces the metric stream bit for bit.
+    on_step, when given, is called with each metric dict as it is produced.
+    A step whose loss is not finite raises NonFinite, with no metric dict
+    made.
     """
     if not corpus.sequences:
         raise ConfigError("empty corpus")

@@ -232,7 +232,7 @@ def _lines(corpus) -> list[str]:
 
 
 def scan_vocab(corpus, mode: str = "char") -> Vocab:
-    """Build a vocab from a corpus file, its path or its lines; ids in first-seen order after bos."""
+    """A vocab from a corpus file, its path or its lines; ids in first-seen order after bos."""
     return Vocab.build(sym for line in _lines(corpus) for sym in _split(line.rstrip("\n"), mode))
 
 
