@@ -42,7 +42,7 @@ def world(tmp_path_factory):
     paths = [str(root / name) for name in (
         "corpus.txt", "fixed.txt", "empty.txt", "latin1.txt", "missing.txt", "dir",
         "dise.ckpt", "dice.ckpt", "dise.ckpt.vocab", "run.ini", "dir/missing/out")]
-    return root, paths
+    return root, paths, {p: p.read_bytes() for p in root.iterdir() if p.is_file()}
 
 
 def _value(cast, key, paths):
@@ -104,7 +104,7 @@ def _bounded(monkeypatch):
 
 
 def test_any_argv_ends_in_an_exit_code_and_one_line(world, monkeypatch):
-    root, paths = world
+    root, paths, files = world
     bench_calls = _bounded(monkeypatch)
 
     @given(argvs(paths))
@@ -126,6 +126,8 @@ def test_any_argv_ends_in_an_exit_code_and_one_line(world, monkeypatch):
             code = 0  # the command took its settings and started the work
         finally:
             os.chdir(home)
+            for path, data in files.items():  # an output flag may have named one of them
+                path.write_bytes(data)
         text = err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
         assert code in (0, 1, 2, 3), (argv, code, text)
         assert "Traceback" not in text, (argv, text)
