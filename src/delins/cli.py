@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import math
 import os
@@ -33,7 +34,7 @@ from .errors import (
     UnknownSymbol,
     VersionMismatch,
 )
-from .sampler import GRID_KINDS, MODES as SAMPLER_MODES, SamplerConfig, batch_generate
+from .sampler import GRID_KINDS, MODES as SAMPLER_MODES, SamplerConfig, batch_generate, check_prompt
 from .seqcore import Sequence, Vocab, _split, detokenize, load_corpus, scan_vocab, text_lines, tokenize
 
 EXIT_OK = 0
@@ -53,12 +54,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _bool(raw: str) -> bool:
-    val = raw.strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    try:  # the eight spellings the INI layer reads as booleans
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
 
 def _nonnegative(raw: str) -> int:
@@ -175,20 +174,19 @@ def _resolve_seed(seed):
     return int.from_bytes(os.urandom(8), "big") >> 1, True
 
 
-class _Metrics:
-    """JSON-lines sink, stdout by default."""
+class _Metrics(contextlib.AbstractContextManager):
+    """JSON-lines sink, stdout for no path or "-"; leaving its with block closes a file."""
 
     def __init__(self, path):
-        self.path = path
         self.fh = sys.stdout if path in (None, "-") else open(path, "w")
+
+    def __exit__(self, *exc) -> None:
+        if self.fh is not sys.stdout:
+            self.fh.close()
 
     def emit(self, record: dict) -> None:
         self.fh.write(json.dumps(record, sort_keys=True) + "\n")
         self.fh.flush()
-
-    def close(self) -> None:
-        if self.fh is not sys.stdout:
-            self.fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +266,7 @@ def cmd_train(args) -> int:
     else:
         params = scorer_mod.ScorerParams.init(len(vocab), cfg["mode"], k=cfg["k"])
 
-    metrics = _Metrics(None if cfg["dry_run"] else cfg["metrics"])
-    try:
+    with _Metrics(None if cfg["dry_run"] else cfg["metrics"]) as metrics:
         metrics.emit({"config": {**cfg, "command": "train", "seed_drawn": drawn}})
         if cfg["dry_run"]:
             metrics.emit({"dry_run": True, "sequences": len(corpus), "vocab": len(vocab)})
@@ -292,8 +289,6 @@ def cmd_train(args) -> int:
         scorer_mod.save(trained, cfg["checkpoint_out"])
         vocab.save(cfg["checkpoint_out"] + ".vocab")
         metrics.emit({"checkpoint": cfg["checkpoint_out"], "done": True})
-    finally:
-        metrics.close()
     return EXIT_OK
 
 
@@ -329,8 +324,8 @@ def cmd_sample(args) -> int:
     sampler_cfg = SamplerConfig(steps=cfg["steps"], grid=cfg["grid"], top_p=cfg["top_p"],
                                 mode=cfg["sampler_mode"], k=cfg["k"], seed=seed)
     prompt = None if cfg["prompt"] is None else tokenize(cfg["prompt"], vocab, cfg["tokenizer"])
-    out = _Metrics(cfg["out"])
-    try:
+    check_prompt(sampler_cfg, prompt)
+    with _Metrics(cfg["out"]) as out:
         out.emit({"config": {**cfg, "command": "sample", "seed_drawn": drawn}})
         if cfg["count"] == 0:
             out.emit({"summary": {"count": 0, "mean_length": None, "length_cdf": []}})
@@ -346,18 +341,13 @@ def cmd_sample(args) -> int:
                 "seed": seed,
             })
         out.emit({"summary": summary})
-        if cfg["trace"]:
-            with open(cfg["trace"], "w") as fh:
-                for i, tr in enumerate(traces):
-                    fh.write(json.dumps({
-                        "sample": i,
-                        "trace": [
-                            [t, detokenize(x, vocab, cfg["tokenizer"])]
-                            for t, x in tr.snapshots
-                        ],
-                    }, sort_keys=True) + "\n")
-    finally:
-        out.close()
+    if cfg["trace"]:
+        with _Metrics(cfg["trace"]) as trace:
+            for i, tr in enumerate(traces):
+                trace.emit({
+                    "sample": i,
+                    "trace": [[t, detokenize(x, vocab, cfg["tokenizer"])] for t, x in tr.snapshots],
+                })
     return EXIT_OK
 
 
@@ -393,15 +383,13 @@ def cmd_bench(args) -> int:
         raise ConfigError("batch and reps must be >= 1")
     if cfg["vocab_size"] < 2:
         raise ConfigError(f"vocab_size must be >= 2 (bos and one symbol), got {cfg['vocab_size']}")
-    # the DP keeps rows 0..ceil(|x_0| / 2) of 2 * batch lanes of |x_t| + 1 float64 cells
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    for n in lengths:
-        if (table := ((n + 2) // 2 + 1) * 2 * cfg["batch"] * (n // 2 + 2) * 8) > memory:
+    for n in lengths:  # x_0 is bos and n tokens, x_t bos and n // 2 of them
+        if (table := math.prod(dp.lockstep_table_shape(cfg["batch"], n // 2 + 1, n + 1)) * 8) > memory:
             raise ConfigError(f"bench length {n} at batch {cfg['batch']} needs a {table / 2**30:.4g} GiB "
                               f"table; this machine has {memory / 2**30:.4g} GiB")
     rng = np.random.default_rng(cfg["seed"])
-    metrics = _Metrics(cfg["metrics"])
-    try:
+    with _Metrics(cfg["metrics"]) as metrics:
         metrics.emit({"config": {**cfg, "lengths": lengths, "command": "bench"}})
         means = []
         for n in lengths:
@@ -428,8 +416,6 @@ def cmd_bench(args) -> int:
             })
         slope = float(np.polyfit(np.log(lengths), np.log(means), 1)[0])
         metrics.emit({"exponent": round(slope, 4)})
-    finally:
-        metrics.close()
     return EXIT_OK
 
 
@@ -477,6 +463,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RUNTIME
     except DelinsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ x_t axis) while stepping sequentially along x_0, so the table layout keeps
 the x_t axis innermost/contiguous; one flat row step serves a batch of tables.
 The suffix table of a pair is the flipped prefix table of the reversed pair.
 Single-pair counts in the exact and float domains walk only the cells where
-x_0[j] == x_t[i]; every other op sweeps, a count through two rows.
+x_0[j] == x_t[i]; every other op sweeps, a count through one row.
 
 Grids and ratios fuse the two tables: cell (i, v) sums, over the x_0 positions
 j holding token v, N(x_t[:i+1], x_0[:j]) * N(x_t[i+1:], x_0[j+1:]).  A batch
@@ -116,16 +116,16 @@ def _step(prev, cur, eq: np.ndarray, domain: str, j: int) -> np.ndarray | None:
 def _sweep(xt: np.ndarray, x0: np.ndarray, domain: str, last_only: bool = False) -> np.ndarray:
     """The prefix table of one pair, T[j, i] = N(xt[:i], x0[:j]), shape (|x0|+1, |xt|+1).
 
-    last_only: the sweep keeps two rows and returns the last, T[|x0|], alone.
+    last_only: every row steps in place in one slot, and the last, T[|x0|], is returned alone.
     """
-    T = _start((2 if last_only else len(x0) + 1, len(xt) + 1), domain)
-    eq = np.zeros((len(x0), len(xt) + 1), dtype=bool)
-    np.equal(x0[:, None], xt, out=eq[:, 1:])
+    T = _start((1 if last_only else len(x0) + 1, len(xt) + 1), domain)
+    last = len(T) - 1  # rows past the kept ones step in place in the last slot
+    xt = np.concatenate(([_PAD_XT], xt))  # row j's mask is one compare of x0[j - 1] against it
     with np.errstate(over="ignore"):  # inf marks an overflowed float cell and stays inf
-        for j in range(1, len(x0) + 1):
-            if _step(T[(j - 1) % len(T)], T[j % len(T)], eq[j - 1], domain, j) is not None:
+        for j, v in enumerate(x0.tolist(), 1):
+            if _step(T[min(j - 1, last)], T[min(j, last)], v == xt, domain, j) is not None:
                 raise Overflow(_U64_WRAP.format(0))
-    return T[len(x0) % 2] if last_only else T
+    return T[last] if last_only else T
 
 
 def _packed(batch: Batch, pad: int, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,6 +167,11 @@ def _walk(xt, x0, exact: bool):
     return c[-1]
 
 
+def lockstep_table_shape(batch: int, n_max: int, m_max: int) -> tuple[int, int, int]:
+    """The lockstep table's shape for batch pairs, x_t and x_0 at most n_max and m_max long; 8 B a cell."""
+    return (m_max + 1) // 2 + 1, 2 * batch, n_max + 1  # rows 0..ceil(m_max / 2), a lane per pair and reverse
+
+
 def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
     """Each pair's NRatioMatrix (ratios) or insertion-count grid.
 
@@ -192,8 +197,8 @@ def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
     xt = np.full((2 * B, n_max + 1), _PAD_XT)
     xt[:B, 1:], xt[B:, 1:] = XT, XT[::-1, ::-1]
     x0 = np.concatenate([X0, X0[::-1, ::-1]]).T.copy()  # x0[j]: each lane's token j
-    mid = (m_max + 1) // 2  # rows 0..mid are kept; later rows step in slot mid
-    T = _start((mid + 1, 2 * B, n_max + 1), domain)
+    T = _start(lockstep_table_shape(B, n_max, m_max), domain)
+    mid = len(T) - 1  # rows 0..mid are kept; later rows step in slot mid
     T[0, B:][xt[B:] == _PAD_XT] = _SWEEP_ARITH[domain][2]  # the reverses' pad columns
     flat, half = T.reshape(mid + 1, -1), B * (n_max + 1)
     meet = np.add if log else np.multiply

@@ -28,9 +28,9 @@ Guards on top of the raw leap:
   insertable, and the exact scores are genuinely zero there anyway;
 * prompted generation masks every gap strictly inside the prompt, so the
   prompt stays a verbatim prefix;
-* fixed-length mode caps the number of accepted insertions at the
-  remaining capacity, keeping the proposals with the largest sampled-token
-  mass (ties to the lower gap index).
+* fixed-length mode refuses a prompt longer than k and caps the number of
+  accepted insertions at the remaining capacity, keeping the proposals with
+  the largest sampled-token mass (ties to the lower gap index).
 """
 
 from __future__ import annotations
@@ -212,10 +212,17 @@ def reverse_step(x_t: Sequence, t: float, dt: float, scores, top_p: float, rng, 
     return x_t if sizes[0] == len(x_t) else Sequence(tuple(ids.tolist()))
 
 
+def check_prompt(config: SamplerConfig, prompt: Sequence | None) -> None:
+    """A fixed-mode prompt longer than k leaves no sample of k tokens; raises ConfigError."""
+    if config.mode == "fixed" and prompt is not None and prompt.content_len > config.k:
+        raise ConfigError(f"prompt has {prompt.content_len} content tokens, more than k={config.k}")
+
+
 def _walk(
     score_fn, params, config: SamplerConfig, prompt: Sequence | None, rngs
 ) -> list[GenerationTrace]:
     """Walk one walker per rng from t = 1 to 0, scoring and leaping together."""
+    check_prompt(config, prompt)
     x = prompt if prompt is not None else Sequence((0,))
     inside = len(x) - 1  # gaps strictly inside the prompt
     times = timestep_grid(config.steps, config.grid).tolist()
@@ -227,7 +234,7 @@ def _walk(
     for t, t_next in zip(times, times[1:]):
         scores = score_fn(params, Batch(ids, sizes), t)
         mask = np.arange(len(ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes) >= inside if inside else None
-        capacity = np.maximum(config.k - (sizes - 1), 0) if config.mode == "fixed" else None
+        capacity = config.k - (sizes - 1) if config.mode == "fixed" else None
         ids, grown = _leap(ids, sizes, t, t - t_next, scores, config.top_p, rngs, mask, capacity, stats)
         changed = np.flatnonzero(grown != sizes).tolist()
         if changed:

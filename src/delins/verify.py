@@ -5,8 +5,8 @@ against brute force, ratio normalization, schedule algebra, objective
 agreement, gradients, sampler determinism) in under a second.  The full
 level adds the checks acceptance criteria c01, c04, c06 and c09 call, at
 their sizes: the exhaustive count sweep, long log-domain pairs, the
-score-entropy bound over tiny supports and population-level sampling.  It
-takes about 12 s on 2 cores.
+score-entropy bound over tiny supports and population-level sampling; the
+README gives its wall time.
 
 Every check calls into the library through the module objects, so a broken
 build of any engine shows up as a FAIL here rather than as silent drift.

@@ -377,6 +377,17 @@ def test_metrics_file_keeps_stdout_quiet(tmp_path, capsys):
 # sample
 
 
+def test_running_out_of_memory_is_one_runtime_error_line(monkeypatch, capsys):
+    # the exact count walks; the grid's table allocation fails
+    for exc, want in ((MemoryError("Unable to allocate 17.9 GiB"), "Unable to allocate 17.9 GiB"),
+                      (MemoryError(), "out of memory")):
+        def no_memory(shape, domain):
+            raise exc
+
+        monkeypatch.setattr(dp, "_start", no_memory)
+        assert run_cli(["count", "bag", "babgbag", "--grid"], capsys) == (3, "5\n", f"error: {want}\n")
+
+
 @pytest.fixture()
 def trained(tmp_path, capsys):
     corpus = write_corpus(tmp_path, VARIED)
@@ -503,17 +514,18 @@ def test_sample_fixed_mode_defaults_from_dice_checkpoint(tmp_path, capsys):
 
 def test_sample_trace_file(trained, tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
-    code, _, _ = run_cli(
-        ["sample", "--checkpoint", trained, "--steps", "3", "--count", "2",
-         "--seed", "1", "--trace", str(trace)],
-        capsys,
-    )
+    argv = ["sample", "--checkpoint", trained, "--steps", "3", "--count", "2", "--seed", "1"]
+    code, out, _ = run_cli(argv + ["--trace", str(trace)], capsys)
     assert code == 0
     rows = parse_stream(trace.read_text())
     assert [r["sample"] for r in rows] == [0, 1]
     for r in rows:
         times = [t for t, _ in r["trace"]]
         assert times[0] == 1.0 and times[-1] == 0.0
+    # "-" is stdout, as for --out: after the config echo, the same stream, then the trace
+    lines = run_cli(argv + ["--trace", "-"], capsys)[1].splitlines(keepends=True)
+    assert lines[1:-2] == out.splitlines(keepends=True)[1:]
+    assert "".join(lines[-2:]) == trace.read_text()
 
 
 def test_sample_bad_settings_write_nothing(trained, tmp_path, capsys):
@@ -548,6 +560,24 @@ def test_sample_k_must_match_a_dice_checkpoint(tmp_path, capsys):
     code, out, _ = run_cli(argv + ["--k", "4"], capsys)
     assert code == 0
     assert parse_stream(out)[0]["config"]["k"] == 4
+
+
+def test_sample_fixed_prompt_longer_than_k_writes_nothing(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, FIXED4)
+    ckpt, path = str(tmp_path / "d.ckpt"), tmp_path / "s.jsonl"
+    code, _, _ = run_cli(
+        ["train", "--corpus", corpus, "--mode", "dice", "--epochs", "1",
+         "--seed", "5", "--checkpoint-out", ckpt],
+        capsys,
+    )
+    assert code == 0
+    argv = ["sample", "--checkpoint", ckpt, "--steps", "2", "--count", "2", "--seed", "1"]
+    code, out, err = run_cli(argv + ["--prompt", "abcab", "--out", str(path)], capsys)
+    assert (code, out, err) == (1, "", "error: prompt has 5 content tokens, more than k=4\n")
+    assert not path.exists()
+    code, out, _ = run_cli(argv + ["--prompt", "abca"], capsys)  # exactly k
+    assert code == 0
+    assert [r["text"] for r in parse_stream(out) if "text" in r] == ["abca"] * 2
 
 
 # ---------------------------------------------------------------------------

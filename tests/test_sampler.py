@@ -1,6 +1,7 @@
 """Tests for tau-leaping reverse-process generation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -344,6 +345,20 @@ def test_fixed_mode_never_overshoots_midtrace():
     cfg = SamplerConfig(steps=8, mode="fixed", k=5, seed=15)
     trace = generate(scorer.score, params, cfg)
     assert all(x.content_len <= 5 for _, x in trace.snapshots)
+
+
+def test_fixed_mode_refuses_a_prompt_longer_than_k():
+    params = uniform_dise(3)
+    prompt = seq(1, 2, 1, 2)
+    cfg = SamplerConfig(steps=4, mode="fixed", k=3, seed=18)
+    for run in (lambda: batch_generate(scorer.score, params, cfg, 3, prompt),
+                lambda: generate(scorer.score, params, cfg, prompt)):
+        with pytest.raises(ConfigError, match="^prompt has 4 content tokens, more than k=3$"):
+            run()
+    # a prompt of exactly k leaves no room: every sample is the prompt
+    traces, summary = batch_generate(scorer.score, params, replace(cfg, k=4), 3, prompt)
+    assert [tr.final for tr in traces] == [prompt] * 3
+    assert summary["short"] == 0 and summary["cancelled"] > 0
 
 
 def test_generate_is_deterministic_under_seed():
