@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import errno
 import json
 import math
 import os
@@ -174,6 +175,24 @@ def _resolve_seed(seed):
     return int.from_bytes(os.urandom(8), "big") >> 1, True
 
 
+def _check_output(path: str) -> None:
+    """Raise, creating nothing, the OSError that writing a file at path would end in.
+
+    A file written after the work (a checkpoint, a trace) is checked before the
+    config echo, so a path that cannot be written ends the run with one line.
+    """
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif not os.access(folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 class _Metrics(contextlib.AbstractContextManager):
     """JSON-lines sink, stdout for no path or "-"; leaving its with block closes a file."""
 
@@ -266,6 +285,7 @@ def cmd_train(args) -> int:
     else:
         params = scorer_mod.ScorerParams.init(len(vocab), cfg["mode"], k=cfg["k"])
 
+    _check_output(cfg["checkpoint_out"])
     with _Metrics(None if cfg["dry_run"] else cfg["metrics"]) as metrics:
         metrics.emit({"config": {**cfg, "command": "train", "seed_drawn": drawn}})
         if cfg["dry_run"]:
@@ -325,14 +345,15 @@ def cmd_sample(args) -> int:
                                 mode=cfg["sampler_mode"], k=cfg["k"], seed=seed)
     prompt = None if cfg["prompt"] is None else tokenize(cfg["prompt"], vocab, cfg["tokenizer"])
     check_prompt(sampler_cfg, prompt)
+    if cfg["trace"] not in (None, "-"):
+        _check_output(cfg["trace"])
     with _Metrics(cfg["out"]) as out:
         out.emit({"config": {**cfg, "command": "sample", "seed_drawn": drawn}})
-        if cfg["count"] == 0:
-            out.emit({"summary": {"count": 0, "mean_length": None, "length_cdf": []}})
-            return EXIT_OK
-        traces, summary = batch_generate(
-            scorer_mod.score, params, sampler_cfg, cfg["count"], prompt
-        )
+        traces, summary = [], {"count": 0, "mean_length": None, "length_cdf": []}
+        if cfg["count"]:
+            traces, summary = batch_generate(
+                scorer_mod.score, params, sampler_cfg, cfg["count"], prompt
+            )
         for tr in traces:
             out.emit({
                 "text": detokenize(tr.final, vocab, cfg["tokenizer"]),
@@ -341,7 +362,7 @@ def cmd_sample(args) -> int:
                 "seed": seed,
             })
         out.emit({"summary": summary})
-    if cfg["trace"]:
+    if cfg["trace"]:  # one record a sample: --count 0 leaves an empty file
         with _Metrics(cfg["trace"]) as trace:
             for i, tr in enumerate(traces):
                 trace.emit({

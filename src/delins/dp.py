@@ -34,6 +34,8 @@ Grids and ratios fuse the two tables: cell (i, v) sums, over the x_0 positions
 j holding token v, N(x_t[:i+1], x_0[:j]) * N(x_t[i+1:], x_0[j+1:]).  A batch
 sweeps its pairs and their reverses in lockstep and meets them in the middle, as
 Hirschberg's LCS does (CACM 18(6), 1975), so its terms take one table's memory.
+A batch's ratio grids come back packed as rows of one array (NRatioBatch), the
+form the scorer's training step reads them in.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ _PAD_XT = -1  # never equal to a token or to _PAD_X0
 _PAD_X0 = -2
 _EXACT_SAFE_ROWS = 67  # C(67, 33) < 2**64 < C(68, 34): rows j <= 67 cannot wrap
 _U64_WRAP = "pair {}: subsequence count exceeds uint64; use the log domain"
+_F64_OVER = "subsequence count exceeds float64; use the log domain"
 # _step's arithmetic per domain: (dtype, zero, one, add); a cell adds its
 # left neighbour of the previous row where the tokens match
 _SWEEP_ARITH = {
@@ -117,14 +120,19 @@ def _sweep(xt: np.ndarray, x0: np.ndarray, domain: str, last_only: bool = False)
     """The prefix table of one pair, T[j, i] = N(xt[:i], x0[:j]), shape (|x0|+1, |xt|+1).
 
     last_only: every row steps in place in one slot, and the last, T[|x0|], is returned alone.
+    A float count raises at its first row whose count N(xt, x0[:j]) is inf: counts never
+    decrease along x_0, so no later row can bring it back.
     """
     T = _start((1 if last_only else len(x0) + 1, len(xt) + 1), domain)
     last = len(T) - 1  # rows past the kept ones step in place in the last slot
+    stop = last_only and domain == "float"
     xt = np.concatenate(([_PAD_XT], xt))  # row j's mask is one compare of x0[j - 1] against it
     with np.errstate(over="ignore"):  # inf marks an overflowed float cell and stays inf
         for j, v in enumerate(x0.tolist(), 1):
             if _step(T[min(j - 1, last)], T[min(j, last)], v == xt, domain, j) is not None:
                 raise Overflow(_U64_WRAP.format(0))
+            if stop and not math.isfinite(T[last, -1]):
+                raise Overflow(_F64_OVER)
     return T[last] if last_only else T
 
 
@@ -172,8 +180,10 @@ def lockstep_table_shape(batch: int, n_max: int, m_max: int) -> tuple[int, int, 
     return (m_max + 1) // 2 + 1, 2 * batch, n_max + 1  # rows 0..ceil(m_max / 2), a lane per pair and reverse
 
 
-def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
-    """Each pair's NRatioMatrix (ratios) or insertion-count grid.
+def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's ratio grid (ratios) or insertion-count grid, packed, and each grid's row count |x_t|.
+
+    Pair b's grid is the |x_t| rows of the packed (sum of |x_t|, V) array after the earlier pairs'.
 
     For pair b with n = |x_t|, m = |x_0|, 0 <= j < m and 0 <= i < n, the term A * S,
     A = N(xt[:i+1], x0[:j]) and S = N(xt[i+1:], x0[j+1:]), goes to cell (i, x0[j]).  One sweep
@@ -184,11 +194,12 @@ def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
     shift log N for ratios and the pair's largest term for counts; a pair past its
     x_0 adds into a dropped row V.  A term is at most N, and an exact grid sums to at
     most N * (m - n), so additions check for wrap only when that reaches 2**64.  Errors
-    name the first failing pair; a wrapping sweep, the lowest pair of its first wrap.
+    name the first failing pair; a wrapping sweep, the lowest pair of its first wrap.  The
+    table is dropped before the packing copy, and ratios are divided by N once packed.
     """
     pairs = PairBatch.of(pairs)
     if not len(pairs):
-        return []
+        return np.zeros((0, vocab_size)), pairs.xts.sizes
     XT, ns = _packed(pairs.xts, _PAD_XT, vocab_size)
     X0, ms = _packed(pairs.x0s, _PAD_X0, vocab_size)
     B, V, log = len(ns), vocab_size, domain == "log"
@@ -244,8 +255,7 @@ def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
         checks = (  # in the order a pair reports them
             (ratios & (is_log_zero(n_cells) if log else n_cells == 0), NotASubsequence,
              "N(x_t, x_0) == 0"),
-            (ratios & ~np.isfinite(n_cells), Overflow,
-             "subsequence count exceeds float64; use the log domain"),
+            (ratios & ~np.isfinite(n_cells), Overflow, _F64_OVER),
             (past, Overflow, "insertion-count sum exceeds uint64; use the log domain"
              if domain == "exact" else "insertion count exceeds float64; use the log domain"),
         )
@@ -255,14 +265,14 @@ def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> list:
             raise err(f"pair {b}: {msg}")
         if log and not ratios:
             acc = np.where(acc > 0.0, np.log(acc) + shift[:, None, None], LOG_ZERO)
-        elif ratios and not log:
-            acc = acc / n_cells[:, None, None]
+    del T, flat, terms, term  # the terms are views of the table
     # each grid (n, V) is a row block of one array, made by one transposing copy
     packed = acc.transpose(0, 2, 1)[np.arange(n_max) < ns[:, None]]
     if log and not ratios:
         packed[np.repeat(is_log_zero(shift), ns)] = LOG_ZERO  # a pair with no term
-    grids = [packed[e - n : e] for e, n in zip(np.cumsum(ns).tolist(), ns.tolist())]
-    return [NRatioMatrix(g, domain) for g in grids] if ratios else grids
+    elif ratios and not log:
+        packed = packed / np.repeat(n_cells, ns)[:, None]
+    return packed, ns
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +292,32 @@ class NRatioMatrix:
     @property
     def grand_sum(self) -> float:
         return float(self.ratios.sum())
+
+
+@dataclass(frozen=True, eq=False)
+class NRatioBatch:
+    """The ratio grids of a batch of pairs, packed as one (sum of |x_t|, V) float64 array.
+
+    Pair b's grid is the sizes[b] = |x_t| rows after the earlier pairs'; every pair took one
+    domain.  len counts the pairs; indexing or iterating yields each as an NRatioMatrix
+    viewing its rows, as seqcore.Batch yields states.
+    """
+
+    ratios: np.ndarray
+    sizes: np.ndarray
+    domain: str
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __iter__(self):
+        ends = np.cumsum(self.sizes).tolist()
+        return (NRatioMatrix(self.ratios[e - n : e], self.domain) for e, n in zip(ends, self.sizes.tolist()))
+
+    def __getitem__(self, b: int) -> NRatioMatrix:
+        b = range(len(self))[b]
+        start = int(self.sizes[:b].sum())
+        return NRatioMatrix(self.ratios[start : start + int(self.sizes[b])], self.domain)
 
 
 def brute_count(sub, seq) -> int:
@@ -325,7 +361,7 @@ def subsequence_count(x_t, x_0, domain: str = "exact"):
     if domain not in ("exact", "float") or (cell := _walk(xt, x0, domain == "exact")) is None:
         cell = _sweep(_ids(xt), _ids(x0), domain, True)[-1]  # the last row alone
     if not math.isfinite(cell):
-        raise Overflow("subsequence count exceeds float64; use the log domain")
+        raise Overflow(_F64_OVER)
     return int(cell) if domain == "exact" else float(cell)
 
 
@@ -343,18 +379,20 @@ def n_ratios(x_t, x_0, vocab_size: int, domain: str = "exact") -> NRatioMatrix:
     return batched_n_ratios([(x_t, x_0)], vocab_size, domain)[0]
 
 
-def batched_n_ratios(pairs, vocab_size: int, domain: str = "exact") -> list[NRatioMatrix]:
-    """n_ratios over a list of (x_t, x_0) pairs sharing one table sweep.
+def batched_n_ratios(pairs, vocab_size: int, domain: str = "exact") -> NRatioBatch:
+    """n_ratios over (x_t, x_0) pairs, a list or a seqcore.PairBatch, sharing one table sweep.
 
-    Elementwise identical to the per-pair loop (bitwise so in exact mode);
-    per-pair errors are re-raised with the offending pair index.
+    The grids come packed in one NRatioBatch, elementwise identical to the
+    per-pair loop (bitwise so in exact mode); per-pair errors are re-raised with
+    the offending pair index.
     """
-    return _per_pair(pairs, vocab_size, domain, ratios=True)
+    return NRatioBatch(*_per_pair(pairs, vocab_size, domain, ratios=True), domain)
 
 
 def batched_insertion_counts(pairs, vocab_size: int, domain: str = "exact") -> list[np.ndarray]:
-    """insertion_counts over a batch, sharing one table sweep."""
-    return _per_pair(pairs, vocab_size, domain, ratios=False)
+    """insertion_counts over a batch, sharing one table sweep: one grid per pair."""
+    packed, ns = _per_pair(pairs, vocab_size, domain, ratios=False)
+    return [packed[e - n : e] for e, n in zip(np.cumsum(ns).tolist(), ns.tolist())]
 
 
 def _ladder(op, *args):
@@ -411,6 +449,6 @@ def n_ratios_auto(x_t, x_0, vocab_size: int) -> NRatioMatrix:
     return _ladder(n_ratios, x_t, x_0, vocab_size)
 
 
-def batched_n_ratios_auto(pairs, vocab_size: int) -> list[NRatioMatrix]:
-    """Batched ratios in the first domain of exact, float, log that fits."""
+def batched_n_ratios_auto(pairs, vocab_size: int) -> NRatioBatch:
+    """Batched ratios, packed, in the first domain of exact, float, log that fits the whole batch."""
     return _ladder(batched_n_ratios, pairs, vocab_size)

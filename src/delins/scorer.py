@@ -35,6 +35,7 @@ from .errors import (
     ModeMismatch,
     NonFinite,
     NormalizationViolation,
+    Overflow,
     ShapeMismatch,
     VersionMismatch,
 )
@@ -47,6 +48,8 @@ FORMAT_VERSION = 1
 N_BUCKETS = 16
 
 MODES = ("dise", "dice")
+# a group of training steps makes its targets in one DP call whose lockstep table fits this
+_GROUP_TABLE_BYTES = 256 * 1024
 
 
 @dataclass
@@ -162,12 +165,13 @@ def score(params: ScorerParams, xs: Batch | list[Sequence], t: float | None = No
 
 
 def _loss_grad_from_ratios(
-    params: ScorerParams, xts: Batch | list[Sequence], ratios: list[np.ndarray], ts
+    params: ScorerParams, xts: Batch | list[Sequence], ratios: np.ndarray | list[np.ndarray], ts
 ) -> tuple[np.ndarray, np.ndarray, Gradient]:
     """Per-pair losses, per-gap loss sums and the summed gradient of a packed batch.
 
-    Pair b is (xts[b], ratios[b], ts[b]); all gaps are rows of one unpadded
-    array, and pair b's loss has the bits objective.loss_from_ratios gives it.
+    Pair b is (xts[b], its ratio grid, ts[b]); the grids come packed, as the rows
+    of one (sum of |x_t|, V) array, or as a list.  All gaps are rows of one
+    unpadded array, and pair b's loss has the bits objective.loss_from_ratios gives it.
 
     dise: d/dz of the bracket is simply (s - r) because s = exp(z).
     dice: the normalizer makes this a softmax cross-entropy with total
@@ -179,7 +183,7 @@ def _loss_grad_from_ratios(
     starts = np.cumsum(lens) - lens
     seg = np.repeat(np.arange(len(lens)), lens)  # the pair each row belongs to
     w = time_terms(ts)[1]
-    r = np.concatenate(ratios)
+    r = ratios if isinstance(ratios, np.ndarray) else np.concatenate(ratios)
     V = params.vocab_size
     if params.mode == "dice":
         m_model = params.k - (lens - 1)
@@ -211,7 +215,7 @@ def loss_and_grad(
 ) -> tuple[LossBreakdown, Gradient]:
     """Loss of (x_t, x_0) at time t and its gradient in the params."""
     ratios = dp.n_ratios_auto(x_t, x_0, params.vocab_size).ratios
-    totals, per_position, grad = _loss_grad_from_ratios(params, [x_t], [ratios], [t])
+    totals, per_position, grad = _loss_grad_from_ratios(params, [x_t], ratios, [t])
     return LossBreakdown(float(totals[0]), per_position, loss_weight(t)), grad
 
 
@@ -272,6 +276,28 @@ def train_settings(config: dict) -> tuple[int, int, float, str]:
     return epochs, batch, lr, opt_name
 
 
+def _groups(order: np.ndarray, batch: int, lens: np.ndarray):
+    """An epoch's steps, batch pairs each in order, gathered into groups of whole steps.
+
+    Yields each group's corpus indices and the offsets its steps start at, then its
+    end.  A group takes the next step while its lockstep table, sized from the
+    x_0 lengths lens (they bound x_t's too), stays within _GROUP_TABLE_BYTES; it
+    always takes one step.
+    """
+    cuts = [*range(0, len(order), batch), len(order)]
+    longest = np.maximum.reduceat(lens[order], cuts[:-1]).tolist()  # each step's longest x_0
+    g = 0
+    while g < len(longest):
+        h, m = g + 1, longest[g]
+        while h < len(longest):
+            m_h = max(m, longest[h])
+            if math.prod(dp.lockstep_table_shape(cuts[h + 1] - cuts[g], m_h, m_h)) * 8 > _GROUP_TABLE_BYTES:
+                break
+            h, m = h + 1, m_h
+        yield order[cuts[g] : cuts[h]], [c - cuts[g] for c in cuts[g : h + 1]]
+        g = h
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a diverging step shows as its loss
 def train(
     params: ScorerParams, corpus: Corpus, config: dict, on_step=None
@@ -281,17 +307,23 @@ def train(
     Required config keys: epochs, batch, lr, optimizer ("sgd" | "adam"), as
     train_settings checks them; seed is optional.  Forward draws use
     process's fixed schedule.  Batches are drawn by reshuffling the corpus
-    each epoch.  A step draws its doubles in one rng.random call, for each
-    pair its t and then its tokens' survival doubles, as one forward_sample
-    call per pair would, and makes its x_t with one packed forward_sample
-    call, its targets with one dp.batched_n_ratios_auto call on both packed
-    sides as a seqcore.PairBatch and its loss and gradient with one packed
-    _loss_grad_from_ratios call.  Metric dicts hold step, epoch, loss and
-    domain, the DP rung the batch took.  Everything runs sequentially in a
-    fixed order, so a fixed seed reproduces the metric stream bit for bit.
-    on_step, when given, is called with each metric dict as it is produced.
-    A step whose loss is not finite raises NonFinite, with no metric dict
-    made.
+    each epoch.  A step's targets depend on its x_0, the rng and its times,
+    never on the params, so whole steps of an epoch are made in groups, as
+    many as fit one lockstep table of _GROUP_TABLE_BYTES (at least one).  A
+    group draws its doubles in one rng.random call, for each pair its t and
+    then its tokens' survival doubles, as one forward_sample call per pair
+    would, makes its x_t with one packed forward_sample call and its targets
+    with one exact dp.batched_n_ratios call on both packed sides as a
+    seqcore.PairBatch.  If that call overflows, each of its steps calls
+    dp.batched_n_ratios_auto on its own batch.  Each step then reads its row
+    block of the packed ratios and makes its loss and gradient with one
+    packed _loss_grad_from_ratios call, so every step has the bits it has
+    when made alone.  Metric dicts hold step, epoch, loss and domain, the DP
+    rung the step's batch took.  Everything runs sequentially in a fixed
+    order, so a fixed seed reproduces the metric stream bit for bit.
+    on_step, when given, is called with each metric dict as it is produced;
+    a group's first step also carries the group's draw and DP call.  A step
+    whose loss is not finite raises NonFinite, with no metric dict made.
     """
     if not corpus.sequences:
         raise ConfigError("empty corpus")
@@ -309,27 +341,39 @@ def train(
     opt = OPTIMIZERS[opt_name](lr)
 
     rng = np.random.default_rng(config.get("seed"))
+    lens = np.fromiter(map(len, corpus.sequences), np.int64, len(corpus.sequences))
     metrics: list[dict] = []
     step = 0
     for epoch in range(epochs):
         order = rng.permutation(len(corpus.sequences))
-        for start in range(0, len(order), batch):
-            x0s = [corpus.sequences[i] for i in order[start : start + batch].tolist()]
-            packed = Batch.of(x0s)
-            u = rng.random(len(packed.ids))  # in each pair's slots: its t, then its tokens' doubles
-            ts = T_MIN + (1.0 - T_MIN) * u[np.cumsum(packed.sizes) - packed.sizes]
-            xts = forward_sample(packed, ts, u)
-            mats = dp.batched_n_ratios_auto(PairBatch(xts, packed), out.vocab_size)
-            totals, _, grad = _loss_grad_from_ratios(out, xts, [m.ratios for m in mats], ts)
-            n = len(x0s)
-            loss = float(totals.sum()) / n
-            if not math.isfinite(loss):
-                raise NonFinite(f"step {step}: loss is {loss}; training diverged")
-            opt.step(arrays, [g / n for g in (grad.theta, grad.time_bias) if g is not None])
-            metrics.append({"step": step, "epoch": epoch, "loss": loss, "domain": mats[0].domain})
-            if on_step is not None:
-                on_step(metrics[-1])
-            step += 1
+        for group, cuts in _groups(order, batch, lens):
+            x0s = Batch.of([corpus.sequences[i] for i in group.tolist()])
+            u = rng.random(len(x0s.ids))  # in each pair's slots: its t, then its tokens' doubles
+            ts = T_MIN + (1.0 - T_MIN) * u[np.cumsum(x0s.sizes) - x0s.sizes]
+            xts = forward_sample(x0s, ts, u)
+            try:
+                mats = dp.batched_n_ratios(PairBatch(xts, x0s), out.vocab_size, "exact")
+            except Overflow:
+                mats = None  # each step climbs the ladder alone, once the failed tables are gone
+            at_t, at_0 = (np.cumsum(np.append(0, b.sizes)).tolist() for b in (xts, x0s))
+            for a, b in zip(cuts, cuts[1:]):  # a step's pairs
+                step_xts = Batch(xts.ids[at_t[a] : at_t[b]], xts.sizes[a:b])
+                if mats is None:
+                    step_x0s = Batch(x0s.ids[at_0[a] : at_0[b]], x0s.sizes[a:b])
+                    own = dp.batched_n_ratios_auto(PairBatch(step_xts, step_x0s), out.vocab_size)
+                    ratios, domain = own.ratios, own.domain
+                else:
+                    ratios, domain = mats.ratios[at_t[a] : at_t[b]], mats.domain
+                totals, _, grad = _loss_grad_from_ratios(out, step_xts, ratios, ts[a:b])
+                n = b - a
+                loss = float(totals.sum()) / n
+                if not math.isfinite(loss):
+                    raise NonFinite(f"step {step}: loss is {loss}; training diverged")
+                opt.step(arrays, [g / n for g in (grad.theta, grad.time_bias) if g is not None])
+                metrics.append({"step": step, "epoch": epoch, "loss": loss, "domain": domain})
+                if on_step is not None:
+                    on_step(metrics[-1])
+                step += 1
     return out, metrics
 
 
@@ -407,7 +451,7 @@ def gradcheck(params: ScorerParams, x_t: Sequence, x_0: Sequence, t: float) -> f
     of 1e-8 so near-zero coordinates do not blow the ratio up.
     """
     h = 1e-5
-    ratios = [dp.n_ratios_auto(x_t, x_0, params.vocab_size).ratios]  # the params do not move them
+    ratios = dp.n_ratios_auto(x_t, x_0, params.vocab_size).ratios  # the params do not move them
     _, _, grad = _loss_grad_from_ratios(params, [x_t], ratios, [t])
     worst = 0.0
 

@@ -206,6 +206,21 @@ def test_train_dry_run_writes_nothing(tmp_path, capsys):
     assert any("dry_run" in r for r in parse_stream(out))
 
 
+@pytest.mark.parametrize("where", ["missing/m.ckpt", "."])
+def test_train_checkpoint_path_that_cannot_be_written_fails_before_training(tmp_path, capsys, where):
+    corpus = write_corpus(tmp_path, VARIED)
+    ckpt = tmp_path / where  # a directory that does not exist, or a directory itself
+    for extra in ([], ["--dry-run"]):
+        code, out, err = run_cli(
+            ["train", "--corpus", corpus, "--checkpoint-out", str(ckpt), "--seed", "1", *extra], capsys
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("io error: ") and str(ckpt) in err and len(err.splitlines()) == 1
+    code, out, _ = run_cli(["train", "--corpus", corpus, "--checkpoint-out", str(ckpt),
+                            "--metrics", str(tmp_path / "m.jsonl"), "--seed", "1"], capsys)
+    assert code == 3 and out == "" and not (tmp_path / "m.jsonl").exists()
+
+
 def test_train_ragged_dice_corpus_names_the_line(tmp_path, capsys):
     corpus = write_corpus(tmp_path, ["abcd", "abc", "abcd"])
     code, _, err = run_cli(
@@ -526,6 +541,22 @@ def test_sample_trace_file(trained, tmp_path, capsys):
     lines = run_cli(argv + ["--trace", "-"], capsys)[1].splitlines(keepends=True)
     assert lines[1:-2] == out.splitlines(keepends=True)[1:]
     assert "".join(lines[-2:]) == trace.read_text()
+
+
+def test_sample_trace_path_that_cannot_be_written_fails_before_sampling(trained, tmp_path, capsys):
+    trace = tmp_path / "missing" / "t.jsonl"
+    code, out, err = run_cli(["sample", "--checkpoint", trained, "--count", "2", "--seed", "1",
+                              "--trace", str(trace)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("io error: ") and str(trace) in err and len(err.splitlines()) == 1
+
+
+def test_sample_count_zero_writes_an_empty_trace(trained, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"  # one record a sample, so zero samples leave an empty file
+    code, out, _ = run_cli(["sample", "--checkpoint", trained, "--count", "0", "--seed", "1",
+                            "--trace", str(trace)], capsys)
+    assert code == 0 and trace.read_text() == ""
+    assert parse_stream(out)[-1]["summary"]["count"] == 0
 
 
 def test_sample_bad_settings_write_nothing(trained, tmp_path, capsys):

@@ -667,6 +667,21 @@ def test_grids_and_ratios_make_one_row_step_per_x0_token(monkeypatch):
         assert len(calls) == len(BABGBAG)
 
 
+def test_float_count_stops_at_its_first_row_past_float64(monkeypatch):
+    # counts never decrease along x_0, so once N(x_t, x_0[:j]) is inf no later row is swept
+    import delins.dp as dp_module
+
+    x_t, x_0 = a_pow(300), a_pow(3000)
+    row = int(np.argmax(np.isinf(prefix_table(x_t, x_0, "float")[-1])))
+    assert 300 < row < len(x_0) - 1
+    calls = []
+    step = dp_module._step
+    monkeypatch.setattr(dp_module, "_step", lambda *a: calls.append(a[-1]) or step(*a))
+    with pytest.raises(Overflow, match=F64_MSG):
+        subsequence_count(x_t, x_0, "float")
+    assert calls == list(range(1, row + 1))
+
+
 def test_lockstep_sweep_allocates_the_table_shape_dp_reports(monkeypatch):
     # bench's memory guard sizes its tables with lockstep_table_shape, so the sweep must agree
     import delins.dp as dp_module

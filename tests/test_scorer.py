@@ -1,5 +1,6 @@
 """Scorer: outputs, closed-form gradients, training loop, checkpoints."""
 
+import math
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delins import dp, objective
+from delins import dp, objective, scorer
 from delins.errors import (
     ConfigError,
     ModeMismatch,
@@ -458,21 +459,42 @@ def per_pair_train(params, corpus, config):
     return out, metrics
 
 
-@pytest.mark.parametrize("mode", ["dise", "dice"])
-def test_packed_train_step_is_the_per_pair_step(mode):
+@pytest.mark.parametrize("mode", ["dise", "dice", "long-lines", "over-budget", "odd-batch"])
+def test_packed_train_step_is_the_per_pair_step(mode, monkeypatch):
+    batch = 3  # divides neither corpus
     if mode == "dise":  # ragged lines, a bos-only one among them
-        corpus = make_corpus(["abcab", "", "ba", "aabbc", "c", "cabab", "bbaacab"], "abc")
-    else:
-        corpus = make_corpus(["abca", "bcab", "aabb", "caba", "bbac"], "abc")
-    p = ScorerParams.init(4, mode, k=4 if mode == "dice" else None)
-    cfg = {"epochs": 6, "batch": 3, "lr": 0.2, "optimizer": "adam", "seed": 11}  # 3 divides neither
-    got, got_metrics = train(p, corpus, cfg)
+        lines = ["abcab", "", "ba", "aabbc", "c", "cabab", "bbaacab"]
+    elif mode == "dice":
+        lines = ["abca", "bcab", "aabb", "caba", "bbac"]
+    elif mode == "long-lines":  # 80 a's mostly take the float rung, short lines stay exact
+        lines, batch = ["abcab", "a" * 80, "ba", "", "a" * 80, "cab", "aabbc", "a" * 80, "c"], 2
+    else:  # lines of 30 to 45 tokens: about 14 pairs fill a group's table, so an epoch splits
+        rng = np.random.default_rng(29)
+        n, batch = (40, 4) if mode == "over-budget" else (47, 5)  # 5 divides neither 47 nor 14
+        lines = ["".join(rng.choice(list("abc"), size=rng.integers(30, 46))) for _ in range(n)]
+    corpus = make_corpus(lines, "abc")
+    p = ScorerParams.init(4, "dice" if mode == "dice" else "dise", k=4 if mode == "dice" else None)
+    cfg = {"epochs": 6, "batch": batch, "lr": 0.2, "optimizer": "adam", "seed": 11}
+    shapes, ladders = [], []  # the lockstep tables train allocates; its per-step ladder calls
+    start, auto = dp._start, dp.batched_n_ratios_auto
+    with monkeypatch.context() as patch:
+        patch.setattr(dp, "_start", lambda shape, domain: shapes.append(shape) or start(shape, domain))
+        patch.setattr(dp, "batched_n_ratios_auto", lambda *a: ladders.append(a) or auto(*a))
+        got, got_metrics = train(p, corpus, cfg)
     want, want_metrics = per_pair_train(p, corpus, cfg)
     assert got.theta.tobytes() == want.theta.tobytes()
-    if mode == "dise":
+    if mode != "dice":
         assert got.time_bias.tobytes() == want.time_bias.tobytes()
     assert got_metrics == want_metrics
     assert len({m["loss"] for m in got_metrics}) > 1
+    if mode == "long-lines":  # some groups overflowed and their steps climbed alone
+        assert {m["domain"] for m in got_metrics} == {"exact", "float"} and ladders
+    if mode in ("over-budget", "odd-batch"):  # one exact table a group, of whole steps, in budget
+        assert not ladders and len(shapes) > 2 * cfg["epochs"]
+        assert sum(lanes // 2 for _, lanes, _ in shapes) == cfg["epochs"] * len(lines)
+        assert all(math.prod(s) * 8 <= scorer._GROUP_TABLE_BYTES for s in shapes)
+        assert sum(lanes // 2 % batch != 0 for _, lanes, _ in shapes) == (
+            cfg["epochs"] if len(lines) % batch else 0)  # only an epoch's last group has a short step
 
 
 def test_checkpoint_roundtrip(tmp_path):
