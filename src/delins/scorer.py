@@ -315,12 +315,14 @@ def train(
     would, makes its x_t with one packed forward_sample call and its targets
     with one exact dp.batched_n_ratios call on both packed sides as a
     seqcore.PairBatch.  If that call overflows, each of its steps calls
-    dp.batched_n_ratios_auto on its own batch.  Each step then reads its row
-    block of the packed ratios and makes its loss and gradient with one
-    packed _loss_grad_from_ratios call, so every step has the bits it has
-    when made alone.  Metric dicts hold step, epoch, loss and domain, the DP
-    rung the step's batch took.  Everything runs sequentially in a fixed
-    order, so a fixed seed reproduces the metric stream bit for bit.
+    dp.batched_n_ratios_auto on its own batch; a group of one step calls it
+    at once, so a step of long lines makes no second exact attempt.  Each
+    step then reads its row block of the packed ratios and makes its loss
+    and gradient with one packed _loss_grad_from_ratios call, so every step
+    has the bits it has when made alone.  Metric dicts hold step, epoch,
+    loss and domain, the DP rung the step's batch took.  Everything runs
+    sequentially in a fixed order, so a fixed seed reproduces the metric
+    stream bit for bit.
     on_step, when given, is called with each metric dict as it is produced;
     a group's first step also carries the group's draw and DP call.  A step
     whose loss is not finite raises NonFinite, with no metric dict made.
@@ -351,17 +353,19 @@ def train(
             u = rng.random(len(x0s.ids))  # in each pair's slots: its t, then its tokens' doubles
             ts = T_MIN + (1.0 - T_MIN) * u[np.cumsum(x0s.sizes) - x0s.sizes]
             xts = forward_sample(x0s, ts, u)
-            try:
-                mats = dp.batched_n_ratios(PairBatch(xts, x0s), out.vocab_size, "exact")
+            pairs = PairBatch(xts, x0s)
+            try:  # a lone step climbs the ladder as it is; a group's steps, only if exact fails
+                mats = (dp.batched_n_ratios_auto(pairs, out.vocab_size) if len(cuts) == 2
+                        else dp.batched_n_ratios(pairs, out.vocab_size, "exact"))
             except Overflow:
-                mats = None  # each step climbs the ladder alone, once the failed tables are gone
+                mats = None  # each step climbs alone, once the failed tables are gone
             at_t, at_0 = (np.cumsum(np.append(0, b.sizes)).tolist() for b in (xts, x0s))
             for a, b in zip(cuts, cuts[1:]):  # a step's pairs
                 step_xts = Batch(xts.ids[at_t[a] : at_t[b]], xts.sizes[a:b])
                 if mats is None:
                     step_x0s = Batch(x0s.ids[at_0[a] : at_0[b]], x0s.sizes[a:b])
-                    own = dp.batched_n_ratios_auto(PairBatch(step_xts, step_x0s), out.vocab_size)
-                    ratios, domain = own.ratios, own.domain
+                    alone = dp.batched_n_ratios_auto(PairBatch(step_xts, step_x0s), out.vocab_size)
+                    ratios, domain = alone.ratios, alone.domain
                 else:
                     ratios, domain = mats.ratios[at_t[a] : at_t[b]], mats.domain
                 totals, _, grad = _loss_grad_from_ratios(out, step_xts, ratios, ts[a:b])

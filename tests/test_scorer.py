@@ -14,6 +14,7 @@ from delins.errors import (
     ModeMismatch,
     NonFinite,
     NormalizationViolation,
+    Overflow,
     ShapeMismatch,
     VersionMismatch,
 )
@@ -475,11 +476,19 @@ def test_packed_train_step_is_the_per_pair_step(mode, monkeypatch):
     corpus = make_corpus(lines, "abc")
     p = ScorerParams.init(4, "dice" if mode == "dice" else "dise", k=4 if mode == "dice" else None)
     cfg = {"epochs": 6, "batch": batch, "lr": 0.2, "optimizer": "adam", "seed": 11}
-    shapes, ladders = [], []  # the lockstep tables train allocates; its per-step ladder calls
-    start, auto = dp._start, dp.batched_n_ratios_auto
+    shapes, overflowed = [], []  # the lockstep tables train allocates; the calls that overflowed
+    start, ratios = dp._start, dp.batched_n_ratios
+
+    def counted(pairs, *a):
+        try:
+            return ratios(pairs, *a)
+        except Overflow:
+            overflowed.append(len(pairs))
+            raise
+
     with monkeypatch.context() as patch:
         patch.setattr(dp, "_start", lambda shape, domain: shapes.append(shape) or start(shape, domain))
-        patch.setattr(dp, "batched_n_ratios_auto", lambda *a: ladders.append(a) or auto(*a))
+        patch.setattr(dp, "batched_n_ratios", counted)
         got, got_metrics = train(p, corpus, cfg)
     want, want_metrics = per_pair_train(p, corpus, cfg)
     assert got.theta.tobytes() == want.theta.tobytes()
@@ -487,10 +496,10 @@ def test_packed_train_step_is_the_per_pair_step(mode, monkeypatch):
         assert got.time_bias.tobytes() == want.time_bias.tobytes()
     assert got_metrics == want_metrics
     assert len({m["loss"] for m in got_metrics}) > 1
-    if mode == "long-lines":  # some groups overflowed and their steps climbed alone
-        assert {m["domain"] for m in got_metrics} == {"exact", "float"} and ladders
+    if mode == "long-lines":  # a group of several steps overflowed, and its steps climbed alone
+        assert {m["domain"] for m in got_metrics} == {"exact", "float"} and max(overflowed) > batch
     if mode in ("over-budget", "odd-batch"):  # one exact table a group, of whole steps, in budget
-        assert not ladders and len(shapes) > 2 * cfg["epochs"]
+        assert not overflowed and len(shapes) > 2 * cfg["epochs"]
         assert sum(lanes // 2 for _, lanes, _ in shapes) == cfg["epochs"] * len(lines)
         assert all(math.prod(s) * 8 <= scorer._GROUP_TABLE_BYTES for s in shapes)
         assert sum(lanes // 2 % batch != 0 for _, lanes, _ in shapes) == (
