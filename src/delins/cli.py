@@ -285,7 +285,8 @@ def cmd_train(args) -> int:
     else:
         params = scorer_mod.ScorerParams.init(len(vocab), cfg["mode"], k=cfg["k"])
 
-    _check_output(cfg["checkpoint_out"])
+    for path in (cfg["checkpoint_out"], cfg["checkpoint_out"] + ".vocab"):
+        _check_output(path)
     with _Metrics(None if cfg["dry_run"] else cfg["metrics"]) as metrics:
         metrics.emit({"config": {**cfg, "command": "train", "seed_drawn": drawn}})
         if cfg["dry_run"]:

@@ -206,10 +206,11 @@ def test_train_dry_run_writes_nothing(tmp_path, capsys):
     assert any("dry_run" in r for r in parse_stream(out))
 
 
-@pytest.mark.parametrize("where", ["missing/m.ckpt", "."])
+@pytest.mark.parametrize("where", ["missing/m.ckpt", ".", "m.ckpt"])
 def test_train_checkpoint_path_that_cannot_be_written_fails_before_training(tmp_path, capsys, where):
     corpus = write_corpus(tmp_path, VARIED)
-    ckpt = tmp_path / where  # a directory that does not exist, or a directory itself
+    ckpt = tmp_path / where  # a directory that does not exist, a directory, or one at its vocab's path
+    (tmp_path / "m.ckpt.vocab").mkdir()
     for extra in ([], ["--dry-run"]):
         code, out, err = run_cli(
             ["train", "--corpus", corpus, "--checkpoint-out", str(ckpt), "--seed", "1", *extra], capsys
@@ -219,6 +220,7 @@ def test_train_checkpoint_path_that_cannot_be_written_fails_before_training(tmp_
     code, out, _ = run_cli(["train", "--corpus", corpus, "--checkpoint-out", str(ckpt),
                             "--metrics", str(tmp_path / "m.jsonl"), "--seed", "1"], capsys)
     assert code == 3 and out == "" and not (tmp_path / "m.jsonl").exists()
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_train_ragged_dice_corpus_names_the_line(tmp_path, capsys):

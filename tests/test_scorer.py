@@ -462,7 +462,7 @@ def per_pair_train(params, corpus, config):
 
 @pytest.mark.parametrize("mode", ["dise", "dice", "long-lines", "over-budget", "odd-batch"])
 def test_packed_train_step_is_the_per_pair_step(mode, monkeypatch):
-    batch = 3  # divides neither corpus
+    batch = 3  # divides neither of the first two corpora
     if mode == "dise":  # ragged lines, a bos-only one among them
         lines = ["abcab", "", "ba", "aabbc", "c", "cabab", "bbaacab"]
     elif mode == "dice":
