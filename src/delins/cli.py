@@ -269,8 +269,8 @@ def cmd_train(args) -> int:
                     f"line {lineno}: length {x.content_len} != k={cfg['k']}"
                     " (fixed-length mode needs a uniform corpus)"
                 )
-    else:
-        cfg["k"] = None
+    elif cfg["k"] is not None:  # ScorerParams refuses a dise k, but its init drops one
+        raise ConfigError("k is a dice-mode field")
 
     if cfg["resume"]:
         params = scorer_mod.load(cfg["resume"])
@@ -336,8 +336,6 @@ def cmd_sample(args) -> int:
         cfg["sampler_mode"] = "fixed" if params.mode == "dice" else "variable"
     if cfg["sampler_mode"] == "fixed" and cfg["k"] is None:
         cfg["k"] = params.k
-    if cfg["sampler_mode"] != "fixed":
-        cfg["k"] = None
 
     # checked before the config echo, so a bad setting writes nothing
     if cfg["count"] < 0:

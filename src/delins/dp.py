@@ -25,7 +25,8 @@ in three arithmetic domains, tried in this order by the "auto" ops:
 
 The recurrence updates a whole row of the table at once (vectorized over the
 x_t axis) while stepping sequentially along x_0, so the table layout keeps
-the x_t axis innermost/contiguous; one flat row step serves a batch of tables.
+the x_t axis innermost/contiguous.  One row driver steps every sweep: a pair's
+table, a count's single row and a batch's lockstep lanes alike.
 The suffix table of a pair is the flipped prefix table of the reversed pair.
 Single-pair counts in the exact and float domains walk only the cells where
 x_0[j] == x_t[i]; every other op sweeps, a count through one row.
@@ -57,7 +58,7 @@ _PAD_X0 = -2
 _EXACT_SAFE_ROWS = 67  # C(67, 33) < 2**64 < C(68, 34): rows j <= 67 cannot wrap
 _U64_WRAP = "pair {}: subsequence count exceeds uint64; use the log domain"
 _F64_OVER = "subsequence count exceeds float64; use the log domain"
-# _step's arithmetic per domain: (dtype, zero, one, add); a cell adds its
+# _rows' arithmetic per domain: (dtype, zero, one, add); a cell adds its
 # left neighbour of the previous row where the tokens match
 _SWEEP_ARITH = {
     "exact": (_U64, _U64(0), _U64(1), np.add),
@@ -87,7 +88,7 @@ def is_log_zero(x) -> np.ndarray | bool:
 
 
 # ---------------------------------------------------------------------------
-# engine: one row step makes the prefix tables of a batch of rows
+# engine: one row driver makes the prefix tables of every sweep
 
 def _start(shape, domain: str) -> np.ndarray:
     """Prefix-table rows before the sweep: the empty x_t prefix (column 0) counts 1."""
@@ -100,20 +101,28 @@ def _start(shape, domain: str) -> np.ndarray:
     return T
 
 
-def _step(prev, cur, eq: np.ndarray, domain: str, j: int) -> np.ndarray | None:
-    """Make row j of prefix tables, cur[r, i] = N(xt_r[:i], x0_r[:j]), from row j - 1 in prev.
+def _rows(T: np.ndarray, xt: np.ndarray, x0: np.ndarray, domain: str):
+    """Make row k of every lane's prefix table in T for k = 1..len(x0), yielding k after each.
 
-    Rows are flat, table r's cells after table r - 1's, and cur may be prev.  A cell adds
-    its left neighbour of the previous row where eq says x0_r[j - 1] == xt_r[i - 1]; eq
-    is False at i = 0 and at pads, so no table reads its neighbour's or a pad's cells.
-    In exact, if row j > 67 wraps, returns the flat indices of the cells that wrap.
+    xt is (L, n + 1), each lane's x_t behind a pad column, and x0[k - 1] holds each lane's
+    token k.  Slot k of T holds row k, lane r's n + 1 cells after lane r - 1's; rows past the
+    last slot step in place in it.  A cell adds its left neighbour of the previous row where
+    its lane's token matches its x_t token, never at a pad.  An exact row k > 67 that wraps
+    raises, naming its lowest wrapping pair: lanes r and L - 1 - r are one pair.  Float
+    cells past float64 become inf, so callers ignore overflow warnings.
     """
     _, zero, _, add = _SWEEP_ARITH[domain]
-    shifted = np.where(eq[1:], prev[:-1], zero)
-    add(prev[1:], shifted, out=cur[1:])
-    if domain == "exact" and j > _EXACT_SAFE_ROWS and (wrapped := cur[1:] < shifted).any():
-        return np.flatnonzero(wrapped) + 1
-    return None
+    flat, last, L = T.reshape(len(T), -1), len(T) - 1, len(xt)
+    mask = (eq := np.empty(xt.shape, bool)).reshape(-1)[1:]  # the flat row's cells from 1 on
+    for k, tokens in enumerate(x0[:, :, None], 1):
+        prev, cur = flat[min(k - 1, last)], flat[min(k, last)]
+        np.equal(tokens, xt, out=eq)
+        shifted = np.where(mask, prev[:-1], zero)
+        add(prev[1:], shifted, out=cur[1:])
+        if domain == "exact" and k > _EXACT_SAFE_ROWS and (wrapped := cur[1:] < shifted).any():
+            lanes = (np.flatnonzero(wrapped) + 1) // xt.shape[1]
+            raise Overflow(_U64_WRAP.format(int(np.minimum(lanes, L - 1 - lanes).min())))
+        yield k
 
 
 def _sweep(xt: np.ndarray, x0: np.ndarray, domain: str, last_only: bool = False) -> np.ndarray:
@@ -124,16 +133,11 @@ def _sweep(xt: np.ndarray, x0: np.ndarray, domain: str, last_only: bool = False)
     decrease along x_0, so no later row can bring it back.
     """
     T = _start((1 if last_only else len(x0) + 1, len(xt) + 1), domain)
-    last = len(T) - 1  # rows past the kept ones step in place in the last slot
-    stop = last_only and domain == "float"
-    xt = np.concatenate(([_PAD_XT], xt))  # row j's mask is one compare of x0[j - 1] against it
     with np.errstate(over="ignore"):  # inf marks an overflowed float cell and stays inf
-        for j, v in enumerate(x0.tolist(), 1):
-            if _step(T[min(j - 1, last)], T[min(j, last)], v == xt, domain, j) is not None:
-                raise Overflow(_U64_WRAP.format(0))
-            if stop and not math.isfinite(T[last, -1]):
+        for _ in _rows(T, np.concatenate(([_PAD_XT], xt))[None], x0[:, None], domain):
+            if last_only and domain == "float" and not math.isfinite(T[0, -1]):
                 raise Overflow(_F64_OVER)
-    return T[last] if last_only else T
+    return T[0] if last_only else T
 
 
 def _packed(batch: Batch, pad: int, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -215,16 +219,11 @@ def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> tuple[np.nda
     meet = np.add if log else np.multiply
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(1, m_max + 1):
-            row = min(k, mid)
-            eq = (x0[k - 1][:, None] == xt).reshape(-1)
-            if (w := _step(flat[min(k - 1, mid)], flat[row], eq, domain, k)) is not None:
-                lanes = w // (n_max + 1)
-                raise Overflow(_U64_WRAP.format(int(np.minimum(lanes, 2 * B - 1 - lanes).min())))
+        for k in _rows(T, xt, x0, domain):
             if 2 * k == m_max + 1:  # the middle row k - 1 meets itself, now row k is made
                 meet(flat[k - 1, :half], flat[k - 1, half:][::-1], out=flat[k - 1, :half])
             if 0 <= (p := m_max - 1 - k) < k:  # rows k and p meet; slot p takes terms p and k
-                meet(flat[p], flat[row, ::-1], out=flat[p])
+                meet(flat[p], flat[min(k, mid), ::-1], out=flat[p])
         # term j sits at [b, i + 1] of its slot (column 0 is no gap); past the middle, of the
         # slot read backwards, which puts each reversed cell where its pair's prefix cell is
         terms = [T[j, :B] if 2 * j < m_max else T[m_max - 1 - j, ::-1, ::-1][:B]

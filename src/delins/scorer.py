@@ -110,7 +110,7 @@ def _gap_contexts(ids: np.ndarray) -> np.ndarray:
     """Right contexts of the gaps of ids, one sequence or several packed; ids are the lefts."""
     rights = np.empty_like(ids)
     rights[:-1] = ids[1:]  # a last gap meets the next sequence's bos: the END feature
-    rights[-1] = BOS_ID
+    rights[-1:] = BOS_ID
     return rights
 
 

@@ -613,6 +613,46 @@ def test_sample_fixed_prompt_longer_than_k_writes_nothing(tmp_path, capsys):
     assert [r["text"] for r in parse_stream(out) if "text" in r] == ["abca"] * 2
 
 
+def test_a_k_the_mode_does_not_use_exits_one(trained, tmp_path, capsys):
+    # the library refuses k in dise training and in variable sampling; so does the CLI
+    corpus, ini = write_corpus(tmp_path, VARIED), tmp_path / "run.ini"
+    ckpt, metrics, path = tmp_path / "m.ckpt", tmp_path / "m.jsonl", tmp_path / "s.jsonl"
+    from_file = ["--config", str(ini)]
+    for argv, extras, want in (
+        (["train", "--corpus", corpus, "--checkpoint-out", str(ckpt), "--metrics", str(metrics)],
+         (["--k", "5"], ["--k", "5", "--dry-run"], from_file), "k is a dice-mode field"),
+        (["sample", "--checkpoint", trained, "--out", str(path)],
+         (["--k", "5"], from_file), "k only applies to fixed mode"),
+    ):
+        ini.write_text(f"[{argv[0]}]\nk = 5\n")
+        for extra in extras:
+            assert run_cli(argv + extra + ["--seed", "1"], capsys) == (1, "", f"error: {want}\n"), extra
+    assert not any(p.exists() for p in (ckpt, Path(f"{ckpt}.vocab"), metrics, path))
+
+
+def test_missing_inputs_and_mismatched_checkpoints_exit_one(trained, tmp_path, capsys):
+    # trained holds a dise model over a, b, c (4 symbols with bos)
+    six = write_corpus(tmp_path, ["abcde", "edcba"], "six.txt")
+    dice4, dice3 = str(tmp_path / "d4.ckpt"), write_corpus(tmp_path, ["abc", "bca", "cab"], "k3.txt")
+    assert run_cli(["train", "--corpus", write_corpus(tmp_path, FIXED4), "--mode", "dice",
+                    "--seed", "5", "--checkpoint-out", dice4], capsys)[0] == 0
+    two = tmp_path / "two.vocab"
+    two.write_text("".join(Path(f"{trained}.vocab").read_text().splitlines(keepends=True)[:2]))
+    out_path = tmp_path / "out.jsonl"
+    train = ["train", "--checkpoint-out", str(tmp_path / "new.ckpt"), "--metrics", str(out_path)]
+    for argv, want in (
+        (train, "train needs --corpus"),
+        (["sample", "--out", str(out_path)], "sample needs --checkpoint"),
+        (train + ["--corpus", six, "--resume", trained], "checkpoint vocab size 4 != corpus vocab 6"),
+        (train + ["--corpus", dice3, "--mode", "dice", "--resume", dice4], "checkpoint k=4 != corpus k=3"),
+        (["sample", "--checkpoint", trained, "--vocab", str(two), "--out", str(out_path)],
+         f"vocab {two} has 2 symbols, checkpoint expects 4"),
+    ):
+        assert run_cli(argv + ["--seed", "1"], capsys) == (1, "", f"error: {want}\n"), argv
+    assert not out_path.exists() and not (tmp_path / "new.ckpt").exists()
+    assert not (tmp_path / "new.ckpt.vocab").exists()
+
+
 # ---------------------------------------------------------------------------
 # config file
 

@@ -412,6 +412,62 @@ def test_float_and_log_count_grids_track_exact():
         assert np.max(np.abs(np.exp(logd[live]) - want) / want) <= 1e-12
 
 
+def int_grid(x_t, x_0, vocab_size):
+    """N(x_t, x_0) and the insertion-count grid in Python ints: the float rung's reference.
+
+    P[j][i] = N(x_t[:i], x_0[:j]) and S[j][i] = N(x_t[i:], x_0[j:]); cell (i, v) sums
+    P[j][i + 1] * S[j + 1][i + 1] over the positions j of v in x_0.
+    """
+    n, at = len(x_t), {}
+    for i, v in enumerate(x_t):
+        at.setdefault(v, []).append(i)
+    col, P = [1] + [0] * n, []
+    for v in x_0:
+        P.append(col[:])
+        for i in reversed(at.get(v, ())):  # descending i reads the previous column
+            col[i + 1] += col[i]
+    P.append(col)
+    col, S = [0] * n + [1], []
+    for v in reversed(x_0):
+        S.append(col[:])
+        for i in at.get(v, ()):  # ascending i reads the next column
+            col[i] += col[i + 1]
+    S = [col] + S[::-1]
+    grid = [[0] * vocab_size for _ in range(n)]
+    for j, v in enumerate(x_0):
+        for i in range(n):
+            grid[i][v] += P[j][i + 1] * S[j + 1][i + 1]
+    return P[-1][-1], grid
+
+
+def test_float_rung_tracks_a_big_int_reference_past_uint64():
+    x_t, x_0 = (BOS, 1, 2), (BOS, 1, 2, 1, 2, 2)
+    n, grid = int_grid(x_t, x_0, 3)
+    assert n == subsequence_count(x_t, x_0) and grid == insertion_counts(x_t, x_0, 3).tolist()
+    rng = np.random.default_rng(12)
+    pairs = [(a_pow(40), a_pow(100)), (a_pow(150), a_pow(300))]
+    for vocab_size in (3, 4, 5):
+        pairs += _half_kept_pairs(rng, rng.integers(90, 301, size=12), vocab_size)
+    past_uint64 = 0
+    for x_t, x_0 in pairs:
+        vocab_size = max(x_0) + 1
+        n, grid = int_grid(x_t, x_0, vocab_size)
+        if n < 2**64:
+            continue
+        past_uint64 += 1
+        bound = (len(x_0) + len(x_t)) * 2.0**-53  # dp's documented float error
+        assert abs(subsequence_count(x_t, x_0, "float") - n) <= bound * n
+        counts = insertion_counts(x_t, x_0, vocab_size, "float")
+        ratios = n_ratios(x_t, x_0, vocab_size, "float").ratios
+        for got, want in ((counts, [[float(c) for c in row] for row in grid]),
+                          (ratios, [[c / n for c in row] for row in grid])):
+            want = np.array(want)
+            live = want > 0
+            assert np.array_equal(got != 0, live)  # a zero cell is exactly 0
+            assert np.all(np.abs(got[live] - want[live]) <= bound * want[live])
+    assert past_uint64 >= 20
+
+
 def test_one_column_log_grid_adds_terms_in_increasing_j():
     # x_t's one token recurs in x_0, so a column's terms differ and their order shows
     x_t, x_0 = (1,), (1, 1, 2, 2, 1, 2, 2, 2, 1, 1, 2, 2, 1, 1, 1, 2, 1, 2, 1)
@@ -649,12 +705,23 @@ def test_lockstep_grids_equal_the_fused_tables(pairs):
                     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def test_grids_and_ratios_make_one_row_step_per_x0_token(monkeypatch):
+def _count_rows(monkeypatch) -> list[int]:
+    """Patch dp's row driver to record each row k it makes; returns the record."""
     import delins.dp as dp_module
 
-    calls = []
-    step = dp_module._step
-    monkeypatch.setattr(dp_module, "_step", lambda *a: calls.append(a[-1]) or step(*a))
+    calls, rows = [], dp_module._rows
+
+    def counted(*args):
+        for k in rows(*args):
+            calls.append(k)
+            yield k
+
+    monkeypatch.setattr(dp_module, "_rows", counted)
+    return calls
+
+
+def test_grids_and_ratios_make_one_row_step_per_x0_token(monkeypatch):
+    calls = _count_rows(monkeypatch)
     pairs = [((BOS, 1), (BOS, 2, 1, 1)), (BAG, BABGBAG), ((BOS,), (BOS, 3))]
     m_max = max(len(x_0) for _, x_0 in pairs)
     for domain in ("exact", "float", "log"):
@@ -669,14 +736,10 @@ def test_grids_and_ratios_make_one_row_step_per_x0_token(monkeypatch):
 
 def test_float_count_stops_at_its_first_row_past_float64(monkeypatch):
     # counts never decrease along x_0, so once N(x_t, x_0[:j]) is inf no later row is swept
-    import delins.dp as dp_module
-
     x_t, x_0 = a_pow(300), a_pow(3000)
     row = int(np.argmax(np.isinf(prefix_table(x_t, x_0, "float")[-1])))
     assert 300 < row < len(x_0) - 1
-    calls = []
-    step = dp_module._step
-    monkeypatch.setattr(dp_module, "_step", lambda *a: calls.append(a[-1]) or step(*a))
+    calls = _count_rows(monkeypatch)
     with pytest.raises(Overflow, match=F64_MSG):
         subsequence_count(x_t, x_0, "float")
     assert calls == list(range(1, row + 1))

@@ -201,6 +201,15 @@ def test_score_of_a_batch_equals_score_of_its_list_bitwise(mode):
         assert score(p, batch, t).tobytes() == score(p, xts, t).tobytes()
 
 
+@pytest.mark.parametrize("mode", ["dise", "dice"])
+def test_score_of_an_empty_batch_is_an_empty_stack(mode):
+    # as dp.batched_n_ratios([], V) is: no state, no rows
+    p = rand_params(np.random.default_rng(0), 4, mode, 6 if mode == "dice" else None)
+    for xs in ([], Batch.of([])):
+        got = score(p, xs, 0.5 if mode == "dise" else None)
+        assert got.shape == (0, 4) and got.shape == dp.batched_n_ratios([], 4).ratios.shape
+
+
 def test_gradient_scatter_matches_add_at_bitwise():
     # the scatter adds each cell's rows in order, as np.add.at does; in dise the rows
     # w * (s - r) rebuild bit for bit from each state's own scores
