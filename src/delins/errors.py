@@ -50,7 +50,7 @@ class InvalidTimes(DelinsError):
 
 
 class NonFinite(DelinsError):
-    """Training diverged: a loss or a parameter table holds a non-finite value."""
+    """A loss, a parameter table or a gap's insertion scores hold a non-finite value."""
 
 
 class NonPositiveScore(DelinsError):

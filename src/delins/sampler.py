@@ -11,11 +11,14 @@ is order-free.
 
 A batch of walkers leaps together and stays packed between leaps, as the
 score call gets them: one seqcore.Batch.  That call returns every walker's
-gaps as one stacked (gaps, V) array, one call computes every gap's
-probabilities, and each walker draws a leap's gates, then its tokens, in one
-call to its own stream, so walker i of a batch is the lone walk on the same
-stream, whatever the batch size.  Only fired gaps pick a token, and only a
-walker that inserted gets a new Sequence.
+gaps as one stacked (gaps, V) array, and one call computes every gap's
+insertion probability.  A leap reads 2 doubles a gap from each walker's own
+stream, its gates and then its tokens, as one rng.random(2 * |x|) draw would
+give them; the walk takes them from a block per walker drawn ahead from that
+stream, and a walker refills only when its block cannot cover a leap.  So
+walker i of a batch is the lone walk on the same stream, whatever the batch
+size.  Only fired gaps get their conditional token distribution and pick a
+token, and only a walker that inserted gets a new Sequence.
 
 Guards on top of the raw leap:
 
@@ -40,12 +43,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidSteps, InvalidTimes, ShapeMismatch
+from .errors import ConfigError, InvalidSteps, InvalidTimes, NonFinite, ShapeMismatch
 from .objective import loss_weight
 from .seqcore import Batch, Sequence
 
 GRID_KINDS = ("uniform", "cosine")
 MODES = ("variable", "fixed")
+# past one leap's need, a batch's blocks of doubles drawn ahead hold at most this
+_DRAW_BLOCK_BYTES = 4 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -127,13 +132,14 @@ def _nucleus_rows(cond: np.ndarray, top_p: float) -> np.ndarray:
 
 def gap_insertion_probabilities(scores, t: float, dt: float,
                                 gap_mask=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-gap insertion probability and conditional token distribution.
+    """Per-gap insertion probability, the scores it comes from, and the clamp marks.
 
-    Returns (p_insert, conditional, clamped): gap i inserts with
-    probability p_insert[i], and inserts token v with conditional
-    probability conditional[i, v]; clamped[i] marks a gap whose raw
-    insertion mass exceeded 1 and was capped.  gap_mask, when given, marks
-    the gaps allowed to insert.  Rows are independent, so the gaps of many
+    Returns (p_insert, masked, clamped): gap i inserts with probability
+    p_insert[i]; masked is the score matrix with the bos column and every gap
+    outside gap_mask (when given) zeroed, and conditional_rows(masked, rows)
+    gives the token distributions of the asked gaps; clamped[i] marks a gap
+    whose raw insertion mass exceeded 1 and was capped.  A gap mass that is
+    not finite raises NonFinite.  Rows are independent, so the gaps of many
     walkers may be stacked into one call.
     """
     s = np.array(scores, dtype=np.float64)
@@ -142,45 +148,94 @@ def gap_insertion_probabilities(scores, t: float, dt: float,
     s[:, 0] = 0.0  # the begin marker is never inserted
     if gap_mask is not None:
         s[~np.asarray(gap_mask, dtype=bool)] = 0.0
-    w = loss_weight(t)
     row = s.sum(axis=1)
-    raw = w * dt * row
-    clamped = raw > 1.0
-    p_insert = np.minimum(raw, 1.0)
-    cond = np.zeros_like(s)
-    live = row > 0.0
-    cond[live] = s[live] / row[live, None]
-    return p_insert, cond, clamped
+    if not np.isfinite(row).all():
+        bad = row[~np.isfinite(row)][0]
+        raise NonFinite(f"a gap's insertion scores sum to {bad} at t={t}; the scores are not finite")
+    raw = loss_weight(t) * dt * row
+    return np.minimum(raw, 1.0), s, raw > 1.0
 
 
-def _leap(ids, sizes, t, dt, scores, top_p, rngs, gap_mask, capacity, stats):
+def conditional_rows(masked: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Token distributions of the asked gaps: each masked row over its sum; a zero row stays zero."""
+    s = masked[rows]
+    total = s.sum(axis=1, keepdims=True)
+    return np.divide(s, total, out=np.zeros(s.shape), where=total > 0.0)
+
+
+class _Blocks:
+    """Each walker's doubles, drawn ahead from its own stream into its row of rows.
+
+    Walker w reads rows[w, pos[w]:end[w]], its block, in stream order.  A
+    walker whose block cannot cover a leap refills it, keeping the unread
+    tail, to 2 * size doubles for each leap left, but to no more than its
+    share of _DRAW_BLOCK_BYTES unless the leap alone needs more.  Sizes never
+    shrink, so the walk reads every double drawn, and each stream ends where
+    one draw per leap would leave it.  A row is never wider than the largest
+    leap's need or the share, so past that need the batch holds at most the
+    budget.
+    """
+
+    def __init__(self, rngs):
+        self.rngs = rngs
+        self.rows = np.empty((len(rngs), 0))
+        self.starts = np.zeros(len(rngs), dtype=np.int64)  # where each row starts in the flat blocks
+        self.pos = np.zeros(len(rngs), dtype=np.int64)
+        self.end = np.zeros(len(rngs), dtype=np.int64)
+        self.share = max(1, _DRAW_BLOCK_BYTES // (8 * len(rngs)))
+
+    def take(self, sizes: np.ndarray, leaps_left: int) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks, flat, and where each walker's 2 * sizes[w] doubles of this leap start."""
+        need = 2 * sizes
+        for w in np.flatnonzero(self.end - self.pos < need).tolist():
+            self._refill(w, int(need[w]), leaps_left)
+        heads = self.pos + self.starts
+        self.pos += need
+        return self.rows.reshape(-1), heads
+
+    def _refill(self, w: int, need: int, leaps_left: int) -> None:
+        pos, end = int(self.pos[w]), int(self.end[w])
+        hold = max(need, min(need * leaps_left, self.share))
+        width = self.rows.shape[1]
+        if hold > width:  # to the new block, or to twice the old width up to the share
+            wider = np.empty((len(self.rows), max(hold, min(2 * width, self.share))))
+            wider[:, :width] = self.rows
+            self.rows = wider
+            self.starts = np.arange(len(wider)) * wider.shape[1]
+        row = self.rows[w]
+        if pos + hold > len(row):  # the block would overrun its row: its unread tail moves to the front
+            row[: end - pos] = row[pos:end]
+            pos, end = 0, end - pos
+        self.rngs[w].random(out=row[end : pos + hold])
+        self.pos[w], self.end[w] = pos, pos + hold
+
+
+def _leap(ids, sizes, t, dt, scores, top_p, draws, heads, gap_mask, capacity, stats):
     """One tau-leap for walkers packed as one id array; every gap inserts at most one token.
 
-    Walker w holds the sizes[w] ids after the earlier walkers'.  rngs[w],
-    capacity[w] and stats[:, w] (gap steps, clamps, cancellations, added in
-    place) are its own; scores and gap_mask cover the gaps in the same order.
-    Each walker draws its gates and then its tokens in one call to its own
-    stream, whatever fires, so no walker's leap depends on another's or on
-    earlier outcomes.  Returns the grown ids and sizes in the same layout.
+    Walker w holds the sizes[w] ids after the earlier walkers'.  It reads
+    draws[heads[w]:heads[w] + 2 * sizes[w]], its gates and then its tokens,
+    whatever fires, so no walker's leap depends on another's or on earlier
+    outcomes.  capacity[w] and stats[:, w] (gap steps, clamps, cancellations,
+    added in place) are its own; scores and gap_mask cover the gaps in the
+    same order.  Returns the grown ids and sizes in the same layout.
     """
     if not (0.0 < dt <= t):
         raise InvalidTimes(f"need 0 < dt <= t, got dt={dt}, t={t}")
     if len(scores) != len(ids):
         raise ShapeMismatch(f"{len(scores)} score rows for {len(ids)} gaps")
-    p_insert, cond, clamped = gap_insertion_probabilities(scores, t, dt, gap_mask)
+    p_insert, masked, clamped = gap_insertion_probabilities(scores, t, dt, gap_mask)
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    u = np.empty(2 * len(ids))  # walker w's 2 * sizes[w] draws, the same doubles as rng.random(2 * n)
-    for rng, lo, hi in zip(rngs, (2 * starts).tolist(), (2 * ends).tolist()):
-        rng.random(out=u[lo:hi])
-    # gap g of walker w draws u[g + starts[w]] for its gate and u[g + ends[w]] for its token
-    fired = np.flatnonzero(u[np.arange(len(ids)) + np.repeat(starts, sizes)] < p_insert)
+    gate = heads - starts  # gap g of walker w reads draws[g + gate[w]] for its gate, sizes[w] on for its token
+    fired = np.flatnonzero(draws[np.arange(len(ids)) + np.repeat(gate, sizes)] < p_insert)
     walker = np.searchsorted(ends, fired, side="right")  # the walker each fired gap belongs to
-    u_token = u[fired + ends[walker]]
-    picked = _nucleus_rows(cond[fired], top_p) if top_p < 1.0 else cond[fired]
+    u_token = draws[fired + gate[walker] + sizes[walker]]
+    cond = conditional_rows(masked, fired)  # a fired gap's row sum is positive
+    picked = _nucleus_rows(cond, top_p) if top_p < 1.0 else cond
     cum = np.cumsum(picked, axis=1)
     # searchsorted(cum, u * total, side="right"), for every fired gap at once
-    tokens = np.minimum((cum <= (u_token * cum[:, -1])[:, None]).sum(axis=1), cond.shape[1] - 1)
+    tokens = np.minimum((cum <= (u_token * cum[:, -1])[:, None]).sum(axis=1), masked.shape[1] - 1)
     added = np.bincount(walker, minlength=len(sizes))
     if capacity is not None and (over := np.flatnonzero(added > capacity)).size:
         bounds = np.cumsum(added) - added  # walker w fired fired[bounds[w]:bounds[w] + added[w]]
@@ -203,13 +258,18 @@ def _leap(ids, sizes, t, dt, scores, top_p, rngs, gap_mask, capacity, stats):
 
 def reverse_step(x_t: Sequence, t: float, dt: float, scores, top_p: float, rng, *, gap_mask=None,
                  capacity: int | None = None, stats: StepStats | None = None) -> Sequence:
-    """One tau-leap: all gaps of x_t independently insert at most one token."""
+    """One tau-leap: all gaps of x_t independently insert at most one token.
+
+    Draws rng.random(2 * |x_t|): the gates, then the tokens.
+    """
     st = stats if stats is not None else StepStats()
     counts = np.array([[st.gap_steps], [st.clamp_events], [st.cancelled]])
-    ids, sizes = _leap(np.array(x_t.ids, dtype=np.int64), np.array([len(x_t)]), t, dt, scores, top_p,
-                       [rng], gap_mask, None if capacity is None else np.array([capacity]), counts)
+    n = len(x_t)
+    ids, sizes = _leap(np.array(x_t.ids, dtype=np.int64), np.array([n]), t, dt, scores, top_p,
+                       rng.random(2 * n), np.zeros(1, dtype=np.int64), gap_mask,
+                       None if capacity is None else np.array([capacity]), counts)
     st.gap_steps, st.clamp_events, st.cancelled = counts[:, 0].tolist()
-    return x_t if sizes[0] == len(x_t) else Sequence(tuple(ids.tolist()))
+    return x_t if sizes[0] == n else Sequence(tuple(ids.tolist()))
 
 
 def check_prompt(config: SamplerConfig, prompt: Sequence | None) -> None:
@@ -218,6 +278,7 @@ def check_prompt(config: SamplerConfig, prompt: Sequence | None) -> None:
         raise ConfigError(f"prompt has {prompt.content_len} content tokens, more than k={config.k}")
 
 
+@np.errstate(over="ignore")  # a score that overflows shows as a non-finite gap mass
 def _walk(
     score_fn, params, config: SamplerConfig, prompt: Sequence | None, rngs
 ) -> list[GenerationTrace]:
@@ -231,11 +292,14 @@ def _walk(
     ids = np.tile(np.array(x.ids, dtype=np.int64), len(rngs))
     sizes = np.full(len(rngs), len(x))
     stats = np.zeros((3, len(rngs)), dtype=np.int64)
-    for t, t_next in zip(times, times[1:]):
+    blocks = _Blocks(rngs)
+    for leap, (t, t_next) in enumerate(zip(times, times[1:])):
         scores = score_fn(params, Batch(ids, sizes), t)
         mask = np.arange(len(ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes) >= inside if inside else None
         capacity = config.k - (sizes - 1) if config.mode == "fixed" else None
-        ids, grown = _leap(ids, sizes, t, t - t_next, scores, config.top_p, rngs, mask, capacity, stats)
+        draws, heads = blocks.take(sizes, config.steps - leap)
+        ids, grown = _leap(ids, sizes, t, t - t_next, scores, config.top_p, draws, heads, mask, capacity,
+                           stats)
         changed = np.flatnonzero(grown != sizes).tolist()
         if changed:
             xs = list(xs)  # history keeps the previous list
@@ -254,6 +318,11 @@ def generate(score_fn, params, config: SamplerConfig, prompt: Sequence | None = 
     score_fn(params, xs, t) gets the states xs as one seqcore.Batch and
     returns their (|x|, V) insertion-score matrices stacked in order, as
     scorer.score does, once per leap.  Returns the full GenerationTrace.
+    A given rng ends 2 * trace.stats.gap_steps doubles on, two for every gap
+    of every leap, where one rng.random(2 * |x|) call per leap would leave
+    it; the doubles are drawn ahead in blocks, but never past what the walk
+    reads.  A score that is not finite at a gap that may insert raises
+    NonFinite.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)

@@ -373,10 +373,10 @@ def population_sample(
             except oracle.ZeroDenominator:
                 dead[ids] = dead.get(ids, 0) + c
                 continue
-            p_ins, cond, clamped = sampler.gap_insertion_probabilities(mat, t, dt)
+            p_ins, masked, clamped = sampler.gap_insertion_probabilities(mat, t, dt)
             gap_steps += len(x) * c
             clamp_events += int(clamped.sum()) * c
-            outcomes = _leap_outcomes(p_ins, cond)
+            outcomes = _leap_outcomes(p_ins, sampler.conditional_rows(masked))
             probs = np.array([p for p, _ in outcomes])
             draws = rng.multinomial(c, probs / probs.sum())
             for (prob, ins), m in zip(outcomes, draws):

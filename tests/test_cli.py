@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from delins import cli, dp
+from delins import cli, dp, scorer
 from delins.process import transition_prob
 from delins.seqcore import Sequence
 
@@ -317,6 +317,22 @@ def test_sample_refuses_a_checkpoint_holding_nan(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: payload holds 1 non-finite values\n"
+
+
+def test_sample_scores_that_overflow_end_in_one_runtime_error_line(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, VARIED)
+    ckpt = str(tmp_path / "m.ckpt")
+    assert run_cli(["train", "--corpus", corpus, "--seed", "0", "--checkpoint-out", ckpt], capsys)[0] == 0
+    params = scorer.load(ckpt)
+    params.theta[0, 0, 2] = 800.0  # finite, but its dise score exp(800) is not
+    scorer.save(params, ckpt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would end the run with a traceback
+        code, out, err = run_cli(
+            ["sample", "--checkpoint", ckpt, "--count", "2", "--steps", "4", "--seed", "1"], capsys)
+    assert code == 3
+    assert [list(r) for r in parse_stream(out)] == [["config"]]
+    assert err == "error: a gap's insertion scores sum to inf at t=1.0; the scores are not finite\n"
 
 
 def test_train_max_len_below_one_is_usage_error(tmp_path, capsys):

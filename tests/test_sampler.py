@@ -1,6 +1,7 @@
 """Tests for tau-leaping reverse-process generation."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delins import oracle, scorer
-from delins.errors import ConfigError, InvalidSteps, InvalidTimes, ShapeMismatch
+from delins import oracle, sampler, scorer
+from delins.errors import ConfigError, InvalidSteps, InvalidTimes, NonFinite, ShapeMismatch
 from delins.process import T_MAX
 from delins.sampler import (
     GenerationTrace,
@@ -18,6 +19,7 @@ from delins.sampler import (
     _leap,
     _nucleus_rows,
     batch_generate,
+    conditional_rows,
     gap_insertion_probabilities,
     generate,
     reverse_step,
@@ -71,25 +73,26 @@ def test_grid_endpoints_and_monotonicity(n, kind):
 
 def test_single_gap_insertion_probability_is_half():
     # w(0.5) = 2, so p = 2 * 1 * 0.25 = 0.5 for the only scored token.
-    p_ins, cond, clamped = gap_insertion_probabilities(np.array([[0.0, 1.0, 0.0]]), t=0.5, dt=0.25)
+    p_ins, masked, clamped = gap_insertion_probabilities(np.array([[0.0, 1.0, 0.0]]), t=0.5, dt=0.25)
     assert p_ins[0] == pytest.approx(0.5, abs=1e-12)
-    assert cond[0].tolist() == [0.0, 1.0, 0.0]
+    assert conditional_rows(masked)[0].tolist() == [0.0, 1.0, 0.0]
     assert clamped.tolist() == [False]
 
 
 def test_bos_column_is_ignored():
-    p_ins, cond, _ = gap_insertion_probabilities(np.array([[5.0, 1.0, 1.0]]), t=0.5, dt=0.25)
+    p_ins, masked, _ = gap_insertion_probabilities(np.array([[5.0, 1.0, 1.0]]), t=0.5, dt=0.25)
+    cond = conditional_rows(masked)
     assert p_ins[0] == pytest.approx(2 * 0.25 * 2.0, abs=1e-12)
     assert cond[0, 0] == 0.0
     assert cond[0, 1] == pytest.approx(0.5)
 
 
 def test_gap_mask_zeroes_rows():
-    p_ins, cond, _ = gap_insertion_probabilities(
+    p_ins, masked, _ = gap_insertion_probabilities(
         np.ones((2, 3)), t=0.5, dt=0.25, gap_mask=np.array([False, True])
     )
     assert p_ins[0] == 0.0
-    assert cond[0].sum() == 0.0
+    assert conditional_rows(masked)[0].sum() == 0.0
     assert p_ins[1] > 0.0
 
 
@@ -99,8 +102,29 @@ def test_clamp_caps_probability_at_one():
     assert clamped.tolist() == [True]
 
 
+def test_a_gap_mass_that_is_not_finite_raises_nonfinite():
+    for bad in (np.inf, np.nan, -np.inf):
+        with pytest.raises(NonFinite, match="scores are not finite$"):
+            gap_insertion_probabilities(np.array([[0.0, 1.0, 0.0], [0.0, bad, 1.0]]), t=0.5, dt=0.25)
+    # the bos column and masked gaps never reach a gap's mass
+    p_ins, _, _ = gap_insertion_probabilities(np.array([[np.inf, 1.0], [0.0, np.nan]]), t=0.5, dt=0.25,
+                                              gap_mask=np.array([True, False]))
+    assert p_ins.tolist() == [0.5, 0.0]
+
+
+def test_a_score_that_overflows_ends_the_walk_with_nonfinite_and_no_warning():
+    params = _random_params(6, "dise", seed=1)
+    params.theta[0, 0, 2] = 800.0  # exp overflows at the first gap
+    nan_scores = lambda p, xs, t: np.full((len(xs.ids), 6), np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for score_fn in (scorer.score, nan_scores):
+            with pytest.raises(NonFinite, match="^a gap's insertion scores sum to (inf|nan) at t=1.0"):
+                batch_generate(score_fn, params, SamplerConfig(steps=4, seed=1), 2)
+
+
 def test_nucleus_drops_tail_and_renormalizes():
-    _, base, _ = gap_insertion_probabilities(np.array([[0.0, 5.0, 3.0, 2.0]]), t=0.5, dt=0.1)
+    base = conditional_rows(gap_insertion_probabilities(np.array([[0.0, 5.0, 3.0, 2.0]]), t=0.5, dt=0.1)[1])
     cond = _nucleus_rows(base, 0.5)
     assert cond[0].tolist() == [0.0, 1.0, 0.0, 0.0]
     cond = _nucleus_rows(base, 0.8)
@@ -127,7 +151,7 @@ def test_nucleus_matches_the_row_at_a_time_filter_bitwise():
     s[rng.random(s.shape) < 0.2] = 0.0
     s[::7, 1:4] = 1.0   # ties
     s[5] = 0.0          # a dead row
-    _, base, _ = gap_insertion_probabilities(s, 0.5, 0.01)
+    base = conditional_rows(gap_insertion_probabilities(s, 0.5, 0.01)[1])
     for top_p in (0.3, 0.9, 0.97, 0.999):
         cond = _nucleus_rows(base, top_p)
         for i in range(len(s)):
@@ -145,9 +169,9 @@ def test_nucleus_preserves_insertion_probability():
         scores = rng.exponential(0.5, size=(len(ids), 6))  # about half the gaps fire
         out = {}
         for top_p in (1.0, 0.5):
-            rngs = [np.random.default_rng([seed, w]) for w in range(len(sizes))]
-            out[top_p] = _leap(ids, sizes, 0.5, 0.1, scores, top_p, rngs, None, None,
-                               np.zeros((3, len(sizes)), dtype=np.int64))
+            draws = np.concatenate([np.random.default_rng([seed, w]).random(2 * n) for w, n in enumerate(sizes)])
+            out[top_p] = _leap(ids, sizes, 0.5, 0.1, scores, top_p, draws, 2 * (np.cumsum(sizes) - sizes),
+                               None, None, np.zeros((3, len(sizes)), dtype=np.int64))
         (full, full_sizes), (half, half_sizes) = out[1.0], out[0.5]
         assert np.array_equal(full == -1, half == -1) and np.array_equal(full_sizes, half_sizes)
         fired += int((full != -1).sum())
@@ -156,7 +180,7 @@ def test_nucleus_preserves_insertion_probability():
 
 
 def test_walker_draws_fill_in_place_with_the_doubles_of_a_fresh_array():
-    # _leap fills one array with rng.random(out=...) per walker, in place of concatenating rng.random(2n)
+    # a walker's refill draws the rest of its block in place with rng.random(out=...)
     for n in (1, 7, 64):
         u = np.full(2 * n + 3, -1.0)
         np.random.default_rng(n).random(out=u[2 : 2 * n + 2])
@@ -265,11 +289,13 @@ def test_reverse_step_returns_the_same_sequence_with_or_without_stats(capacity):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 1001])
 def test_one_draw_of_2n_is_two_draws_of_n(n):
-    # each walker draws its gates and tokens in one call; the stream relies on this
+    # a walker's blocks split its stream wherever a refill falls, and reverse_step
+    # draws a leap's gates and tokens in one call: the doubles must not depend on the split
     one = np.random.default_rng(n).random(2 * n)
-    rng = np.random.default_rng(n)
-    two = np.concatenate([rng.random(n), rng.random(n)])
-    assert one.tobytes() == two.tobytes()
+    for first in sorted({0, 1, n - 1, n, n + 1, 2 * n - 1, 2 * n} & set(range(2 * n + 1))):
+        rng = np.random.default_rng(n)
+        two = np.concatenate([rng.random(first), rng.random(2 * n - first)])
+        assert one.tobytes() == two.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +522,57 @@ def test_batch_walker_does_not_depend_on_count(case):
     few, _ = batch_generate(scorer.score, params, cfg, 2, prompt)
     many, _ = batch_generate(scorer.score, params, cfg, 7, prompt)
     assert [_trace_key(tr) for tr in few] == [_trace_key(tr) for tr in many[:2]]
+
+
+def _reference_walk(params, cfg, prompt, rng):
+    """generate as a loop of scorer.score and reverse_step, each leap drawing its own doubles."""
+    x = prompt if prompt is not None else seq()
+    inside = len(x) - 1  # gaps strictly inside the prompt
+    times = timestep_grid(cfg.steps, cfg.grid).tolist()
+    stats = StepStats()
+    snapshots = [(times[0], x)]
+    for t, t_next in zip(times, times[1:]):
+        mask = np.arange(len(x)) >= inside if inside else None
+        capacity = cfg.k - x.content_len if cfg.mode == "fixed" else None
+        x = reverse_step(x, t, t - t_next, scorer.score(params, [x], t), cfg.top_p, rng,
+                         gap_mask=mask, capacity=capacity, stats=stats)
+        snapshots.append((t_next, x))
+    return GenerationTrace(snapshots, x, stats)
+
+
+# a prompt whose walk needs more doubles than a lone walker may draw ahead
+LONG_PROMPT = seq(*([1, 2, 3, 4, 5] * 900))
+REFERENCE_CASES = {**WALKER_CASES, "long_prompt": (_random_params(6, "dise", seed=6),
+                                                   SamplerConfig(steps=64, seed=36), LONG_PROMPT)}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_blocked_draws_equal_a_draw_per_leap(case):
+    params, cfg, prompt = REFERENCE_CASES[case]
+    if case == "long_prompt":  # even a lone walker's block is capped, at its first leap
+        assert 2 * len(prompt) * cfg.steps * 8 > sampler._DRAW_BLOCK_BYTES
+    traces, _ = batch_generate(scorer.score, params, cfg, 3, prompt)
+    for tr, child in zip(traces, np.random.SeedSequence(cfg.seed).spawn(3)):
+        rng, ref_rng = np.random.default_rng(child), np.random.default_rng(child)
+        lone, ref = generate(scorer.score, params, cfg, prompt, rng=rng), _reference_walk(params, cfg, prompt, ref_rng)
+        assert _trace_key(lone) == _trace_key(ref) == _trace_key(tr)
+        # generate's docstring: the caller's rng advances by 2 * gap_steps doubles, as one draw per leap
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        fresh = np.random.default_rng(child)
+        fresh.random(2 * lone.stats.gap_steps)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def test_draw_blocks_hold_at_most_the_budget_past_one_leaps_need():
+    # long prompts, and walkers that grow at every leap, whose walks need twice the budget
+    for walkers, growth in ((1, 0), (3, 0), (8, 64)):
+        blocks = sampler._Blocks([np.random.default_rng(w) for w in range(walkers)])
+        sizes = np.full(walkers, sampler._DRAW_BLOCK_BYTES // (8 * walkers * 40)) + np.arange(walkers)
+        for leaps_left in range(40, 0, -1):
+            draws, heads = blocks.take(sizes, leaps_left)
+            assert blocks.rows.nbytes <= sampler._DRAW_BLOCK_BYTES + walkers * 2 * sizes.max() * 8
+            assert np.all(heads + 2 * sizes <= len(draws))
+            sizes = sizes + growth
 
 
 # Final ids and (gap_steps, clamp_events, cancelled) of batch_generate(count=4),
