@@ -227,7 +227,7 @@ def _leap(ids, sizes, t, dt, scores, top_p, draws, heads, gap_mask, capacity, st
     p_insert, masked, clamped = gap_insertion_probabilities(scores, t, dt, gap_mask)
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    gate = heads - starts  # gap g of walker w reads draws[g + gate[w]] for its gate, sizes[w] on for its token
+    gate = heads - starts  # gap g of walker w: its gate is draws[g + gate[w]], its token sizes[w] on
     fired = np.flatnonzero(draws[np.arange(len(ids)) + np.repeat(gate, sizes)] < p_insert)
     walker = np.searchsorted(ends, fired, side="right")  # the walker each fired gap belongs to
     u_token = draws[fired + gate[walker] + sizes[walker]]

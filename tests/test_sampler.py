@@ -169,7 +169,8 @@ def test_nucleus_preserves_insertion_probability():
         scores = rng.exponential(0.5, size=(len(ids), 6))  # about half the gaps fire
         out = {}
         for top_p in (1.0, 0.5):
-            draws = np.concatenate([np.random.default_rng([seed, w]).random(2 * n) for w, n in enumerate(sizes)])
+            draws = np.concatenate([np.random.default_rng([seed, w]).random(2 * n)
+                                    for w, n in enumerate(sizes)])
             out[top_p] = _leap(ids, sizes, 0.5, 0.1, scores, top_p, draws, 2 * (np.cumsum(sizes) - sizes),
                                None, None, np.zeros((3, len(sizes)), dtype=np.int64))
         (full, full_sizes), (half, half_sizes) = out[1.0], out[0.5]
@@ -554,7 +555,8 @@ def test_blocked_draws_equal_a_draw_per_leap(case):
     traces, _ = batch_generate(scorer.score, params, cfg, 3, prompt)
     for tr, child in zip(traces, np.random.SeedSequence(cfg.seed).spawn(3)):
         rng, ref_rng = np.random.default_rng(child), np.random.default_rng(child)
-        lone, ref = generate(scorer.score, params, cfg, prompt, rng=rng), _reference_walk(params, cfg, prompt, ref_rng)
+        lone = generate(scorer.score, params, cfg, prompt, rng=rng)
+        ref = _reference_walk(params, cfg, prompt, ref_rng)
         assert _trace_key(lone) == _trace_key(ref) == _trace_key(tr)
         # generate's docstring: the caller's rng advances by 2 * gap_steps doubles, as one draw per leap
         assert rng.bit_generator.state == ref_rng.bit_generator.state
