@@ -178,8 +178,8 @@ def _resolve_seed(seed):
 def _check_output(path: str) -> None:
     """Raise, creating nothing, the OSError that writing a file at path would end in.
 
-    A file written after the work (a checkpoint, a trace) is checked before the
-    config echo, so a path that cannot be written ends the run with one line.
+    A file written after the work (a checkpoint, a trace, a sample stream) is
+    checked before it, so a path that cannot be written ends the run with one line.
     """
     folder = os.path.dirname(path) or "."
     if os.path.isdir(path):
@@ -344,15 +344,15 @@ def cmd_sample(args) -> int:
                                 mode=cfg["sampler_mode"], k=cfg["k"], seed=seed)
     prompt = None if cfg["prompt"] is None else tokenize(cfg["prompt"], vocab, cfg["tokenizer"])
     check_prompt(sampler_cfg, prompt)
-    if cfg["trace"] not in (None, "-"):
-        _check_output(cfg["trace"])
+    for path in (cfg["out"], cfg["trace"]):
+        if path not in (None, "-"):
+            _check_output(path)
+    # the walk runs before the stream opens, so a walk that raises writes nothing
+    traces, summary = [], {"count": 0, "mean_length": None, "length_cdf": []}
+    if cfg["count"]:
+        traces, summary = batch_generate(scorer_mod.score, params, sampler_cfg, cfg["count"], prompt)
     with _Metrics(cfg["out"]) as out:
         out.emit({"config": {**cfg, "command": "sample", "seed_drawn": drawn}})
-        traces, summary = [], {"count": 0, "mean_length": None, "length_cdf": []}
-        if cfg["count"]:
-            traces, summary = batch_generate(
-                scorer_mod.score, params, sampler_cfg, cfg["count"], prompt
-            )
         for tr in traces:
             out.emit({
                 "text": detokenize(tr.final, vocab, cfg["tokenizer"]),

@@ -12,10 +12,10 @@ This module computes, for a pair (x_t, x_0) of bos-prefixed sequences:
 in three arithmetic domains, tried in this order by the "auto" ops:
 
 * "exact": unsigned 64-bit integers.  A cell of table row j is at most
-  C(j, j // 2) < 2**64 for j <= 67, so only later rows check for wrap; no
-  product of a prefix and a suffix term exceeds N(x_t, x_0), and grid sums
-  are checked only when N * (|x_0| - |x_t|) reaches 2**64.  Overflow raises
-  a recoverable error so the caller can rerun in the next domain.
+  C(j, j // 2) < 2**64 for j <= EXACT_SAFE_ROWS, so only later rows check for
+  wrap; no product of a prefix and a suffix term exceeds N(x_t, x_0), and grid
+  sums are checked only when N * (|x_0| - |x_t|) reaches 2**64.  Overflow
+  raises a recoverable error so the caller can rerun in the next domain.
 * "float": the exact recurrence in float64, each cell within about
   (|x_0| + |x_t|) * 2**-53 relative of its count.  A count past float64
   becomes inf, and a non-finite count or grid cell raises the same error.
@@ -55,7 +55,9 @@ LOG_ZERO = -999999.0
 _U64 = np.uint64
 _PAD_XT = -1  # never equal to a token or to _PAD_X0
 _PAD_X0 = -2
-_EXACT_SAFE_ROWS = 67  # C(67, 33) < 2**64 < C(68, 34): rows j <= 67 cannot wrap
+# C(67, 33) < 2**64 < C(68, 34): exact rows j <= 67 cannot wrap.  So no exact op overflows on
+# an x_0 of at most 67 ids (bos included): each grid cell N(Ins(x_t, i, v), x_0) <= C(66, 33).
+EXACT_SAFE_ROWS = 67
 _U64_WRAP = "pair {}: subsequence count exceeds uint64; use the log domain"
 _F64_OVER = "subsequence count exceeds float64; use the log domain"
 # _rows' arithmetic per domain: (dtype, zero, one, add); a cell adds its
@@ -119,7 +121,7 @@ def _rows(T: np.ndarray, xt: np.ndarray, x0: np.ndarray, domain: str):
         np.equal(tokens, xt, out=eq)
         shifted = np.where(mask, prev[:-1], zero)
         add(prev[1:], shifted, out=cur[1:])
-        if domain == "exact" and k > _EXACT_SAFE_ROWS and (wrapped := cur[1:] < shifted).any():
+        if domain == "exact" and k > EXACT_SAFE_ROWS and (wrapped := cur[1:] < shifted).any():
             lanes = (np.flatnonzero(wrapped) + 1) // xt.shape[1]
             raise Overflow(_U64_WRAP.format(int(np.minimum(lanes, L - 1 - lanes).min())))
         yield k
@@ -174,7 +176,7 @@ def _walk(xt, x0, exact: bool):
     for j, v in enumerate(x0):
         for i in at.get(v, ()):
             c[i + 1] += c[i]
-        if exact and j >= _EXACT_SAFE_ROWS and any(c[i + 1] >> 64 for i in at.get(v, ())):
+        if exact and j >= EXACT_SAFE_ROWS and any(c[i + 1] >> 64 for i in at.get(v, ())):
             raise Overflow(_U64_WRAP.format(0))
     return c[-1]
 

@@ -35,7 +35,6 @@ from .errors import (
     ModeMismatch,
     NonFinite,
     NormalizationViolation,
-    Overflow,
     ShapeMismatch,
     VersionMismatch,
 )
@@ -281,8 +280,10 @@ def _groups(order: np.ndarray, batch: int, lens: np.ndarray):
 
     Yields each group's corpus indices and the offsets its steps start at, then its
     end.  A group takes the next step while its lockstep table, sized from the
-    x_0 lengths lens (they bound x_t's too), stays within _GROUP_TABLE_BYTES; it
-    always takes one step.
+    x_0 lengths lens (they bound x_t's too), stays within _GROUP_TABLE_BYTES and
+    its longest x_0 has at most dp.EXACT_SAFE_ROWS ids, so a group of several
+    steps never overflows the exact domain.  It always takes one step, and a
+    step with a longer x_0 is a group of its own.
     """
     cuts = [*range(0, len(order), batch), len(order)]
     longest = np.maximum.reduceat(lens[order], cuts[:-1]).tolist()  # each step's longest x_0
@@ -291,7 +292,8 @@ def _groups(order: np.ndarray, batch: int, lens: np.ndarray):
         h, m = g + 1, longest[g]
         while h < len(longest):
             m_h = max(m, longest[h])
-            if math.prod(dp.lockstep_table_shape(cuts[h + 1] - cuts[g], m_h, m_h)) * 8 > _GROUP_TABLE_BYTES:
+            table = math.prod(dp.lockstep_table_shape(cuts[h + 1] - cuts[g], m_h, m_h)) * 8
+            if m_h > dp.EXACT_SAFE_ROWS or table > _GROUP_TABLE_BYTES:
                 break
             h, m = h + 1, m_h
         yield order[cuts[g] : cuts[h]], [c - cuts[g] for c in cuts[g : h + 1]]
@@ -309,20 +311,19 @@ def train(
     process's fixed schedule.  Batches are drawn by reshuffling the corpus
     each epoch.  A step's targets depend on its x_0, the rng and its times,
     never on the params, so whole steps of an epoch are made in groups, as
-    many as fit one lockstep table of _GROUP_TABLE_BYTES (at least one).  A
+    _groups gathers them: several steps only while they fit one lockstep
+    table of _GROUP_TABLE_BYTES and cannot overflow the exact domain.  A
     group draws its doubles in one rng.random call, for each pair its t and
     then its tokens' survival doubles, as one forward_sample call per pair
     would, makes its x_t with one packed forward_sample call and its targets
-    with one exact dp.batched_n_ratios call on both packed sides as a
-    seqcore.PairBatch.  If that call overflows, each of its steps calls
-    dp.batched_n_ratios_auto on its own batch; a group of one step calls it
-    at once, so a step of long lines makes no second exact attempt.  Each
-    step then reads its row block of the packed ratios and makes its loss
-    and gradient with one packed _loss_grad_from_ratios call, so every step
-    has the bits it has when made alone.  Metric dicts hold step, epoch,
-    loss and domain, the DP rung the step's batch took.  Everything runs
-    sequentially in a fixed order, so a fixed seed reproduces the metric
-    stream bit for bit.
+    with one dp.batched_n_ratios_auto call on both packed sides as a
+    seqcore.PairBatch.  A group of several steps lands on exact at once; a
+    step of long lines climbs the ladder alone.  Each step then reads its
+    row block of the packed ratios and makes its loss and gradient with one
+    packed _loss_grad_from_ratios call, so every step has the bits it has
+    when made alone.  Metric dicts hold step, epoch, loss and domain, the DP
+    rung the step's group took.  Everything runs sequentially in a fixed
+    order, so a fixed seed reproduces the metric stream bit for bit.
     on_step, when given, is called with each metric dict as it is produced;
     a group's first step also carries the group's draw and DP call.  A step
     whose loss is not finite raises NonFinite, with no metric dict made.
@@ -353,28 +354,18 @@ def train(
             u = rng.random(len(x0s.ids))  # in each pair's slots: its t, then its tokens' doubles
             ts = T_MIN + (1.0 - T_MIN) * u[np.cumsum(x0s.sizes) - x0s.sizes]
             xts = forward_sample(x0s, ts, u)
-            pairs = PairBatch(xts, x0s)
-            try:  # a lone step climbs the ladder as it is; a group's steps, only if exact fails
-                mats = (dp.batched_n_ratios_auto(pairs, out.vocab_size) if len(cuts) == 2
-                        else dp.batched_n_ratios(pairs, out.vocab_size, "exact"))
-            except Overflow:
-                mats = None  # each step climbs alone, once the failed tables are gone
-            at_t, at_0 = (np.cumsum(np.append(0, b.sizes)).tolist() for b in (xts, x0s))
+            mats = dp.batched_n_ratios_auto(PairBatch(xts, x0s), out.vocab_size)
+            at = np.cumsum(np.append(0, xts.sizes)).tolist()
             for a, b in zip(cuts, cuts[1:]):  # a step's pairs
-                step_xts = Batch(xts.ids[at_t[a] : at_t[b]], xts.sizes[a:b])
-                if mats is None:
-                    step_x0s = Batch(x0s.ids[at_0[a] : at_0[b]], x0s.sizes[a:b])
-                    alone = dp.batched_n_ratios_auto(PairBatch(step_xts, step_x0s), out.vocab_size)
-                    ratios, domain = alone.ratios, alone.domain
-                else:
-                    ratios, domain = mats.ratios[at_t[a] : at_t[b]], mats.domain
-                totals, _, grad = _loss_grad_from_ratios(out, step_xts, ratios, ts[a:b])
+                rows = slice(at[a], at[b])
+                step_xts = Batch(xts.ids[rows], xts.sizes[a:b])
+                totals, _, grad = _loss_grad_from_ratios(out, step_xts, mats.ratios[rows], ts[a:b])
                 n = b - a
                 loss = float(totals.sum()) / n
                 if not math.isfinite(loss):
                     raise NonFinite(f"step {step}: loss is {loss}; training diverged")
                 opt.step(arrays, [g / n for g in (grad.theta, grad.time_bias) if g is not None])
-                metrics.append({"step": step, "epoch": epoch, "loss": loss, "domain": domain})
+                metrics.append({"step": step, "epoch": epoch, "loss": loss, "domain": mats.domain})
                 if on_step is not None:
                     on_step(metrics[-1])
                 step += 1

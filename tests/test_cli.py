@@ -326,13 +326,15 @@ def test_sample_scores_that_overflow_end_in_one_runtime_error_line(tmp_path, cap
     params = scorer.load(ckpt)
     params.theta[0, 0, 2] = 800.0  # finite, but its dise score exp(800) is not
     scorer.save(params, ckpt)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a numpy RuntimeWarning would end the run with a traceback
-        code, out, err = run_cli(
-            ["sample", "--checkpoint", ckpt, "--count", "2", "--steps", "4", "--seed", "1"], capsys)
-    assert code == 3
-    assert [list(r) for r in parse_stream(out)] == [["config"]]
-    assert err == "error: a gap's insertion scores sum to inf at t=1.0; the scores are not finite\n"
+    stream = tmp_path / "samples.jsonl"
+    for sink in ([], ["--out", str(stream)]):  # the walk fails before the stream opens
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would end the run with a traceback
+            code, out, err = run_cli(
+                ["sample", "--checkpoint", ckpt, "--count", "2", "--steps", "4", "--seed", "1", *sink], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: a gap's insertion scores sum to inf at t=1.0; the scores are not finite\n"
+        assert not stream.exists()
 
 
 def test_train_max_len_below_one_is_usage_error(tmp_path, capsys):
@@ -561,12 +563,14 @@ def test_sample_trace_file(trained, tmp_path, capsys):
     assert "".join(lines[-2:]) == trace.read_text()
 
 
-def test_sample_trace_path_that_cannot_be_written_fails_before_sampling(trained, tmp_path, capsys):
-    trace = tmp_path / "missing" / "t.jsonl"
-    code, out, err = run_cli(["sample", "--checkpoint", trained, "--count", "2", "--seed", "1",
-                              "--trace", str(trace)], capsys)
-    assert code == 3 and out == ""
-    assert err.startswith("io error: ") and str(trace) in err and len(err.splitlines()) == 1
+def test_sample_trace_path_that_cannot_be_written_fails_before_sampling(trained, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "batch_generate", lambda *a: pytest.fail("sampled before checking the path"))
+    path = tmp_path / "missing" / "t.jsonl"
+    for flag in ("--trace", "--out"):  # a stream written after the walk is checked as a trace is
+        code, out, err = run_cli(["sample", "--checkpoint", trained, "--count", "2", "--seed", "1",
+                                  flag, str(path)], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("io error: ") and str(path) in err and len(err.splitlines()) == 1
 
 
 def test_sample_count_zero_writes_an_empty_trace(trained, tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delins.dp import (
+    EXACT_SAFE_ROWS,
     LOG_ZERO,
     NRatioMatrix,
     _sweep,
@@ -509,6 +510,24 @@ def test_rows_up_to_67_cannot_wrap():
     # without bos, row 68 already holds C(68, 34) and must be checked
     with pytest.raises(Overflow):
         subsequence_count(a_pow(34, bos=False), a_pow(68, bos=False))
+
+
+def test_no_exact_op_overflows_on_an_x0_of_at_most_exact_safe_rows_ids():
+    # the largest row count whose middle cell fits uint64; C(k, k // 2) grows with k
+    k = EXACT_SAFE_ROWS
+    assert math.comb(k, k // 2) < 2**64 <= math.comb(k + 1, (k + 1) // 2)
+    pairs = [(a_pow(n), a_pow(k - 1)) for n in range(k)]  # every a^n in a^66
+    rng = np.random.default_rng(24)
+    for letters in (2, 3):
+        for _ in range(100):
+            x_0 = rng.integers(1, letters + 1, k - 1)
+            x_t = x_0[rng.random(k - 1) < rng.random()]
+            pairs.append(((BOS, *x_t.tolist()), (BOS, *x_0.tolist())))
+    for x_t, x_0 in pairs:
+        assert subsequence_count(x_t, x_0) == int(prefix_table(x_t, x_0)[-1, -1]) > 0
+    grids = batched_insertion_counts(pairs, 4, "exact")
+    assert batched_n_ratios(pairs, 4, "exact").domain == "exact"
+    assert max(int(g.max()) for g in grids) == math.comb(k - 1, (k - 1) // 2)  # from a^32 in a^66
 
 
 def test_row_past_the_bound_overflows_and_names_its_pair():

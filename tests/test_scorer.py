@@ -469,7 +469,7 @@ def per_pair_train(params, corpus, config):
     return out, metrics
 
 
-@pytest.mark.parametrize("mode", ["dise", "dice", "long-lines", "over-budget", "odd-batch"])
+@pytest.mark.parametrize("mode", ["dise", "dice", "long-lines", "near-the-bound", "over-budget", "odd-batch"])
 def test_packed_train_step_is_the_per_pair_step(mode, monkeypatch):
     batch = 3  # divides neither of the first two corpora
     if mode == "dise":  # ragged lines, a bos-only one among them
@@ -478,6 +478,10 @@ def test_packed_train_step_is_the_per_pair_step(mode, monkeypatch):
         lines = ["abca", "bcab", "aabb", "caba", "bbac"]
     elif mode == "long-lines":  # 80 a's mostly take the float rung, short lines stay exact
         lines, batch = ["abcab", "a" * 80, "ba", "", "a" * 80, "cab", "aabbc", "a" * 80, "c"], 2
+    elif mode == "near-the-bound":  # lines of at most 66 tokens group, longer ones step alone
+        rng = np.random.default_rng(24)
+        sizes = [rng.integers(60, 67) if i % 2 else rng.integers(67, 81) for i in range(16)]
+        lines, batch = ["".join(rng.choice(list("abc"), size=n)) for n in sizes], 2
     else:  # lines of 30 to 45 tokens: about 14 pairs fill a group's table, so an epoch splits
         rng = np.random.default_rng(29)
         n, batch = (40, 4) if mode == "over-budget" else (47, 5)  # 5 divides neither 47 nor 14
@@ -505,8 +509,13 @@ def test_packed_train_step_is_the_per_pair_step(mode, monkeypatch):
         assert got.time_bias.tobytes() == want.time_bias.tobytes()
     assert got_metrics == want_metrics
     assert len({m["loss"] for m in got_metrics}) > 1
-    if mode == "long-lines":  # a group of several steps overflowed, and its steps climbed alone
-        assert {m["domain"] for m in got_metrics} == {"exact", "float"} and max(overflowed) > batch
+    assert max(overflowed, default=0) <= batch  # no call of several steps overflowed
+    if mode == "long-lines":  # a lone step of long lines climbed the ladder
+        assert {m["domain"] for m in got_metrics} == {"exact", "float"} and overflowed
+    if mode == "near-the-bound":  # a group of several steps had no x_0 past the exact bound
+        several = [rows for rows, lanes, _ in shapes if lanes // 2 > batch]
+        bound = dp.EXACT_SAFE_ROWS
+        assert several and max(several) <= dp.lockstep_table_shape(1, bound, bound)[0]
     if mode in ("over-budget", "odd-batch"):  # one exact table a group, of whole steps, in budget
         assert not overflowed and len(shapes) > 2 * cfg["epochs"]
         assert sum(lanes // 2 for _, lanes, _ in shapes) == cfg["epochs"] * len(lines)
