@@ -14,7 +14,8 @@ Two losses share the same weighting and target ratios:
 Both return a LossBreakdown whose total is weight * sum(per_position),
 with weight = sigma(t) * survival / (1 - survival) = 1/t (process's schedule).
 Both validate their inputs and call loss_from_ratios, which totals
-row_loss_sums, the one home of the terms; scorer's training calls it too.
+row_loss_sums, the one home of the terms; scorer's training calls it too,
+with the target_terms of a step's ratios made once before its params move.
 """
 
 from __future__ import annotations
@@ -63,21 +64,36 @@ def _check_scores(scores, x_t: Sequence) -> np.ndarray:
     return scores
 
 
-def row_loss_sums(mode: str, s: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Unweighted, unvalidated per-row sums of the mode's terms; rows may stack many pairs."""
-    pos = r > 0.0
+def target_terms(mode: str, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the mode's terms read of the ratios r alone: (flat indices of r > 0, r there, c there).
+
+    c is r (log r - 1) in dise and log r in dice.  No score enters, so
+    training makes them once for a step, whatever the params.
+    """
+    at = np.flatnonzero(r > 0.0)
+    rp = np.take(r, at)
+    return at, rp, rp * (np.log(rp) - 1.0) if mode == "dise" else np.log(rp)
+
+
+def row_loss_sums(mode: str, s: np.ndarray, targets: tuple) -> np.ndarray:
+    """Unweighted, unvalidated per-row sums of the mode's terms; rows may stack many pairs.
+
+    targets is target_terms(mode, r) of the ratios r the rows of s are charged against.
+    """
+    at, rp, c = targets
+    sp = np.take(s, at)
     if mode == "dise":
         terms = s.copy()
-        terms[pos] -= r[pos] * np.log(s[pos]) - r[pos] * (np.log(r[pos]) - 1.0)
+        terms.reshape(-1)[at] = sp - (rp * np.log(sp) - c)
     else:
-        terms = np.zeros_like(s)
-        terms[pos] = r[pos] * (np.log(r[pos]) - np.log(s[pos]))
+        terms = np.zeros(s.shape)
+        terms.reshape(-1)[at] = rp * (c - np.log(sp))
     return terms.sum(axis=1)
 
 
 def loss_from_ratios(mode: str, s: np.ndarray, r: np.ndarray, weight: float) -> LossBreakdown:
     """The mode's loss of one pair's scores s against its ratios r, unvalidated."""
-    per_position = row_loss_sums(mode, s, r)
+    per_position = row_loss_sums(mode, s, target_terms(mode, r))
     return LossBreakdown(weight * float(per_position.sum()), per_position, weight)
 
 

@@ -81,8 +81,12 @@ def forward_sample(x_0: Sequence | Batch, t, rng) -> Sequence | Batch:
         _check_times(0.0, t)
         if t >= 1.0:
             return Sequence((BOS_ID,))
-        doubles = np.append(0.0, rng.random(len(x_0) - 1))  # bos's slot, then its tokens'
-        return next(iter(forward_sample(Batch.of([x_0]), [t], doubles)))
+        doubles = np.empty(len(x_0))
+        doubles[0] = 0.0  # bos's slot, never read
+        rng.random(out=doubles[1:])  # its tokens': the doubles of rng.random(n)
+        ids = np.array(x_0.ids, dtype=np.int64)
+        x_t = forward_sample(Batch(ids, np.array([len(ids)])), [t], doubles)  # the one packed draw
+        return Sequence(tuple(x_t.ids.tolist()))
     if not np.max(t, initial=0.0) < 1.0:
         raise InvalidTimes(f"need 0 < t < 1 in a packed draw, got t={np.max(t)}")
     heads = np.cumsum(x_0.sizes) - x_0.sizes

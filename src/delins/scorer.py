@@ -18,29 +18,36 @@ Gradients are closed-form (the losses are convex in the logits for dice
 and per-cell convex for dise), so training needs no autodiff framework.
 Scores have one implementation, on the gaps of states packed with no padding.
 score reads a seqcore.Batch as it is, or packs a list of states once, and
-stacks their rows: one call per sampler leap, and one per training batch.
+stacks their rows: one call per sampler leap.  A training batch's loss and
+gradient come in two halves: what never reads the params (indices, loss
+weights, target terms) is prepared once per batch, and a step computes only
+what does.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dp
 from .errors import (
     ConfigError,
+    InvalidTimes,
     ModeMismatch,
     NonFinite,
     NormalizationViolation,
     ShapeMismatch,
     VersionMismatch,
 )
-from .objective import DICE_NORM_TOL, T_MIN, LossBreakdown, loss_weight, row_loss_sums
+from .objective import DICE_NORM_TOL, T_MIN, LossBreakdown, loss_weight, row_loss_sums, target_terms
 from .process import forward_sample, time_terms
-from .seqcore import BOS_ID, Batch, Corpus, PairBatch, Sequence, atomic_open
+from .seqcore import Batch, Corpus, PairBatch, Sequence, atomic_open
 
 FORMAT_NAME = "delins-scorer"
 FORMAT_VERSION = 1
@@ -105,62 +112,234 @@ def time_bucket(ts) -> np.ndarray:
     return np.minimum(scaled.astype(np.int64), N_BUCKETS - 1)  # the cast truncates like int()
 
 
-def _gap_contexts(ids: np.ndarray) -> np.ndarray:
-    """Right contexts of the gaps of ids, one sequence or several packed; ids are the lefts."""
-    rights = np.empty_like(ids)
-    rights[:-1] = ids[1:]  # a last gap meets the next sequence's bos: the END feature
-    rights[-1:] = BOS_ID
-    return rights
+def _segment_plan(starts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where _segment_sums puts the segments of n values that begin at starts.
 
-
-def _segment_sums(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Sums of the segments a[starts[b]:starts[b + 1]], each bitwise equal to its .sum().
-
-    reduceat adds a first element to the pairwise sum of the rest; a zero in
-    front of each segment turns that into the pairwise sum .sum() takes.
+    Returns where each segment's leading zero goes, and a mask of the rest.
     """
-    at = starts + np.arange(len(starts))  # where each segment's zero goes
-    padded, rest = np.zeros(len(a) + len(at)), np.ones(len(a) + len(at), dtype=bool)
+    at = starts + np.arange(len(starts))
+    rest = np.ones(n + len(at), dtype=bool)
     rest[at] = False
+    return at, rest
+
+
+def _plan_part(plan: tuple[np.ndarray, np.ndarray], a: int, b: int, i: int, j: int) -> tuple:
+    """The _segment_plan of segments a:b of plan's, which hold its values i:j."""
+    at, rest = plan
+    return at[a:b] - (i + a), rest[i + a : j + b]
+
+
+def _segment_sums(a: np.ndarray, plan: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Sums of the consecutive segments of a, placed by plan (_segment_plan of their starts).
+
+    Each sum is bitwise equal to its segment's .sum(): reduceat adds a first
+    element to the pairwise sum of the rest, and a zero in front of each
+    segment turns that into the pairwise sum .sum() takes.
+    """
+    at, rest = plan
+    padded = np.zeros(len(rest))
     padded[rest] = a
     return np.add.reduceat(padded, at)
 
 
-def _scores(params: ScorerParams, lefts: np.ndarray, lens: np.ndarray, ts) -> tuple:
-    """Scores of states packed as one id array, with the dice softmax or dise buckets.
+class _Gaps(NamedTuple):
+    """The gaps of states packed with no padding, as _scores reads them; no param enters.
 
-    State b holds lens[b] of the ids lefts, at time ts[b].  Returns (s, p,
-    buckets): p is None in dise and buckets, each row's time bucket, None in
-    dice.  A state's maximum and normalizer are its own, so its rows have the
-    bits it gets scored alone.
+    rows[i] is gap i's (left, right) row of theta seen as a (V * V, V)
+    table.  dise reads each gap's time bucket; dice reads the state each gap
+    belongs to, each state's first gap, the _segment_plan of each state's
+    cells and, per gap, k - |x_t|, the mass the model spreads over them.
     """
-    seg = np.repeat(np.arange(len(lens)), lens)  # the state each row belongs to
-    z = params.theta[lefts, _gap_contexts(lefts), :]
+
+    rows: np.ndarray
+    buckets: np.ndarray | None = None
+    seg: np.ndarray | None = None
+    starts: np.ndarray | None = None
+    cell_plan: tuple | None = None
+    mass: np.ndarray | None = None
+
+
+def _rows(ids: np.ndarray, V: int) -> np.ndarray:
+    """Each gap's row of theta seen as a (V * V, V) table: left * V + right.
+
+    ids, one sequence or several packed, are the lefts; each one's right is
+    the id after it, and a last gap meets the next sequence's bos, id 0: the
+    END feature.
+    """
+    rows = ids * V
+    rows[:-1] += ids[1:]  # the very last gap's right is bos too, which adds nothing
+    return rows
+
+
+def _gaps(params: ScorerParams, rows: np.ndarray, lens: np.ndarray, buckets=None) -> _Gaps:
+    """_Gaps of the states whose gaps have these rows: state b's are the lens[b] after the earlier's."""
     if params.mode == "dise":
-        buckets = time_bucket(ts)[seg]
-        return np.exp(z + params.time_bias[buckets]), None, buckets
+        return _Gaps(rows, buckets)
+    seg = np.repeat(np.arange(len(lens)), lens)
+    starts = np.cumsum(lens) - lens
+    V = params.vocab_size
+    return _Gaps(rows, None, seg, starts, _segment_plan(starts * V, len(rows) * V),
+                 (params.k + 1 - lens)[seg, None])
+
+
+def _gaps_part(gaps: _Gaps, V: int, a: int, b: int, i: int, j: int) -> _Gaps:
+    """The _Gaps of states a:b of gaps, whose gaps are rows i:j; V is the vocab size."""
+    if gaps.seg is None:
+        return _Gaps(gaps.rows[i:j], gaps.buckets[i:j])
+    return _Gaps(gaps.rows[i:j], None, gaps.seg[i:j] - a, gaps.starts[a:b] - i,
+                 _plan_part(gaps.cell_plan, a, b, i * V, j * V), gaps.mass[i:j])
+
+
+def _scores(params: ScorerParams, gaps: _Gaps) -> tuple:
+    """Scores of packed gaps, with the dice softmax p (None in dise).
+
+    A state's maximum and normalizer are its own, so its rows have the bits
+    it gets scored alone.
+    """
+    z = np.take(params.theta.reshape(-1, params.vocab_size), gaps.rows, axis=0)
+    if params.mode == "dise":
+        return np.exp(z + np.take(params.time_bias, gaps.buckets, axis=0)), None
     # The bos marker can never be inserted, so the model holds that column at
     # an exact zero rather than wasting probability mass it could never shed
     # with finite logits.
-    starts = np.cumsum(lens) - lens
     zz = z[:, 1:]
     e = np.zeros_like(z)
-    e[:, 1:] = np.exp(zz - np.maximum.reduceat(zz.max(axis=1), starts)[seg, None])
-    p = e / _segment_sums(e.reshape(-1), starts * params.vocab_size)[seg, None]
-    return (params.k - (lens - 1))[seg, None] * p, p, None
+    e[:, 1:] = np.exp(zz - np.maximum.reduceat(zz.max(axis=1), gaps.starts)[gaps.seg, None])
+    p = e / _segment_sums(e.reshape(-1), gaps.cell_plan)[gaps.seg, None]
+    return gaps.mass * p, p
 
 
 def score(params: ScorerParams, xs: Batch | list[Sequence], t: float | None = None) -> np.ndarray:
     """Model scores of every (gap, token) cell of the states xs at time t.
 
-    The matrices of xs, a Batch or a list of states, come stacked: shape (sum of |x|, V).
+    The matrices of xs, a Batch or a list of states, come stacked: shape (sum
+    of |x|, V).  dise needs a time t in (0, 1], as training draws them.
     """
-    if params.mode == "dise" and t is None:
-        raise ModeMismatch("dise scores are time-dependent; pass t")
+    buckets = None
+    if params.mode == "dise":
+        if t is None:
+            raise ModeMismatch("dise scores are time-dependent; pass t")
+        if not 0.0 < t <= 1.0:
+            raise InvalidTimes(f"need 0 < t <= 1, got t={t}")
+        buckets = time_bucket(t)
     batch = Batch.of(xs)
     if params.mode == "dice" and (over := batch.sizes[batch.sizes - 1 > params.k]).size:
         raise ShapeMismatch(f"x_t has {over[0] - 1} content tokens, more than k={params.k}")
-    return _scores(params, batch.ids, batch.sizes, [t] * len(batch))[0]
+    if buckets is not None:
+        buckets = np.full(len(batch.ids), buckets)
+    rows = _rows(batch.ids, params.vocab_size)
+    return _scores(params, _gaps(params, rows, batch.sizes, buckets))[0]
+
+
+class _Prepared(NamedTuple):
+    """A packed batch as its loss and gradient read it, all made before any param moves.
+
+    gaps as _scores reads them; r the (rows, V) ratios and targets their
+    objective.target_terms; w each pair's loss weight and w_cells each
+    cell's; pair_plan the _segment_plan of the pairs' rows.  cells holds each
+    row's indices into the flat gradient of size entries: theta's V cells of
+    its (left, right) row and, in dise, then its time bucket's, so one
+    bincount makes both tables.  dice: m_target is each cell's pair's target
+    mass, and error names the first pair whose mass the model cannot match.
+    """
+
+    gaps: _Gaps
+    r: np.ndarray
+    targets: tuple
+    w: np.ndarray
+    w_cells: np.ndarray
+    pair_plan: tuple
+    cells: np.ndarray
+    size: int
+    m_target: np.ndarray | None
+    error: str | None
+
+
+def _prepare(params: ScorerParams, xts: Batch, r: np.ndarray, ts, cuts) -> list[_Prepared]:
+    """The _Prepared of each step of a packed batch; step q holds pairs cuts[q]:cuts[q + 1].
+
+    Pair b is (state b of xts, its rows of the ratios r, ts[b]).  Only the
+    params' mode, vocab size and k are read, never their tables.  The loss
+    weights come from one time_terms pass over ts, and every array from one
+    pass over all the rows; each step takes its slices.
+    """
+    mode, V = params.mode, params.vocab_size
+    lens = xts.sizes
+    ends = np.cumsum(lens)
+    seg = np.repeat(np.arange(len(lens)), lens)  # the pair each row belongs to
+    w = time_terms(ts)[1]
+    rows = _rows(xts.ids, V)
+    buckets = time_bucket(ts)[seg] if mode == "dise" else None
+    gaps = _gaps(params, rows, lens, buckets)
+    size = V**3 + (N_BUCKETS * V if mode == "dise" else 0)
+    table = np.arange(size).reshape(-1, V)  # gradient cells: V per (left, right), then per bucket
+    m_target, errors = None, {}  # errors: pair -> why the model cannot match its targets
+    if mode == "dise":
+        cells = np.take(table, np.stack((rows, V * V + buckets), axis=1), axis=0).reshape(-1, 2 * V)
+    else:
+        cells = np.take(table, rows, axis=0)
+        mass = _segment_sums(r.reshape(-1), gaps.cell_plan)
+        m_model = params.k - (lens - 1)
+        errors = {b: f"model is normalized for {int(m_model[b])} missing tokens, "
+                     f"targets say {float(mass[b])}"
+                  for b in np.flatnonzero(np.abs(m_model - mass) > DICE_NORM_TOL).tolist()}
+        m_target = np.repeat(mass, lens * V).reshape(-1, V)
+    at, rp, c = target_terms(mode, r)
+    w_cells = np.repeat(w, lens * V).reshape(-1, V)  # a full array multiplies faster than a column
+    pair_plan = _segment_plan(ends - lens, len(rows))
+    firsts = np.append(0, ends)[cuts]  # each step's first row
+    hits = np.searchsorted(at, firsts * V).tolist()  # and its first target
+    steps = []
+    for q, (i, j) in enumerate(itertools.pairwise(firsts.tolist())):
+        a, b = cuts[q], cuts[q + 1]
+        h = slice(hits[q], hits[q + 1])
+        steps.append(_Prepared(
+            _gaps_part(gaps, V, a, b, i, j), r[i:j], (at[h] - i * V, rp[h], c[h]), w[a:b],
+            w_cells[i:j], _plan_part(pair_plan, a, b, i, j), cells[i:j].reshape(-1), size,
+            None if m_target is None else m_target[i:j],
+            next((why for pair, why in errors.items() if a <= pair < b), None),
+        ))
+    return steps
+
+
+def _step(params: ScorerParams, prep: _Prepared) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pair losses, per-gap loss sums and the summed gradient of a _Prepared batch at params.
+
+    The gradient comes flat, as _flat lays out the params.
+    dise: d/dz of the bracket is simply (s - r) because s = exp(z).
+    dice: the normalizer makes this a softmax cross-entropy with total
+    target mass sum(r); d/dz = sum(r) * softmax - r, independent of the
+    constant K - |x_t| factor.  s and p come from _scores, as score's do.
+    """
+    if prep.error is not None:
+        raise NormalizationViolation(prep.error)
+    s, p = _scores(params, prep.gaps)
+    if params.mode == "dise":
+        g_z = prep.w_cells * (s - prep.r)
+        g_z = np.concatenate((g_z, g_z), axis=1)  # a row's theta cells, then its time bias's
+    else:
+        g_z = prep.w_cells * (prep.m_target * p - prep.r)
+        g_z[:, 0] = 0.0  # the bos column carries no model mass
+    per_position = row_loss_sums(params.mode, s, prep.targets)
+    # bincount adds each cell's rows in input order, as np.add.at does, to the same bits
+    grad = np.bincount(prep.cells, g_z.reshape(-1), prep.size)
+    return prep.w * _segment_sums(per_position, prep.pair_plan), per_position, grad
+
+
+def _flat(params: ScorerParams) -> tuple[ScorerParams, np.ndarray]:
+    """A copy of params whose tables are views of one fresh flat buffer, and that buffer.
+
+    The buffer holds theta's V**3 values, then (dise) the time bias's.
+    """
+    flat = np.concatenate([a.reshape(-1) for a in (params.theta, params.time_bias) if a is not None])
+    return ScorerParams(params.mode, *_tables(params, flat), params.k), flat
+
+
+def _tables(params: ScorerParams, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """theta and, in dise, the time bias of a flat array laid out as _flat lays params out."""
+    V = params.vocab_size
+    time_bias = flat[V**3 :].reshape(N_BUCKETS, V) if params.mode == "dise" else None
+    return flat[: V**3].reshape(V, V, V), time_bias
 
 
 def _loss_grad_from_ratios(
@@ -168,45 +347,18 @@ def _loss_grad_from_ratios(
 ) -> tuple[np.ndarray, np.ndarray, Gradient]:
     """Per-pair losses, per-gap loss sums and the summed gradient of a packed batch.
 
-    Pair b is (xts[b], its ratio grid, ts[b]); the grids come packed, as the rows
-    of one (sum of |x_t|, V) array, or as a list.  All gaps are rows of one
-    unpadded array, and pair b's loss has the bits objective.loss_from_ratios gives it.
-
-    dise: d/dz of the bracket is simply (s - r) because s = exp(z).
-    dice: the normalizer makes this a softmax cross-entropy with total
-    target mass sum(r); d/dz = sum(r) * softmax - r, independent of the
-    constant K - |x_t| factor.  s and p come from _scores, as score's do.
+    Pair b is (xts[b], its ratio grid, ts[b]); the grids come packed, as the
+    rows of one (sum of |x_t|, V) array, or as a list.  All gaps are rows of
+    one unpadded array, and pair b's loss has the bits
+    objective.loss_from_ratios gives it.  The batch is prepared once
+    (_prepare: indices, weights, target terms) and stepped once (_step: the
+    terms that read the params), as training does per step.
     """
     batch = Batch.of(xts)
-    lefts, lens = batch.ids, batch.sizes
-    starts = np.cumsum(lens) - lens
-    seg = np.repeat(np.arange(len(lens)), lens)  # the pair each row belongs to
-    w = time_terms(ts)[1]
     r = ratios if isinstance(ratios, np.ndarray) else np.concatenate(ratios)
-    V = params.vocab_size
-    if params.mode == "dice":
-        m_model = params.k - (lens - 1)
-        m_target = _segment_sums(r.reshape(-1), starts * V)
-        bad = np.flatnonzero(np.abs(m_model - m_target) > DICE_NORM_TOL)
-        if bad.size:
-            raise NormalizationViolation(f"model is normalized for {int(m_model[bad[0]])} "
-                                         f"missing tokens, targets say {float(m_target[bad[0]])}")
-    s, p, buckets = _scores(params, lefts, lens, ts)
-    if params.mode == "dise":
-        g_z = w[seg, None] * (s - r)
-    else:
-        g_z = w[seg, None] * (m_target[seg, None] * p - r)
-        g_z[:, 0] = 0.0  # the bos column carries no model mass
-    per_position = row_loss_sums(params.mode, s, r)
-
-    # bincount adds each cell's rows in input order, as np.add.at does, to the same bits
-    cells = (lefts * V + _gap_contexts(lefts))[:, None] * V + np.arange(V)
-    gtheta = np.bincount(cells.reshape(-1), g_z.reshape(-1), V**3).reshape(V, V, V)
-    gtb = None
-    if params.mode == "dise":
-        cells = buckets[:, None] * V + np.arange(V)
-        gtb = np.bincount(cells.reshape(-1), g_z.reshape(-1), N_BUCKETS * V).reshape(N_BUCKETS, V)
-    return w * _segment_sums(per_position, starts), per_position, Gradient(gtheta, gtb)
+    (prep,) = _prepare(params, batch, r, ts, [0, len(batch)])
+    totals, per_position, grad = _step(params, prep)
+    return totals, per_position, Gradient(*_tables(params, grad))
 
 
 def loss_and_grad(
@@ -257,13 +409,22 @@ class _Adam:
 OPTIMIZERS = {"sgd": _Sgd, "adam": _Adam}
 
 
+def _count(config: dict, key: str) -> int:
+    """config[key] as an int: an integer or an integral float, never a bool."""
+    v = config[key]
+    if isinstance(v, bool) or not (isinstance(v, numbers.Integral)
+                                   or isinstance(v, float) and v.is_integer()):
+        raise ConfigError(f"{key} must be a whole number, got {v!r}")
+    return int(v)
+
+
 def train_settings(config: dict) -> tuple[int, int, float, str]:
     """(epochs, batch, lr, optimizer) of a training config, each checked."""
     for key in ("epochs", "batch", "lr", "optimizer"):
         if key not in config:
             raise ConfigError(f"training config is missing {key!r}")
-    epochs = int(config["epochs"])
-    batch = int(config["batch"])
+    epochs = _count(config, "epochs")
+    batch = _count(config, "batch")
     lr = float(config["lr"])
     opt_name = str(config["optimizer"])
     if epochs < 1 or batch < 1:
@@ -318,15 +479,21 @@ def train(
     would, makes its x_t with one packed forward_sample call and its targets
     with one dp.batched_n_ratios_auto call on both packed sides as a
     seqcore.PairBatch.  A group of several steps lands on exact at once; a
-    step of long lines climbs the ladder alone.  Each step then reads its
-    row block of the packed ratios and makes its loss and gradient with one
-    packed _loss_grad_from_ratios call, so every step has the bits it has
-    when made alone.  Metric dicts hold step, epoch, loss and domain, the DP
-    rung the step's group took.  Everything runs sequentially in a fixed
-    order, so a fixed seed reproduces the metric stream bit for bit.
+    step of long lines climbs the ladder alone.  The group is then prepared
+    once (_prepare: indices, loss weights from one time_terms pass, target
+    terms), and each step runs only what reads the params (_step), so every
+    step has the bits _loss_grad_from_ratios gives it made alone.  theta
+    and the time bias are views of one flat buffer, which the optimizer
+    updates as one array from one flat gradient.  Metric dicts hold step,
+    epoch, loss and domain, the DP rung the step's group took.  Everything
+    runs sequentially in a fixed order, so a fixed seed reproduces the
+    metric stream bit for bit.
     on_step, when given, is called with each metric dict as it is produced;
-    a group's first step also carries the group's draw and DP call.  A step
-    whose loss is not finite raises NonFinite, with no metric dict made.
+    a group's first step also carries the group's draw, DP call and
+    preparation.  A step whose loss is not finite raises NonFinite, and a
+    dice step whose targets' mass the model cannot match raises
+    NormalizationViolation, each with no metric dict made for it.  The
+    params returned share no memory with params.
     """
     if not corpus.sequences:
         raise ConfigError("empty corpus")
@@ -339,32 +506,32 @@ def train(
         if lens != {params.k}:
             raise ConfigError(f"corpus length {lens.pop()} != scorer k={params.k}")
 
-    out = params.copy()
-    arrays = [out.theta] + ([out.time_bias] if out.time_bias is not None else [])
+    out, flat = _flat(params)  # the optimizer updates theta and the time bias as one array
     opt = OPTIMIZERS[opt_name](lr)
 
     rng = np.random.default_rng(config.get("seed"))
-    lens = np.fromiter(map(len, corpus.sequences), np.int64, len(corpus.sequences))
+    packed = Batch.of(corpus.sequences)  # the corpus packed once; a group gathers its rows
+    lens, heads = packed.sizes, np.cumsum(packed.sizes) - packed.sizes
     metrics: list[dict] = []
     step = 0
     for epoch in range(epochs):
         order = rng.permutation(len(corpus.sequences))
         for group, cuts in _groups(order, batch, lens):
-            x0s = Batch.of([corpus.sequences[i] for i in group.tolist()])
+            sizes = lens[group]
+            ends = np.cumsum(sizes)
+            picks = np.repeat(heads[group] - ends + sizes, sizes) + np.arange(ends[-1])  # their ids
+            x0s = Batch(packed.ids[picks], sizes)
             u = rng.random(len(x0s.ids))  # in each pair's slots: its t, then its tokens' doubles
             ts = T_MIN + (1.0 - T_MIN) * u[np.cumsum(x0s.sizes) - x0s.sizes]
             xts = forward_sample(x0s, ts, u)
             mats = dp.batched_n_ratios_auto(PairBatch(xts, x0s), out.vocab_size)
-            at = np.cumsum(np.append(0, xts.sizes)).tolist()
-            for a, b in zip(cuts, cuts[1:]):  # a step's pairs
-                rows = slice(at[a], at[b])
-                step_xts = Batch(xts.ids[rows], xts.sizes[a:b])
-                totals, _, grad = _loss_grad_from_ratios(out, step_xts, mats.ratios[rows], ts[a:b])
+            for a, b, prep in zip(cuts, cuts[1:], _prepare(out, xts, mats.ratios, ts, cuts)):
+                totals, _, grad = _step(out, prep)
                 n = b - a
                 loss = float(totals.sum()) / n
                 if not math.isfinite(loss):
                     raise NonFinite(f"step {step}: loss is {loss}; training diverged")
-                opt.step(arrays, [g / n for g in (grad.theta, grad.time_bias) if g is not None])
+                opt.step([flat], [grad / n])
                 metrics.append({"step": step, "epoch": epoch, "loss": loss, "domain": mats.domain})
                 if on_step is not None:
                     on_step(metrics[-1])
@@ -447,24 +614,17 @@ def gradcheck(params: ScorerParams, x_t: Sequence, x_0: Sequence, t: float) -> f
     """
     h = 1e-5
     ratios = dp.n_ratios_auto(x_t, x_0, params.vocab_size).ratios  # the params do not move them
-    _, _, grad = _loss_grad_from_ratios(params, [x_t], ratios, [t])
+    (prep,) = _prepare(params, Batch.of([x_t]), ratios, [t], [0, 1])
+    analytic = _step(params, prep)[2]
+    probe, flat = _flat(params)
     worst = 0.0
-
-    def loss_with(p: ScorerParams) -> float:
-        return float(_loss_grad_from_ratios(p, [x_t], ratios, [t])[0][0])
-
-    tables = [("theta", grad.theta)] + (
-        [("time_bias", grad.time_bias)] if grad.time_bias is not None else []
-    )
-    for name, analytic in tables:
-        for pos in np.ndindex(analytic.shape):
-            probe = params.copy()
-            arr = probe.theta if name == "theta" else probe.time_bias
-            arr[pos] += h
-            up = loss_with(probe)
-            arr[pos] -= 2 * h
-            down = loss_with(probe)
-            fd = (up - down) / (2 * h)
-            denom = max(abs(analytic[pos]), abs(fd), 1e-8)
-            worst = max(worst, abs(analytic[pos] - fd) / denom)
+    for i, x in enumerate(flat.tolist()):
+        flat[i] += h
+        up = float(_step(probe, prep)[0][0])
+        flat[i] -= 2 * h
+        down = float(_step(probe, prep)[0][0])
+        flat[i] = x
+        fd = (up - down) / (2 * h)
+        denom = max(abs(analytic[i]), abs(fd), 1e-8)
+        worst = max(worst, abs(analytic[i] - fd) / denom)
     return worst

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delins import dp, objective, scorer
+from delins import dp, objective, process, scorer
 from delins.errors import (
     ConfigError,
+    InvalidTimes,
     ModeMismatch,
     NonFinite,
     NormalizationViolation,
@@ -18,7 +19,7 @@ from delins.errors import (
     ShapeMismatch,
     VersionMismatch,
 )
-from delins.process import survival_prob
+from delins.process import survival_prob, time_terms
 from delins.sampler import GRID_KINDS, timestep_grid
 from delins.scorer import (
     N_BUCKETS,
@@ -63,6 +64,21 @@ def test_dise_requires_time():
     p = ScorerParams.init(3, "dise")
     with pytest.raises(ModeMismatch):
         score(p, [seq(A)])
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, 2.0, 1.0 + 1e-12, float("nan"), float("inf"), float("-inf")])
+def test_dise_scores_refuse_a_time_outside_the_unit_interval(t):
+    # as objective.loss_weight and process.forward_sample do; no bucket is read
+    p = ScorerParams.init(3, "dise")
+    with pytest.raises(InvalidTimes, match="need 0 < t <= 1"):
+        score(p, [seq(A)], t)
+
+
+def test_dise_scores_take_every_time_in_the_unit_interval():
+    p = rand_params(np.random.default_rng(1), 3, "dise")
+    for t, bucket in [(1e-300, 0), (0.5, N_BUCKETS // 2), (1.0, N_BUCKETS - 1)]:
+        want = np.exp(p.theta[[0, 1], [1, 0]] + p.time_bias[bucket])
+        assert score(p, [seq(A)], t).tobytes() == want.tobytes()
 
 
 def test_zero_params_dice_is_uniform_over_insertable_cells():
@@ -412,6 +428,20 @@ def test_train_settings_are_required():
             train(p, corpus, cfg)
 
 
+@pytest.mark.parametrize("key", ["epochs", "batch"])
+@pytest.mark.parametrize("bad", [2.7, True, False, "2", None, float("nan")])
+def test_train_settings_refuse_a_count_that_is_not_a_whole_number(key, bad):
+    cfg = {"epochs": 1, "batch": 2, "lr": 0.05, "optimizer": "adam", key: bad}
+    with pytest.raises(ConfigError, match=f"^{key} must be a whole number, got "):
+        train_settings(cfg)
+
+
+def test_train_settings_take_whole_numbers_of_any_numeric_type():
+    for epochs, batch in [(3, 2), (3.0, 2.0), (np.int64(3), np.int32(2))]:
+        got = train_settings({"epochs": epochs, "batch": batch, "lr": 0.1, "optimizer": "sgd"})
+        assert got == (3, 2, 0.1, "sgd") and all(type(v) is int for v in got[:2])
+
+
 @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), -1.0])
 def test_train_settings_reject_a_learning_rate_that_is_not_finite_and_nonnegative(lr):
     cfg = {"epochs": 1, "batch": 2, "lr": lr, "optimizer": "adam", "seed": 0}
@@ -469,10 +499,12 @@ def per_pair_train(params, corpus, config):
     return out, metrics
 
 
-@pytest.mark.parametrize("mode", ["dise", "dice", "long-lines", "near-the-bound", "over-budget", "odd-batch"])
+@pytest.mark.parametrize(
+    "mode", ["dise", "sgd", "dice", "long-lines", "near-the-bound", "over-budget", "odd-batch"])
 def test_packed_train_step_is_the_per_pair_step(mode, monkeypatch):
+    # per_pair_train steps theta and the time bias as two arrays; train as one flat buffer
     batch = 3  # divides neither of the first two corpora
-    if mode == "dise":  # ragged lines, a bos-only one among them
+    if mode in ("dise", "sgd"):  # ragged lines, a bos-only one among them
         lines = ["abcab", "", "ba", "aabbc", "c", "cabab", "bbaacab"]
     elif mode == "dice":
         lines = ["abca", "bcab", "aabb", "caba", "bbac"]
@@ -488,7 +520,8 @@ def test_packed_train_step_is_the_per_pair_step(mode, monkeypatch):
         lines = ["".join(rng.choice(list("abc"), size=rng.integers(30, 46))) for _ in range(n)]
     corpus = make_corpus(lines, "abc")
     p = ScorerParams.init(4, "dice" if mode == "dice" else "dise", k=4 if mode == "dice" else None)
-    cfg = {"epochs": 6, "batch": batch, "lr": 0.2, "optimizer": "adam", "seed": 11}
+    cfg = {"epochs": 6, "batch": batch, "lr": 0.2, "optimizer": "sgd" if mode == "sgd" else "adam",
+           "seed": 11}
     shapes, overflowed = [], []  # the lockstep tables train allocates; the calls that overflowed
     start, ratios = dp._start, dp.batched_n_ratios
 
@@ -522,6 +555,61 @@ def test_packed_train_step_is_the_per_pair_step(mode, monkeypatch):
         assert all(math.prod(s) * 8 <= scorer._GROUP_TABLE_BYTES for s in shapes)
         assert sum(lanes // 2 % batch != 0 for _, lanes, _ in shapes) == (
             cfg["epochs"] if len(lines) % batch else 0)  # only an epoch's last group has a short step
+
+
+@pytest.mark.parametrize("mode", ["dise", "dice"])
+def test_train_makes_a_group_s_time_terms_in_at_most_two_passes(mode, monkeypatch):
+    # one in the group's packed draw, one in its preparation; none per step
+    lines = ["abca", "bcab", "aabb", "caba", "bbac", "abcc", "cbba"]
+    p = ScorerParams.init(4, mode, k=4 if mode == "dice" else None)
+    cfg = {"epochs": 5, "batch": 2, "lr": 0.2, "optimizer": "adam", "seed": 3}
+    calls, groups = [], []
+    counted = lambda ts: calls.append(len(ts)) or time_terms(ts)
+    auto = dp.batched_n_ratios_auto
+    monkeypatch.setattr(process, "time_terms", counted)
+    monkeypatch.setattr(scorer, "time_terms", counted)
+    monkeypatch.setattr(dp, "batched_n_ratios_auto", lambda *a: groups.append(1) or auto(*a))
+    _, metrics = train(p, make_corpus(lines, "abc"), cfg)
+    assert len(metrics) > len(groups) > 0  # some groups hold several steps
+    assert len(calls) <= 2 * len(groups)
+    assert sum(calls) <= 2 * cfg["epochs"] * len(lines)
+
+
+def test_train_raises_a_dice_mass_violation_at_its_step_after_the_earlier_records(monkeypatch):
+    # a group's targets are prepared at once; the error still waits for its own step
+    auto, groups = dp.batched_n_ratios_auto, []
+
+    def corrupt(pairs, V):
+        got = auto(pairs, V)
+        ratios = got.ratios.copy()
+        ratios[(np.cumsum(got.sizes) - got.sizes)[4:], 1] += 0.5  # pairs 4 on: the third step on
+        groups.append(len(got))
+        return dp.NRatioBatch(ratios, got.sizes, got.domain)
+
+    monkeypatch.setattr(dp, "batched_n_ratios_auto", corrupt)
+    lines = ["abca", "bcab", "aabb", "caba", "bbac", "abcc", "cbba", "ccab"]
+    records = []
+    cfg = {"epochs": 1, "batch": 2, "lr": 0.2, "optimizer": "adam", "seed": 3}
+    with pytest.raises(NormalizationViolation, match=r"^model is normalized for \d missing tokens, targets say "):
+        train(ScorerParams.init(4, "dice", k=4), make_corpus(lines, "abc"), cfg, records.append)
+    assert groups == [8]
+    assert [r["step"] for r in records] == [0, 1]
+
+
+@pytest.mark.parametrize("mode", ["dise", "dice"])
+def test_trained_params_share_no_memory_with_the_callers(mode):
+    p = rand_params(np.random.default_rng(4), 4, mode, 4 if mode == "dice" else None)
+    before = p.copy()
+    lines = ["abca", "bcab", "aabb", "caba"]
+    cfg = {"epochs": 2, "batch": 2, "lr": 0.2, "optimizer": "adam", "seed": 3}
+    for lr in (0.0, 0.2):
+        trained, _ = train(p, make_corpus(lines, "abc"), {**cfg, "lr": lr})
+        for got, theirs in [(trained.theta, p.theta), (trained.time_bias, p.time_bias)]:
+            assert got is None or not np.shares_memory(got, theirs)
+        trained.theta[:] = 7.0  # writing the result leaves the caller's params as they were
+    assert p.theta.tobytes() == before.theta.tobytes()
+    if mode == "dise":
+        assert p.time_bias.tobytes() == before.time_bias.tobytes()
 
 
 def test_checkpoint_roundtrip(tmp_path):
