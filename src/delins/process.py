@@ -10,8 +10,8 @@ kept token, times the deletion probability per lost token, times the number
 of distinct ways the shorter sequence embeds into the longer one.  Lengths
 in those formulas exclude the bos marker, which never deletes.
 
-forward_sample draws x_t from x_0 over [0, t], the window training uses, one
-state at a time or packed; the closed forms take any window [s, t].
+forward_sample draws x_t from x_0 over [0, t], one state from its t or packed
+from survival probabilities; the closed forms take any window [s, t].
 """
 
 from __future__ import annotations
@@ -73,24 +73,22 @@ def forward_sample(x_0: Sequence | Batch, t, rng) -> Sequence | Batch:
     A Sequence x_0 draws its n content tokens' survival doubles with one
     rng.random(n) call, the doubles (in order) of n scalar rng.random() calls;
     at t = 1 only bos is left and nothing is drawn.  A seqcore.Batch x_0 takes
-    a time below 1 per state in t and the doubles already drawn in rng, one per
-    id, bos slots unread, and returns a Batch: each state the one its one-state
-    draw on the same doubles gives, a token kept below survival_prob(0, t).
+    each state's survival probability survival_prob(0, t) in t, in place of a
+    time, and the doubles already drawn in rng, one per id, bos slots unread,
+    and returns a Batch: each state the one its one-state draw on the same
+    doubles gives, a token kept below its state's survival.
     """
     if not isinstance(x_0, Batch):
-        _check_times(0.0, t)
+        p = survival_prob(0.0, t)  # checks t too
         if t >= 1.0:
             return Sequence((BOS_ID,))
-        doubles = np.empty(len(x_0))
-        doubles[0] = 0.0  # bos's slot, never read
+        doubles = np.zeros(len(x_0))  # bos's slot stays 0, never read
         rng.random(out=doubles[1:])  # its tokens': the doubles of rng.random(n)
         ids = np.array(x_0.ids, dtype=np.int64)
-        x_t = forward_sample(Batch(ids, np.array([len(ids)])), [t], doubles)  # the one packed draw
+        x_t = forward_sample(Batch(ids, np.array([len(ids)])), [p], doubles)  # the one packed draw
         return Sequence(tuple(x_t.ids.tolist()))
-    if not np.max(t, initial=0.0) < 1.0:
-        raise InvalidTimes(f"need 0 < t < 1 in a packed draw, got t={np.max(t)}")
     heads = np.cumsum(x_0.sizes) - x_0.sizes
-    keep = rng < np.repeat(time_terms(t)[0], x_0.sizes)
+    keep = rng < np.repeat(t, x_0.sizes)
     keep[heads] = True  # bos never deletes
     return Batch(x_0.ids[keep], np.add.reduceat(keep, heads, dtype=np.int64))
 

@@ -51,6 +51,7 @@ GRID_KINDS = ("uniform", "cosine")
 MODES = ("variable", "fixed")
 # past one leap's need, a batch's blocks of doubles drawn ahead hold at most this
 _DRAW_BLOCK_BYTES = 4 * 1024 * 1024
+_MAX_STEPS = np.iinfo(np.intp).max // 8 - 1  # the most whose grid of float64 points fits one array
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,9 @@ class SamplerConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise InvalidSteps(f"steps must be >= 1, got {self.steps}")
+        if self.steps > _MAX_STEPS:
+            raise InvalidSteps(f"steps must be <= {_MAX_STEPS}, for a grid that fits one array, "
+                               f"got {self.steps}")
         if self.grid not in GRID_KINDS:
             raise ConfigError(f"unknown grid {self.grid!r}")
         if not (0.0 < self.top_p <= 1.0):

@@ -255,21 +255,19 @@ class _Prepared(NamedTuple):
     error: str | None
 
 
-def _prepare(params: ScorerParams, xts: Batch, r: np.ndarray, ts, cuts) -> list[_Prepared]:
+def _prepare(params: ScorerParams, xts: Batch, r: np.ndarray, ts, w, cuts) -> list[_Prepared]:
     """The _Prepared of each step of a packed batch; step q holds pairs cuts[q]:cuts[q + 1].
 
-    Pair b is (state b of xts, its rows of the ratios r, ts[b]).  Only the
-    params' mode, vocab size and k are read, never their tables.  The loss
-    weights come from one time_terms pass over ts, and every array from one
+    Pair b is (state b of xts, its rows of the ratios r, ts[b]) and w[b] is its
+    loss weight, as process.time_terms(ts) gives it.  Only the params' mode,
+    vocab size and k are read, never their tables.  Every array comes from one
     pass over all the rows; each step takes its slices.
     """
     mode, V = params.mode, params.vocab_size
     lens = xts.sizes
     ends = np.cumsum(lens)
-    seg = np.repeat(np.arange(len(lens)), lens)  # the pair each row belongs to
-    w = time_terms(ts)[1]
     rows = _rows(xts.ids, V)
-    buckets = time_bucket(ts)[seg] if mode == "dise" else None
+    buckets = np.repeat(time_bucket(ts), lens) if mode == "dise" else None
     gaps = _gaps(params, rows, lens, buckets)
     size = V**3 + (N_BUCKETS * V if mode == "dise" else 0)
     table = np.arange(size).reshape(-1, V)  # gradient cells: V per (left, right), then per bucket
@@ -356,7 +354,7 @@ def _loss_grad_from_ratios(
     """
     batch = Batch.of(xts)
     r = ratios if isinstance(ratios, np.ndarray) else np.concatenate(ratios)
-    (prep,) = _prepare(params, batch, r, ts, [0, len(batch)])
+    (prep,) = _prepare(params, batch, r, ts, time_terms(ts)[1], [0, len(batch)])
     totals, per_position, grad = _step(params, prep)
     return totals, per_position, Gradient(*_tables(params, grad))
 
@@ -377,9 +375,8 @@ class _Sgd:
     def __init__(self, lr):
         self.lr = lr
 
-    def step(self, arrays, grads):
-        for a, g in zip(arrays, grads):
-            a -= self.lr * g
+    def step(self, a, g):
+        a -= self.lr * g
 
 
 class _Adam:
@@ -387,23 +384,18 @@ class _Adam:
 
     def __init__(self, lr):
         self.lr = lr
-        self.m = None
-        self.v = None
+        self.m = self.v = 0.0  # the moments, arrays from the first step on
         self.t = 0
 
-    def step(self, arrays, grads):
-        if self.m is None:
-            self.m = [np.zeros_like(a) for a in arrays]
-            self.v = [np.zeros_like(a) for a in arrays]
+    def step(self, a, g):
         self.t += 1
-        for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= self.b1
-            m += (1 - self.b1) * g
-            v *= self.b2
-            v += (1 - self.b2) * g * g
-            mhat = m / (1 - self.b1 ** self.t)
-            vhat = v / (1 - self.b2 ** self.t)
-            a -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        self.m *= self.b1
+        self.m += (1 - self.b1) * g
+        self.v *= self.b2
+        self.v += (1 - self.b2) * g * g
+        mhat = self.m / (1 - self.b1 ** self.t)
+        vhat = self.v / (1 - self.b2 ** self.t)
+        a -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 OPTIMIZERS = {"sgd": _Sgd, "adam": _Adam}
@@ -476,12 +468,13 @@ def train(
     table of _GROUP_TABLE_BYTES and cannot overflow the exact domain.  A
     group draws its doubles in one rng.random call, for each pair its t and
     then its tokens' survival doubles, as one forward_sample call per pair
-    would, makes its x_t with one packed forward_sample call and its targets
-    with one dp.batched_n_ratios_auto call on both packed sides as a
-    seqcore.PairBatch.  A group of several steps lands on exact at once; a
-    step of long lines climbs the ladder alone.  The group is then prepared
-    once (_prepare: indices, loss weights from one time_terms pass, target
-    terms), and each step runs only what reads the params (_step), so every
+    would, then makes in one schedule pass (time_terms) its survivals and
+    loss weights, its x_t with one packed forward_sample call on the
+    survivals and its targets with one dp.batched_n_ratios_auto call on both
+    packed sides as a seqcore.PairBatch.  A group of several steps lands on
+    exact at once; a step of long lines climbs the ladder alone.  The group
+    is then prepared once (_prepare: indices, loss weights, target terms),
+    and each step runs only what reads the params (_step), so every
     step has the bits _loss_grad_from_ratios gives it made alone.  theta
     and the time bias are views of one flat buffer, which the optimizer
     updates as one array from one flat gradient.  Metric dicts hold step,
@@ -519,19 +512,21 @@ def train(
         for group, cuts in _groups(order, batch, lens):
             sizes = lens[group]
             ends = np.cumsum(sizes)
-            picks = np.repeat(heads[group] - ends + sizes, sizes) + np.arange(ends[-1])  # their ids
+            starts = ends - sizes
+            picks = np.repeat(heads[group] - starts, sizes) + np.arange(ends[-1])  # their ids
             x0s = Batch(packed.ids[picks], sizes)
             u = rng.random(len(x0s.ids))  # in each pair's slots: its t, then its tokens' doubles
-            ts = T_MIN + (1.0 - T_MIN) * u[np.cumsum(x0s.sizes) - x0s.sizes]
-            xts = forward_sample(x0s, ts, u)
+            ts = T_MIN + (1.0 - T_MIN) * u[starts]
+            survival, w = time_terms(ts)  # the group's one schedule pass
+            xts = forward_sample(x0s, survival, u)
             mats = dp.batched_n_ratios_auto(PairBatch(xts, x0s), out.vocab_size)
-            for a, b, prep in zip(cuts, cuts[1:], _prepare(out, xts, mats.ratios, ts, cuts)):
+            for a, b, prep in zip(cuts, cuts[1:], _prepare(out, xts, mats.ratios, ts, w, cuts)):
                 totals, _, grad = _step(out, prep)
                 n = b - a
                 loss = float(totals.sum()) / n
                 if not math.isfinite(loss):
                     raise NonFinite(f"step {step}: loss is {loss}; training diverged")
-                opt.step([flat], [grad / n])
+                opt.step(flat, grad / n)
                 metrics.append({"step": step, "epoch": epoch, "loss": loss, "domain": mats.domain})
                 if on_step is not None:
                     on_step(metrics[-1])
@@ -614,7 +609,7 @@ def gradcheck(params: ScorerParams, x_t: Sequence, x_0: Sequence, t: float) -> f
     """
     h = 1e-5
     ratios = dp.n_ratios_auto(x_t, x_0, params.vocab_size).ratios  # the params do not move them
-    (prep,) = _prepare(params, Batch.of([x_t]), ratios, [t], [0, 1])
+    (prep,) = _prepare(params, Batch.of([x_t]), ratios, [t], time_terms([t])[1], [0, 1])
     analytic = _step(params, prep)[2]
     probe, flat = _flat(params)
     worst = 0.0

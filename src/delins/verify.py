@@ -130,7 +130,8 @@ def check_forward_sample_agreement() -> str:
     x_0, t = _seq(1, 2), 0.5
     n = 20_000
     draws = Batch(np.tile(x_0.ids, n), np.full(n, len(x_0)))  # one packed draw, as training makes
-    counts = Counter(x_t.ids for x_t in forward_sample(draws, np.full(n, t), rng.random(n * len(x_0))))
+    survivals = np.full(n, survival_prob(0.0, t))  # what the packed draw reads; equal to t at t = 0.5
+    counts = Counter(x_t.ids for x_t in forward_sample(draws, survivals, rng.random(n * len(x_0))))
     tv = 0.5 * sum(
         abs(counts.get(ids, 0) / n - transition_prob(Sequence(ids), x_0, 0.0, t))
         for ids in oracle.subsequence_enumeration(x_0)

@@ -585,6 +585,8 @@ def test_sample_bad_settings_write_nothing(trained, tmp_path, capsys):
     path = tmp_path / "s.jsonl"
     for flags, want in (
         (["--steps", "0"], "error: steps must be >= 1, got 0\n"),
+        *((["--steps", str(n)], f"error: steps must be <= {2**60 - 2}, for a grid that fits one array, "
+                                f"got {n}\n") for n in (10**20, 2**63 - 2)),
         (["--count", "-1"], "error: count must be >= 0, got -1\n"),
         (["--top-p", "0"], "error: top_p must be in (0, 1], got 0.0\n"),
         (["--top-p", "2"], "error: top_p must be in (0, 1], got 2.0\n"),

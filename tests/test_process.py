@@ -123,18 +123,23 @@ def test_packed_draw_is_the_per_pair_draw(bos_only, states, seed):
     content[np.cumsum(packed.sizes) - packed.sizes] = False
     doubles = np.full(len(packed.ids), np.nan)
     doubles[content] = np.random.default_rng(seed).random(int(content.sum()))
-    assert [x.ids for x in forward_sample(packed, np.array(ts), doubles)] == per_pair
-
-    survival, weight = time_terms(ts)
+    survival, weight = time_terms(ts)  # the packed draw reads survivals, not times
+    assert [x.ids for x in forward_sample(packed, survival, doubles)] == per_pair
     assert survival.tolist() == [survival_prob(0.0, t) for t in ts]
     assert weight.tolist() == [loss_weight(t) for t in ts]
 
 
+def test_packed_draw_keeps_no_token_at_survival_0_and_every_token_at_1():
+    x0s = Batch.of([Sequence.from_content([1, 2, 3]), Sequence.from_content([3, 3]), Sequence((0,))])
+    doubles = np.random.default_rng(6).random(len(x0s.ids))
+    doubles[1] = 0.0  # the smallest double rng.random gives
+    for survival, want in ((0.0, [(0,), (0,), (0,)]), (1.0, [(0, 1, 2, 3), (0, 3, 3), (0,)])):
+        assert [x.ids for x in forward_sample(x0s, np.full(3, survival), doubles)] == want
+
+
 def test_packed_draws_stay_below_one():
-    assert T_MIN + (1.0 - T_MIN) * LATEST == LATEST < 1.0  # so forward_sample's t >= 1 branch never runs
-    x_0 = Batch.of([Sequence((0, 1))])
-    with pytest.raises(InvalidTimes):
-        forward_sample(x_0, np.array([1.0]), np.zeros(2))
+    # so no time that train draws reaches the one-state draw's t >= 1 branch, which the packed draw lacks
+    assert T_MIN + (1.0 - T_MIN) * LATEST == LATEST < 1.0
 
 
 def test_transition_prob_examples():

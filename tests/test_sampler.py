@@ -399,6 +399,12 @@ def test_generate_is_deterministic_under_seed():
 def test_config_validation():
     with pytest.raises(InvalidSteps):
         SamplerConfig(steps=0)
+    for steps in (10**30, sampler._MAX_STEPS + 1):
+        with pytest.raises(InvalidSteps, match=f"^steps must be <= {sampler._MAX_STEPS}, "):
+            SamplerConfig(steps=steps)
+    SamplerConfig(steps=sampler._MAX_STEPS)  # the largest grid numpy can hold
+    with pytest.raises(ValueError):  # one point more it refuses before allocating anything
+        np.empty(sampler._MAX_STEPS + 2)
     with pytest.raises(ConfigError):
         SamplerConfig(steps=4, grid="log")
     with pytest.raises(ConfigError):

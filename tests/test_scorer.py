@@ -476,7 +476,7 @@ def per_pair_train(params, corpus, config):
     epochs, batch, lr, opt_name = train_settings(config)
     out = params.copy()
     arrays = [out.theta] + ([out.time_bias] if out.time_bias is not None else [])
-    opt = OPTIMIZERS[opt_name](lr)
+    opts = [OPTIMIZERS[opt_name](lr) for _ in arrays]  # theta and the time bias stepped apart
     rng = np.random.default_rng(config.get("seed"))
     metrics = []
     for epoch in range(epochs):
@@ -493,7 +493,8 @@ def per_pair_train(params, corpus, config):
             xts, _, ts = zip(*draws)
             totals, _, grad = _loss_grad_from_ratios(out, list(xts), [m.ratios for m in mats], list(ts))
             n = len(draws)
-            opt.step(arrays, [g / n for g in (grad.theta, grad.time_bias) if g is not None])
+            for opt, a, g in zip(opts, arrays, (grad.theta, grad.time_bias)):
+                opt.step(a, g / n)
             metrics.append({"step": len(metrics), "epoch": epoch, "loss": float(totals.sum()) / n,
                             "domain": mats[0].domain})
     return out, metrics
@@ -558,8 +559,8 @@ def test_packed_train_step_is_the_per_pair_step(mode, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["dise", "dice"])
-def test_train_makes_a_group_s_time_terms_in_at_most_two_passes(mode, monkeypatch):
-    # one in the group's packed draw, one in its preparation; none per step
+def test_train_makes_a_group_s_time_terms_in_one_pass(mode, monkeypatch):
+    # survivals for the group's packed draw and weights for its preparation; none per step
     lines = ["abca", "bcab", "aabb", "caba", "bbac", "abcc", "cbba"]
     p = ScorerParams.init(4, mode, k=4 if mode == "dice" else None)
     cfg = {"epochs": 5, "batch": 2, "lr": 0.2, "optimizer": "adam", "seed": 3}
@@ -571,8 +572,8 @@ def test_train_makes_a_group_s_time_terms_in_at_most_two_passes(mode, monkeypatc
     monkeypatch.setattr(dp, "batched_n_ratios_auto", lambda *a: groups.append(1) or auto(*a))
     _, metrics = train(p, make_corpus(lines, "abc"), cfg)
     assert len(metrics) > len(groups) > 0  # some groups hold several steps
-    assert len(calls) <= 2 * len(groups)
-    assert sum(calls) <= 2 * cfg["epochs"] * len(lines)
+    assert len(calls) == len(groups)
+    assert sum(calls) == cfg["epochs"] * len(lines)
 
 
 def test_train_raises_a_dice_mass_violation_at_its_step_after_the_earlier_records(monkeypatch):
