@@ -208,6 +208,11 @@ class _Metrics(contextlib.AbstractContextManager):
         self.fh.flush()
 
 
+def _physical_memory() -> int:
+    """This machine's physical memory in bytes, the most a run may ask for at once."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 # ---------------------------------------------------------------------------
 # count
 
@@ -317,6 +322,10 @@ def cmd_train(args) -> int:
 # sample
 
 
+# a time-grid point: its float64, then its list slot and float object once the walk lists it
+_GRID_POINT_BYTES = 8 + 8 + 24
+
+
 def cmd_sample(args) -> int:
     cfg = _resolve(args, "sample")
     if not cfg["checkpoint"]:
@@ -344,6 +353,9 @@ def cmd_sample(args) -> int:
                                 mode=cfg["sampler_mode"], k=cfg["k"], seed=seed)
     prompt = None if cfg["prompt"] is None else tokenize(cfg["prompt"], vocab, cfg["tokenizer"])
     check_prompt(sampler_cfg, prompt)
+    if (grid := (cfg["steps"] + 1) * _GRID_POINT_BYTES) > (memory := _physical_memory()):
+        raise ConfigError(f"steps {cfg['steps']} need a {grid / 2**30:.4g} GiB time grid; "
+                          f"this machine has {memory / 2**30:.4g} GiB")
     for path in (cfg["out"], cfg["trace"]):
         if path not in (None, "-"):
             _check_output(path)
@@ -403,9 +415,10 @@ def cmd_bench(args) -> int:
         raise ConfigError("batch and reps must be >= 1")
     if cfg["vocab_size"] < 2:
         raise ConfigError(f"vocab_size must be >= 2 (bos and one symbol), got {cfg['vocab_size']}")
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = _physical_memory()
     for n in lengths:  # x_0 is bos and n tokens, x_t bos and n // 2 of them
-        if (table := math.prod(dp.lockstep_table_shape(cfg["batch"], n // 2 + 1, n + 1)) * 8) > memory:
+        rows, cells = dp.lockstep_table_shape([n // 2 + 1], n + 1)  # one pair's lanes; cells add up
+        if (table := rows * cells * cfg["batch"] * 8) > memory:
             raise ConfigError(f"bench length {n} at batch {cfg['batch']} needs a {table / 2**30:.4g} GiB "
                               f"table; this machine has {memory / 2**30:.4g} GiB")
     rng = np.random.default_rng(cfg["seed"])

@@ -23,20 +23,20 @@ in three arithmetic domains, tried in this order by the "auto" ops:
   log(0).  Using a large negative constant instead of -inf keeps log-add-exp
   free of NaNs.
 
-The recurrence updates a whole row of the table at once (vectorized over the
-x_t axis) while stepping sequentially along x_0, so the table layout keeps
-the x_t axis innermost/contiguous.  One row driver steps every sweep: a pair's
-table, a count's single row and a batch's lockstep lanes alike.
-The suffix table of a pair is the flipped prefix table of the reversed pair.
-Single-pair counts in the exact and float domains walk only the cells where
-x_0[j] == x_t[i]; every other op sweeps, a count through one row.
+The recurrence updates a whole row at once while stepping along x_0.  One row
+driver steps every sweep: a pair's table, a count's single row and a batch's
+lockstep lanes alike.  A row holds lanes end to end, each one pad cell and its
+x_t, so no cell is padding.  The suffix table of a pair is the flipped prefix
+table of the reversed pair.  Single-pair counts in the exact and float domains
+walk only the cells where x_0[j] == x_t[i]; every other op sweeps, a count
+through one row.
 
 Grids and ratios fuse the two tables: cell (i, v) sums, over the x_0 positions
 j holding token v, N(x_t[:i+1], x_0[:j]) * N(x_t[i+1:], x_0[j+1:]).  A batch
 sweeps its pairs and their reverses in lockstep and meets them in the middle, as
 Hirschberg's LCS does (CACM 18(6), 1975), so its terms take one table's memory.
-A batch's ratio grids come back packed as rows of one array (NRatioBatch), the
-form the scorer's training step reads them in.
+Its ratio grids come back packed as rows of one array (NRatioBatch), the form
+the scorer's training step reads them in.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ from .seqcore import Batch, PairBatch
 LOG_ZERO = -999999.0
 
 _U64 = np.uint64
-_PAD_XT = -1  # never equal to a token or to _PAD_X0
-_PAD_X0 = -2
+_PAD_XT = -1  # never equal to a token, nor to an x_0 pad (the vocab size)
 # C(67, 33) < 2**64 < C(68, 34): exact rows j <= 67 cannot wrap.  So no exact op overflows on
 # an x_0 of at most 67 ids (bos included): each grid cell N(Ins(x_t, i, v), x_0) <= C(66, 33).
 EXACT_SAFE_ROWS = 67
@@ -70,6 +69,7 @@ _SWEEP_ARITH = {
 # A pair averaging more matching cells per x_0 token than this is swept: a walk
 # row (about 22 ns a cell) would cost more than a sweep row (1.7 us or more).
 _WALK_MAX_MATCHES_PER_ROW = 64
+_BLOCK = 64  # rows whose sweep masks, or fuse indices, are made in one call
 
 BRUTE_MAX_SUB = 12
 BRUTE_MAX_SEQ = 14
@@ -93,7 +93,7 @@ def is_log_zero(x) -> np.ndarray | bool:
 # engine: one row driver makes the prefix tables of every sweep
 
 def _start(shape, domain: str) -> np.ndarray:
-    """Prefix-table rows before the sweep: the empty x_t prefix (column 0) counts 1."""
+    """Prefix-table rows before the sweep: cell 0, an empty x_t prefix, counts 1."""
     if domain not in _SWEEP_ARITH:
         raise ValueError(f"unknown domain {domain!r}")
     dtype, zero, one, _ = _SWEEP_ARITH[domain]
@@ -103,28 +103,30 @@ def _start(shape, domain: str) -> np.ndarray:
     return T
 
 
-def _rows(T: np.ndarray, xt: np.ndarray, x0: np.ndarray, domain: str):
+def _rows(T: np.ndarray, xt: np.ndarray, x0: np.ndarray, lanes: np.ndarray, domain: str):
     """Make row k of every lane's prefix table in T for k = 1..len(x0), yielding k after each.
 
-    xt is (L, n + 1), each lane's x_t behind a pad column, and x0[k - 1] holds each lane's
-    token k.  Slot k of T holds row k, lane r's n + 1 cells after lane r - 1's; rows past the
-    last slot step in place in it.  A cell adds its left neighbour of the previous row where
-    its lane's token matches its x_t token, never at a pad.  An exact row k > 67 that wraps
-    raises, naming its lowest wrapping pair: lanes r and L - 1 - r are one pair.  Float
-    cells past float64 become inf, so callers ignore overflow warnings.
+    xt is one row of cells: the lanes end to end, each its pad cell and its x_t.  It splits
+    into chunks of g cells (g divides every lane's width), chunk c in lane lanes[c], and
+    x0[k - 1] holds each lane's token k.  Slot k of T holds row k; rows past the last slot
+    step in place in it.  A cell adds its left neighbour of the previous row where its lane's
+    token matches its own, never at a pad.  Masks come _BLOCK rows to a compare, or one row
+    for one lane, which then needs no ufunc buffer.  An exact row k > 67 that wraps raises,
+    naming its lowest wrapping pair: lanes r and L - 1 - r are one pair.  Float cells past
+    float64 become inf, so callers ignore overflow warnings.
     """
-    _, zero, _, add = _SWEEP_ARITH[domain]
-    flat, last, L = T.reshape(len(T), -1), len(T) - 1, len(xt)
-    mask = (eq := np.empty(xt.shape, bool)).reshape(-1)[1:]  # the flat row's cells from 1 on
-    for k, tokens in enumerate(x0[:, :, None], 1):
-        prev, cur = flat[min(k - 1, last)], flat[min(k, last)]
-        np.equal(tokens, xt, out=eq)
-        shifted = np.where(mask, prev[:-1], zero)
-        add(prev[1:], shifted, out=cur[1:])
-        if domain == "exact" and k > EXACT_SAFE_ROWS and (wrapped := cur[1:] < shifted).any():
-            lanes = (np.flatnonzero(wrapped) + 1) // xt.shape[1]
-            raise Overflow(_U64_WRAP.format(int(np.minimum(lanes, L - 1 - lanes).min())))
-        yield k
+    (_, zero, _, add), last, L = _SWEEP_ARITH[domain], len(T) - 1, x0.shape[1]
+    g, block = len(xt) // len(lanes), _BLOCK if L > 1 else 1
+    for k0 in range(0, len(x0), block):
+        masks = x0[k0 : k0 + block].take(lanes, axis=1)[:, :, None] == xt.reshape(-1, g)
+        for k, mask in enumerate(masks.reshape(-1, len(xt))[:, 1:], k0 + 1):
+            prev, cur = T[min(k - 1, last)], T[min(k, last)]
+            shifted = np.where(mask, prev[:-1], zero)
+            add(prev[1:], shifted, out=cur[1:])
+            if domain == "exact" and k > EXACT_SAFE_ROWS and (wrapped := cur[1:] < shifted).any():
+                hit = lanes[(np.flatnonzero(wrapped) + 1) // g]
+                raise Overflow(_U64_WRAP.format(int(np.minimum(hit, L - 1 - hit).min())))
+            yield k
 
 
 def _sweep(xt: np.ndarray, x0: np.ndarray, domain: str, last_only: bool = False) -> np.ndarray:
@@ -136,18 +138,14 @@ def _sweep(xt: np.ndarray, x0: np.ndarray, domain: str, last_only: bool = False)
     """
     T = _start((1 if last_only else len(x0) + 1, len(xt) + 1), domain)
     with np.errstate(over="ignore"):  # inf marks an overflowed float cell and stays inf
-        for _ in _rows(T, np.concatenate(([_PAD_XT], xt))[None], x0[:, None], domain):
+        for _ in _rows(T, np.concatenate(([_PAD_XT], xt)), x0[:, None], np.zeros(1, np.intp), domain):
             if last_only and domain == "float" and not math.isfinite(T[0, -1]):
                 raise Overflow(_F64_OVER)
     return T[0] if last_only else T
 
 
-def _packed(batch: Batch, pad: int, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B, max length) int64 rows of pad holding each state at its start, and the lengths.
-
-    An id outside the vocab raises, naming the smallest id of the first state
-    holding one if it is negative, else its largest.
-    """
+def _check_ids(batch: Batch, vocab_size: int) -> None:
+    """Refuse an id outside the vocab, naming the first such state's min id if negative, else its max."""
     flat, lens = batch.ids, batch.sizes
     # viewed as uint64 a negative id reads huge, so one max() checks both ends
     if int(flat.view(_U64).max(initial=0)) >= vocab_size:
@@ -155,9 +153,6 @@ def _packed(batch: Batch, pad: int, vocab_size: int) -> tuple[np.ndarray, np.nda
         a = flat[lens[:b].sum() : lens[: b + 1].sum()]
         bad = int(a.min()) if a.min() < 0 else int(a.max())
         raise ShapeMismatch(f"token id {bad} does not fit a vocab of size {vocab_size}")
-    out = np.full((len(lens), int(lens.max())), pad, dtype=np.int64)
-    out[np.arange(out.shape[1]) < lens[:, None]] = flat
-    return out, lens
 
 
 def _walk(xt, x0, exact: bool):
@@ -181,9 +176,10 @@ def _walk(xt, x0, exact: bool):
     return c[-1]
 
 
-def lockstep_table_shape(batch: int, n_max: int, m_max: int) -> tuple[int, int, int]:
-    """The lockstep table's shape for batch pairs, x_t and x_0 at most n_max and m_max long; 8 B a cell."""
-    return (m_max + 1) // 2 + 1, 2 * batch, n_max + 1  # rows 0..ceil(m_max / 2), a lane per pair and reverse
+def lockstep_table_shape(xt_sizes, m_max: int) -> tuple[int, int]:
+    """The lockstep table's shape for pairs of these x_t sizes and x_0 at most m_max long:
+    rows 0..ceil(m_max / 2) of a lane of |x_t| + 1 cells per pair and per reverse; 8 B a cell."""
+    return (m_max + 1) // 2 + 1, 2 * int(np.sum(xt_sizes) + len(xt_sizes))
 
 
 def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -193,66 +189,71 @@ def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> tuple[np.nda
 
     For pair b with n = |x_t|, m = |x_0|, 0 <= j < m and 0 <= i < n, the term A * S,
     A = N(xt[:i+1], x0[:j]) and S = N(xt[i+1:], x0[j+1:]), goes to cell (i, x0[j]).  One sweep
-    of max m row steps makes pair b in lane b and its reverse in lane 2B-1-b, so
-    prefix row j meets reversed row m - 1 - j; from the middle on, each new row meets
-    the kept row of the other lane and their two terms (in log, A + S) take its slot.
-    The terms then add into their cells in increasing j, in log as exp(term - shift),
-    shift log N for ratios and the pair's largest term for counts; a pair past its
-    x_0 adds into a dropped row V.  A term is at most N, and an exact grid sums to at
-    most N * (m - n), so additions check for wrap only when that reaches 2**64.  Errors
-    name the first failing pair; a wrapping sweep, the lowest pair of its first wrap.  The
-    table is dropped before the packing copy, and ratios are divided by N once packed.
+    of max m row steps makes, in lanes of n + 1 cells end to end, pair b (a pad cell, x_t) in
+    lane b and its reverse (a pad cell, reversed x_t, against reversed x_0 right-aligned) in
+    lane 2B-1-b.  Read backwards, a row lines each reversed cell up with its pair's prefix
+    cell: prefix row j meets reversed row max m - 1 - j, and from the middle on each new row
+    meets the kept row of the other half, both terms (in log, A + S) taking its slot.  The
+    terms add in increasing j into a token-major accumulator of the first half's cells, g
+    cells at a time (g divides every lane's width), in log as exp(term - shift), shift log N
+    for ratios and the pair's largest term for counts; a pair past its x_0 adds into a
+    dropped token V.  Its gap cells (all but the pad cells), transposed, are the packed grids.
+    A term is at most N, and an exact grid sums to at most N * (m - n), so additions check
+    for wrap only when that reaches 2**64.  Errors name the first failing pair; a wrapping
+    sweep, the lowest pair of its first wrap.  The table is dropped before the packing copy.
     """
     pairs = PairBatch.of(pairs)
     if not len(pairs):
         return np.zeros((0, vocab_size)), pairs.xts.sizes
-    XT, ns = _packed(pairs.xts, _PAD_XT, vocab_size)
-    X0, ms = _packed(pairs.x0s, _PAD_X0, vocab_size)
-    B, V, log = len(ns), vocab_size, domain == "log"
-    n_max, m_max = XT.shape[1], X0.shape[1]
-    # lane b sweeps pair b and lane 2B-1-b its reverse, right-aligned, behind a pad column
-    xt = np.full((2 * B, n_max + 1), _PAD_XT)
-    xt[:B, 1:], xt[B:, 1:] = XT, XT[::-1, ::-1]
-    x0 = np.concatenate([X0, X0[::-1, ::-1]]).T.copy()  # x0[j]: each lane's token j
-    T = _start(lockstep_table_shape(B, n_max, m_max), domain)
-    mid = len(T) - 1  # rows 0..mid are kept; later rows step in slot mid
-    T[0, B:][xt[B:] == _PAD_XT] = _SWEEP_ARITH[domain][2]  # the reverses' pad columns
-    flat, half = T.reshape(mid + 1, -1), B * (n_max + 1)
-    meet = np.add if log else np.multiply
-
+    for side in (pairs.xts, pairs.x0s):
+        _check_ids(side, vocab_size)
+    (ns, ms), V, log = (pairs.xts.sizes, pairs.x0s.sizes), vocab_size, domain == "log"
+    B, m_max, dt = len(ns), int(ms.max()), np.min_scalar_type(-V - 1)  # ids and pads, fewest bytes
+    X0 = np.full((B, m_max), V)  # V pads each x_0: it matches nothing and names a dropped row
+    X0[np.arange(m_max) < ms[:, None]] = pairs.x0s.ids
+    ends = np.cumsum(ns + 1)  # pair b's lane ends at cell ends[b] of the first half
+    starts, H, g = ends - ns - 1, int(ends[-1]), math.gcd(*(ns + 1).tolist())
+    fw = np.full(H, _PAD_XT, dt)
+    fw[np.arange(len(pairs.xts.ids)) + np.repeat(np.arange(1, B + 1), ns)] = pairs.xts.ids
+    xt, gap = np.concatenate([fw, fw[:1], fw[:0:-1]]), fw != _PAD_XT  # then lanes B-1..0 reversed
+    half = np.repeat(np.arange(B), (ns + 1) // g)  # each g-cell chunk's lane, first half
+    x0 = np.concatenate([X0, X0[::-1, ::-1]]).T.astype(dt, order="C")  # x0[j]: each lane's token j
+    T = _start(lockstep_table_shape(ns, m_max), domain)
+    mid, meet = len(T) - 1, np.add if log else np.multiply  # rows 0..mid are kept; later ones step in mid
+    T[0, xt == _PAD_XT] = _SWEEP_ARITH[domain][2]  # every lane's pad cell
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in _rows(T, xt, x0, domain):
+        for k in _rows(T, xt, x0, np.concatenate([half, 2 * B - 1 - half[::-1]]), domain):
             if 2 * k == m_max + 1:  # the middle row k - 1 meets itself, now row k is made
-                meet(flat[k - 1, :half], flat[k - 1, half:][::-1], out=flat[k - 1, :half])
+                meet(T[k - 1, :H], T[k - 1, H:][::-1], out=T[k - 1, :H])
             if 0 <= (p := m_max - 1 - k) < k:  # rows k and p meet; slot p takes terms p and k
-                meet(flat[p], flat[min(k, mid), ::-1], out=flat[p])
-        # term j sits at [b, i + 1] of its slot (column 0 is no gap); past the middle, of the
-        # slot read backwards, which puts each reversed cell where its pair's prefix cell is
-        terms = [T[j, :B] if 2 * j < m_max else T[m_max - 1 - j, ::-1, ::-1][:B]
-                 for j in range(m_max)]
-        n_cells = T[mid, np.arange(B), ns]
-        live = np.arange(m_max)[:, None] < ms  # live[j, b]: j is a position of pair b's x_0
-        rows = np.where(live, X0.T, V) + (V + 1) * np.arange(B)  # pair b's rows b*(V+1) ..
-        check = domain == "exact" and (n_cells > ~_U64(0) // (ms - ns).clip(1).astype(_U64)).any()
+                meet(T[p], T[min(k, mid), ::-1], out=T[p])
+        # term j is the first half of its slot; past the middle, the second half read backwards
+        terms = [T[j, :H] if 2 * j < m_max else T[m_max - 1 - j, : H - 1 : -1] for j in range(m_max)]
+        n_cells, C = T[mid, ends - 1], len(half)
+        check = domain == "exact" and (n_cells > ~_U64(0) // np.maximum(ms - ns, 1).astype(_U64)).any()
         shift = n_cells  # of log ratios; log counts shift by their largest term
         if log and not ratios:
-            top = np.full((B, n_max + 1), -np.inf)
-            for term, alive in zip(terms, live):
-                np.maximum(top, term, out=top, where=alive[:, None])
-            shift = np.where(ms * ns > 0, top[:, 1:].max(axis=1, initial=-np.inf), 0.0)
-        past = np.zeros(B, dtype=bool)  # a grid cell past the domain: a wrapped sum, or not finite
-        acc = np.zeros((B * (V + 1), n_max + 1), T.dtype)
-        for term, r, alive in zip(terms, rows, live):
-            if log:
-                term = np.exp(term - shift[:, None])
-            total = acc.take(r, axis=0)
-            total += term
-            if check:
-                past |= alive & (total < term)[:, 1:].any(axis=1)
-            acc[r] = total
-        acc = acc.reshape(B, V + 1, n_max + 1)[:, :V, 1:]
-        if domain == "float":
-            past = ~np.isfinite(acc).all(axis=(1, 2))
+            top = np.full((C, g), -np.inf)
+            for term, alive in zip(terms, X0.T[:, half] < V):
+                np.maximum(top, term.reshape(C, g), out=top, where=alive[:, None])
+            top = np.where(gap, top.reshape(-1), -np.inf)  # a pad cell holds no gap's term
+            shift = np.where(ms * ns > 0, np.maximum.reduceat(top, starts), 0.0)
+        cell_shift = np.repeat(shift, ns + 1)
+        acc = np.zeros((V + 1) * H, T.dtype)  # token v's cells from v * H on
+        chunks, wrapped = acc.reshape(-1, g), np.zeros((C, g), bool)  # token v's chunk c is row v * C + c
+        for j0 in range(0, m_max, _BLOCK):  # the rows _BLOCK terms add into (term j's token V = dropped)
+            rows = X0.T[j0 : j0 + _BLOCK].take(half, axis=1) * C + np.arange(C)
+            for term, r in zip(terms[j0 : j0 + _BLOCK], rows):
+                term = np.exp(term - cell_shift) if log else term
+                if g == 1:  # single cells: add.at is faster than a take and a put
+                    np.add.at(acc, r, term)
+                else:
+                    chunks[r] = chunks.take(r, axis=0) + term.reshape(C, g)
+                if check:
+                    wrapped |= (chunks.take(r, axis=0) < term.reshape(C, g)) & (r < V * C)[:, None]
+        acc = acc.reshape(V + 1, H)[:V]
+        past = np.logical_or.reduceat(  # a grid cell past the domain: a wrapped sum, or not finite
+            (~np.isfinite(acc).all(axis=0) if domain == "float" else wrapped.reshape(-1)) & gap, starts)
         checks = (  # in the order a pair reports them
             (ratios & (is_log_zero(n_cells) if log else n_cells == 0), NotASubsequence,
              "N(x_t, x_0) == 0"),
@@ -265,10 +266,9 @@ def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> tuple[np.nda
             _, err, msg = next(c for c in checks if c[0][b])
             raise err(f"pair {b}: {msg}")
         if log and not ratios:
-            acc = np.where(acc > 0.0, np.log(acc) + shift[:, None, None], LOG_ZERO)
-    del T, flat, terms, term  # the terms are views of the table
-    # each grid (n, V) is a row block of one array, made by one transposing copy
-    packed = acc.transpose(0, 2, 1)[np.arange(n_max) < ns[:, None]]
+            acc = np.where(acc > 0.0, np.log(acc) + cell_shift, LOG_ZERO)
+    del T, terms, term  # the terms are views of the table
+    packed = acc.T[gap]  # the gap cells are the grids' rows, pair by pair
     if log and not ratios:
         packed[np.repeat(is_log_zero(shift), ns)] = LOG_ZERO  # a pair with no term
     elif ratios and not log:

@@ -439,13 +439,14 @@ def _groups(order: np.ndarray, batch: int, lens: np.ndarray):
     step with a longer x_0 is a group of its own.
     """
     cuts = [*range(0, len(order), batch), len(order)]
-    longest = np.maximum.reduceat(lens[order], cuts[:-1]).tolist()  # each step's longest x_0
+    ordered = lens[order]
+    longest = np.maximum.reduceat(ordered, cuts[:-1]).tolist()  # each step's longest x_0
     g = 0
     while g < len(longest):
         h, m = g + 1, longest[g]
         while h < len(longest):
             m_h = max(m, longest[h])
-            table = math.prod(dp.lockstep_table_shape(cuts[h + 1] - cuts[g], m_h, m_h)) * 8
+            table = math.prod(dp.lockstep_table_shape(ordered[cuts[g] : cuts[h + 1]], m_h)) * 8
             if m_h > dp.EXACT_SAFE_ROWS or table > _GROUP_TABLE_BYTES:
                 break
             h, m = h + 1, m_h

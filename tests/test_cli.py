@@ -599,6 +599,20 @@ def test_sample_bad_settings_write_nothing(trained, tmp_path, capsys):
             assert not path.exists()
 
 
+def test_sample_refuses_a_time_grid_larger_than_the_machine(trained, tmp_path, monkeypatch, capsys):
+    # 40 B a point: its float64, its list slot and its float object; 100 steps make 101 points
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 100 * 40)
+    path = tmp_path / "s.jsonl"
+    for out_flags in ([], ["--out", str(path)]):
+        code, out, err = run_cli(["sample", "--checkpoint", trained, "--seed", "1", "--steps", "100",
+                                  "--count", "1", *out_flags], capsys)
+        assert (code, out) == (1, "") and not path.exists()
+        assert err == "error: steps 100 need a 3.763e-06 GiB time grid; this machine has 3.725e-06 GiB\n"
+    code, out, _ = run_cli(["sample", "--checkpoint", trained, "--seed", "1", "--steps", "99",
+                            "--count", "1"], capsys)
+    assert code == 0 and parse_stream(out)[-1]["summary"]["count"] == 1
+
+
 def test_sample_k_must_match_a_dice_checkpoint(tmp_path, capsys):
     corpus = write_corpus(tmp_path, FIXED4)
     ckpt = str(tmp_path / "d.ckpt")

@@ -1,6 +1,7 @@
 """Counting DP against brute-force enumeration and closed-form identities."""
 
 import contextlib
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -774,12 +775,12 @@ def test_lockstep_sweep_allocates_the_table_shape_dp_reports(monkeypatch):
     rng = np.random.default_rng(23)
     for lengths in ((0,), (1, 6), (7, 2, 12), (9, 9, 9, 4), (256,) * 4):
         pairs = _half_kept_pairs(rng, lengths, 5)
-        n_max, m_max = (max(len(p[side]) for p in pairs) for side in (0, 1))
+        m_max = max(len(x_0) for _, x_0 in pairs)
         for op in (batched_insertion_counts, batched_n_ratios):
             shapes.clear()
             op(pairs, 5, "log")
-            assert shapes == [lockstep_table_shape(len(pairs), n_max, m_max)], lengths
-    assert shapes == [(130, 8, 130)]  # rows 0..ceil(257 / 2) of 2 * 4 lanes of 129 + 1 cells
+            assert shapes == [lockstep_table_shape([len(x_t) for x_t, _ in pairs], m_max)], lengths
+    assert shapes == [(130, 1040)]  # rows 0..ceil(257 / 2) of 2 * 4 lanes of 129 + 1 cells
 
 
 def test_a_pair_batch_gives_the_bits_of_its_list():
@@ -795,3 +796,45 @@ def test_a_pair_batch_gives_the_bits_of_its_list():
         for a, b in zip(batched_insertion_counts(packed, 6, domain),
                         batched_insertion_counts(pairs, 6, domain)):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# --- ragged lanes: each pair's lane is |x_t| + 1 cells wide -----------------------
+
+def test_lanes_of_a_shared_width_factor_give_the_per_pair_bits():
+    # x_t of 2, 5 and 8 ids make lanes of 3, 6 and 9 cells, so the fuse moves 3-cell chunks,
+    # a path neither one-cell chunks (widths with no common factor) nor whole lanes take
+    rng = np.random.default_rng(41)
+    pairs = []
+    for n, m in ((5, 24), (2, 9), (8, 30), (5, 5), (2, 17), (8, 12)):
+        content = rng.integers(1, 3, size=m - 1)
+        keep = np.sort(rng.choice(m - 1, size=n - 1, replace=False))
+        pairs.append(((BOS, *content[keep].tolist()), (BOS, *content.tolist())))
+    assert math.gcd(*(len(x_t) + 1 for x_t, _ in pairs)) == 3
+    for domain in ("exact", "float", "log"):
+        for (x_t, x_0), mat, grid in zip(pairs, batched_n_ratios(pairs, 3, domain),
+                                         batched_insertion_counts(pairs, 3, domain)):
+            alone = insertion_counts(x_t, x_0, 3, domain)
+            assert grid.dtype == alone.dtype and grid.tobytes() == alone.tobytes()
+            assert mat.ratios.tobytes() == n_ratios(x_t, x_0, 3, domain).ratios.tobytes()
+
+
+@pytest.mark.parametrize("x_0", [
+    a_pow(68) + (2, 2, 2, 2),  # the prefix half wraps first, at row 69; the reverse at 72
+    (BOS, 2, 2, 2, 2) + (1,) * 68,  # the reverse half wraps first, at row 68; the prefix at 73
+])
+def test_a_wrap_between_a_narrower_and_a_wider_lane_names_its_pair(x_0):
+    narrow, wide = (a_pow(1), a_pow(3)), ((BOS,) + (2,) * 40, (BOS,) + (2,) * 40)
+    for op in (batched_n_ratios, batched_insertion_counts):
+        with pytest.raises(Overflow) as exc:
+            op([narrow, (a_pow(34), x_0), wide], 3, "exact")
+        assert str(exc.value) == "pair 1: subsequence count exceeds uint64; use the log domain"
+
+
+def test_exact_ragged_batch_bytes_are_pinned():
+    # exact outputs are an integer DP and one IEEE division, so the bytes hold on any platform
+    rng = np.random.default_rng(27)
+    pairs = _half_kept_pairs(rng, rng.integers(0, 25, size=48).tolist(), 6)
+    digest = hashlib.sha256(batched_n_ratios(pairs, 6, "exact").ratios.tobytes())
+    for grid in batched_insertion_counts(pairs, 6, "exact"):
+        digest.update(grid.tobytes())
+    assert digest.hexdigest() == "b292c47e517d923c692ad6422abc383e3b309254ab305b922e0328834bcf6f9a"

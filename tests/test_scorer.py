@@ -515,7 +515,7 @@ def test_packed_train_step_is_the_per_pair_step(mode, monkeypatch):
         rng = np.random.default_rng(24)
         sizes = [rng.integers(60, 67) if i % 2 else rng.integers(67, 81) for i in range(16)]
         lines, batch = ["".join(rng.choice(list("abc"), size=n)) for n in sizes], 2
-    else:  # lines of 30 to 45 tokens: about 14 pairs fill a group's table, so an epoch splits
+    else:  # lines of 30 to 45 tokens: about 16 pairs fill a group's table, so an epoch splits
         rng = np.random.default_rng(29)
         n, batch = (40, 4) if mode == "over-budget" else (47, 5)  # 5 divides neither 47 nor 14
         lines = ["".join(rng.choice(list("abc"), size=rng.integers(30, 46))) for _ in range(n)]
@@ -523,10 +523,11 @@ def test_packed_train_step_is_the_per_pair_step(mode, monkeypatch):
     p = ScorerParams.init(4, "dice" if mode == "dice" else "dise", k=4 if mode == "dice" else None)
     cfg = {"epochs": 6, "batch": batch, "lr": 0.2, "optimizer": "sgd" if mode == "sgd" else "adam",
            "seed": 11}
-    shapes, overflowed = [], []  # the lockstep tables train allocates; the calls that overflowed
+    shapes, pairs_of, overflowed = [], [], []  # each call's lockstep table and pair count; overflows
     start, ratios = dp._start, dp.batched_n_ratios
 
     def counted(pairs, *a):
+        pairs_of.append(len(pairs))
         try:
             return ratios(pairs, *a)
         except Overflow:
@@ -547,14 +548,14 @@ def test_packed_train_step_is_the_per_pair_step(mode, monkeypatch):
     if mode == "long-lines":  # a lone step of long lines climbed the ladder
         assert {m["domain"] for m in got_metrics} == {"exact", "float"} and overflowed
     if mode == "near-the-bound":  # a group of several steps had no x_0 past the exact bound
-        several = [rows for rows, lanes, _ in shapes if lanes // 2 > batch]
+        several = [rows for (rows, _), n in zip(shapes, pairs_of, strict=True) if n > batch]
         bound = dp.EXACT_SAFE_ROWS
-        assert several and max(several) <= dp.lockstep_table_shape(1, bound, bound)[0]
+        assert several and max(several) <= dp.lockstep_table_shape([bound], bound)[0]
     if mode in ("over-budget", "odd-batch"):  # one exact table a group, of whole steps, in budget
-        assert not overflowed and len(shapes) > 2 * cfg["epochs"]
-        assert sum(lanes // 2 for _, lanes, _ in shapes) == cfg["epochs"] * len(lines)
+        assert not overflowed and len(shapes) == len(pairs_of) > 2 * cfg["epochs"]
+        assert sum(pairs_of) == cfg["epochs"] * len(lines)
         assert all(math.prod(s) * 8 <= scorer._GROUP_TABLE_BYTES for s in shapes)
-        assert sum(lanes // 2 % batch != 0 for _, lanes, _ in shapes) == (
+        assert sum(n % batch != 0 for n in pairs_of) == (
             cfg["epochs"] if len(lines) % batch else 0)  # only an epoch's last group has a short step
 
 
