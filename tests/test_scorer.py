@@ -517,7 +517,7 @@ def test_packed_train_step_is_the_per_pair_step(mode, monkeypatch):
         lines, batch = ["".join(rng.choice(list("abc"), size=n)) for n in sizes], 2
     else:  # lines of 30 to 45 tokens: about 16 pairs fill a group's table, so an epoch splits
         rng = np.random.default_rng(29)
-        n, batch = (40, 4) if mode == "over-budget" else (47, 5)  # 5 divides neither 47 nor 14
+        n, batch = (40, 4) if mode == "over-budget" else (47, 5)  # 5 divides neither 47 nor 16
         lines = ["".join(rng.choice(list("abc"), size=rng.integers(30, 46))) for _ in range(n)]
     corpus = make_corpus(lines, "abc")
     p = ScorerParams.init(4, "dice" if mode == "dice" else "dise", k=4 if mode == "dice" else None)
