@@ -324,6 +324,9 @@ def cmd_train(args) -> int:
 
 # a time-grid point: its float64, then its list slot and float object once the walk lists it
 _GRID_POINT_BYTES = 8 + 8 + 24
+# a walker's least share: its seed sequence and generator take about 0.9 KiB (tracemalloc, 1000
+# to 16000 walkers), a one-step walk about 1.7 KiB at its peak
+_WALKER_BYTES = 1024
 
 
 def cmd_sample(args) -> int:
@@ -355,6 +358,9 @@ def cmd_sample(args) -> int:
     check_prompt(sampler_cfg, prompt)
     if (grid := (cfg["steps"] + 1) * _GRID_POINT_BYTES) > (memory := _physical_memory()):
         raise ConfigError(f"steps {cfg['steps']} need a {grid / 2**30:.4g} GiB time grid; "
+                          f"this machine has {memory / 2**30:.4g} GiB")
+    if (walkers := cfg["count"] * _WALKER_BYTES) > memory:
+        raise ConfigError(f"count {cfg['count']} needs at least {walkers / 2**30:.4g} GiB for its walkers; "
                           f"this machine has {memory / 2**30:.4g} GiB")
     for path in (cfg["out"], cfg["trace"]):
         if path not in (None, "-"):

@@ -267,7 +267,7 @@ def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> tuple[np.nda
             raise err(f"pair {b}: {msg}")
         if log and not ratios:
             acc = np.where(acc > 0.0, np.log(acc) + cell_shift, LOG_ZERO)
-    del T, terms, term  # the terms are views of the table
+    T = terms = term = None  # the terms view the table; an x_0 with no id makes no term
     packed = acc.T[gap]  # the gap cells are the grids' rows, pair by pair
     if log and not ratios:
         packed[np.repeat(is_log_zero(shift), ns)] = LOG_ZERO  # a pair with no term

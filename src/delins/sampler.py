@@ -9,16 +9,16 @@ log-linear schedule of process (the one training uses).  Because all gaps
 fire simultaneously and each inserts at most once, applying the insertions
 is order-free.
 
-A batch of walkers leaps together and stays packed between leaps, as the
-score call gets them: one seqcore.Batch.  That call returns every walker's
-gaps as one stacked (gaps, V) array, and one call computes every gap's
-insertion probability.  A leap reads 2 doubles a gap from each walker's own
-stream, its gates and then its tokens, as one rng.random(2 * |x|) draw would
-give them; the walk takes them from a block per walker drawn ahead from that
-stream, and a walker refills only when its block cannot cover a leap.  So
-walker i of a batch is the lone walk on the same stream, whatever the batch
-size.  Only fired gaps get their conditional token distribution and pick a
-token, and only a walker that inserted gets a new Sequence.
+A batch of walkers leaps together and stays packed to the end, as the score
+call gets them: one seqcore.Batch, whose stacked (gaps, V) scores one call
+turns into every gap's insertion probability.  A leap reads 2 doubles a gap
+from each walker's own stream, its gates and then its tokens, as one
+rng.random(2 * |x|) draw would give them; the walk takes them from a block
+per walker drawn ahead from that stream, and a walker refills only when its
+block cannot cover a leap.  So walker i of a batch is the lone walk on the
+same stream, whatever the batch size.  Only fired gaps get their conditional
+token distribution and pick a token.  The walk makes no Sequence: each
+walker's final state is made at its end, its snapshots on first read.
 
 Guards on top of the raw leap:
 
@@ -39,13 +39,14 @@ Guards on top of the raw leap:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import ConfigError, InvalidSteps, InvalidTimes, NonFinite, ShapeMismatch
 from .objective import loss_weight
-from .seqcore import Batch, Sequence
+from .seqcore import BOS_ID, Batch, Sequence
 
 GRID_KINDS = ("uniform", "cosine")
 MODES = ("variable", "fixed")
@@ -88,11 +89,20 @@ class StepStats:
     cancelled: int = 0       # proposals dropped by fixed-length capacity
 
 
-@dataclass
 class GenerationTrace:
-    snapshots: list[tuple[float, Sequence]]
-    final: Sequence
-    stats: StepStats = field(default_factory=StepStats)
+    """One walk: its (t, Sequence) state at each grid time (snapshots), its last state and counts.
+
+    Times at which it did not insert share a state object.  snapshots may be a function that
+    makes the list, called on first read; the list is kept."""
+
+    def __init__(self, snapshots, final: Sequence, stats: StepStats):
+        self._snapshots, self.final, self.stats = snapshots, final, stats
+
+    @property
+    def snapshots(self) -> list[tuple[float, Sequence]]:
+        if callable(self._snapshots):
+            self._snapshots = self._snapshots()
+        return self._snapshots
 
 
 def timestep_grid(n: int, kind: str = "uniform") -> np.ndarray:
@@ -103,8 +113,7 @@ def timestep_grid(n: int, kind: str = "uniform") -> np.ndarray:
         return np.linspace(1.0, 0.0, n + 1)
     if kind == "cosine":
         ts = np.cos(0.5 * math.pi * np.arange(n + 1) / n)
-        ts[0] = 1.0   # cos(0) is exact anyway
-        ts[-1] = 0.0  # cos(pi/2) is only ~6e-17
+        ts[-1] = 0.0  # cos(pi/2) is only ~6e-17; cos(0) is exactly 1
         return ts
     raise ConfigError(f"unknown grid {kind!r}")
 
@@ -266,9 +275,8 @@ def reverse_step(x_t: Sequence, t: float, dt: float, scores, top_p: float, rng, 
 
     Draws rng.random(2 * |x_t|): the gates, then the tokens.
     """
-    st = stats if stats is not None else StepStats()
+    st, n = stats if stats is not None else StepStats(), len(x_t)
     counts = np.array([[st.gap_steps], [st.clamp_events], [st.cancelled]])
-    n = len(x_t)
     ids, sizes = _leap(np.array(x_t.ids, dtype=np.int64), np.array([n]), t, dt, scores, top_p,
                        rng.random(2 * n), np.zeros(1, dtype=np.int64), gap_mask,
                        None if capacity is None else np.array([capacity]), counts)
@@ -283,37 +291,39 @@ def check_prompt(config: SamplerConfig, prompt: Sequence | None) -> None:
 
 
 @np.errstate(over="ignore")  # a score that overflows shows as a non-finite gap mass
-def _walk(
-    score_fn, params, config: SamplerConfig, prompt: Sequence | None, rngs
-) -> list[GenerationTrace]:
-    """Walk one walker per rng from t = 1 to 0, scoring and leaping together."""
+def _walk(score_fn, params, config: SamplerConfig, prompt: Sequence | None, rngs):
+    """Walk one walker per rng from t = 1 to 0 together; returns the traces and final content lengths."""
     check_prompt(config, prompt)
-    x = prompt if prompt is not None else Sequence((0,))
-    inside = len(x) - 1  # gaps strictly inside the prompt
+    start = prompt.ids if prompt is not None else (BOS_ID,)
+    inside = len(start) - 1  # gaps strictly inside the prompt
     times = timestep_grid(config.steps, config.grid).tolist()
-    xs = [x] * len(rngs)
-    history = [xs]  # every walker's state at each time
-    ids = np.tile(np.array(x.ids, dtype=np.int64), len(rngs))
-    sizes = np.full(len(rngs), len(x))
-    stats = np.zeros((3, len(rngs)), dtype=np.int64)
-    blocks = _Blocks(rngs)
+    ids, sizes = np.tile(np.array(start, dtype=np.int64), len(rngs)), np.full(len(rngs), len(start))
+    states, top = [(ids, sizes)], max(map(abs, start))  # each time's state; later ids in the fewest bytes
+    stats, blocks = np.zeros((3, len(rngs)), dtype=np.int64), _Blocks(rngs)
     for leap, (t, t_next) in enumerate(zip(times, times[1:])):
         scores = score_fn(params, Batch(ids, sizes), t)
         mask = np.arange(len(ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes) >= inside if inside else None
         capacity = config.k - (sizes - 1) if config.mode == "fixed" else None
         draws, heads = blocks.take(sizes, config.steps - leap)
-        ids, grown = _leap(ids, sizes, t, t - t_next, scores, config.top_p, draws, heads, mask, capacity,
+        ids, sizes = _leap(ids, sizes, t, t - t_next, scores, config.top_p, draws, heads, mask, capacity,
                            stats)
-        changed = np.flatnonzero(grown != sizes).tolist()
-        if changed:
-            xs = list(xs)  # history keeps the previous list
-            flat, ends, n = ids.tolist(), np.cumsum(grown).tolist(), grown.tolist()
-            for w in changed:
+        top = max(top, len(scores[0]) - 1)  # a new token is below its score row's width
+        states.append((ids.astype(np.min_scalar_type(-1 - top)), sizes))
+    finals = list(Batch(ids, sizes))
+
+    @cache
+    def snapshots() -> list:  # every walker's, back from the finals: a new object only where it inserted
+        history = [finals]
+        for (ids, sizes), (_, later) in zip(states[-2::-1], states[:0:-1]):
+            xs, flat, ends, n = list(history[-1]), ids.tolist(), np.cumsum(sizes).tolist(), sizes.tolist()
+            for w in np.flatnonzero(sizes != later).tolist():
                 xs[w] = Sequence(tuple(flat[ends[w] - n[w] : ends[w]]))
-        history.append(xs)
-        sizes = grown
-    return [GenerationTrace(list(zip(times, snaps)), snaps[-1], StepStats(*st))
-            for snaps, st in zip(zip(*history), stats.T.tolist())]
+            history.append(xs)
+        states.clear()
+        return [list(zip(times, snaps[::-1])) for snaps in zip(*history)]
+
+    return [GenerationTrace(lambda w=w: snapshots()[w], final, StepStats(*st))
+            for w, (final, st) in enumerate(zip(finals, stats.T.tolist()))], sizes - 1
 
 
 def generate(score_fn, params, config: SamplerConfig, prompt: Sequence | None = None, rng=None):
@@ -321,21 +331,17 @@ def generate(score_fn, params, config: SamplerConfig, prompt: Sequence | None = 
 
     score_fn(params, xs, t) gets the states xs as one seqcore.Batch and
     returns their (|x|, V) insertion-score matrices stacked in order, as
-    scorer.score does, once per leap.  Returns the full GenerationTrace.
-    A given rng ends 2 * trace.stats.gap_steps doubles on, two for every gap
-    of every leap, where one rng.random(2 * |x|) call per leap would leave
-    it; the doubles are drawn ahead in blocks, but never past what the walk
-    reads.  A score that is not finite at a gap that may insert raises
-    NonFinite.
+    scorer.score does, once per leap.  Returns the GenerationTrace; its
+    snapshots are made on first read and kept.  A given rng ends
+    2 * trace.stats.gap_steps doubles on, two for every gap of every leap,
+    where one rng.random(2 * |x|) call per leap would leave it; the doubles
+    are drawn ahead in blocks, but never past what the walk reads.  A score
+    that is not finite at a gap that may insert raises NonFinite.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    return _walk(score_fn, params, config, prompt, [rng])[0]
+    return _walk(score_fn, params, config, prompt, [rng or np.random.default_rng(config.seed)])[0][0]
 
 
-def batch_generate(
-    score_fn, params, config: SamplerConfig, count: int, prompt: Sequence | None = None
-):
+def batch_generate(score_fn, params, config: SamplerConfig, count: int, prompt: Sequence | None = None):
     """Independent samples with spawned rng streams, plus a summary.
 
     Sample i walks on child stream i of SeedSequence(config.seed), so it
@@ -346,19 +352,13 @@ def batch_generate(
     """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
-    children = np.random.SeedSequence(config.seed).spawn(count)
-    rngs = [np.random.default_rng(child) for child in children]
-    traces = _walk(score_fn, params, config, prompt, rngs)
-    lengths = [tr.final.content_len for tr in traces]
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(config.seed).spawn(count)]
+    traces, lengths = _walk(score_fn, params, config, prompt, rngs)
     uniq, counts = np.unique(lengths, return_counts=True)
-    cdf = zip(uniq.tolist(), np.cumsum(counts).tolist())
-    summary = {
-        "count": count,
-        "mean_length": float(np.mean(lengths)),
-        "length_cdf": [[l, c / count] for l, c in cdf],
-    }
+    summary = {"count": count, "mean_length": float(np.mean(lengths)),
+               "length_cdf": [[l, c / count] for l, c in zip(uniq.tolist(), np.cumsum(counts).tolist())]}
     for name in ("gap_steps", "clamp_events", "cancelled"):
         summary[name] = sum(getattr(tr.stats, name) for tr in traces)
     if config.mode == "fixed":
-        summary["short"] = sum(1 for l in lengths if l < config.k)
+        summary["short"] = int(np.count_nonzero(lengths < config.k))
     return traces, summary

@@ -613,6 +613,21 @@ def test_sample_refuses_a_time_grid_larger_than_the_machine(trained, tmp_path, m
     assert code == 0 and parse_stream(out)[-1]["summary"]["count"] == 1
 
 
+def test_sample_refuses_a_count_whose_walkers_cannot_fit_the_machine(trained, tmp_path, monkeypatch, capsys):
+    # at least 1 KiB a walker: its seed sequence and generator; 4 steps keep the time grid small
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 50 * 1024)
+    path = tmp_path / "s.jsonl"
+    for out_flags in ([], ["--out", str(path)]):
+        code, out, err = run_cli(["sample", "--checkpoint", trained, "--seed", "1", "--steps", "4",
+                                  "--count", "51", *out_flags], capsys)
+        assert (code, out) == (1, "") and not path.exists()
+        assert err == ("error: count 51 needs at least 4.864e-05 GiB for its walkers; "
+                       "this machine has 4.768e-05 GiB\n")
+    code, out, _ = run_cli(["sample", "--checkpoint", trained, "--seed", "1", "--steps", "4",
+                            "--count", "50"], capsys)
+    assert code == 0 and parse_stream(out)[-1]["summary"]["count"] == 50
+
+
 def test_sample_k_must_match_a_dice_checkpoint(tmp_path, capsys):
     corpus = write_corpus(tmp_path, FIXED4)
     ckpt = str(tmp_path / "d.ckpt")

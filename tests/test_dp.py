@@ -584,6 +584,23 @@ def test_mixed_batch_errors_come_in_pair_order():
             op([INF_TIMES_ZERO, absent], 3, "float")
 
 
+
+@pytest.mark.parametrize("domain", ["exact", "float", "log"])
+def test_a_pair_whose_x0_holds_no_id_is_alone_what_it_is_in_a_mixed_batch(domain):
+    empty, absent, rows = ((), ()), ((1,), ()), ((BOS, 1), (BOS, 2, 1, 1))
+    mixed = batched_insertion_counts([rows, empty, absent], 3, domain)
+    for b, pair in ((1, empty), (2, absent)):
+        (alone,) = batched_insertion_counts([pair], 3, domain)
+        assert alone.dtype == mixed[b].dtype and alone.tobytes() == mixed[b].tobytes()
+        assert alone.shape == (len(pair[0]), 3)
+    assert not linear_insertion_counts(*absent, 3, domain).any()
+    ratios = batched_n_ratios([empty], 3, domain)
+    assert (ratios.ratios.shape, ratios.sizes.tolist()) == ((0, 3), [0])
+    assert batched_n_ratios([rows, empty], 3, domain)[1].ratios.shape == (0, 3)
+    for pairs, b in (([absent], 0), ([rows, absent], 1)):
+        with pytest.raises(NotASubsequence, match=rf"^pair {b}: N\(x_t, x_0\) == 0$"):
+            batched_n_ratios(pairs, 3, domain)
+
 @given(st.one_of(seq_pair(), st.tuples(
     st.lists(st.integers(1, 2), max_size=8), st.lists(st.integers(1, 2), max_size=24),
 ).map(lambda p: ((BOS,) + tuple(p[0]), (BOS,) + tuple(p[1])))))

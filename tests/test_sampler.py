@@ -1,5 +1,7 @@
 """Tests for tau-leaping reverse-process generation."""
 
+import hashlib
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -25,7 +27,7 @@ from delins.sampler import (
     reverse_step,
     timestep_grid,
 )
-from delins.seqcore import Sequence
+from delins.seqcore import Batch, Sequence
 
 BOS = 0
 
@@ -628,6 +630,67 @@ def test_seeded_samples_are_pinned(case):
     params, cfg, prompt, expected = GOLDEN[case]
     traces, _ = batch_generate(scorer.score, params, cfg, 4, prompt)
     assert [(tr.final.ids, _trace_key(tr)[2]) for tr in traces] == expected
+
+
+# SHA-256 of batch_generate(count=5) on the GOLDEN and WALKER_CASES configs: every walker's
+# (t, ids) snapshots, final ids and stats, then the summary, as sorted-key JSON.  Recorded at
+# commit 7755c76, where the walk built every walker's Sequence at every leap.
+PINNED_WALKS = {
+    "golden_fixed": "edadd35607cbef817bd964d871ba33804326e7901494973837d1655569ccd9e0",
+    "golden_fixed_cut": "02f6b624dd3930498a77b07873ecd06df79ddb9ce9783bc918773183c74cb1b3",
+    "golden_prompt": "ede8fbe14d0c15ca615133e2826874ea545e1578dc11aa4f787bad959b654faa",
+    "golden_top_p": "96bc7cdfd74f47a82c821c13424dcc880d3f2b664979cc79bb9cded516034217",
+    "golden_var": "54fef0e21b6c2175e32d566435336b9003af3a21b86f5a7ab0e3a5b1b8784503",
+    "walker_cosine": "e43a08f70e44fb8aad5c6840efa69ae6154a3ce80587967c9fe7e012ab8436ef",
+    "walker_fixed": "dda0e626ba4e7619bd06cf38e3d07e83f6e5c3d7914852490f1286f6ab35250f",
+    "walker_prompted": "8b4e1d5c26518897d42bab33fac8e03e3aaded26c013c1fbf3e677ccd8178e4f",
+    "walker_top_p": "fd3e158002dc84187f4b845e9198f27c61ca629f250840bf1f9ef2a472453901",
+    "walker_variable": "6ac0e252176f643f2e232832659698119d93f5a9f5655feac62dbe38413e546e",
+}
+WALK_CASES = {**{f"golden_{k}": v[:3] for k, v in GOLDEN.items()},
+              **{f"walker_{k}": v for k, v in WALKER_CASES.items()}}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_WALKS))
+def test_seeded_walks_are_pinned(case):
+    params, cfg, prompt = WALK_CASES[case]
+    traces, summary = batch_generate(scorer.score, params, cfg, 5, prompt)
+    walks = [[[[t, list(x.ids)] for t, x in tr.snapshots], list(tr.final.ids), list(_trace_key(tr)[2])]
+             for tr in traces]
+    blob = json.dumps([walks, summary], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_WALKS[case]
+
+
+def test_snapshots_keep_ids_past_one_byte():
+    # a vocab of 300 ids, scored to clamp every gap toward the top ids: a kept id needs two bytes
+    weights = np.linspace(0.0, 1.0, 300) ** 8 / 3
+    score_fn = lambda p, xs, t: np.tile(weights, (len(xs.ids), 1))
+    cfg = SamplerConfig(steps=6, seed=41)
+    times = timestep_grid(cfg.steps).tolist()
+    traces, _ = batch_generate(score_fn, None, cfg, 3)
+    for tr, child in zip(traces, np.random.SeedSequence(cfg.seed).spawn(3)):
+        rng, x, expected = np.random.default_rng(child), seq(), [seq().ids]
+        for t, t_next in zip(times, times[1:]):
+            x = reverse_step(x, t, t - t_next, score_fn(None, Batch.of([x]), t), 1.0, rng)
+            expected.append(x.ids)
+        assert [(t, x.ids) for t, x in tr.snapshots] == list(zip(times, expected))
+        assert max(tr.final.ids) >= 256
+
+
+@pytest.mark.parametrize("case", ["golden_var", "golden_prompt", "walker_fixed"])
+def test_a_walk_makes_one_sequence_per_walker_until_its_snapshots_are_read(case, monkeypatch):
+    params, cfg, prompt = WALK_CASES[case]
+    made = []
+    check = Sequence.__post_init__
+    monkeypatch.setattr(Sequence, "__post_init__", lambda x: made.append(x) or check(x))
+    traces, _ = batch_generate(scorer.score, params, cfg, 6, prompt)
+    assert len(made) <= len(traces)
+    assert [tr.final for tr in traces] == made[-len(traces):]
+    snapshots = traces[-1].snapshots
+    grew = len(made)
+    assert grew > len(traces)  # one read makes every walker's snapshots at once
+    assert all(tr.snapshots is tr.snapshots for tr in traces) and len(made) == grew
+    assert traces[-1].snapshots is snapshots and snapshots[-1][1] is traces[-1].final
 
 
 # ---------------------------------------------------------------------------
