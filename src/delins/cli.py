@@ -327,6 +327,9 @@ _GRID_POINT_BYTES = 8 + 8 + 24
 # a walker's least share: its seed sequence and generator take about 0.9 KiB (tracemalloc, 1000
 # to 16000 walkers), a one-step walk about 1.7 KiB at its peak
 _WALKER_BYTES = 1024
+# what the walk keeps of each walker at each leap: its int64 size and its ids, bos at least, in a
+# byte at least
+_LEAP_BYTES = 8 + 1
 
 
 def cmd_sample(args) -> int:
@@ -362,6 +365,9 @@ def cmd_sample(args) -> int:
     if (walkers := cfg["count"] * _WALKER_BYTES) > memory:
         raise ConfigError(f"count {cfg['count']} needs at least {walkers / 2**30:.4g} GiB for its walkers; "
                           f"this machine has {memory / 2**30:.4g} GiB")
+    if (history := cfg["count"] * cfg["steps"] * _LEAP_BYTES) > memory:
+        raise ConfigError(f"count {cfg['count']} over {cfg['steps']} steps keeps at least "
+                          f"{history / 2**30:.4g} GiB of walk history; this machine has {memory / 2**30:.4g} GiB")
     for path in (cfg["out"], cfg["trace"]):
         if path not in (None, "-"):
             _check_output(path)

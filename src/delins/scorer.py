@@ -54,8 +54,13 @@ FORMAT_VERSION = 1
 N_BUCKETS = 16
 
 MODES = ("dise", "dice")
-# a group of training steps makes its targets in one DP call whose lockstep table fits this
-_GROUP_TABLE_BYTES = 256 * 1024
+# a group of training steps makes its targets in one DP call whose lockstep table fits this.
+# A bigger group pays each DP row's and each call's fixed cost once for more cells: at this
+# bound an epoch of 500 lines of 4-12 tokens is one group, and steps of 32 lines of 20-66
+# tokens run 1.17-1.48x faster than at 256 KiB.  Twice the bound runs such lines from 2%
+# slower to 9% faster and more than doubles a group's memory (tracemalloc peak 3.5 -> 7.9 MiB
+# on 30-60 tokens); four times the bound is slower than twice on each.
+_GROUP_TABLE_BYTES = 2 * 1024 * 1024
 
 
 @dataclass
@@ -270,7 +275,9 @@ def _prepare(params: ScorerParams, xts: Batch, r: np.ndarray, ts, w, cuts) -> li
     buckets = np.repeat(time_bucket(ts), lens) if mode == "dise" else None
     gaps = _gaps(params, rows, lens, buckets)
     size = V**3 + (N_BUCKETS * V if mode == "dise" else 0)
-    table = np.arange(size).reshape(-1, V)  # gradient cells: V per (left, right), then per bucket
+    # gradient cells: V per (left, right), then per bucket, in the fewest bytes that hold them, as
+    # cells is a group's largest prepared array (2 bytes a cell, not 8, up to V = 40)
+    table = np.arange(size, dtype=np.min_scalar_type(size)).reshape(-1, V)
     m_target, errors = None, {}  # errors: pair -> why the model cannot match its targets
     if mode == "dise":
         cells = np.take(table, np.stack((rows, V * V + buckets), axis=1), axis=0).reshape(-1, 2 * V)
@@ -436,7 +443,8 @@ def _groups(order: np.ndarray, batch: int, lens: np.ndarray):
     x_0 lengths lens (they bound x_t's too), stays within _GROUP_TABLE_BYTES and
     its longest x_0 has at most dp.EXACT_SAFE_ROWS ids, so a group of several
     steps never overflows the exact domain.  It always takes one step, and a
-    step with a longer x_0 is a group of its own.
+    step with a longer x_0 is a group of its own.  Steps of 32 lines of 4-12
+    tokens take about 33 KB each, so a group holds up to about 60 of them.
     """
     cuts = [*range(0, len(order), batch), len(order)]
     ordered = lens[order]
@@ -466,13 +474,15 @@ def train(
     each epoch.  A step's targets depend on its x_0, the rng and its times,
     never on the params, so whole steps of an epoch are made in groups, as
     _groups gathers them: several steps only while they fit one lockstep
-    table of _GROUP_TABLE_BYTES and cannot overflow the exact domain.  A
-    group draws its doubles in one rng.random call, for each pair its t and
-    then its tokens' survival doubles, as one forward_sample call per pair
-    would, then makes in one schedule pass (time_terms) its survivals and
-    loss weights, its x_t with one packed forward_sample call on the
-    survivals and its targets with one dp.batched_n_ratios_auto call on both
-    packed sides as a seqcore.PairBatch.  A group of several steps lands on
+    table of _GROUP_TABLE_BYTES and cannot overflow the exact domain, so an
+    epoch of 500 short lines is one group and an epoch of long lines still
+    splits into several.  A group draws its doubles in one rng.random call,
+    for each pair its t and then its tokens' survival doubles, as one
+    forward_sample call per pair would, then makes in one schedule pass
+    (time_terms) its survivals and loss weights, its x_t with one packed
+    forward_sample call on the survivals and its targets with one
+    dp.batched_n_ratios_auto call on both packed sides as a
+    seqcore.PairBatch.  A group of several steps lands on
     exact at once; a step of long lines climbs the ladder alone.  The group
     is then prepared once (_prepare: indices, loss weights, target terms),
     and each step runs only what reads the params (_step), so every

@@ -628,6 +628,22 @@ def test_sample_refuses_a_count_whose_walkers_cannot_fit_the_machine(trained, tm
     assert code == 0 and parse_stream(out)[-1]["summary"]["count"] == 50
 
 
+def test_sample_refuses_a_walk_whose_history_cannot_fit_the_machine(trained, tmp_path, monkeypatch, capsys):
+    # 9 B a walker a leap: its int64 size and a one-byte bos; the grid (40 B a point) and walker
+    # (1 KiB) guards pass: 115 points and 5 walkers fit 5 KiB
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 5 * 1024)
+    path = tmp_path / "s.jsonl"
+    for out_flags in ([], ["--out", str(path)]):
+        code, out, err = run_cli(["sample", "--checkpoint", trained, "--seed", "1", "--steps", "114",
+                                  "--count", "5", *out_flags], capsys)
+        assert (code, out) == (1, "") and not path.exists()
+        assert err == ("error: count 5 over 114 steps keeps at least 4.778e-06 GiB of walk history; "
+                       "this machine has 4.768e-06 GiB\n")
+    code, out, _ = run_cli(["sample", "--checkpoint", trained, "--seed", "1", "--steps", "113",
+                            "--count", "5"], capsys)
+    assert code == 0 and parse_stream(out)[-1]["summary"]["count"] == 5
+
+
 def test_sample_k_must_match_a_dice_checkpoint(tmp_path, capsys):
     corpus = write_corpus(tmp_path, FIXED4)
     ckpt = str(tmp_path / "d.ckpt")

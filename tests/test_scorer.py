@@ -515,14 +515,17 @@ def test_packed_train_step_is_the_per_pair_step(mode, monkeypatch):
         rng = np.random.default_rng(24)
         sizes = [rng.integers(60, 67) if i % 2 else rng.integers(67, 81) for i in range(16)]
         lines, batch = ["".join(rng.choice(list("abc"), size=n)) for n in sizes], 2
-    else:  # lines of 30 to 45 tokens: about 16 pairs fill a group's table, so an epoch splits
+    else:  # lines of 56 to 66 tokens, 16 steps an epoch and about 4 to a group, whatever the budget
         rng = np.random.default_rng(29)
-        n, batch = (40, 4) if mode == "over-budget" else (47, 5)  # 5 divides neither 47 nor 16
-        lines = ["".join(rng.choice(list("abc"), size=rng.integers(30, 46))) for _ in range(n)]
+        # pairs of 66 tokens that fill a group's table
+        fill = scorer._GROUP_TABLE_BYTES // (8 * math.prod(dp.lockstep_table_shape([67], 67)))
+        batch = fill // 4 + (mode == "odd-batch")
+        n = 16 * batch + 3 * (mode == "odd-batch")  # the odd batch leaves each epoch a short step
+        lines = ["".join(rng.choice(list("abc"), size=rng.integers(56, 67))) for _ in range(n)]
     corpus = make_corpus(lines, "abc")
     p = ScorerParams.init(4, "dice" if mode == "dice" else "dise", k=4 if mode == "dice" else None)
-    cfg = {"epochs": 6, "batch": batch, "lr": 0.2, "optimizer": "sgd" if mode == "sgd" else "adam",
-           "seed": 11}
+    cfg = {"epochs": 2 if mode in ("over-budget", "odd-batch") else 6, "batch": batch, "lr": 0.2,
+           "optimizer": "sgd" if mode == "sgd" else "adam", "seed": 11}  # split epochs: 2 keep it quick
     shapes, pairs_of, overflowed = [], [], []  # each call's lockstep table and pair count; overflows
     start, ratios = dp._start, dp.batched_n_ratios
 
@@ -575,6 +578,17 @@ def test_train_makes_a_group_s_time_terms_in_one_pass(mode, monkeypatch):
     assert len(metrics) > len(groups) > 0  # some groups hold several steps
     assert len(calls) == len(groups)
     assert sum(calls) == cfg["epochs"] * len(lines)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_an_epoch_of_short_lines_is_one_group(seed):
+    # c10's shape: 500 lines of 4 to 12 letters, 3 + Geometric(0.25), in steps of 32; and 500 of 12
+    rng = np.random.default_rng(seed)
+    raw = 3 + rng.geometric(0.25, size=8 * 500)
+    for lens in (raw[(raw >= 4) & (raw <= 12)][:500] + 1, np.full(500, 13)):  # bos included
+        order = rng.permutation(500)
+        (group, cuts), = scorer._groups(order, 32, lens)
+        assert group.tolist() == order.tolist() and cuts == [*range(0, 500, 32), 500]
 
 
 def test_train_raises_a_dice_mass_violation_at_its_step_after_the_earlier_records(monkeypatch):
