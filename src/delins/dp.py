@@ -36,7 +36,8 @@ j holding token v, N(x_t[:i+1], x_0[:j]) * N(x_t[i+1:], x_0[j+1:]).  A batch
 sweeps its pairs and their reverses in lockstep and meets them in the middle, as
 Hirschberg's LCS does (CACM 18(6), 1975), so its terms take one table's memory.
 Its ratio grids come back packed as rows of one array (NRatioBatch), the form
-the scorer's training step reads them in.
+the scorer's training step reads them in.  Log terms add up shifted by their
+pair's log N, so a log count grid is log r + log N, r its ratio grid.
 """
 
 from __future__ import annotations
@@ -195,9 +196,9 @@ def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> tuple[np.nda
     cell: prefix row j meets reversed row max m - 1 - j, and from the middle on each new row
     meets the kept row of the other half, both terms (in log, A + S) taking its slot.  The
     terms add in increasing j into a token-major accumulator of the first half's cells, g
-    cells at a time (g divides every lane's width), in log as exp(term - shift), shift log N
-    for ratios and the pair's largest term for counts; a pair past its x_0 adds into a
-    dropped token V.  Its gap cells (all but the pad cells), transposed, are the packed grids.
+    cells at a time (g divides every lane's width), in log as exp(term - log N): ratios, whose
+    logs plus log N are the log counts (N = 0 shifts by 0; its dead terms sum to 0, LOG_ZERO).
+    A pair past its x_0 adds into a dropped token V.  Its gap cells, transposed, are the grids.
     A term is at most N, and an exact grid sums to at most N * (m - n), so additions check
     for wrap only when that reaches 2**64.  Errors name the first failing pair; a wrapping
     sweep, the lowest pair of its first wrap.  The table is dropped before the packing copy.
@@ -231,14 +232,8 @@ def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> tuple[np.nda
         terms = [T[j, :H] if 2 * j < m_max else T[m_max - 1 - j, : H - 1 : -1] for j in range(m_max)]
         n_cells, C = T[mid, ends - 1], len(half)
         check = domain == "exact" and (n_cells > ~_U64(0) // np.maximum(ms - ns, 1).astype(_U64)).any()
-        shift = n_cells  # of log ratios; log counts shift by their largest term
-        if log and not ratios:
-            top = np.full((C, g), -np.inf)
-            for term, alive in zip(terms, X0.T[:, half] < V):
-                np.maximum(top, term.reshape(C, g), out=top, where=alive[:, None])
-            top = np.where(gap, top.reshape(-1), -np.inf)  # a pad cell holds no gap's term
-            shift = np.where(ms * ns > 0, np.maximum.reduceat(top, starts), 0.0)
-        cell_shift = np.repeat(shift, ns + 1)
+        if log:  # log N >= 0 when N > 0; a pair with N = 0 has only dead terms and shifts by 0
+            cell_shift = np.repeat(np.maximum(n_cells, 0.0), ns + 1)
         acc = np.zeros((V + 1) * H, T.dtype)  # token v's cells from v * H on
         chunks, wrapped = acc.reshape(-1, g), np.zeros((C, g), bool)  # token v's chunk c is row v * C + c
         for j0 in range(0, m_max, _BLOCK):  # the rows _BLOCK terms add into (term j's token V = dropped)
@@ -269,9 +264,7 @@ def _per_pair(pairs, vocab_size: int, domain: str, ratios: bool) -> tuple[np.nda
             acc = np.where(acc > 0.0, np.log(acc) + cell_shift, LOG_ZERO)
     T = terms = term = None  # the terms view the table; an x_0 with no id makes no term
     packed = acc.T[gap]  # the gap cells are the grids' rows, pair by pair
-    if log and not ratios:
-        packed[np.repeat(is_log_zero(shift), ns)] = LOG_ZERO  # a pair with no term
-    elif ratios and not log:
+    if ratios and not log:
         packed = packed / np.repeat(n_cells, ns)[:, None]
     return packed, ns
 

@@ -39,6 +39,7 @@ Guards on top of the raw leap:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cache
 
@@ -53,6 +54,9 @@ MODES = ("variable", "fixed")
 # past one leap's need, a batch's blocks of doubles drawn ahead hold at most this
 _DRAW_BLOCK_BYTES = 4 * 1024 * 1024
 _MAX_STEPS = np.iinfo(np.intp).max // 8 - 1  # the most whose grid of float64 points fits one array
+# a leap's peak in (gaps, V) float64 arrays: the score call's, its scores and their masked copy;
+# at V = 13 a leap peaked at 328 B a gap above what the walk kept (tracemalloc), 3.2 of them
+_LEAP_SCORE_ARRAYS = 4
 
 
 @dataclass(frozen=True)
@@ -284,6 +288,11 @@ def reverse_step(x_t: Sequence, t: float, dt: float, scores, top_p: float, rng, 
     return x_t if sizes[0] == n else Sequence(tuple(ids.tolist()))
 
 
+def _physical_memory() -> int:
+    """This machine's physical memory in bytes, the most a run may ask for at once."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def check_prompt(config: SamplerConfig, prompt: Sequence | None) -> None:
     """A fixed-mode prompt longer than k leaves no sample of k tokens; raises ConfigError."""
     if config.mode == "fixed" and prompt is not None and prompt.content_len > config.k:
@@ -292,7 +301,12 @@ def check_prompt(config: SamplerConfig, prompt: Sequence | None) -> None:
 
 @np.errstate(over="ignore")  # a score that overflows shows as a non-finite gap mass
 def _walk(score_fn, params, config: SamplerConfig, prompt: Sequence | None, rngs):
-    """Walk one walker per rng from t = 1 to 0 together; returns the traces and final content lengths."""
+    """Walk one walker per rng from t = 1 to 0 together; returns the traces and final content lengths.
+
+    A leap whose score-sized arrays, with what the walk keeps (its states and draw blocks), would
+    exceed physical memory raises MemoryError before its score call: the rows are as wide as the
+    last score's (the start's largest id + 1 before the first).
+    """
     check_prompt(config, prompt)
     start = prompt.ids if prompt is not None else (BOS_ID,)
     inside = len(start) - 1  # gaps strictly inside the prompt
@@ -300,7 +314,11 @@ def _walk(score_fn, params, config: SamplerConfig, prompt: Sequence | None, rngs
     ids, sizes = np.tile(np.array(start, dtype=np.int64), len(rngs)), np.full(len(rngs), len(start))
     states, top = [(ids, sizes)], max(map(abs, start))  # each time's state; later ids in the fewest bytes
     stats, blocks = np.zeros((3, len(rngs)), dtype=np.int64), _Blocks(rngs)
+    kept, memory = ids.nbytes + sizes.nbytes, _physical_memory()
     for leap, (t, t_next) in enumerate(zip(times, times[1:])):
+        if (need := _LEAP_SCORE_ARRAYS * 8 * len(ids) * (top + 1) + kept + blocks.rows.nbytes) > memory:
+            raise MemoryError(f"a leap at t={t:.6g} over {len(ids)} gaps needs {need / 2**30:.4g} GiB with "
+                              f"the walk's history; this machine has {memory / 2**30:.4g} GiB")
         scores = score_fn(params, Batch(ids, sizes), t)
         mask = np.arange(len(ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes) >= inside if inside else None
         capacity = config.k - (sizes - 1) if config.mode == "fixed" else None
@@ -309,6 +327,7 @@ def _walk(score_fn, params, config: SamplerConfig, prompt: Sequence | None, rngs
                            stats)
         top = max(top, len(scores[0]) - 1)  # a new token is below its score row's width
         states.append((ids.astype(np.min_scalar_type(-1 - top)), sizes))
+        kept += states[-1][0].nbytes + sizes.nbytes
     finals = list(Batch(ids, sizes))
 
     @cache
@@ -336,7 +355,8 @@ def generate(score_fn, params, config: SamplerConfig, prompt: Sequence | None = 
     2 * trace.stats.gap_steps doubles on, two for every gap of every leap,
     where one rng.random(2 * |x|) call per leap would leave it; the doubles
     are drawn ahead in blocks, but never past what the walk reads.  A score
-    that is not finite at a gap that may insert raises NonFinite.
+    that is not finite at a gap that may insert raises NonFinite, and a leap
+    that would not fit physical memory MemoryError.
     """
     return _walk(score_fn, params, config, prompt, [rng or np.random.default_rng(config.seed)])[0][0]
 

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from delins import cli, dp, scorer
+from delins import cli, dp, sampler, scorer
 from delins.process import transition_prob
-from delins.seqcore import Sequence
+from delins.seqcore import Sequence, Vocab
 
 
 def run_cli(argv, capsys):
@@ -113,6 +113,10 @@ def test_count_beyond_float64_prints_from_the_log_count(capsys):
     _, out, _ = run_cli(["count", "a" * 510, "a" * 1020], capsys)
     log_n = dp.subsequence_count([0] + [1] * 510, [0] + [1] * 1020, "log")
     assert out.strip() == f"{math.exp(log_n):.6g}"
+
+
+def test_a_mantissa_that_rounds_to_ten_carries_into_the_exponent():
+    assert cli._g6_of_exp(math.log(9.9999999) + 400 * math.log(10)) == "1e+401"
 
 
 def test_count_past_float64_sweeps_each_rung_once(monkeypatch, capsys):
@@ -644,6 +648,38 @@ def test_sample_refuses_a_walk_whose_history_cannot_fit_the_machine(trained, tmp
     assert code == 0 and parse_stream(out)[-1]["summary"]["count"] == 5
 
 
+def test_sample_walk_that_outgrows_the_machine_exits_three_writing_nothing(tmp_path, monkeypatch, capsys):
+    # an untrained dise model scores every cell 1, so its gaps about double a leap; the walk checks
+    # each leap's scores and what it keeps against physical memory, which the CLI's static guards
+    # (read from cli, not patched here) cannot see
+    ckpt, path = str(tmp_path / "init.ckpt"), tmp_path / "s.jsonl"
+    scorer.save(scorer.ScorerParams.init(4, "dise"), ckpt)
+    Vocab.build("abc").save(ckpt + ".vocab")
+    monkeypatch.setattr(sampler, "_physical_memory", lambda: 2**20)
+    argv = ["sample", "--checkpoint", ckpt, "--count", "8", "--seed", "3"]
+    for out_flags in ([], ["--out", str(path)]):
+        code, out, err = run_cli(argv + out_flags, capsys)
+        assert (code, out) == (3, "") and not path.exists()
+        assert err.startswith("error: a leap at t=") and err.count("\n") == 1
+        assert err.endswith(" GiB with the walk's history; this machine has 0.0009766 GiB\n")
+    code, out, _ = run_cli(argv + ["--steps", "4"], capsys)  # a short walk stays small
+    assert code == 0 and parse_stream(out)[-1]["summary"]["count"] == 8
+
+
+def test_sample_refuses_variable_mode_on_a_dice_checkpoint(tmp_path, capsys):
+    # a dice model scores states of at most k content tokens, and one leap's gates can overshoot k
+    ckpt, path, ini = str(tmp_path / "d.ckpt"), tmp_path / "s.jsonl", tmp_path / "run.ini"
+    assert run_cli(["train", "--corpus", write_corpus(tmp_path, FIXED4), "--mode", "dice", "--seed", "5",
+                    "--checkpoint-out", ckpt], capsys)[0] == 0
+    ini.write_text("[sample]\nsampler_mode = variable\n")
+    want = "error: a dice checkpoint scores only states of at most k=4 content tokens; sample it in fixed mode\n"
+    for extra in (["--sampler-mode", "variable"], ["--config", str(ini)]):
+        for seed in ("2", "3"):  # seeds whose walks overshot k
+            got = run_cli(["sample", "--checkpoint", ckpt, "--steps", "8", "--seed", seed, "--out", str(path),
+                           *extra], capsys)
+            assert got == (1, "", want) and not path.exists()
+
+
 def test_sample_k_must_match_a_dice_checkpoint(tmp_path, capsys):
     corpus = write_corpus(tmp_path, FIXED4)
     ckpt = str(tmp_path / "d.ckpt")
@@ -738,6 +774,14 @@ def test_config_file_resolution_order(tmp_path, capsys):
     assert config["lr"] == 0.5  # flag beats file
     assert config["epochs"] == 3  # file beats default
     assert config["batch"] == 32  # default fills the rest
+
+
+def test_config_file_choice_applies(trained, tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[sample]\ngrid = cosine\n")
+    code, out, _ = run_cli(["sample", "--checkpoint", trained, "--config", str(ini), "--steps", "4",
+                            "--count", "1", "--seed", "1"], capsys)
+    assert code == 0 and parse_stream(out)[0]["config"]["grid"] == "cosine"
 
 
 def test_config_file_bad_value_is_usage_error(tmp_path, capsys):

@@ -855,3 +855,14 @@ def test_exact_ragged_batch_bytes_are_pinned():
     for grid in batched_insertion_counts(pairs, 6, "exact"):
         digest.update(grid.tobytes())
     assert digest.hexdigest() == "b292c47e517d923c692ad6422abc383e3b309254ab305b922e0328834bcf6f9a"
+
+
+def test_a_log_count_grid_is_log_n_above_its_ratio_grid():
+    # both grids leave one accumulation of terms shifted by log N, so this holds bit for bit
+    rng = np.random.default_rng(30)
+    for vocab_size in (3, 6, 17):
+        for x_t, x_0 in _half_kept_pairs(rng, rng.integers(0, 40, size=134).tolist(), vocab_size):
+            r = n_ratios(x_t, x_0, vocab_size, "log").ratios
+            with np.errstate(divide="ignore"):
+                want = np.where(r > 0, np.log(r) + subsequence_count(x_t, x_0, "log"), LOG_ZERO)
+            assert insertion_counts(x_t, x_0, vocab_size, "log").tobytes() == want.tobytes()

@@ -154,6 +154,12 @@ def test_transition_prob_examples():
         transition_prob(a, ab, 0.5, 0.5)
 
 
+def test_transition_prob_is_zero_where_a_lost_token_cannot_be_deleted():
+    # over [0, 1e-17] survival rounds to 1.0, so no deletion has any mass (and log(0) is never taken)
+    assert process.survival_prob(0.0, 1e-17) == 1.0
+    assert transition_prob(Sequence((0, 1)), Sequence((0, 1, 2)), 0.0, 1e-17) == 0.0
+
+
 def test_transition_prob_beyond_float64_count():
     # N(a^550, a^1100) = C(1100, 550) ~ 1e329 does not fit a float64, but
     # the probability does: check it against the lgamma closed form
