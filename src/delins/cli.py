@@ -35,8 +35,8 @@ from .errors import (
     UnknownSymbol,
     VersionMismatch,
 )
-from .sampler import GRID_KINDS, MODES as SAMPLER_MODES, SamplerConfig, batch_generate, check_prompt
-from .sampler import _physical_memory  # the one source; tests patch this name to shrink the CLI's guards
+from .sampler import GRID_KINDS, MODES as SAMPLER_MODES, SamplerConfig, batch_generate, check_walk
+from .sampler import _physical_memory
 from .seqcore import Sequence, Vocab, _split, detokenize, load_corpus, scan_vocab, text_lines, tokenize
 
 EXIT_OK = 0
@@ -318,16 +318,6 @@ def cmd_train(args) -> int:
 # sample
 
 
-# a time-grid point: its float64, then its list slot and float object once the walk lists it
-_GRID_POINT_BYTES = 8 + 8 + 24
-# a walker's least share: its seed sequence and generator take about 0.9 KiB (tracemalloc, 1000
-# to 16000 walkers), a one-step walk about 1.7 KiB at its peak
-_WALKER_BYTES = 1024
-# what the walk keeps of each walker at each leap: its int64 size and its ids, bos at least, in a
-# byte at least
-_LEAP_BYTES = 8 + 1
-
-
 def cmd_sample(args) -> int:
     cfg = _resolve(args, "sample")
     if not cfg["checkpoint"]:
@@ -345,9 +335,6 @@ def cmd_sample(args) -> int:
     cfg["seed"] = seed
     if cfg["sampler_mode"] is None:
         cfg["sampler_mode"] = "fixed" if params.mode == "dice" else "variable"
-    if params.mode == "dice" and cfg["sampler_mode"] == "variable":  # one leap's gates can overshoot k
-        raise ConfigError(f"a dice checkpoint scores only states of at most k={params.k} content tokens; "
-                          "sample it in fixed mode")
     if cfg["sampler_mode"] == "fixed" and cfg["k"] is None:
         cfg["k"] = params.k
 
@@ -357,16 +344,7 @@ def cmd_sample(args) -> int:
     sampler_cfg = SamplerConfig(steps=cfg["steps"], grid=cfg["grid"], top_p=cfg["top_p"],
                                 mode=cfg["sampler_mode"], k=cfg["k"], seed=seed)
     prompt = None if cfg["prompt"] is None else tokenize(cfg["prompt"], vocab, cfg["tokenizer"])
-    check_prompt(sampler_cfg, prompt)
-    if (grid := (cfg["steps"] + 1) * _GRID_POINT_BYTES) > (memory := _physical_memory()):
-        raise ConfigError(f"steps {cfg['steps']} need a {grid / 2**30:.4g} GiB time grid; "
-                          f"this machine has {memory / 2**30:.4g} GiB")
-    if (walkers := cfg["count"] * _WALKER_BYTES) > memory:
-        raise ConfigError(f"count {cfg['count']} needs at least {walkers / 2**30:.4g} GiB for its walkers; "
-                          f"this machine has {memory / 2**30:.4g} GiB")
-    if (history := cfg["count"] * cfg["steps"] * _LEAP_BYTES) > memory:
-        raise ConfigError(f"count {cfg['count']} over {cfg['steps']} steps keeps at least "
-                          f"{history / 2**30:.4g} GiB of walk history; this machine has {memory / 2**30:.4g} GiB")
+    check_walk(sampler_cfg, params, cfg["count"], prompt)
     for path in (cfg["out"], cfg["trace"]):
         if path not in (None, "-"):
             _check_output(path)

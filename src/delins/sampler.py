@@ -57,6 +57,13 @@ _MAX_STEPS = np.iinfo(np.intp).max // 8 - 1  # the most whose grid of float64 po
 # a leap's peak in (gaps, V) float64 arrays: the score call's, its scores and their masked copy;
 # at V = 13 a leap peaked at 328 B a gap above what the walk kept (tracemalloc), 3.2 of them
 _LEAP_SCORE_ARRAYS = 4
+# a time-grid point: its float64, then its list slot and float object once the walk lists it
+_GRID_POINT_BYTES = 8 + 8 + 24
+# a walker's least share: its seed sequence and generator take about 0.9 KiB (tracemalloc, 1000
+# to 16000 walkers), a one-step walk about 1.7 KiB at its peak
+_WALKER_BYTES = 1024
+# what the walk keeps of a walker at each leap: its int64 size and its ids, bos at least, a byte at least
+_LEAP_BYTES = 8 + 1
 
 
 @dataclass(frozen=True)
@@ -293,28 +300,37 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_prompt(config: SamplerConfig, prompt: Sequence | None) -> None:
-    """A fixed-mode prompt longer than k leaves no sample of k tokens; raises ConfigError."""
+def check_walk(config: SamplerConfig, params, count: int, prompt: Sequence | None = None) -> None:
+    """Raise ConfigError, before anything is drawn, for a walk of count walkers that cannot run.
+
+    A dice model walks in fixed mode only: it scores only states of at most k content tokens, and one
+    leap's gates can overshoot k.  The time grid, walkers and least history live to the walk's end."""
+    if getattr(params, "mode", None) == "dice" and config.mode == "variable":
+        raise ConfigError(f"a dice checkpoint scores only states of at most k={params.k} content tokens; "
+                          "sample it in fixed mode")
     if config.mode == "fixed" and prompt is not None and prompt.content_len > config.k:
         raise ConfigError(f"prompt has {prompt.content_len} content tokens, more than k={config.k}")
+    need = (config.steps + 1) * _GRID_POINT_BYTES + count * (_WALKER_BYTES + config.steps * _LEAP_BYTES)
+    if need > (memory := _physical_memory()):
+        raise ConfigError(f"count {count} over {config.steps} steps needs at least {need / 2**30:.4g} GiB for "
+                          f"its time grid, walkers and history; this machine has {memory / 2**30:.4g} GiB")
 
 
 @np.errstate(over="ignore")  # a score that overflows shows as a non-finite gap mass
 def _walk(score_fn, params, config: SamplerConfig, prompt: Sequence | None, rngs):
     """Walk one walker per rng from t = 1 to 0 together; returns the traces and final content lengths.
 
-    A leap whose score-sized arrays, with what the walk keeps (its states and draw blocks), would
-    exceed physical memory raises MemoryError before its score call: the rows are as wide as the
-    last score's (the start's largest id + 1 before the first).
+    A leap whose score-sized arrays, with what the walk keeps (its time grid, walkers, states and
+    draw blocks), would exceed physical memory raises MemoryError before its score call: the rows
+    are as wide as the last score's (the start's largest id + 1 before the first).
     """
-    check_prompt(config, prompt)
     start = prompt.ids if prompt is not None else (BOS_ID,)
     inside = len(start) - 1  # gaps strictly inside the prompt
     times = timestep_grid(config.steps, config.grid).tolist()
     ids, sizes = np.tile(np.array(start, dtype=np.int64), len(rngs)), np.full(len(rngs), len(start))
     states, top = [(ids, sizes)], max(map(abs, start))  # each time's state; later ids in the fewest bytes
-    stats, blocks = np.zeros((3, len(rngs)), dtype=np.int64), _Blocks(rngs)
-    kept, memory = ids.nbytes + sizes.nbytes, _physical_memory()
+    stats, blocks, memory = np.zeros((3, len(rngs)), dtype=np.int64), _Blocks(rngs), _physical_memory()
+    kept = len(times) * _GRID_POINT_BYTES + len(rngs) * _WALKER_BYTES + ids.nbytes + sizes.nbytes
     for leap, (t, t_next) in enumerate(zip(times, times[1:])):
         if (need := _LEAP_SCORE_ARRAYS * 8 * len(ids) * (top + 1) + kept + blocks.rows.nbytes) > memory:
             raise MemoryError(f"a leap at t={t:.6g} over {len(ids)} gaps needs {need / 2**30:.4g} GiB with "
@@ -356,8 +372,11 @@ def generate(score_fn, params, config: SamplerConfig, prompt: Sequence | None = 
     where one rng.random(2 * |x|) call per leap would leave it; the doubles
     are drawn ahead in blocks, but never past what the walk reads.  A score
     that is not finite at a gap that may insert raises NonFinite, and a leap
-    that would not fit physical memory MemoryError.
+    that would not fit physical memory MemoryError.  check_walk raises
+    ConfigError first for a dice model in variable mode, a fixed-mode prompt
+    longer than k, or a walk whose least memory does not fit.
     """
+    check_walk(config, params, 1, prompt)
     return _walk(score_fn, params, config, prompt, [rng or np.random.default_rng(config.seed)])[0][0]
 
 
@@ -369,9 +388,11 @@ def batch_generate(score_fn, params, config: SamplerConfig, count: int, prompt: 
     summary holds the length CDF and the run's StepStats totals; fixed mode
     adds short, the number of samples with fewer than k tokens.  score_fn
     is called as in generate, once per leap with every walker's state.
+    A count below 1 or check_walk's refusals (see generate) raise ConfigError.
     """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
+    check_walk(config, params, count, prompt)
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(config.seed).spawn(count)]
     traces, lengths = _walk(score_fn, params, config, prompt, rngs)
     uniq, counts = np.unique(lengths, return_counts=True)

@@ -577,6 +577,17 @@ def test_sample_trace_path_that_cannot_be_written_fails_before_sampling(trained,
         assert err.startswith("io error: ") and str(path) in err and len(err.splitlines()) == 1
 
 
+def test_sample_output_folder_that_refuses_writes_fails_before_sampling(trained, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "batch_generate", lambda *a: pytest.fail("sampled before checking the path"))
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)  # a folder its user may not write
+    path = tmp_path / "s.jsonl"
+    for flag in ("--trace", "--out"):
+        code, out, err = run_cli(["sample", "--checkpoint", trained, "--count", "2", "--seed", "1",
+                                  flag, str(path)], capsys)
+        assert (code, out) == (3, "") and not path.exists()
+        assert err == f"io error: [Errno 13] Permission denied: '{path}'\n"
+
+
 def test_sample_count_zero_writes_an_empty_trace(trained, tmp_path, capsys):
     trace = tmp_path / "t.jsonl"  # one record a sample, so zero samples leave an empty file
     code, out, _ = run_cli(["sample", "--checkpoint", trained, "--count", "0", "--seed", "1",
@@ -603,55 +614,26 @@ def test_sample_bad_settings_write_nothing(trained, tmp_path, capsys):
             assert not path.exists()
 
 
-def test_sample_refuses_a_time_grid_larger_than_the_machine(trained, tmp_path, monkeypatch, capsys):
-    # 40 B a point: its float64, its list slot and its float object; 100 steps make 101 points
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 100 * 40)
+def test_sample_refuses_a_walk_whose_least_memory_cannot_fit_the_machine(trained, tmp_path, monkeypatch,
+                                                                       capsys):
+    # the least a walk takes, 40 B a grid point and 1 KiB plus 9 B a step a walker, against 5 KiB: a long
+    # grid, many walkers, or a history that only their sum makes too large; sampler.check_walk's own test
+    # pins where each one starts to be refused
+    monkeypatch.setattr(sampler, "_physical_memory", lambda: 5 * 1024)
     path = tmp_path / "s.jsonl"
-    for out_flags in ([], ["--out", str(path)]):
-        code, out, err = run_cli(["sample", "--checkpoint", trained, "--seed", "1", "--steps", "100",
-                                  "--count", "1", *out_flags], capsys)
-        assert (code, out) == (1, "") and not path.exists()
-        assert err == "error: steps 100 need a 3.763e-06 GiB time grid; this machine has 3.725e-06 GiB\n"
-    code, out, _ = run_cli(["sample", "--checkpoint", trained, "--seed", "1", "--steps", "99",
-                            "--count", "1"], capsys)
-    assert code == 0 and parse_stream(out)[-1]["summary"]["count"] == 1
-
-
-def test_sample_refuses_a_count_whose_walkers_cannot_fit_the_machine(trained, tmp_path, monkeypatch, capsys):
-    # at least 1 KiB a walker: its seed sequence and generator; 4 steps keep the time grid small
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 50 * 1024)
-    path = tmp_path / "s.jsonl"
-    for out_flags in ([], ["--out", str(path)]):
-        code, out, err = run_cli(["sample", "--checkpoint", trained, "--seed", "1", "--steps", "4",
-                                  "--count", "51", *out_flags], capsys)
-        assert (code, out) == (1, "") and not path.exists()
-        assert err == ("error: count 51 needs at least 4.864e-05 GiB for its walkers; "
-                       "this machine has 4.768e-05 GiB\n")
-    code, out, _ = run_cli(["sample", "--checkpoint", trained, "--seed", "1", "--steps", "4",
-                            "--count", "50"], capsys)
-    assert code == 0 and parse_stream(out)[-1]["summary"]["count"] == 50
-
-
-def test_sample_refuses_a_walk_whose_history_cannot_fit_the_machine(trained, tmp_path, monkeypatch, capsys):
-    # 9 B a walker a leap: its int64 size and a one-byte bos; the grid (40 B a point) and walker
-    # (1 KiB) guards pass: 115 points and 5 walkers fit 5 KiB
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 5 * 1024)
-    path = tmp_path / "s.jsonl"
-    for out_flags in ([], ["--out", str(path)]):
-        code, out, err = run_cli(["sample", "--checkpoint", trained, "--seed", "1", "--steps", "114",
-                                  "--count", "5", *out_flags], capsys)
-        assert (code, out) == (1, "") and not path.exists()
-        assert err == ("error: count 5 over 114 steps keeps at least 4.778e-06 GiB of walk history; "
-                       "this machine has 4.768e-06 GiB\n")
-    code, out, _ = run_cli(["sample", "--checkpoint", trained, "--seed", "1", "--steps", "113",
-                            "--count", "5"], capsys)
-    assert code == 0 and parse_stream(out)[-1]["summary"]["count"] == 5
+    for steps, count in ((100, 1), (4, 51), (114, 5)):
+        for out_flags in ([], ["--out", str(path)]):
+            code, out, err = run_cli(["sample", "--checkpoint", trained, "--seed", "1", "--steps", str(steps),
+                                      "--count", str(count), *out_flags], capsys)
+            assert (code, out) == (1, "") and not path.exists()
+            assert err.startswith(f"error: count {count} over {steps} steps needs at least ")
+            assert err.count("\n") == 1
 
 
 def test_sample_walk_that_outgrows_the_machine_exits_three_writing_nothing(tmp_path, monkeypatch, capsys):
     # an untrained dise model scores every cell 1, so its gaps about double a leap; the walk checks
-    # each leap's scores and what it keeps against physical memory, which the CLI's static guards
-    # (read from cli, not patched here) cannot see
+    # each leap's scores and what it keeps against physical memory, which the check before the walk
+    # cannot see
     ckpt, path = str(tmp_path / "init.ckpt"), tmp_path / "s.jsonl"
     scorer.save(scorer.ScorerParams.init(4, "dise"), ckpt)
     Vocab.build("abc").save(ckpt + ".vocab")

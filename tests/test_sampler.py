@@ -5,6 +5,7 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,6 +412,8 @@ def test_config_validation():
         SamplerConfig(steps=4, grid="log")
     with pytest.raises(ConfigError):
         SamplerConfig(steps=4, top_p=0.0)
+    with pytest.raises(ConfigError, match="^unknown sampler mode 'bogus'$"):
+        SamplerConfig(steps=4, mode="bogus")
     with pytest.raises(ConfigError):
         SamplerConfig(steps=4, mode="fixed")
     with pytest.raises(ConfigError):
@@ -432,6 +435,60 @@ def test_batch_rejects_a_score_row_count_other_than_the_gaps():
     short = lambda p, xs, t: scorer.score(p, xs, t)[:-1]
     with pytest.raises(ShapeMismatch, match="^3 score rows for 4 gaps$"):
         batch_generate(short, params, SamplerConfig(steps=2, seed=0), 4)
+
+
+def test_batch_rejects_score_rows_that_are_not_a_matrix():
+    flat = lambda p, xs, t: np.ones(len(xs.ids))  # one score a gap, not a row of V
+    with pytest.raises(ShapeMismatch, match=r"^score matrix must be 2-d, got shape \(2,\)$"):
+        batch_generate(flat, None, SamplerConfig(steps=2, seed=0), 2)
+
+
+def test_check_walk_budget_is_grid_walkers_and_history(monkeypatch):
+    # 40 B a grid point, 1 KiB a walker and 9 B a walker a step, summed; each case is led by one term
+    for steps, count, need in ((10**6, 1, 40_000_040 + 1024 + 9_000_000),         # the time grid
+                               (1, 10**5, 80 + 102_400_000 + 900_000),            # the walkers
+                               (10**4, 1000, 400_040 + 1_024_000 + 90_000_000)):  # the history
+        cfg = SamplerConfig(steps=steps, seed=0)
+        monkeypatch.setattr(sampler, "_physical_memory", lambda: need)
+        sampler.check_walk(cfg, None, count)
+        monkeypatch.setattr(sampler, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ConfigError, match=f"^count {count} over {steps} steps needs at least "
+                                              f"{need / 2**30:.4g} GiB for its time grid, walkers and "
+                                              f"history; this machine has {(need - 1) / 2**30:.4g} GiB$"):
+            sampler.check_walk(cfg, None, count)
+
+
+def test_the_library_refuses_what_delins_sample_refuses_before_drawing(monkeypatch):
+    dice = scorer.load(str(Path(__file__).parents[1] / "perfbench" / "ckpt" / "dice.ckpt"))
+    want = (f"^a dice checkpoint scores only states of at most k={dice.k} content tokens; "
+            "sample it in fixed mode$")
+    for seed in (2, 3, 5, 6):  # seeds whose variable walks pass k
+        cfg = SamplerConfig(steps=8, seed=seed)
+        for run in (lambda: batch_generate(scorer.score, dice, cfg, 16),
+                    lambda: generate(scorer.score, dice, cfg)):
+            with pytest.raises(ConfigError, match=want):
+                run()
+    # a walk over budget is refused before a stream is spawned or the grid is built
+    for name in ("SeedSequence", "default_rng"):
+        monkeypatch.setattr(np.random, name, lambda *a: pytest.fail("drew before checking the walk"))
+    monkeypatch.setattr(sampler, "timestep_grid", lambda *a: pytest.fail("built the grid before checking"))
+    monkeypatch.setattr(sampler, "_physical_memory", lambda: 1024)
+    cfg = SamplerConfig(steps=4, seed=0)
+    for run in (lambda: batch_generate(scorer.score, uniform_dise(3), cfg, 2),
+                lambda: generate(scorer.score, uniform_dise(3), cfg)):
+        with pytest.raises(ConfigError, match="^count [12] over 4 steps needs at least "):
+            run()
+
+
+def test_a_leap_counts_the_grid_and_walkers_the_walk_keeps(monkeypatch):
+    # memory enough for the least walk, grid, walker and history, but not for a leap's score arrays
+    # beside the grid and walker: the walk stops before its first score call
+    calls = []
+    still = lambda p, xs, t: calls.append(t) or np.zeros((len(xs.ids), 3))  # nothing ever inserts
+    monkeypatch.setattr(sampler, "_physical_memory", lambda: 5 * 40 + 1024 + 4 * 9)
+    with pytest.raises(MemoryError, match="^a leap at t=1 over 1 gaps needs "):
+        generate(still, None, SamplerConfig(steps=4, seed=0))
+    assert calls == []
 
 
 def test_batch_summary_matches_traces():
