@@ -614,20 +614,38 @@ def test_sample_bad_settings_write_nothing(trained, tmp_path, capsys):
             assert not path.exists()
 
 
-def test_sample_refuses_a_walk_whose_least_memory_cannot_fit_the_machine(trained, tmp_path, monkeypatch,
-                                                                       capsys):
-    # the least a walk takes, 40 B a grid point and 1 KiB plus 9 B a step a walker, against 5 KiB: a long
-    # grid, many walkers, or a history that only their sum makes too large; sampler.check_walk's own test
-    # pins where each one starts to be refused
-    monkeypatch.setattr(sampler, "_physical_memory", lambda: 5 * 1024)
-    path = tmp_path / "s.jsonl"
-    for steps, count in ((100, 1), (4, 51), (114, 5)):
-        for out_flags in ([], ["--out", str(path)]):
-            code, out, err = run_cli(["sample", "--checkpoint", trained, "--seed", "1", "--steps", str(steps),
-                                      "--count", str(count), *out_flags], capsys)
-            assert (code, out) == (1, "") and not path.exists()
-            assert err.startswith(f"error: count {count} over {steps} steps needs at least ")
-            assert err.count("\n") == 1
+def _sample_at_the_budget_edge(trained, path, capsys, monkeypatch, steps, count, want):
+    # the least a walk takes, 40 B a grid point and 1 KiB plus 9 B a step a walker, summed: memory one
+    # byte short of it is refused before drawing and writes nothing; memory that fits it exactly passes
+    # that check, and the walk's own check stops the first leap, whose score arrays it does not count
+    need = (steps + 1) * 40 + count * (1024 + steps * 9)
+    argv = ["sample", "--checkpoint", trained, "--seed", "1", "--steps", str(steps), "--count", str(count)]
+    monkeypatch.setattr(sampler, "_physical_memory", lambda: need - 1)
+    for out_flags in ([], ["--out", str(path)]):
+        code, out, err = run_cli(argv + out_flags, capsys)
+        assert (code, out) == (1, "") and not path.exists()
+        assert err == (f"error: count {count} over {steps} steps needs at least {want} GiB for its time grid, "
+                       f"walkers and history; this machine has {(need - 1) / 2**30:.4g} GiB\n")
+    monkeypatch.setattr(sampler, "_physical_memory", lambda: need)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "") and err.startswith("error: a leap at t=") and err.count("\n") == 1
+
+
+def test_sample_refuses_a_time_grid_larger_than_the_machine(trained, tmp_path, monkeypatch, capsys):
+    # 40 B a point: its float64, its list slot and its float object; 100 steps make 101 points, the
+    # most of 5964 B
+    _sample_at_the_budget_edge(trained, tmp_path / "s.jsonl", capsys, monkeypatch, 100, 1, "5.554e-06")
+
+
+def test_sample_refuses_a_count_whose_walkers_cannot_fit_the_machine(trained, tmp_path, monkeypatch, capsys):
+    # at least 1 KiB a walker: its seed sequence and generator; 4 steps keep the time grid small
+    _sample_at_the_budget_edge(trained, tmp_path / "s.jsonl", capsys, monkeypatch, 4, 51, "5.053e-05")
+
+
+def test_sample_refuses_a_walk_whose_history_cannot_fit_the_machine(trained, tmp_path, monkeypatch, capsys):
+    # 9 B a walker a step: its int64 size and a one-byte bos; 5 walkers over 114 steps keep 5130 B of
+    # history, a third of 14850 B, beside a 4600 B grid and 5120 B of walkers
+    _sample_at_the_budget_edge(trained, tmp_path / "s.jsonl", capsys, monkeypatch, 114, 5, "1.383e-05")
 
 
 def test_sample_walk_that_outgrows_the_machine_exits_three_writing_nothing(tmp_path, monkeypatch, capsys):
