@@ -25,7 +25,11 @@ in three arithmetic domains, tried in this order by the "auto" ops:
 
 The recurrence updates a whole row at once while stepping along x_0.  One row
 driver steps every sweep: a pair's table, a count's single row and a batch's
-lockstep lanes alike.  A row holds lanes end to end, each one pad cell and its
+lockstep lanes alike.  Where lanes are wide and their tokens sparse, a block of
+rows copies each row and adds at its matching cells alone, found through a
+(lane, token) index of the row's cells, as Hunt & Szymanski's LCS visits only
+matches (CACM 20(5), 1977); one cost inequality (_sparse_pays) picks that or the
+whole-row step from the block's cells, lanes and match count.  A row holds lanes end to end, each one pad cell and its
 x_t, so no cell is padding.  The suffix table of a pair is the flipped prefix
 table of the reversed pair.  Single-pair counts in the exact and float domains
 walk only the cells where x_0[j] == x_t[i]; every other op sweeps, a count
@@ -71,6 +75,11 @@ _SWEEP_ARITH = {
 # row (about 22 ns a cell) would cost more than a sweep row (1.7 us or more).
 _WALK_MAX_MATCHES_PER_ROW = 64
 _BLOCK = 64  # rows whose sweep masks, or fuse indices, are made in one call
+# _sparse_pays' costs, float rows of 520-8200 cells (2 cores, numpy 2.4): a whole-row step's
+# where and add take about 1.3 ns a cell; a sparse row copies at 0.3 ns a cell, looks up and
+# gathers about 10 ns a lane, and gathers, adds and scatters about 8 ns a matching cell.  So
+# wide lanes over 16 tokens step sparse, and c10's 8-cell lanes or a^k in a^2k never do.
+_NS_PER_SWEPT_CELL, _NS_PER_COPIED_CELL, _NS_PER_LANE, _NS_PER_MATCH = 1.3, 0.3, 10.0, 8.0
 
 BRUTE_MAX_SUB = 12
 BRUTE_MAX_SEQ = 14
@@ -85,7 +94,8 @@ def is_log_zero(x) -> np.ndarray | bool:
     """True where a log-domain cell represents an exact zero count.
 
     Dead cells drift upward from LOG_ZERO by ln(2) per log-add-exp, so the
-    test uses a wide margin rather than equality.
+    test uses a wide margin rather than equality.  A row stepped sparse adds only
+    at its matching cells, so there a dead cell drifts only on the rows it matches.
     """
     return x < LOG_ZERO * 0.5
 
@@ -104,6 +114,44 @@ def _start(shape, domain: str) -> np.ndarray:
     return T
 
 
+def _sparse_pays(rows: int, cells: int, lanes: int, matches: int) -> bool:
+    """Whether rows of cells in lanes, matching in matches cells in all, step faster sparse."""
+    return (matches * _NS_PER_MATCH + rows * (lanes * _NS_PER_LANE + cells * _NS_PER_COPIED_CELL)
+            < rows * cells * _NS_PER_SWEPT_CELL)
+
+
+def _matching(xt: np.ndarray, x0: np.ndarray, lanes: np.ndarray, g: int):
+    """A function of a block of x0's rows: each row's matching cells less one, or None to sweep.
+
+    One stable argsort orders the cells past the first by (lane, token), so a lane's cells
+    of one token are one slice of the order; a block's rows look their slices up in one
+    searchsorted and, over several lanes, gather them in one ragged take.  The order is held
+    in the fewest bytes, and each row's cells become intp only as that row steps.
+    """
+    L, lo = x0.shape[1], min(int(xt.min()), int(x0.min()))
+    W = max(int(xt.max()), int(x0.max())) - lo + 1  # one key range per lane
+    key = np.repeat(lanes, g)[1:] * W + (xt[1:].astype(np.int64) - lo)
+    order = np.argsort(key, kind="stable")
+    key, order = key[order], order.astype(np.min_scalar_type(len(key)))
+    offsets = np.arange(L) * W - lo
+
+    def rows_of(block: np.ndarray):
+        q = block + offsets  # each row's (lane, token) keys
+        a, b = np.searchsorted(key, q).ravel(), np.searchsorted(key, q, "right").ravel()
+        if not _sparse_pays(len(block), len(xt), L, int((n := b - a).sum())):
+            return None
+        if L == 1:  # one lane: a row's cells are one slice of the order
+            return (order[i:j].astype(np.intp) for i, j in zip(a.tolist(), b.tolist()))
+        ends = np.cumsum(n)
+        pos = np.arange(int(ends[-1]), dtype=(dt := np.min_scalar_type(-max(int(ends[-1]), len(xt)))))
+        pos -= np.repeat((ends - n - a).astype(dt), n)  # a segment's positions run on from its a
+        picked = order[pos]  # indexing casts pos to intp a buffer at a time, where take would copy it
+        ends = [0, *ends[L - 1 :: L].tolist()]  # row r's cells are picked[ends[r]:ends[r + 1]]
+        return (picked[i:j].astype(np.intp) for i, j in zip(ends, ends[1:]))
+
+    return rows_of
+
+
 def _rows(T: np.ndarray, xt: np.ndarray, x0: np.ndarray, lanes: np.ndarray, domain: str):
     """Make row k of every lane's prefix table in T for k = 1..len(x0), yielding k after each.
 
@@ -111,21 +159,38 @@ def _rows(T: np.ndarray, xt: np.ndarray, x0: np.ndarray, lanes: np.ndarray, doma
     into chunks of g cells (g divides every lane's width), chunk c in lane lanes[c], and
     x0[k - 1] holds each lane's token k.  Slot k of T holds row k; rows past the last slot
     step in place in it.  A cell adds its left neighbour of the previous row where its lane's
-    token matches its own, never at a pad.  Masks come _BLOCK rows to a compare, or one row
-    for one lane, which then needs no ufunc buffer.  An exact row k > 67 that wraps raises,
-    naming its lowest wrapping pair: lanes r and L - 1 - r are one pair.  Float cells past
-    float64 become inf, so callers ignore overflow warnings.
+    token matches its own, never at a pad.  Rows go _BLOCK at a time, and a block steps one
+    of two ways, whichever _sparse_pays says is cheaper for its cells, lanes and matches:
+    * sparse: a row copies the previous one, then adds at its matching cells alone, found
+      through _matching's index (built only when lanes are wide enough for it ever to pay);
+    * whole: a row adds everywhere, the left neighbour masked to zero where the tokens differ.
+      Masks come a block to a compare, or one row for one lane, which needs no ufunc buffer.
+    Both give every cell the same bits, save a dead log cell: it drifts only where it adds.
+    An exact row k > 67 that wraps raises, naming its lowest wrapping pair: lanes r and
+    L - 1 - r are one pair.  Float cells past float64 become inf, so callers ignore overflow
+    warnings.
     """
     (_, zero, _, add), last, L = _SWEEP_ARITH[domain], len(T) - 1, x0.shape[1]
-    g, block = len(xt) // len(lanes), _BLOCK if L > 1 else 1
-    for k0 in range(0, len(x0), block):
-        masks = x0[k0 : k0 + block].take(lanes, axis=1)[:, :, None] == xt.reshape(-1, g)
-        for k, mask in enumerate(masks.reshape(-1, len(xt))[:, 1:], k0 + 1):
+    g = len(xt) // len(lanes)
+    matching = _matching(xt, x0, lanes, g) if _sparse_pays(len(x0), len(xt), L, 0) else None
+    for k0 in range(0, len(x0), _BLOCK):
+        block = x0[k0 : k0 + _BLOCK]
+        steps = matching(block) if matching else None
+        if not (sparse := steps is not None):
+            steps = ((block.take(lanes, axis=1)[:, :, None] == xt.reshape(-1, g)).reshape(len(block), -1)[:, 1:]
+                     if L > 1 else (tok == xt[1:] for tok in block[:, 0]))
+        for k, step in enumerate(steps, k0 + 1):
             prev, cur = T[min(k - 1, last)], T[min(k, last)]
-            shifted = np.where(mask, prev[:-1], zero)
-            add(prev[1:], shifted, out=cur[1:])
-            if domain == "exact" and k > EXACT_SAFE_ROWS and (wrapped := cur[1:] < shifted).any():
-                hit = lanes[(np.flatnonzero(wrapped) + 1) // g]
+            if sparse:  # step: the matching cells, less one
+                if k <= last:
+                    cur[...] = prev
+                new, left = prev[1:][step], prev[:-1][step]
+                cur[1:][step] = add(new, left, out=new)
+            else:  # step: the row's mask past its first cell
+                left = np.where(step, prev[:-1], zero)
+                new = add(prev[1:], left, out=cur[1:])
+            if domain == "exact" and k > EXACT_SAFE_ROWS and (wrapped := new < left).any():
+                hit = lanes[((step[wrapped] if sparse else np.flatnonzero(wrapped)) + 1) // g]
                 raise Overflow(_U64_WRAP.format(int(np.minimum(hit, L - 1 - hit).min())))
             yield k
 

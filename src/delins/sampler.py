@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cache
 
 import numpy as np
@@ -312,7 +313,9 @@ def check_walk(config: SamplerConfig, params, count: int, prompt: Sequence | Non
         raise ConfigError(f"prompt has {prompt.content_len} content tokens, more than k={config.k}")
     need = (config.steps + 1) * _GRID_POINT_BYTES + count * (_WALKER_BYTES + config.steps * _LEAP_BYTES)
     if need > (memory := _physical_memory()):
-        raise ConfigError(f"count {count} over {config.steps} steps needs at least {need / 2**30:.4g} GiB for "
+        # a need past float64 (count about 10**315 and up) divides as a decimal, to the same digits
+        gib = need / 2**30 if need < 2**1023 else Decimal(need) / 2**30
+        raise ConfigError(f"count {count} over {config.steps} steps needs at least {gib:.4g} GiB for "
                           f"its time grid, walkers and history; this machine has {memory / 2**30:.4g} GiB")
 
 

@@ -648,6 +648,15 @@ def test_sample_refuses_a_walk_whose_history_cannot_fit_the_machine(trained, tmp
     _sample_at_the_budget_edge(trained, tmp_path / "s.jsonl", capsys, monkeypatch, 114, 5, "1.383e-05")
 
 
+def test_sample_refuses_a_count_past_float64_gib_in_one_line(trained, tmp_path, capsys):
+    path = tmp_path / "s.jsonl"
+    argv = ["sample", "--checkpoint", trained, "--seed", "1", "--steps", "4", "--count", str(10**400)]
+    for out_flags in ([], ["--out", str(path)]):
+        code, out, err = run_cli(argv + out_flags, capsys)
+        assert (code, out) == (1, "") and not path.exists() and err.count("\n") == 1
+        assert err.startswith(f"error: count {10**400} over 4 steps needs at least 9.872e+393 GiB for its time grid")
+
+
 def test_sample_walk_that_outgrows_the_machine_exits_three_writing_nothing(tmp_path, monkeypatch, capsys):
     # an untrained dise model scores every cell 1, so its gaps about double a leap; the walk checks
     # each leap's scores and what it keeps against physical memory, which the check before the walk

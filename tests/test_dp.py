@@ -866,3 +866,84 @@ def test_a_log_count_grid_is_log_n_above_its_ratio_grid():
             with np.errstate(divide="ignore"):
                 want = np.where(r > 0, np.log(r) + subsequence_count(x_t, x_0, "log"), LOG_ZERO)
             assert insertion_counts(x_t, x_0, vocab_size, "log").tobytes() == want.tobytes()
+
+
+# --- sparse rows: the same bits as whole rows -------------------------------------
+
+
+def _outputs(pairs, vocab_size):
+    """Every op of each domain on pairs: an array, or an error's type and message."""
+    def run(op, *args):
+        try:
+            return op(*args)
+        except (Overflow, NotASubsequence) as e:
+            return f"{type(e).__name__}: {e}"
+
+    out = {}
+    with np.errstate(all="ignore"):
+        for domain in ("exact", "float", "log"):
+            out[domain, "ratios"] = run(lambda: batched_n_ratios(pairs, vocab_size, domain).ratios)
+            out[domain, "grids"] = run(lambda: np.concatenate(batched_insertion_counts(pairs, vocab_size, domain)))
+            for b, (x_t, x_0) in enumerate(pairs[:2]):
+                out[domain, "prefix", b] = run(prefix_table, x_t, x_0, domain)
+                out[domain, "suffix", b] = run(suffix_table, x_t, x_0, domain)
+                out[domain, "count", b] = run(lambda: np.array(subsequence_count(x_t, x_0, domain)))
+    return out
+
+
+def _same_bits(got, want, live_only: bool) -> bool:
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    if live_only:  # a dead log cell drifts only where it adds, so only live cells keep their bits
+        return np.array_equal(is_log_zero(got), is_log_zero(want)) and np.array_equal(
+            got[~is_log_zero(got)], want[~is_log_zero(want)])
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_sparse_rows_give_the_whole_row_bits_on_each_side_of_the_choice(monkeypatch):
+    import delins.dp as dp_module
+
+    rng = np.random.default_rng(32)
+    sides = {  # wide sparse lanes; narrow lanes as in c10; wide lanes where every cell matches
+        "wide": [(v, _half_kept_pairs(rng, rng.integers(100, 601, size=3), v)) for v in (16, 64)],
+        "narrow": [(13, _half_kept_pairs(rng, rng.integers(3, 13, size=40), 13))],
+        "dense": [(2, [((BOS,) + (1,) * k, (BOS,) + (1,) * (2 * k))] * 2) for k in (40, 300)],
+    }
+    real = dp_module._sparse_pays
+    for side, batches in sides.items():
+        for vocab_size, pairs in batches:
+            sparse = []  # each block's choice
+            monkeypatch.setattr(dp_module, "_sparse_pays",
+                                lambda *a: (r := real(*a)) and (a[3] and sparse.append(r)) or r)
+            got = _outputs(pairs, vocab_size)
+            monkeypatch.setattr(dp_module, "_sparse_pays", lambda *a: False)
+            want = _outputs(pairs, vocab_size)
+            monkeypatch.undo()
+            assert any(sparse) == (side == "wide"), side
+            for key, ref in want.items():
+                live_only = key[0] == "log" and key[1] in ("prefix", "suffix", "count")
+                assert _same_bits(got[key], ref, live_only), (side, vocab_size, key)
+            if isinstance(got["exact", "grids"], str):
+                continue
+            for (x_t, x_0), grid in zip(pairs, batched_insertion_counts(pairs, vocab_size)):
+                assert grid.tolist() == int_grid(x_t, x_0, vocab_size)[1], (side, vocab_size)
+
+
+def test_sparse_rows_name_the_pair_that_wraps_first(monkeypatch):
+    # x_0 opens with a run of ones, x_t with fewer: more ones wrap sooner.  Pair 2 wraps rows
+    # before pair 1, pair 0 never does, and the blocks where they wrap step sparse
+    import delins.dp as dp_module
+
+    rng = np.random.default_rng(5)
+    def pair(ones):
+        rest = rng.integers(2, 64, size=400).tolist()
+        return (BOS, *[1] * ones, *rest[::2]), (BOS, *[1] * 100, *rest)
+    pairs = [pair(0), pair(20), pair(30)]
+    real, sparse = dp_module._sparse_pays, []
+    monkeypatch.setattr(dp_module, "_sparse_pays", lambda *a: sparse.append(real(*a)) or sparse[-1])
+    for op in (batched_n_ratios, batched_insertion_counts):
+        for batch, b in ((pairs, 2), (pairs[:2], 1), (pairs[::-1], 0)):
+            sparse.clear()
+            with pytest.raises(Overflow, match=f"^pair {b}: subsequence count exceeds uint64"):
+                op(batch, 64, "exact")
+            assert sparse[-1]  # the wrapping block's choice

@@ -458,6 +458,13 @@ def test_check_walk_budget_is_grid_walkers_and_history(monkeypatch):
             sampler.check_walk(cfg, None, count)
 
 
+def test_check_walk_refuses_a_need_past_float64_as_a_config_error():
+    # 10**400 walkers need about 10**403 bytes, past what a float can hold in GiB
+    with pytest.raises(ConfigError, match=r"^count 1(0{400}) over 1 steps needs at least 9\.621e\+393 GiB for "
+                                          r"its time grid, walkers and history; this machine has "):
+        sampler.check_walk(SamplerConfig(steps=1, seed=0), None, 10**400)
+
+
 def test_the_library_refuses_what_delins_sample_refuses_before_drawing(monkeypatch):
     dice = scorer.load(str(Path(__file__).parents[1] / "perfbench" / "ckpt" / "dice.ckpt"))
     want = (f"^a dice checkpoint scores only states of at most k={dice.k} content tokens; "
