@@ -125,7 +125,7 @@ def _matching(xt: np.ndarray, x0: np.ndarray, lanes: np.ndarray, g: int):
 
     One stable argsort orders the cells past the first by (lane, token), so a lane's cells
     of one token are one slice of the order; a block's rows look their slices up in one
-    searchsorted and, over several lanes, gather them in one ragged take.  The order is held
+    searchsorted and, over several lanes, gather them with one ragged index.  The order is held
     in the fewest bytes, and each row's cells become intp only as that row steps.
     """
     L, lo = x0.shape[1], min(int(xt.min()), int(x0.min()))
