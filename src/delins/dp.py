@@ -19,9 +19,8 @@ in three arithmetic domains, tried in this order by the "auto" ops:
 * "float": the exact recurrence in float64, each cell within about
   (|x_0| + |x_t|) * 2**-53 relative of its count.  A count past float64
   becomes inf, and a non-finite count or grid cell raises the same error.
-* "log": float64 log-counts with the sentinel LOG_ZERO standing in for
-  log(0).  Using a large negative constant instead of -inf keeps log-add-exp
-  free of NaNs.
+* "log": float64 log-counts.  A zero count sweeps as -inf, which log-add-exp
+  keeps exact, and leaves as the sentinel LOG_ZERO.
 
 The recurrence updates a whole row at once while stepping along x_0.  One row
 driver steps every sweep: a pair's table, a count's single row and a batch's
@@ -69,7 +68,7 @@ _F64_OVER = "subsequence count exceeds float64; use the log domain"
 _SWEEP_ARITH = {
     "exact": (_U64, _U64(0), _U64(1), np.add),
     "float": (np.float64, 0.0, 1.0, np.add),
-    "log": (np.float64, LOG_ZERO, 0.0, np.logaddexp),
+    "log": (np.float64, -np.inf, 0.0, np.logaddexp),
 }
 # A pair averaging more matching cells per x_0 token than this is swept: a walk
 # row (about 22 ns a cell) would cost more than a sweep row (1.7 us or more).
@@ -91,12 +90,7 @@ def _ids(seq) -> np.ndarray:
 
 
 def is_log_zero(x) -> np.ndarray | bool:
-    """True where a log-domain cell represents an exact zero count.
-
-    Dead cells drift upward from LOG_ZERO by ln(2) per log-add-exp, so the
-    test uses a wide margin rather than equality.  A row stepped sparse adds only
-    at its matching cells, so there a dead cell drifts only on the rows it matches.
-    """
+    """True where a log-domain cell represents an exact zero count."""
     return x < LOG_ZERO * 0.5
 
 
@@ -165,7 +159,7 @@ def _rows(T: np.ndarray, xt: np.ndarray, x0: np.ndarray, lanes: np.ndarray, doma
       through _matching's index (built only when lanes are wide enough for it ever to pay);
     * whole: a row adds everywhere, the left neighbour masked to zero where the tokens differ.
       Masks come a block to a compare, or one row for one lane, which needs no ufunc buffer.
-    Both give every cell the same bits, save a dead log cell: it drifts only where it adds.
+    Both give every cell the same bits.
     An exact row k > 67 that wraps raises, naming its lowest wrapping pair: lanes r and
     L - 1 - r are one pair.  Float cells past float64 become inf, so callers ignore overflow
     warnings.
@@ -200,13 +194,15 @@ def _sweep(xt: np.ndarray, x0: np.ndarray, domain: str, last_only: bool = False)
 
     last_only: every row steps in place in one slot, and the last, T[|x0|], is returned alone.
     A float count raises at its first row whose count N(xt, x0[:j]) is inf: counts never
-    decrease along x_0, so no later row can bring it back.
+    decrease along x_0, so no later row can bring it back.  A dead log cell leaves as LOG_ZERO.
     """
     T = _start((1 if last_only else len(x0) + 1, len(xt) + 1), domain)
     with np.errstate(over="ignore"):  # inf marks an overflowed float cell and stays inf
         for _ in _rows(T, np.concatenate(([_PAD_XT], xt)), x0[:, None], np.zeros(1, np.intp), domain):
             if last_only and domain == "float" and not math.isfinite(T[0, -1]):
                 raise Overflow(_F64_OVER)
+    if domain == "log":
+        np.maximum(T, LOG_ZERO, out=T)
     return T[0] if last_only else T
 
 

@@ -17,8 +17,8 @@ rng.random(2 * |x|) draw would give them; the walk takes them from a block
 per walker drawn ahead from that stream, and a walker refills only when its
 block cannot cover a leap.  So walker i of a batch is the lone walk on the
 same stream, whatever the batch size.  Only fired gaps get their conditional
-token distribution and pick a token.  The walk makes no Sequence: each
-walker's final state is made at its end, its snapshots on first read.
+token distribution and pick a token.  A leap never removes a token, so the walk
+keeps where each put its new ids, and makes Sequences at its end or on a read.
 
 Guards on top of the raw leap:
 
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache
@@ -63,8 +64,6 @@ _GRID_POINT_BYTES = 8 + 8 + 24
 # a walker's least share: its seed sequence and generator take about 0.9 KiB (tracemalloc, 1000
 # to 16000 walkers), a one-step walk about 1.7 KiB at its peak
 _WALKER_BYTES = 1024
-# what the walk keeps of a walker at each leap: its int64 size and its ids, bos at least, a byte at least
-_LEAP_BYTES = 8 + 1
 
 
 @dataclass(frozen=True)
@@ -238,12 +237,11 @@ class _Blocks:
 def _leap(ids, sizes, t, dt, scores, top_p, draws, heads, gap_mask, capacity, stats):
     """One tau-leap for walkers packed as one id array; every gap inserts at most one token.
 
-    Walker w holds the sizes[w] ids after the earlier walkers'.  It reads
-    draws[heads[w]:heads[w] + 2 * sizes[w]], its gates and then its tokens,
-    whatever fires, so no walker's leap depends on another's or on earlier
-    outcomes.  capacity[w] and stats[:, w] (gap steps, clamps, cancellations,
-    added in place) are its own; scores and gap_mask cover the gaps in the
-    same order.  Returns the grown ids and sizes in the same layout.
+    Walker w holds the sizes[w] ids after the earlier walkers'.  It reads draws[heads[w]:heads[w] +
+    2 * sizes[w]], its gates and then its tokens, whatever fires, so no walker's leap depends on
+    another's or on earlier outcomes.  capacity[w] and stats[:, w] (gap steps, clamps, cancellations,
+    added in place) are its own; scores and gap_mask cover the gaps in the same order.  Returns the
+    grown ids and sizes in the same layout, and where in the grown ids the new ones landed.
     """
     if not (0.0 < dt <= t):
         raise InvalidTimes(f"need 0 < dt <= t, got dt={dt}, t={t}")
@@ -276,9 +274,9 @@ def _leap(ids, sizes, t, dt, scores, top_p, draws, heads, gap_mask, capacity, st
     stats[0] += sizes
     stats[1] += np.add.reduceat(clamped, starts, dtype=np.int64)
     # a fired gap's left token goes in twice, then the new token replaces the second copy
-    grown = np.repeat(ids, np.bincount(fired, minlength=len(ids)) + 1)
-    grown[fired + np.arange(1, len(fired) + 1)] = tokens
-    return grown, sizes + added
+    grown, new = np.repeat(ids, np.bincount(fired, minlength=len(ids)) + 1), fired + np.arange(1, len(fired) + 1)
+    grown[new] = tokens
+    return grown, sizes + added, new
 
 
 def reverse_step(x_t: Sequence, t: float, dt: float, scores, top_p: float, rng, *, gap_mask=None,
@@ -289,7 +287,7 @@ def reverse_step(x_t: Sequence, t: float, dt: float, scores, top_p: float, rng, 
     """
     st, n = stats if stats is not None else StepStats(), len(x_t)
     counts = np.array([[st.gap_steps], [st.clamp_events], [st.cancelled]])
-    ids, sizes = _leap(np.array(x_t.ids, dtype=np.int64), np.array([n]), t, dt, scores, top_p,
+    ids, sizes, _ = _leap(np.array(x_t.ids, dtype=np.int64), np.array([n]), t, dt, scores, top_p,
                        rng.random(2 * n), np.zeros(1, dtype=np.int64), gap_mask,
                        None if capacity is None else np.array([capacity]), counts)
     st.gap_steps, st.clamp_events, st.cancelled = counts[:, 0].tolist()
@@ -305,59 +303,63 @@ def check_walk(config: SamplerConfig, params, count: int, prompt: Sequence | Non
     """Raise ConfigError, before anything is drawn, for a walk of count walkers that cannot run.
 
     A dice model walks in fixed mode only: it scores only states of at most k content tokens, and one
-    leap's gates can overshoot k.  The time grid, walkers and least history live to the walk's end."""
+    leap's gates can overshoot k.  The time grid and the walkers live to the walk's end."""
     if getattr(params, "mode", None) == "dice" and config.mode == "variable":
         raise ConfigError(f"a dice checkpoint scores only states of at most k={params.k} content tokens; "
                           "sample it in fixed mode")
     if config.mode == "fixed" and prompt is not None and prompt.content_len > config.k:
         raise ConfigError(f"prompt has {prompt.content_len} content tokens, more than k={config.k}")
-    need = (config.steps + 1) * _GRID_POINT_BYTES + count * (_WALKER_BYTES + config.steps * _LEAP_BYTES)
+    need = (config.steps + 1) * _GRID_POINT_BYTES + count * _WALKER_BYTES
     if need > (memory := _physical_memory()):
-        # a need past float64 (count about 10**315 and up) divides as a decimal, to the same digits
+        # a need past float64 (count about 10**305 and up) divides as a decimal, to the same digits
         gib = need / 2**30 if need < 2**1023 else Decimal(need) / 2**30
         raise ConfigError(f"count {count} over {config.steps} steps needs at least {gib:.4g} GiB for "
-                          f"its time grid, walkers and history; this machine has {memory / 2**30:.4g} GiB")
+                          f"its time grid and walkers; this machine has {memory / 2**30:.4g} GiB")
 
 
 @np.errstate(over="ignore")  # a score that overflows shows as a non-finite gap mass
 def _walk(score_fn, params, config: SamplerConfig, prompt: Sequence | None, rngs):
     """Walk one walker per rng from t = 1 to 0 together; returns the traces and final content lengths.
 
-    A leap whose score-sized arrays, with what the walk keeps (its time grid, walkers, states and
-    draw blocks), would exceed physical memory raises MemoryError before its score call: the rows
-    are as wide as the last score's (the start's largest id + 1 before the first).
+    A leap whose score-sized arrays, with what the walk keeps (its time grid, walkers, state, draw
+    blocks and where leaps inserted), would exceed physical memory raises MemoryError before its
+    score call: the rows are as wide as the last score's (the start's largest id + 1 before the first).
     """
     start = prompt.ids if prompt is not None else (BOS_ID,)
-    inside = len(start) - 1  # gaps strictly inside the prompt
+    inside, records = len(start) - 1, array("q")  # gaps strictly inside the prompt; records, a stack
     times = timestep_grid(config.steps, config.grid).tolist()
     ids, sizes = np.tile(np.array(start, dtype=np.int64), len(rngs)), np.full(len(rngs), len(start))
-    states, top = [(ids, sizes)], max(map(abs, start))  # each time's state; later ids in the fewest bytes
     stats, blocks, memory = np.zeros((3, len(rngs)), dtype=np.int64), _Blocks(rngs), _physical_memory()
-    kept = len(times) * _GRID_POINT_BYTES + len(rngs) * _WALKER_BYTES + ids.nbytes + sizes.nbytes
-    for leap, (t, t_next) in enumerate(zip(times, times[1:])):
-        if (need := _LEAP_SCORE_ARRAYS * 8 * len(ids) * (top + 1) + kept + blocks.rows.nbytes) > memory:
+    kept, top = len(times) * _GRID_POINT_BYTES + len(rngs) * _WALKER_BYTES, max(map(abs, start))
+    for leap, (t, t_next) in enumerate(zip(times, times[1:])):  # a gap: its score arrays, its int64 id
+        if (need := 8 * len(ids) * (_LEAP_SCORE_ARRAYS * (top + 1) + 1) + kept + blocks.rows.nbytes) > memory:
             raise MemoryError(f"a leap at t={t:.6g} over {len(ids)} gaps needs {need / 2**30:.4g} GiB with "
                               f"the walk's history; this machine has {memory / 2**30:.4g} GiB")
         scores = score_fn(params, Batch(ids, sizes), t)
         mask = np.arange(len(ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes) >= inside if inside else None
         capacity = config.k - (sizes - 1) if config.mode == "fixed" else None
         draws, heads = blocks.take(sizes, config.steps - leap)
-        ids, sizes = _leap(ids, sizes, t, t - t_next, scores, config.top_p, draws, heads, mask, capacity,
-                           stats)
+        ids, sizes, new = _leap(ids, sizes, t, t - t_next, scores, config.top_p, draws, heads, mask, capacity,
+                                stats)
         top = max(top, len(scores[0]) - 1)  # a new token is below its score row's width
-        states.append((ids.astype(np.min_scalar_type(-1 - top)), sizes))
-        kept += states[-1][0].nbytes + sizes.nbytes
+        if len(new):  # its record: where its new ids landed, their count and the leap, 8 B each
+            records.extend([*new.tolist(), len(new), leap])
+            kept += 8 * (len(new) + 2)
     finals = list(Batch(ids, sizes))
 
     @cache
     def snapshots() -> list:  # every walker's, back from the finals: a new object only where it inserted
-        history = [finals]
-        for (ids, sizes), (_, later) in zip(states[-2::-1], states[:0:-1]):
-            xs, flat, ends, n = list(history[-1]), ids.tolist(), np.cumsum(sizes).tolist(), sizes.tolist()
-            for w in np.flatnonzero(sizes != later).tolist():
-                xs[w] = Sequence(tuple(flat[ends[w] - n[w] : ends[w]]))
+        xs, flat, n, history = finals, ids, sizes, [finals]
+        for leap in range(config.steps - 1, -1, -1):
+            if records and records[-1] == leap:  # its record pops: its new ids go, who inserted is remade
+                new = np.array(records[-2 - records[-2] : -2], np.int64)
+                del records[-2 - len(new) :]
+                gone = np.bincount(np.searchsorted(np.cumsum(n), new, side="right"), minlength=len(n))
+                flat, n, xs, ends = np.delete(flat, new), n - gone, list(xs), np.cumsum(n - gone).tolist()
+                for w in np.flatnonzero(gone).tolist():
+                    xs[w] = Sequence(tuple(flat[ends[w] - n[w] : ends[w]].tolist()))
             history.append(xs)
-        states.clear()
+        times = timestep_grid(config.steps, config.grid).tolist()  # the walk's grid, not kept past it
         return [list(zip(times, snaps[::-1])) for snaps in zip(*history)]
 
     return [GenerationTrace(lambda w=w: snapshots()[w], final, StepStats(*st))
@@ -367,16 +369,14 @@ def _walk(score_fn, params, config: SamplerConfig, prompt: Sequence | None, rngs
 def generate(score_fn, params, config: SamplerConfig, prompt: Sequence | None = None, rng=None):
     """Walk the grid from t = 1 to 0, scoring and leaping at each step.
 
-    score_fn(params, xs, t) gets the states xs as one seqcore.Batch and
-    returns their (|x|, V) insertion-score matrices stacked in order, as
-    scorer.score does, once per leap.  Returns the GenerationTrace; its
-    snapshots are made on first read and kept.  A given rng ends
-    2 * trace.stats.gap_steps doubles on, two for every gap of every leap,
-    where one rng.random(2 * |x|) call per leap would leave it; the doubles
-    are drawn ahead in blocks, but never past what the walk reads.  A score
-    that is not finite at a gap that may insert raises NonFinite, and a leap
-    that would not fit physical memory MemoryError.  check_walk raises
-    ConfigError first for a dice model in variable mode, a fixed-mode prompt
+    score_fn(params, xs, t) gets the states xs as one seqcore.Batch and returns their (|x|, V)
+    insertion-score matrices stacked in order, as scorer.score does, once per leap.  Returns the
+    GenerationTrace; its snapshots are made on first read, from its final state and where each
+    leap inserted, and kept.  A given rng ends 2 * trace.stats.gap_steps doubles on, two for every
+    gap of every leap, where one rng.random(2 * |x|) call per leap would leave it; the doubles are
+    drawn ahead in blocks, but never past what the walk reads.  A score that is not finite at a gap
+    that may insert raises NonFinite, and a leap that would not fit physical memory MemoryError.
+    check_walk raises ConfigError first for a dice model in variable mode, a fixed-mode prompt
     longer than k, or a walk whose least memory does not fit.
     """
     check_walk(config, params, 1, prompt)

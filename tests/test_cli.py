@@ -615,17 +615,17 @@ def test_sample_bad_settings_write_nothing(trained, tmp_path, capsys):
 
 
 def _sample_at_the_budget_edge(trained, path, capsys, monkeypatch, steps, count, want):
-    # the least a walk takes, 40 B a grid point and 1 KiB plus 9 B a step a walker, summed: memory one
-    # byte short of it is refused before drawing and writes nothing; memory that fits it exactly passes
-    # that check, and the walk's own check stops the first leap, whose score arrays it does not count
-    need = (steps + 1) * 40 + count * (1024 + steps * 9)
+    # the least a walk takes, 40 B a grid point and 1 KiB a walker, summed: memory one byte short of
+    # it is refused before drawing and writes nothing; memory that fits it exactly passes that check,
+    # and the walk's own check stops the first leap, whose score arrays it does not count
+    need = (steps + 1) * 40 + count * 1024
     argv = ["sample", "--checkpoint", trained, "--seed", "1", "--steps", str(steps), "--count", str(count)]
     monkeypatch.setattr(sampler, "_physical_memory", lambda: need - 1)
     for out_flags in ([], ["--out", str(path)]):
         code, out, err = run_cli(argv + out_flags, capsys)
         assert (code, out) == (1, "") and not path.exists()
-        assert err == (f"error: count {count} over {steps} steps needs at least {want} GiB for its time grid, "
-                       f"walkers and history; this machine has {(need - 1) / 2**30:.4g} GiB\n")
+        assert err == (f"error: count {count} over {steps} steps needs at least {want} GiB for its time grid "
+                       f"and walkers; this machine has {(need - 1) / 2**30:.4g} GiB\n")
     monkeypatch.setattr(sampler, "_physical_memory", lambda: need)
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (3, "") and err.startswith("error: a leap at t=") and err.count("\n") == 1
@@ -633,19 +633,13 @@ def _sample_at_the_budget_edge(trained, path, capsys, monkeypatch, steps, count,
 
 def test_sample_refuses_a_time_grid_larger_than_the_machine(trained, tmp_path, monkeypatch, capsys):
     # 40 B a point: its float64, its list slot and its float object; 100 steps make 101 points, the
-    # most of 5964 B
-    _sample_at_the_budget_edge(trained, tmp_path / "s.jsonl", capsys, monkeypatch, 100, 1, "5.554e-06")
+    # most of 5064 B
+    _sample_at_the_budget_edge(trained, tmp_path / "s.jsonl", capsys, monkeypatch, 100, 1, "4.716e-06")
 
 
 def test_sample_refuses_a_count_whose_walkers_cannot_fit_the_machine(trained, tmp_path, monkeypatch, capsys):
     # at least 1 KiB a walker: its seed sequence and generator; 4 steps keep the time grid small
-    _sample_at_the_budget_edge(trained, tmp_path / "s.jsonl", capsys, monkeypatch, 4, 51, "5.053e-05")
-
-
-def test_sample_refuses_a_walk_whose_history_cannot_fit_the_machine(trained, tmp_path, monkeypatch, capsys):
-    # 9 B a walker a step: its int64 size and a one-byte bos; 5 walkers over 114 steps keep 5130 B of
-    # history, a third of 14850 B, beside a 4600 B grid and 5120 B of walkers
-    _sample_at_the_budget_edge(trained, tmp_path / "s.jsonl", capsys, monkeypatch, 114, 5, "1.383e-05")
+    _sample_at_the_budget_edge(trained, tmp_path / "s.jsonl", capsys, monkeypatch, 4, 51, "4.882e-05")
 
 
 def test_sample_refuses_a_count_past_float64_gib_in_one_line(trained, tmp_path, capsys):
@@ -654,7 +648,7 @@ def test_sample_refuses_a_count_past_float64_gib_in_one_line(trained, tmp_path, 
     for out_flags in ([], ["--out", str(path)]):
         code, out, err = run_cli(argv + out_flags, capsys)
         assert (code, out) == (1, "") and not path.exists() and err.count("\n") == 1
-        assert err.startswith(f"error: count {10**400} over 4 steps needs at least 9.872e+393 GiB for its time grid")
+        assert err.startswith(f"error: count {10**400} over 4 steps needs at least 9.537e+393 GiB for its time grid")
 
 
 def test_sample_walk_that_outgrows_the_machine_exits_three_writing_nothing(tmp_path, monkeypatch, capsys):

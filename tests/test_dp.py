@@ -161,11 +161,24 @@ def test_inf_times_zero_pair_has_a_finite_float_count():
 
 def test_log_zero_sentinel():
     assert is_log_zero(LOG_ZERO)
-    assert is_log_zero(LOG_ZERO + 40.0)  # dead cells drift up a little
+    assert is_log_zero(LOG_ZERO + 40.0)  # a margin, not equality
     assert not is_log_zero(0.0)
     assert not is_log_zero(-700.0)
     grid = insertion_counts(BAG, BABGBAG, vocab_size=4, domain="log")
     assert np.all(is_log_zero(grid[:, BOS]))  # bos can never be inserted
+
+
+def test_dead_log_cells_read_log_zero_exactly():
+    # a zero count sweeps as -inf, which log-add-exp keeps, and leaves as LOG_ZERO however many
+    # rows add into it, on whole rows and on sparse ones alike
+    assert subsequence_count((0, 3, 3), (0,) + (1, 2) * 300, "log") == LOG_ZERO
+    rng = np.random.default_rng(5)
+    wide = (0, *rng.integers(1, 16, 40).tolist()), (0, *rng.integers(1, 16, 300).tolist())  # steps sparse
+    for x_t, x_0 in (((0, 1, 2, 2), (0, 2, 1, 1, 2, 2, 1, 2)), wide):
+        for table in (prefix_table, suffix_table):
+            exact, log = table(x_t, x_0), table(x_t, x_0, "log")
+            assert (exact == 0).any() and np.array_equal(log[exact == 0], np.full((exact == 0).sum(), LOG_ZERO))
+            assert np.allclose(log[exact > 0], np.log(exact[exact > 0].astype(float)))
 
 
 def test_table_orientation():

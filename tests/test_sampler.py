@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -176,8 +177,9 @@ def test_nucleus_preserves_insertion_probability():
                                     for w, n in enumerate(sizes)])
             out[top_p] = _leap(ids, sizes, 0.5, 0.1, scores, top_p, draws, 2 * (np.cumsum(sizes) - sizes),
                                None, None, np.zeros((3, len(sizes)), dtype=np.int64))
-        (full, full_sizes), (half, half_sizes) = out[1.0], out[0.5]
+        (full, full_sizes, full_new), (half, half_sizes, half_new) = out[1.0], out[0.5]
         assert np.array_equal(full == -1, half == -1) and np.array_equal(full_sizes, half_sizes)
+        assert np.array_equal(full_new, np.flatnonzero(full != -1)) and np.array_equal(full_new, half_new)
         fired += int((full != -1).sum())
         tokens_differ += int((full != half).sum())
     assert fired > 0 and tokens_differ > 0
@@ -443,25 +445,25 @@ def test_batch_rejects_score_rows_that_are_not_a_matrix():
         batch_generate(flat, None, SamplerConfig(steps=2, seed=0), 2)
 
 
-def test_check_walk_budget_is_grid_walkers_and_history(monkeypatch):
-    # 40 B a grid point, 1 KiB a walker and 9 B a walker a step, summed; each case is led by one term
-    for steps, count, need in ((10**6, 1, 40_000_040 + 1024 + 9_000_000),         # the time grid
-                               (1, 10**5, 80 + 102_400_000 + 900_000),            # the walkers
-                               (10**4, 1000, 400_040 + 1_024_000 + 90_000_000)):  # the history
+def test_check_walk_budget_is_grid_and_walkers(monkeypatch):
+    # 40 B a grid point and 1 KiB a walker, summed; each case is led by one term.  A walk keeps no
+    # history a step, only where its leaps inserted, which the walk's own check counts as it grows
+    for steps, count, need in ((10**6, 1, 40_000_040 + 1024),      # the time grid
+                               (1, 10**5, 80 + 102_400_000)):      # the walkers
         cfg = SamplerConfig(steps=steps, seed=0)
         monkeypatch.setattr(sampler, "_physical_memory", lambda: need)
         sampler.check_walk(cfg, None, count)
         monkeypatch.setattr(sampler, "_physical_memory", lambda: need - 1)
         with pytest.raises(ConfigError, match=f"^count {count} over {steps} steps needs at least "
-                                              f"{need / 2**30:.4g} GiB for its time grid, walkers and "
-                                              f"history; this machine has {(need - 1) / 2**30:.4g} GiB$"):
+                                              f"{need / 2**30:.4g} GiB for its time grid and walkers; "
+                                              f"this machine has {(need - 1) / 2**30:.4g} GiB$"):
             sampler.check_walk(cfg, None, count)
 
 
 def test_check_walk_refuses_a_need_past_float64_as_a_config_error():
     # 10**400 walkers need about 10**403 bytes, past what a float can hold in GiB
-    with pytest.raises(ConfigError, match=r"^count 1(0{400}) over 1 steps needs at least 9\.621e\+393 GiB for "
-                                          r"its time grid, walkers and history; this machine has "):
+    with pytest.raises(ConfigError, match=r"^count 1(0{400}) over 1 steps needs at least 9\.537e\+393 GiB for "
+                                          r"its time grid and walkers; this machine has "):
         sampler.check_walk(SamplerConfig(steps=1, seed=0), None, 10**400)
 
 
@@ -488,11 +490,11 @@ def test_the_library_refuses_what_delins_sample_refuses_before_drawing(monkeypat
 
 
 def test_a_leap_counts_the_grid_and_walkers_the_walk_keeps(monkeypatch):
-    # memory enough for the least walk, grid, walker and history, but not for a leap's score arrays
-    # beside the grid and walker: the walk stops before its first score call
+    # memory enough for the least walk, grid and walker, but not for a leap's score arrays beside
+    # them: the walk stops before its first score call
     calls = []
     still = lambda p, xs, t: calls.append(t) or np.zeros((len(xs.ids), 3))  # nothing ever inserts
-    monkeypatch.setattr(sampler, "_physical_memory", lambda: 5 * 40 + 1024 + 4 * 9)
+    monkeypatch.setattr(sampler, "_physical_memory", lambda: 5 * 40 + 1024)
     with pytest.raises(MemoryError, match="^a leap at t=1 over 1 gaps needs "):
         generate(still, None, SamplerConfig(steps=4, seed=0))
     assert calls == []
@@ -755,6 +757,37 @@ def test_a_walk_makes_one_sequence_per_walker_until_its_snapshots_are_read(case,
     assert grew > len(traces)  # one read makes every walker's snapshots at once
     assert all(tr.snapshots is tr.snapshots for tr in traces) and len(made) == grew
     assert traces[-1].snapshots is snapshots and snapshots[-1][1] is traces[-1].final
+
+
+def _kept(walk, steps) -> list[int]:
+    """The bytes walk(n) leaves allocated while its result lives, for each n of steps (tracemalloc),
+    once a one-step walk has warmed what a first walk allocates."""
+    walk(1)
+    kept = []
+    for n in steps:
+        tracemalloc.start()
+        try:
+            result = walk(n)  # noqa: F841, alive while measured
+            kept.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+    return kept
+
+
+def test_a_walk_that_inserts_nothing_keeps_at_most_its_grid_a_step():
+    # a leap never removes a token, so a walk keeps where its leaps inserted, not every leap's ids;
+    # one that never inserts keeps no more a step than the grid point the check before it charges
+    still = lambda p, xs, t: np.zeros((len(xs.ids), 3))
+    kept = _kept(lambda n: generate(still, None, SamplerConfig(steps=n, seed=0)), (250, 1000))
+    assert (kept[1] - kept[0]) / 750 <= sampler._GRID_POINT_BYTES
+
+
+def test_a_walk_keeps_less_than_a_byte_a_walker_a_step():
+    # 1000 walkers of a trained checkpoint insert about as many tokens over 1024 steps as over 64, and
+    # the longer walk keeps under a byte a walker for each step it adds (each leap's ids took 9 at least)
+    dise = scorer.load(str(Path(__file__).parents[1] / "perfbench" / "ckpt" / "dise.ckpt"))
+    kept = _kept(lambda n: batch_generate(scorer.score, dise, SamplerConfig(steps=n, seed=1), 1000), (64, 1024))
+    assert kept[1] - kept[0] < (1024 - 64) * 1000
 
 
 # ---------------------------------------------------------------------------
